@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import NotAbelian
+from .errors import NotAbelian, math_check as _math_check
 from .group_core import FiniteGroup
 
 # Exhaustive unique-expression verification is performed up to this order.
@@ -77,7 +77,7 @@ def decompose(group: FiniteGroup) -> AbelianDecomposition:
             if len(sub) == want and len(cyc & set(sub.members)) == 1:
                 complement = sub
                 break
-        assert complement is not None, "maximal-order cyclic factor must split off"
+        _math_check(complement is not None, "maximal-order cyclic factor must split off")
         grp, local_to_parent = complement.as_group
         to_ambient = tuple(to_ambient[p] for p in local_to_parent)
         current = grp
@@ -89,12 +89,12 @@ def decompose(group: FiniteGroup) -> AbelianDecomposition:
     prod_order = 1
     for m in factors:
         prod_order *= m
-    assert prod_order == group.order
+    _math_check(prod_order == group.order, "invariant factors must multiply to the order")
     for m, t in zip(factors, generators):
-        assert group.element_order(t) == m
+        _math_check(group.element_order(t) == m, f"generator {t} must have order {m}")
     if group.order <= DECOMPOSE_VERIFY_BOUND:
         coords = dec.exponent_coordinates()
-        assert len(coords) == group.order, "expression by generator powers is not unique"
+        _math_check(len(coords) == group.order, "expression by generator powers is not unique")
     return dec
 
 

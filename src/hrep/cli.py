@@ -32,7 +32,7 @@ from .group_core import (
     heisenberg_mod,
     quaternion8,
 )
-from .heisenberg import enumerate_pairs, quotient_by_kernel, two_rank_of_quotient
+from .heisenberg import enumerate_pairs, two_rank_of_quotient
 from .induced_det import (
     build_det_report,
     epsilon_case_report,
@@ -187,7 +187,7 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
     for j, pair in enumerate(pairs):
         run(f"oracle_equivalence[{j}]", lambda q=pair: oracle_equivalence_report(q, seed=config.seed))
         run(f"epsilon_case_split[{j}]", lambda q=pair: epsilon_case_report(q))
-        reduced, _ = quotient_by_kernel(pair)
+        reduced, _ = pair.reduction
         run(f"isotropic_independence[{j}]", lambda q=reduced: isotropic_independence(q))
         run(f"twist_identity[{j}]", lambda q=pair: _twist_all(q, omegas))
         run(f"trivializing_twist[{j}]", lambda q=reduced: _twist_search(q))

@@ -1,6 +1,16 @@
 """Exception hierarchy shared by all hrep modules."""
 
 
+def math_check(condition: bool, message: str) -> None:
+    """Raise AssertionError unless ``condition`` holds.
+
+    A failure is a falsified mathematical identity, not bad input. The
+    raise is explicit, so ``python -O`` cannot strip the check.
+    """
+    if not condition:
+        raise AssertionError(message)
+
+
 class HrepError(Exception):
     """Base class for all errors raised by this package."""
 

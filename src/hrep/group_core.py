@@ -9,7 +9,10 @@ Conventions used throughout the package:
   byte-stable;
 * all types are immutable after construction and safe to share across
   threads; structural data (center, commutator subgroup, conjugacy
-  classes) is computed lazily and cached.
+  classes, and per subgroup the coset action and transfer products) is
+  computed lazily and cached. The caches are memos of pure functions of
+  the immutable table, so two threads that fill one race only to store
+  equal values.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     InvalidSpec,
     NotAGroup,
     NotNormal,
+    math_check as _math_check,
 )
 
 # Full O(n^3) associativity check up to this order; larger tables are
@@ -111,6 +115,8 @@ class FiniteGroup:
         self.fully_validated: bool = fully
         self._np_table = arr
         self._coset_cache: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._transfer_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._skeleton_cache: dict[tuple[int, ...], CosetSkeleton] = {}
 
     # -- element operations -------------------------------------------------
 
@@ -363,6 +369,94 @@ class FiniteGroup:
         result = (tuple(reps), tuple(pos))
         self._coset_cache[key] = result
         return result
+
+    def _coset_factors(self, sub: "Subgroup", transversal) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, factors), both n x d, with g t_j = t_{cols[g, j]} factors[g, j]
+        for the transversal t in its listed order; factors[g, j] lies in H."""
+        _, pos = self.coset_positions(sub)
+        pos = np.asarray(pos, dtype=np.int64)
+        reps = np.asarray(transversal, dtype=np.int64)
+        col_of_coset = np.empty(len(reps), dtype=np.int64)
+        col_of_coset[pos[reps]] = np.arange(len(reps))
+        moved = self._np_table[:, reps]
+        cols = col_of_coset[pos[moved]]
+        factors = self._np_table[np.asarray(self.inverse)[reps[cols]], moved]
+        return cols, factors
+
+    def transfer_fold(self, sub: "Subgroup", transversal) -> tuple[int, ...]:
+        """The raw transfer product of every g against an explicit left
+        transversal t (one representative per coset, in any order): the
+        product of t_{cols[j]}^-1 g t_j over j in the listed order."""
+        _, factors = self._coset_factors(sub, transversal)
+        result = np.full(self.order, self.identity_id, dtype=np.int64)
+        for column in factors.T:
+            result = self._np_table[result, column]
+        return tuple(result.tolist())
+
+    def transfer_products(self, sub: "Subgroup") -> tuple[int, ...]:
+        """The raw transfer product of every g over the canonical transversal."""
+        key = sub.members
+        cached = self._transfer_cache.get(key)
+        if cached is None:
+            cached = self.transfer_fold(sub, self.coset_positions(sub)[0])
+            self._transfer_cache[key] = cached
+        return cached
+
+    def coset_skeleton(self, sub: "Subgroup") -> "CosetSkeleton":
+        """The monomial skeleton of G acting on the left cosets of H."""
+        key = sub.members
+        cached = self._skeleton_cache.get(key)
+        if cached is None:
+            cached = self._build_skeleton(sub)
+            self._skeleton_cache[key] = cached
+        return cached
+
+    def _build_skeleton(self, sub: "Subgroup") -> "CosetSkeleton":
+        transversal, _ = self.coset_positions(sub)
+        perm, factors = self._coset_factors(sub, transversal)
+        reps = np.asarray(transversal, dtype=np.int64)
+        in_sub = np.zeros(self.order, dtype=bool)
+        in_sub[list(sub.members)] = True
+        _math_check(
+            bool(in_sub[factors].all())
+            and np.array_equal(self._np_table[reps[perm], factors], self._np_table[:, reps]),
+            "coset skeleton: g t_j = t_perm[j] f_j with f_j in H fails",
+        )
+        perm_rows = tuple(map(tuple, perm.tolist()))
+        return CosetSkeleton(
+            transversal,
+            perm_rows,
+            tuple(map(tuple, factors.tolist())),
+            tuple(_perm_is_odd(row) for row in perm_rows),
+        )
+
+
+def _perm_is_odd(perm: tuple[int, ...]) -> bool:
+    """Parity of a permutation of 0..d-1, from its cycle count."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for i in range(len(perm)):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return (len(perm) - cycles) % 2 == 1
+
+
+@dataclass(frozen=True)
+class CosetSkeleton:
+    """G acting on the left cosets of H, over the canonical transversal t.
+
+    For every g and column j, ``g t_j = t_{perm[g][j]} factors[g][j]`` with
+    ``factors[g][j]`` in H, and ``odd[g]`` is the parity of ``perm[g]``.
+    """
+
+    transversal: tuple[int, ...]
+    perm: tuple[tuple[int, ...], ...]
+    factors: tuple[tuple[int, ...], ...]
+    odd: tuple[bool, ...]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import abelian
-from .char_theory import Bicharacter, LinearCharacter, QmodZ, characters_of_subgroup
+from .char_theory import (
+    Bicharacter,
+    LinearCharacter,
+    QmodZ,
+    characters_of_subgroup,
+    extend_character,
+)
 from .errors import (
     Degenerate,
     EnumerationBoundExceeded,
@@ -22,17 +28,13 @@ from .errors import (
     NotCoabelian,
     NotInvariant,
     NotNormal,
+    math_check as _math_check,
 )
 from .group_core import FiniteGroup, GroupHom, Subgroup
 from .transfer import coabelian_subgroups, is_two_step_nilpotent
 
 PAIR_ENUM_BOUND = 256
 ISOTROPIC_ENUM_BOUND = 4096
-
-
-def _math_check(condition: bool, message: str) -> None:
-    if not condition:
-        raise AssertionError(message)
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,17 @@ class HeisenbergPair:
     @cached_property
     def maximal_isotropics(self) -> list[Subgroup]:
         return all_maximal_isotropics(self)
+
+    @cached_property
+    def default_extension(self) -> LinearCharacter:
+        """The deterministic extension of chi to the first maximal isotropic."""
+        return extend_character(self.group, self.chi, self.maximal_isotropics[0])
+
+    @cached_property
+    def reduction(self) -> tuple["HeisenbergPair", GroupHom]:
+        """The kernel reduction with its projection, computed once per pair so
+        the reduced group's caches are shared by every check."""
+        return quotient_by_kernel(self)
 
     @cached_property
     def two_rank(self) -> int:

@@ -11,6 +11,10 @@ Three independent routes to det(rho)(g) are implemented and cross-checked:
   rk_2(G/Z) = 2, in which case it is the sign function on the Klein
   quotient G/G^2Z that is + on the trivial coset and - elsewhere.
 
+The direct and Gallagher routes read the coset skeleton and the transfer
+products that the group caches once per subgroup, and check a character
+extension once per whole-table call rather than once per element.
+
 Signs live in QmodZ as 1/2, so the whole pipeline stays in one exact
 value domain. The closed form requires a kernel-reduced pair and
 refuses anything else, making the reduction step explicit in the API.
@@ -28,7 +32,6 @@ from .char_theory import (
     ZERO,
     LinearCharacter,
     QmodZ,
-    extend_character,
     extend_character_all,
     linear_characters,
 )
@@ -39,8 +42,15 @@ from .errors import (
     NotACharacter,
     NotAnExtension,
     PreconditionFailed,
+    math_check as _math_check,
 )
-from .group_core import FiniteGroup, Subgroup, extraspecial_p3_exp_p2, heisenberg_mod
+from .group_core import (
+    FiniteGroup,
+    Subgroup,
+    _perm_is_odd,
+    extraspecial_p3_exp_p2,
+    heisenberg_mod,
+)
 from .heisenberg import (
     HeisenbergPair,
     enumerate_pairs,
@@ -49,11 +59,6 @@ from .heisenberg import (
     two_rank_of_quotient,
 )
 from .transfer import CheckReport, correcting_function, transfer_product
-
-
-def _math_check(condition: bool, message: str) -> None:
-    if not condition:
-        raise AssertionError(message)
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,11 @@ class MonomialMatrix:
     def is_scalar(self) -> bool:
         return self.perm == tuple(range(self.dim)) and len(set(self.exps)) == 1
 
+    def __str__(self) -> str:
+        perm = ",".join(str(i) for i in self.perm)
+        exps = ",".join(str(q) for q in self.exps)
+        return f"perm=({perm}) exps=({exps})"
+
 
 def monomial_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
     if a.dim != b.dim:
@@ -89,22 +99,9 @@ def monomial_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
     return MonomialMatrix(a.dim, perm, exps)
 
 
-def _perm_sign(perm: tuple[int, ...]) -> QmodZ:
-    seen = [False] * len(perm)
-    cycles = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return HALF if (len(perm) - cycles) % 2 else ZERO
-
-
 def monomial_det(matrix: MonomialMatrix) -> QmodZ:
     """Permutation sign (as 0 or 1/2) plus the sum of the exponents."""
-    total = _perm_sign(matrix.perm)
+    total = HALF if _perm_is_odd(matrix.perm) else ZERO
     for q in matrix.exps:
         total = total + q
     return total
@@ -143,21 +140,23 @@ def induced_matrix(
 
 
 def _induced_matrix_unchecked(pair, sub, chi_h, g):
-    group = pair.group
-    transversal, pos = group.coset_positions(sub)
-    perm = []
-    exps = []
-    for t in transversal:
-        x = group.mul(g, t)
-        i = pos[x]
-        perm.append(i)
-        exps.append(chi_h(group.mul(group.inv(transversal[i]), x)))
-    return MonomialMatrix(len(transversal), tuple(perm), tuple(exps))
+    skeleton = pair.group.coset_skeleton(sub)
+    exps = tuple(chi_h(f) for f in skeleton.factors[g])
+    return MonomialMatrix(len(skeleton.transversal), skeleton.perm[g], exps)
 
 
 def det_direct(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter, g: int) -> QmodZ:
     """Brute-force determinant of the induced monomial matrix."""
     return monomial_det(induced_matrix(pair, sub, chi_h, g))
+
+
+def _direct_table(pair, sub, chi_h) -> list[QmodZ]:
+    """det_direct of every element, checking the extension once."""
+    _require_extension(pair, sub, chi_h)
+    return [
+        monomial_det(_induced_matrix_unchecked(pair, sub, chi_h, g))
+        for g in pair.group.elements()
+    ]
 
 
 def check_homomorphism(
@@ -172,7 +171,8 @@ def check_homomorphism(
     """Certify Ind(g1) Ind(g2) = Ind(g1 g2), exhaustively on small groups
     and on seeded random pairs above the bound."""
     group = pair.group
-    matrices = {g: induced_matrix(pair, sub, chi_h, g) for g in group.elements()}
+    _require_extension(pair, sub, chi_h)
+    matrices = [_induced_matrix_unchecked(pair, sub, chi_h, g) for g in group.elements()]
     if group.order <= exhaustive_bound:
         pairs = [(x, y) for x in group.elements() for y in group.elements()]
         mode = "exhaustive"
@@ -188,17 +188,17 @@ def check_homomorphism(
         stats={"group": group.label, "mode": mode, "pairs": len(pairs), "seed": seed},
     )
     for x, y in pairs:
-        if monomial_mul(matrices[x], matrices[y]) != matrices[group.mul(x, y)]:
+        product = monomial_mul(matrices[x], matrices[y])
+        image = matrices[group.mul(x, y)]
+        if product != image:
             report.passed = False
-            report.counterexamples.append({"g": [x, y], "lhs": -1, "rhs": -1})
+            report.counterexamples.append({"g": [x, y], "lhs": str(product), "rhs": str(image)})
     return report
 
 
 def delta_character(group: FiniteGroup, sub: Subgroup, g: int) -> QmodZ:
     """Sign of the permutation induced by g on the left cosets of H."""
-    transversal, pos = group.coset_positions(sub)
-    perm = tuple(pos[group.mul(g, t)] for t in transversal)
-    return _perm_sign(perm)
+    return HALF if group.coset_skeleton(sub).odd[g] else ZERO
 
 
 def det_gallagher(
@@ -213,6 +213,14 @@ def det_gallagher(
     return delta_character(pair.group, sub, g) + chi_h(
         transfer_product(pair.group, sub, g)
     )
+
+
+def _gallagher_table(pair, sub, chi_h) -> list[QmodZ]:
+    """det_gallagher of every element, checking the extension once."""
+    _require_extension(pair, sub, chi_h)
+    group = pair.group
+    transfers = group.transfer_products(sub)
+    return [delta_character(group, sub, g) + chi_h(transfers[g]) for g in group.elements()]
 
 
 # -- the closed form -------------------------------------------------------------
@@ -284,10 +292,11 @@ def epsilon_table(
                     f"sign defect identity fails at ({g1},{g2})",
                 )
     if chi_h is not None:
+        gallagher = _gallagher_table(pair, sub, chi_h)
         for g in group.elements():
             gd = group.pow(g, d)
             _math_check(
-                table[g] == det_gallagher(pair, sub, chi_h, g) - pair.chi(gd),
+                table[g] == gallagher[g] - pair.chi(gd),
                 f"eps disagrees with the Gallagher determinant at {g}",
             )
     return table
@@ -313,7 +322,7 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
     for sub in pair.maximal_isotropics:
         for chi_h in extend_character_all(group, pair.chi, sub):
             n_tables += 1
-            table = [det_direct(pair, sub, chi_h, g) for g in group.elements()]
+            table = _direct_table(pair, sub, chi_h)
             if reference is None:
                 reference = table
             elif table != reference:
@@ -325,7 +334,7 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
                         )
                         break
     report.stats["n_extensions_total"] = n_tables
-    assert reference is not None
+    _math_check(reference is not None, "a pair has at least one maximal isotropic")
 
     # placement reformulation through the Miller product of G/H
     for g in group.elements():
@@ -364,13 +373,16 @@ def twist(pair: HeisenbergPair, omega: LinearCharacter) -> HeisenbergPair:
     twisted = validate_pair(group, pair.Z, chi2)
 
     sub = pair.maximal_isotropics[0]
-    chi_h = extend_character(group, pair.chi, sub)
+    chi_h = pair.default_extension
     chi_h2 = chi_h * omega.restrict(sub)
     d = pair.dim
+    twisted_det = _direct_table(twisted, sub, chi_h2)
+    det = _direct_table(pair, sub, chi_h)
     for g in group.elements():
-        lhs = det_direct(twisted, sub, chi_h2, g)
-        rhs = det_direct(pair, sub, chi_h, g) + omega(g).scale(d)
-        _math_check(lhs == rhs, f"twisted determinant identity fails at {g}")
+        _math_check(
+            twisted_det[g] == det[g] + omega(g).scale(d),
+            f"twisted determinant identity fails at {g}",
+        )
     return twisted
 
 
@@ -461,17 +473,18 @@ def _case_label(rk2: int) -> str:
 def build_det_report(pair: HeisenbergPair) -> DetReport:
     """Reduce the pair, pick the first maximal isotropic and the default
     character extension, and tabulate all three determinants."""
-    reduced, _ = quotient_by_kernel(pair)
+    reduced, _ = pair.reduction
     group = reduced.group
     sub = reduced.maximal_isotropics[0]
-    chi_h = extend_character(group, reduced.chi, sub)
+    chi_h = reduced.default_extension
     eps = epsilon_table(reduced, sub, chi_h)
     rk2 = two_rank_of_quotient(reduced)
+    direct = _direct_table(reduced, sub, chi_h)
+    gallagher = _gallagher_table(reduced, sub, chi_h)
     rows = []
     all_agree = True
     for g in group.elements():
-        dd = det_direct(reduced, sub, chi_h, g)
-        dg = det_gallagher(reduced, sub, chi_h, g)
+        dd, dg = direct[g], gallagher[g]
         df, eps_formula = det_formula(reduced, g)
         gd = group.pow(g, reduced.dim)
         rows.append(DetRow(g, dd, dg, df, eps[g], reduced.chi(gd)))
@@ -490,7 +503,7 @@ def oracle_equivalence_report(pair: HeisenbergPair, *, seed: int = 0) -> CheckRe
     character and that the scalar subgroup acts by scalar matrices.
     """
     group = pair.group
-    reduced, proj = quotient_by_kernel(pair)
+    reduced, proj = pair.reduction
     formula = {g: det_formula(reduced, proj(g))[0] for g in group.elements()}
     report = CheckReport(
         "determinant_oracle_equivalence",
@@ -504,32 +517,12 @@ def oracle_equivalence_report(pair: HeisenbergPair, *, seed: int = 0) -> CheckRe
     )
     common: list[QmodZ] | None = None
     for sub in pair.maximal_isotropics:
-        # per-H skeleton shared by all extensions: the coset permutation
-        # sign, the monomial factor ids, and the raw transfer products
-        signs = []
-        factor_lists = []
-        transfers = []
-        transversal, pos = group.coset_positions(sub)
-        for g in group.elements():
-            perm = []
-            factors = []
-            for t in transversal:
-                x = group.mul(g, t)
-                i = pos[x]
-                perm.append(i)
-                factors.append(group.mul(group.inv(transversal[i]), x))
-            signs.append(_perm_sign(tuple(perm)))
-            factor_lists.append(factors)
-            transfers.append(transfer_product(group, sub, g))
-        for ext_index, chi_h in enumerate(extend_character_all(group, pair.chi, sub)):
+        for chi_h in extend_character_all(group, pair.chi, sub):
             report.stats["n_extensions"] += 1
-            _require_extension(pair, sub, chi_h)
+            direct = _direct_table(pair, sub, chi_h)
+            gallagher = _gallagher_table(pair, sub, chi_h)
             for g in group.elements():
-                dd = signs[g]
-                for f in factor_lists[g]:
-                    dd = dd + chi_h(f)
-                dg = signs[g] + chi_h(transfers[g])
-                df = formula[g]
+                dd, dg, df = direct[g], gallagher[g], formula[g]
                 if not (dd == dg == df):
                     report.passed = False
                     if len(report.counterexamples) < 10:
@@ -542,27 +535,8 @@ def oracle_equivalence_report(pair: HeisenbergPair, *, seed: int = 0) -> CheckRe
                                 "H": list(sub.members),
                             }
                         )
-            if ext_index == 0:
-                # guard the shared-skeleton shortcut against the public route
-                direct = [
-                    monomial_det(_induced_matrix_unchecked(pair, sub, chi_h, g))
-                    for g in group.elements()
-                ]
-                gallagher = [
-                    delta_character(group, sub, g) + chi_h(transfers[g])
-                    for g in group.elements()
-                ]
-                for g in group.elements():
-                    dd = signs[g]
-                    for f in factor_lists[g]:
-                        dd = dd + chi_h(f)
-                    if dd != direct[g] or signs[g] + chi_h(transfers[g]) != gallagher[g]:
-                        report.passed = False
-                        report.counterexamples.append(
-                            {"g": g, "lhs": str(dd), "rhs": str(direct[g]), "identity": "skeleton"}
-                        )
-                if common is None:
-                    common = direct
+            if common is None:
+                common = direct
             for z in pair.Z.members:
                 matrix = _induced_matrix_unchecked(pair, sub, chi_h, z)
                 if not (matrix.is_scalar() and matrix.exps[0] == pair.chi(z)):
@@ -571,7 +545,7 @@ def oracle_equivalence_report(pair: HeisenbergPair, *, seed: int = 0) -> CheckRe
                         {"g": z, "lhs": "non-scalar", "rhs": str(pair.chi(z))}
                     )
 
-    assert common is not None
+    _math_check(common is not None, "a pair has at least one maximal isotropic")
     if pair.dim == 1:
         # a 1x1 induced table is chi itself, whose multiplicativity was
         # verified exhaustively at validation time
@@ -601,10 +575,10 @@ def epsilon_case_report(pair: HeisenbergPair) -> CheckReport:
     rk_2(G/Z) = 0 or >= 4 forces eps identically trivial; rk_2 = 2
     forces the + - - - pattern on the Klein quotient G/G^2Z.
     """
-    reduced, _ = quotient_by_kernel(pair)
+    reduced, _ = pair.reduction
     group = reduced.group
     sub = reduced.maximal_isotropics[0]
-    chi_h = extend_character(group, reduced.chi, sub)
+    chi_h = reduced.default_extension
     table = epsilon_table(reduced, sub, chi_h)
     rk2 = two_rank_of_quotient(reduced)
     report = CheckReport(

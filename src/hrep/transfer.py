@@ -15,14 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import abelian
-from .errors import PreconditionFailed
+from .errors import PreconditionFailed, math_check as _math_check
 from .group_core import FiniteGroup, Subgroup
-
-
-def _math_check(condition: bool, message: str) -> None:
-    # A failure here is a falsified mathematical identity, not bad input.
-    if not condition:
-        raise AssertionError(message)
 
 
 @dataclass
@@ -82,15 +76,10 @@ def transfer_instances(group: FiniteGroup) -> list[Subgroup]:
 def transfer_product(group: FiniteGroup, sub: Subgroup, g: int) -> int:
     """Product of the transversal factors, in canonical transversal order.
 
-    Well-defined only modulo [H,H]; exact for abelian H.
+    Well-defined only modulo [H,H]; exact for abelian H. Reads the
+    group's cached table of all transfer products.
     """
-    transversal, pos = group.coset_positions(sub)
-    result = group.identity_id
-    for t in transversal:
-        x = group.mul(g, t)
-        s = transversal[pos[x]]
-        result = group.mul(result, group.mul(group.inv(s), x))
-    return result
+    return group.transfer_products(sub)[g]
 
 
 def _derived_members(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
@@ -138,7 +127,7 @@ class TransferMap:
 def transfer_table(group: FiniteGroup, sub: Subgroup) -> TransferMap:
     """Compute all transfer values and verify the homomorphism property."""
     transversal, _ = group.coset_positions(sub)
-    raw = [transfer_product(group, sub, g) for g in group.elements()]
+    raw = group.transfer_products(sub)
     if sub.is_abelian:
         values = tuple(raw)
         codomain = None
@@ -175,17 +164,11 @@ def transfer_values_with_transversal(
     covered = sorted(pos[t] for t in transversal)
     if covered != list(range(len(transversal))) or len(transversal) != sub.index():
         raise PreconditionFailed("not a left transversal: one representative per coset required")
-    by_coset = {pos[t]: t for t in transversal}
-    derived = None if sub.is_abelian else _derived_members(group, sub)
-    out = []
-    for g in group.elements():
-        result = group.identity_id
-        for t in transversal:
-            x = group.mul(g, t)
-            s = by_coset[pos[x]]
-            result = group.mul(result, group.mul(group.inv(s), x))
-        out.append(result if derived is None else _coset_min(group, result, derived))
-    return out
+    raw = group.transfer_fold(sub, transversal)
+    if sub.is_abelian:
+        return list(raw)
+    derived = _derived_members(group, sub)
+    return [_coset_min(group, result, derived) for result in raw]
 
 
 def transversal_independence_check(
@@ -193,12 +176,10 @@ def transversal_independence_check(
 ) -> CheckReport:
     """Recompute transfer with randomly H-shifted transversals; values must agree."""
     base_t, _ = group.coset_positions(sub)
-    derived = None if sub.is_abelian else _derived_members(group, sub)
-    reference = [
-        transfer_product(group, sub, g) if derived is None
-        else _coset_min(group, transfer_product(group, sub, g), derived)
-        for g in group.elements()
-    ]
+    reference = list(group.transfer_products(sub))
+    if not sub.is_abelian:
+        derived = _derived_members(group, sub)
+        reference = [_coset_min(group, r, derived) for r in reference]
     rng = random.Random(seed)
     report = CheckReport(
         "transversal_independence",
@@ -431,19 +412,19 @@ def check_transfer_identities(
     )
 
     # conjugation covariance
-    base_derived = None if sub.is_abelian else _derived_members(group, sub)
-    base_values = [transfer_product(group, sub, g) for g in group.elements()]
+    base_values = group.transfer_products(sub)
     conj_failures = 0
-    seen_conjugates: dict[tuple[int, ...], Subgroup] = {}
+    # for normal H every conjugate is H, so its table is built once
+    seen_conjugates: dict[tuple[int, ...], tuple] = {}
     for g in group.elements():
         members = tuple(sorted(group.conjugate(g, h) for h in sub.members))
-        csub = seen_conjugates.get(members)
-        if csub is None:
+        if members not in seen_conjugates:
             csub = Subgroup(group, members)
-            seen_conjugates[members] = csub
-        derived = None if csub.is_abelian else _derived_members(group, csub)
+            derived = None if csub.is_abelian else _derived_members(group, csub)
+            seen_conjugates[members] = (derived, group.transfer_products(csub))
+        derived, conj_values = seen_conjugates[members]
         for gp in group.elements():
-            lhs = transfer_product(group, csub, gp)
+            lhs = conj_values[gp]
             rhs = group.conjugate(g, base_values[gp])
             if derived is not None:
                 lhs = _coset_min(group, lhs, derived)

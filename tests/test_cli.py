@@ -1,6 +1,11 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +150,35 @@ def test_verify_reports_math_failure_with_exit_one(capsys, monkeypatch):
     assert report["all_pass"] is False
     failed = [c for c in report["checks"] if not c["pass"]]
     assert failed and failed[0]["counterexamples"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("name", ("d8", "heis3", "cp:d8,q8"))
+def test_verify_is_identical_under_python_O(name):
+    """Identity checks raise explicitly, so -O (which strips assert
+    statements) changes neither the report nor the exit code."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "hrep.cli", "verify", "--builtin", name],
+            capture_output=True,
+            env=env,
+            timeout=600,
+        )
+        for flags in ((), ("-O",))
+    ]
+    assert runs[0].returncode == EXIT_OK
+    assert runs[1].returncode == runs[0].returncode
+    assert runs[1].stdout == runs[0].stdout != b""
+
+
+def test_library_has_no_assert_statements():
+    for path in sorted((SRC / "hrep").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name} uses assert at lines {found}"
 
 
 # -- file input --------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Monomial matrices, the three determinant routes, sign tables, twisting,
 and the order-p^3 dichotomy."""
 
+import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrep import char_theory as ct, heisenberg as hb, induced_det as idet
+from hrep import char_theory as ct, cli, heisenberg as hb, induced_det as idet
 from hrep.char_theory import HALF, ZERO, QmodZ, extend_character, extend_character_all
 from hrep.errors import (
     DimMismatch,
@@ -17,6 +19,7 @@ from hrep.errors import (
     NotAnExtension,
 )
 from hrep.group_core import (
+    FiniteGroup,
     central_product,
     cyclic,
     dihedral,
@@ -116,6 +119,90 @@ def test_d8_reflection_is_antidiagonal():
     assert m.perm == (1, 0)
 
 
+SKELETON_ZOO = ("d8", "q8", "heis3", "cp:d8,q8", "ab:2,2,2")
+
+
+@pytest.mark.parametrize("name", SKELETON_ZOO)
+def test_skeleton_matches_induced_matrix_from_definition(name):
+    """Definitional oracle: g t_j lands in the coset of t_i, with factor
+    t_i^-1 g t_j, expanded with group.mul for every pair, maximal
+    isotropic and element."""
+    group = cli.parse_builtin(name)
+    for pair in hb.enumerate_pairs(group):
+        for sub in pair.maximal_isotropics:
+            skeleton = group.coset_skeleton(sub)
+            transversal = group.left_transversal(sub)
+            assert list(skeleton.transversal) == transversal
+            coset_of = {group.mul(t, h): i for i, t in enumerate(transversal) for h in sub}
+            chi_h = extend_character(group, pair.chi, sub)
+            for g in group.elements():
+                perm, factors = [], []
+                for t in transversal:
+                    x = group.mul(g, t)
+                    perm.append(coset_of[x])
+                    factors.append(group.mul(group.inv(transversal[coset_of[x]]), x))
+                assert skeleton.perm[g] == tuple(perm)
+                assert skeleton.factors[g] == tuple(factors)
+                inversions = sum(
+                    perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+                )
+                assert skeleton.odd[g] == (inversions % 2 == 1)
+                expected = MonomialMatrix(
+                    len(perm), tuple(perm), tuple(chi_h(f) for f in factors)
+                )
+                assert idet.induced_matrix(pair, sub, chi_h, g) == expected
+
+
+def test_verify_checks_each_object_once(monkeypatch, capsys):
+    """Work-count regression: one extension check per route call, one
+    kernel reduction per pair, one skeleton per (G, H)."""
+    extension_checks = [0]
+    real_require = idet._require_extension
+
+    def counting_require(*args):
+        extension_checks[0] += 1
+        return real_require(*args)
+
+    reductions = []
+    real_reduce = hb.quotient_by_kernel
+
+    def counting_reduce(pair):
+        reductions.append(pair)
+        return real_reduce(pair)
+
+    checks_per_twist = []
+    real_twist = cli.twist
+
+    def counting_twist(pair, omega):
+        before = extension_checks[0]
+        result = real_twist(pair, omega)
+        checks_per_twist.append(extension_checks[0] - before)
+        return result
+
+    skeleton_builds = Counter()
+    real_build = FiniteGroup._build_skeleton
+
+    def counting_build(group, sub):
+        skeleton_builds[(group, sub.members)] += 1
+        return real_build(group, sub)
+
+    monkeypatch.setattr(idet, "_require_extension", counting_require)
+    monkeypatch.setattr(hb, "quotient_by_kernel", counting_reduce)
+    monkeypatch.setattr(idet, "quotient_by_kernel", counting_reduce)
+    monkeypatch.setattr(cli, "twist", counting_twist)
+    monkeypatch.setattr(FiniteGroup, "_build_skeleton", counting_build)
+
+    assert cli.main(["verify", "--builtin", "heis3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    n_twists = sum(
+        c["stats"]["n_characters"] for c in report["checks"] if c["check"] == "twist_identity"
+    )
+    assert len(checks_per_twist) == n_twists > 0
+    assert max(checks_per_twist) <= 2
+    assert len(reductions) == report["n_pairs"]
+    assert skeleton_builds and set(skeleton_builds.values()) == {1}
+
+
 def test_rejects_non_extension():
     pair, sub, _ = default_setup(dihedral(8), 2)
     with pytest.raises(NotAnExtension):
@@ -136,6 +223,18 @@ def test_homomorphism_certificate_sampled_mode_is_seeded():
     r2 = idet.check_homomorphism(pair, sub, chi_h, seed=5)
     assert r1.passed and r1.as_dict() == r2.as_dict()
     assert r1.stats["mode"] == "sampled"
+
+
+def test_homomorphism_counterexample_records_both_matrices(monkeypatch):
+    pair, sub, chi_h = default_setup(dihedral(8), 2)
+    monkeypatch.setattr(idet, "monomial_mul", lambda a, b: MonomialMatrix.identity(a.dim))
+    report = idet.check_homomorphism(pair, sub, chi_h)
+    assert not report.passed
+    bad = report.counterexamples[0]
+    x, y = bad["g"]
+    assert bad["lhs"] == "perm=(0,1) exps=(0/1,0/1)"
+    assert bad["rhs"] == str(idet.induced_matrix(pair, sub, chi_h, pair.group.mul(x, y)))
+    assert bad["lhs"] != bad["rhs"]
 
 
 def test_linear_pair_reduces_to_character_multiplicativity():

@@ -1,9 +1,11 @@
 """Transfer maps: definition, closed forms, correcting functions, and the
 classical identities."""
 
+import random
+
 import pytest
 
-from hrep import abelian, transfer as tr
+from hrep import abelian, cli, transfer as tr
 from hrep.errors import PreconditionFailed
 from hrep.group_core import (
     abelian_group,
@@ -40,6 +42,38 @@ def test_transfer_against_hand_computed_product():
             expected = d8.mul(expected, d8.mul(d8.inv(s), x))
         assert tr.transfer(d8, sub, g) == expected
     assert tr.transfer(d8, sub, A) == E
+
+
+def _product_loop(group, sub, transversal):
+    """The raw transfer product of every g, expanded with group.mul."""
+    _, pos = group.coset_positions(sub)
+    rep_of_coset = {pos[t]: t for t in transversal}
+    out = []
+    for g in group.elements():
+        result = group.identity_id
+        for t in transversal:
+            x = group.mul(g, t)
+            result = group.mul(result, group.mul(group.inv(rep_of_coset[pos[x]]), x))
+        out.append(result)
+    return tuple(out)
+
+
+# d16 and d24 have nonabelian subgroups whose factor product depends on
+# the order of the factors
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "cp:d8,q8", "ab:2,2,2", "d16", "d24"))
+def test_cached_transfer_table_matches_the_product_loop(name):
+    """Every subgroup, so every maximal isotropic of every pair and every
+    transfer instance: the cached table equals the factor product
+    recomputed here, also against a shuffled and H-shifted transversal."""
+    group = cli.parse_builtin(name)
+    rng = random.Random(0)
+    for sub in group.all_subgroups():
+        canonical = group.left_transversal(sub)
+        assert group.transfer_products(sub) == _product_loop(group, sub, canonical)
+        assert group.transfer_products(sub) is group.transfer_products(sub)
+        other = [group.mul(t, rng.choice(sub.members)) for t in canonical]
+        rng.shuffle(other)
+        assert group.transfer_fold(sub, other) == _product_loop(group, sub, other)
 
 
 def test_transfer_to_whole_group_is_abelianization():
