@@ -20,6 +20,7 @@ from .group_core import (
     direct_product,
     extraspecial_p3_exp_p2,
     from_cayley_table,
+    from_name,
     heisenberg_mod,
     quaternion8,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "enumerate_pairs",
     "extraspecial_p3_exp_p2",
     "from_cayley_table",
+    "from_name",
     "heisenberg_mod",
     "induced_matrix",
     "monomial_det",

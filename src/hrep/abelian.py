@@ -98,19 +98,6 @@ def decompose(group: FiniteGroup) -> AbelianDecomposition:
     return dec
 
 
-def miller_product(group: FiniteGroup) -> int:
-    """Product of all elements of an abelian group.
-
-    Equals the unique involution when there is exactly one, and the
-    identity otherwise.
-    """
-    _require_abelian(group)
-    result = group.identity_id
-    for x in group.elements():
-        result = group.mul(result, x)
-    return result
-
-
 def two_rank(group: FiniteGroup) -> int:
     """Number of even invariant factors."""
     return sum(1 for m in decompose(group).factors if m % 2 == 0)
@@ -122,7 +109,11 @@ def involution_set(group: FiniteGroup) -> set[int]:
 
 
 def subgroup_product(group: FiniteGroup, members) -> int:
-    """Product over an explicit subset of an abelian group (order irrelevant)."""
+    """Product over an explicit subset of an abelian group (order irrelevant).
+
+    Over the whole group this is the Miller product: the unique involution
+    when there is exactly one, and the identity otherwise.
+    """
     _require_abelian(group)
     result = group.identity_id
     for x in members:

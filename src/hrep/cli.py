@@ -6,8 +6,9 @@ Commands operate on one group, supplied either as a JSON file
 "d8", "c12", "q8", "heis3", "es_p3_exp_p2:5", "cp:d8,q8",
 "prod:d8,c3" or "ab:2,4".
 
-Exit codes: 0 all checks pass, 1 a mathematical identity failed,
-2 input/validation error, 3 an enumeration bound was exceeded.
+Exit codes: 0 all checks pass, 1 a mathematical identity failed (inside
+a verify check or anywhere else), 2 input/validation error, 3 an
+enumeration bound was exceeded.
 Output is deterministic: JSON with sorted keys or TSV with sorted rows.
 """
 
@@ -19,21 +20,11 @@ import sys
 from dataclasses import dataclass
 
 from . import abelian, transfer
-from .errors import EnumerationBoundExceeded, HrepError, InvalidPrime, InvalidSpec
-from .group_core import (
-    FiniteGroup,
-    abelian_group,
-    central_product,
-    construct_spec,
-    cyclic,
-    dihedral,
-    extraspecial_p3_exp_p2,
-    from_cayley_table,
-    heisenberg_mod,
-    quaternion8,
-)
-from .heisenberg import enumerate_pairs, two_rank_of_quotient
+from .errors import EnumerationBoundExceeded, HrepError, IdentityFailed, InvalidSpec
+from .group_core import FiniteGroup, construct_spec, from_cayley_table, from_name
+from .heisenberg import PAIR_ENUM_BOUND, enumerate_pairs, two_rank_of_quotient
 from .induced_det import (
+    P3_ORDER_BOUND,
     build_det_report,
     epsilon_case_report,
     find_trivializing_twist,
@@ -57,40 +48,13 @@ class RunConfig:
     builtin: str | None = None
     output_format: str = "json"
     seed: int = 0
-    max_order: int = 256
+    max_order: int = PAIR_ENUM_BOUND
     p: int | None = None
-
-
-def parse_builtin(name: str) -> FiniteGroup:
-    """Resolve a builtin zoo name."""
-    name = name.strip()
-    if name == "q8":
-        return quaternion8()
-    if name.startswith("cp:"):
-        parts = name[3:].split(",")
-        if len(parts) != 2:
-            raise InvalidSpec(f"central product takes two factors, got {name!r}")
-        return central_product(parse_builtin(parts[0]), parse_builtin(parts[1]))
-    if name.startswith("prod:"):
-        from .group_core import direct_product
-
-        return direct_product(*[parse_builtin(p) for p in name[5:].split(",")])
-    if name.startswith("ab:"):
-        return abelian_group([int(m) for m in name[3:].split(",")])
-    if name.startswith("es_p3_exp_p2:"):
-        return extraspecial_p3_exp_p2(int(name.split(":")[1]))
-    if name.startswith("heis"):
-        return heisenberg_mod(int(name[4:]))
-    if name.startswith("c") and name[1:].isdigit():
-        return cyclic(int(name[1:]))
-    if name.startswith("d") and name[1:].isdigit():
-        return dihedral(int(name[1:]))
-    raise InvalidSpec(f"unknown builtin group name {name!r}")
 
 
 def load_group(config: RunConfig) -> FiniteGroup:
     if config.builtin:
-        return parse_builtin(config.builtin)
+        return from_name(config.builtin)
     if not config.input_path:
         raise InvalidSpec("either --input or --builtin is required")
     try:
@@ -103,8 +67,7 @@ def load_group(config: RunConfig) -> FiniteGroup:
         return from_cayley_table(data["cayley_table"], label=label, seed=config.seed)
     if "construct" in data:
         group = construct_spec(data["construct"])
-        group.label = label
-        return group
+        return FiniteGroup(group._np_table, label=label)
     raise InvalidSpec("group file needs a 'cayley_table' or 'construct' key")
 
 
@@ -155,14 +118,19 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
     def run(name, func):
         try:
             result = func()
-        except AssertionError as exc:
+        except EnumerationBoundExceeded:
+            raise
+        except HrepError as exc:
+            error = f"{type(exc).__name__}: {exc}"
             checks.append(
-                {"check": name, "pass": False, "counterexamples": [], "stats": {"error": str(exc)}}
+                {"check": name, "pass": False, "counterexamples": [], "stats": {"error": error}}
             )
             return
         if result is not None:
             checks.append(result.as_dict())
 
+    # the pair bound is checked before any transfer work starts
+    pairs = enumerate_pairs(group, max_order=config.max_order)
     instances = transfer.transfer_instances(group)
     two_step = transfer.is_two_step_nilpotent(group)
     for i, sub in enumerate(instances):
@@ -181,7 +149,6 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
             lambda s=sub: transfer.transversal_independence_check(group, s, seed=config.seed),
         )
 
-    pairs = enumerate_pairs(group, max_order=config.max_order)
     omegas = linear_characters(group)
     det_reports = []
     for j, pair in enumerate(pairs):
@@ -282,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--builtin", help="builtin zoo name, e.g. d8 or cp:d8,q8")
         cmd.add_argument("--format", choices=("json", "tsv"), default="json")
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--max-order", type=int, default=256)
+        cmd.add_argument("--max-order", type=int, default=PAIR_ENUM_BOUND)
     p3_cmd = sub.add_parser("p3")
-    p3_cmd.add_argument("p", type=int, help="an odd prime with p^3 <= 512")
+    p3_cmd.add_argument("p", type=int, help=f"an odd prime with p^3 <= {P3_ORDER_BOUND}")
     p3_cmd.add_argument("--format", choices=("json", "tsv"), default="json")
     p3_cmd.add_argument("--seed", type=int, default=0)
     return parser
@@ -298,7 +265,7 @@ def main(argv=None) -> int:
         builtin=getattr(args, "builtin", None),
         output_format=args.format,
         seed=args.seed,
-        max_order=getattr(args, "max_order", 256),
+        max_order=getattr(args, "max_order", PAIR_ENUM_BOUND),
         p=getattr(args, "p", None),
     )
     try:
@@ -306,7 +273,10 @@ def main(argv=None) -> int:
     except EnumerationBoundExceeded as exc:
         print(f"hrep: {exc}", file=sys.stderr)
         return EXIT_BOUND_EXCEEDED
-    except (InvalidSpec, InvalidPrime, HrepError) as exc:
+    except IdentityFailed as exc:
+        print(f"hrep: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MATH_FAILURE
+    except HrepError as exc:
         print(f"hrep: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     renderer = _render_tsv if config.output_format == "tsv" else _render_json

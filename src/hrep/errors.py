@@ -2,17 +2,20 @@
 
 
 def math_check(condition: bool, message: str) -> None:
-    """Raise AssertionError unless ``condition`` holds.
+    """Raise IdentityFailed unless ``condition`` holds.
 
-    A failure is a falsified mathematical identity, not bad input. The
-    raise is explicit, so ``python -O`` cannot strip the check.
+    The raise is explicit, so ``python -O`` cannot strip the check.
     """
     if not condition:
-        raise AssertionError(message)
+        raise IdentityFailed(message)
 
 
 class HrepError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class IdentityFailed(HrepError):
+    """A mathematical identity is falsified; the input itself was valid."""
 
 
 class NotAGroup(HrepError):
@@ -88,4 +91,5 @@ class KernelNotReduced(HrepError):
 
 
 class InvalidPrime(HrepError):
-    """The order-p^3 classification needs an odd prime with p^3 <= 512."""
+    """The order-p^3 classification needs an odd prime p with p^3 at most
+    ``induced_det.P3_ORDER_BOUND``."""

@@ -104,7 +104,11 @@ def _validate_table(table: np.ndarray, assoc_bound: int, seed: int):
 class FiniteGroup:
     """A finite group given by its Cayley table, ``table[i][j] = g_i * g_j``."""
 
-    def __init__(self, table, label="G", *, assoc_bound=ASSOC_CHECK_BOUND, seed=0):
+    def __init__(
+        self, table, label="G", *, coset_reps=None, assoc_bound=ASSOC_CHECK_BOUND, seed=0
+    ):
+        """``coset_reps``, set by ``quotient``, maps each quotient element to
+        the minimal id of its coset in the parent group."""
         arr = np.asarray(table, dtype=np.int64)
         identity, inverse, fully = _validate_table(arr, assoc_bound, seed)
         self.order: int = int(arr.shape[0])
@@ -112,6 +116,7 @@ class FiniteGroup:
         self.identity_id: int = identity
         self.inverse: list[int] = [int(v) for v in inverse]
         self.label: str = label
+        self.coset_reps: tuple[int, ...] | None = coset_reps
         self.fully_validated: bool = fully
         self._np_table = arr
         self._coset_cache: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -326,25 +331,16 @@ class FiniteGroup:
             raise NotNormal(f"{normal.members} is not normal in {self.label}")
         n = self.order
         if len(normal) == 1:
+            # pass the table through uncopied: the gather below would
+            # allocate an n x n copy of it
             qlabel = label if label is not None else f"{self.label}/{{1}}"
-            quot = FiniteGroup(self._np_table, label=qlabel)
-            quot.coset_reps = tuple(range(n))
+            quot = FiniteGroup(self._np_table, label=qlabel, coset_reps=tuple(range(n)))
             return quot, GroupHom(self, quot, tuple(range(n)))
-        coset_of = [-1] * n
-        reps: list[int] = []
-        for x in range(n):
-            if coset_of[x] < 0:
-                idx = len(reps)
-                reps.append(x)
-                for h in normal.members:
-                    coset_of[self.mul(x, h)] = idx
-        qn = len(reps)
-        qtable = [[coset_of[self.mul(reps[i], reps[j])] for j in range(qn)] for i in range(qn)]
+        reps, coset_of = self.coset_positions(normal)
+        qtable = np.asarray(coset_of)[self._np_table[np.ix_(reps, reps)]]
         qlabel = label if label is not None else f"{self.label}/{{{len(normal)}}}"
-        quot = FiniteGroup(qtable, label=qlabel)
-        quot.coset_reps = tuple(reps)
-        hom = GroupHom(self, quot, tuple(coset_of))
-        return quot, hom
+        quot = FiniteGroup(qtable, label=qlabel, coset_reps=reps)
+        return quot, GroupHom(self, quot, coset_of)
 
     def left_transversal(self, sub: "Subgroup") -> list[int]:
         """Minimal id in each left coset g*H, listed in ascending order."""
@@ -582,8 +578,7 @@ def abelian_group(factors: Sequence[int]) -> FiniteGroup:
     factors = [int(m) for m in factors]
     if not factors or any(m < 1 for m in factors):
         raise InvalidSpec(f"abelian factors must be positive, got {factors}")
-    grp = direct_product(*[cyclic(m) for m in factors])
-    return _relabel(grp, "ab:" + ",".join(str(m) for m in factors))
+    return _product([cyclic(m) for m in factors], "ab:" + ",".join(str(m) for m in factors))
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -666,23 +661,18 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
         raise InvalidSpec("direct product needs at least one factor")
     if len(groups) == 1:
         return groups[0]
-    result = groups[0]
-    for other in groups[1:]:
-        result = _pair_product(result, other)
-    return _relabel(result, "prod:" + ",".join(g.label for g in groups))
+    return _product(groups, "prod:" + ",".join(g.label for g in groups))
 
 
-def _pair_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    nb = b.order
-    order = a.order * nb
-
-    def mul(x, y):
-        xa, xb = divmod(x, nb)
-        ya, yb = divmod(y, nb)
-        return a.mul(xa, ya) * nb + b.mul(xb, yb)
-
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
-    return FiniteGroup(table, label=f"prod:{a.label},{b.label}")
+def _product(groups: Sequence[FiniteGroup], label: str) -> FiniteGroup:
+    """The product table, where (x_1, ..., x_k) has the mixed-radix id
+    (...(x_1 n_2 + x_2) n_3 + ...) + x_k; validated once, as a whole."""
+    table = np.zeros((1, 1), dtype=np.int64)
+    for g in groups:
+        n = g.order
+        table = table[:, None, :, None] * n + g._np_table[None, :, None, :]
+        table = table.reshape(table.shape[0] * n, -1)
+    return FiniteGroup(table, label=label)
 
 
 def central_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -692,7 +682,7 @@ def central_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """
     za = _unique_central_involution(a)
     zb = _unique_central_involution(b)
-    prod = _pair_product(a, b)
+    prod = _product((a, b), f"prod:{a.label},{b.label}")
     diag = prod.subgroup_generated([za * b.order + zb])
     quot, _ = prod.quotient(diag, label=f"cp:{a.label},{b.label}")
     return quot
@@ -711,9 +701,34 @@ def _unique_central_involution(g: FiniteGroup) -> int:
     return found[0]
 
 
-def _relabel(g: FiniteGroup, label: str) -> FiniteGroup:
-    g.label = label
-    return g
+def from_name(name: str) -> FiniteGroup:
+    """The group a builtin zoo name denotes: ``cN``, ``dN``, ``q8``,
+    ``heisN``, ``es_p3_exp_p2:P``, ``ab:m1,m2,...``, ``prod:<name>,...``
+    or ``cp:<name>,<name>``; the group's label spells the name."""
+    name = name.strip()
+    try:
+        if name == "q8":
+            return quaternion8()
+        if name.startswith("cp:"):
+            parts = name[3:].split(",")
+            if len(parts) != 2:
+                raise InvalidSpec(f"central product takes two factors, got {name!r}")
+            return central_product(from_name(parts[0]), from_name(parts[1]))
+        if name.startswith("prod:"):
+            return direct_product(*[from_name(p) for p in name[5:].split(",")])
+        if name.startswith("ab:"):
+            return abelian_group([int(m) for m in name[3:].split(",")])
+        if name.startswith("es_p3_exp_p2:"):
+            return extraspecial_p3_exp_p2(int(name.split(":")[1]))
+        if name.startswith("heis"):
+            return heisenberg_mod(int(name[4:]))
+    except ValueError as exc:
+        raise InvalidSpec(f"bad builtin group name {name!r}: {exc}") from exc
+    if name.startswith("c") and name[1:].isdigit():
+        return cyclic(int(name[1:]))
+    if name.startswith("d") and name[1:].isdigit():
+        return dihedral(int(name[1:]))
+    raise InvalidSpec(f"unknown builtin group name {name!r}")
 
 
 _FAMILIES = {

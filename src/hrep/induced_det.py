@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
 
 from . import abelian
 from .char_theory import (
@@ -47,6 +46,7 @@ from .errors import (
 from .group_core import (
     FiniteGroup,
     Subgroup,
+    _is_prime,
     _perm_is_odd,
     extraspecial_p3_exp_p2,
     heisenberg_mod,
@@ -340,7 +340,7 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
     for g in group.elements():
         sub = maximal_isotropic_through(pair, g)
         quot, proj = group.quotient(sub)
-        alpha_lift = quot.coset_reps[abelian.miller_product(quot)]
+        alpha_lift = quot.coset_reps[abelian.subgroup_product(quot, quot.elements())]
         expected = pair.chi(group.pow(g, pair.dim)) + pair.x_value(g, alpha_lift)
         if reference[g] != expected:
             report.passed = False
@@ -610,6 +610,10 @@ def epsilon_case_report(pair: HeisenbergPair) -> CheckReport:
     return report
 
 
+# p3_classification covers the odd primes p with p^3 at most this order.
+P3_ORDER_BOUND = 512
+
+
 def p3_classification(p: int) -> dict:
     """Both nonabelian groups of order p^3 for an odd prime p.
 
@@ -617,15 +621,15 @@ def p3_classification(p: int) -> dict:
     trivial; the exponent-p^2 group has G^p = Z and every dim-p
     determinant nontrivial.
     """
-    if p == 2 or not _is_odd_prime(p) or p**3 > 512:
-        raise InvalidPrime(f"need an odd prime with p^3 <= 512, got {p}")
+    if p == 2 or not _is_prime(p) or p**3 > P3_ORDER_BOUND:
+        raise InvalidPrime(f"need an odd prime with p^3 <= {P3_ORDER_BOUND}, got {p}")
     rows = []
     for kind, group in (
         ("exponent_p", heisenberg_mod(p)),
         ("exponent_p2", extraspecial_p3_exp_p2(p)),
     ):
         pairs = [
-            q for q in enumerate_pairs(group, max_order=512) if q.dim == p
+            q for q in enumerate_pairs(group, max_order=P3_ORDER_BOUND) if q.dim == p
         ]
         _math_check(len(pairs) == p - 1, f"expected {p - 1} pairs of dim {p}")
         center = group.center()
@@ -657,9 +661,3 @@ def p3_classification(p: int) -> dict:
             }
         )
     return {"p": p, "rows": rows}
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    return all(p % q for q in range(3, isqrt(p) + 1, 2))

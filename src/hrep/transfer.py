@@ -48,7 +48,7 @@ def is_two_step_nilpotent(group: FiniteGroup) -> bool:
 
 def central_involutions(group: FiniteGroup) -> set[int]:
     """Central elements of order at most 2."""
-    return {x for x in group.center().members if group.mul(x, x) == group.identity_id}
+    return abelian.involution_set(group) & set(group.center().members)
 
 
 def squares_commutators_subgroup(group: FiniteGroup) -> Subgroup:
@@ -118,10 +118,6 @@ class TransferMap:
     values: tuple[int, ...]
     codomain: FiniteGroup | None = None
     to_codomain: dict[int, int] | None = None
-
-    def value_order(self, g: int) -> int:
-        grp = self.codomain if self.codomain is not None else self.group
-        return grp.element_order(self.values[g])
 
 
 def transfer_table(group: FiniteGroup, sub: Subgroup) -> TransferMap:
@@ -297,7 +293,7 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     lifts = tuple(reps[t] for t in dec.generators)
 
     # alpha = product over all of G/H; alpha_i = product over the complement of <t_i>
-    alpha_lift = reps[abelian.miller_product(quot)]
+    alpha_lift = reps[abelian.subgroup_product(quot, quot.elements())]
     alpha_lifts = []
     for i in range(len(dec.factors)):
         others = [t for j, t in enumerate(dec.generators) if j != i]

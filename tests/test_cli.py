@@ -15,9 +15,8 @@ from hrep.cli import (
     EXIT_MATH_FAILURE,
     EXIT_OK,
     main,
-    parse_builtin,
 )
-from hrep.errors import InvalidSpec
+from hrep.errors import IdentityFailed, PreconditionFailed
 from hrep.transfer import CheckReport
 
 
@@ -25,25 +24,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-# -- builtin parsing -----------------------------------------------------------
-
-
-def test_builtin_names():
-    assert parse_builtin("d8").order == 8
-    assert parse_builtin("c12").order == 12
-    assert parse_builtin("q8").order == 8
-    assert parse_builtin("heis3").order == 27
-    assert parse_builtin("es_p3_exp_p2:5").order == 125
-    assert parse_builtin("cp:d8,q8").order == 32
-    assert parse_builtin("prod:d8,c3").order == 24
-    assert parse_builtin("ab:2,4").order == 8
-
-
-def test_unknown_builtin():
-    with pytest.raises(InvalidSpec):
-        parse_builtin("nonsense")
 
 
 # -- group-info -----------------------------------------------------------------
@@ -152,6 +132,59 @@ def test_verify_reports_math_failure_with_exit_one(capsys, monkeypatch):
     assert failed and failed[0]["counterexamples"]
 
 
+def test_verify_records_other_library_errors_on_the_check(capsys, monkeypatch):
+    """A check that raises a library error fails alone: the report keeps
+    every other check and the exit code is 1, not the input-error 2."""
+    import hrep.cli as cli_module
+
+    _, out, _ = run_cli(capsys, "verify", "--builtin", "c2")
+    passing = json.loads(out)["checks"]
+
+    def failing_report(pair):
+        raise PreconditionFailed("stubbed precondition")
+
+    monkeypatch.setattr(cli_module, "epsilon_case_report", failing_report)
+    code, out, _ = run_cli(capsys, "verify", "--builtin", "c2")
+    assert code == EXIT_MATH_FAILURE
+    checks = json.loads(out)["checks"]
+    failed = [c for c in checks if not c["pass"]]
+    assert [c["check"] for c in failed] == ["epsilon_case_split[0]", "epsilon_case_split[1]"]
+    assert failed[0]["stats"]["error"] == "PreconditionFailed: stubbed precondition"
+    assert [c for c in checks if c["pass"]] == [
+        c for c in passing if c["check"] != "epsilon_case_split"
+    ]
+
+
+def test_identity_failure_outside_a_check_exits_one(capsys, monkeypatch):
+    import hrep.cli as cli_module
+
+    def failing_enumeration(group, max_order):
+        raise IdentityFailed("stubbed identity")
+
+    monkeypatch.setattr(cli_module, "enumerate_pairs", failing_enumeration)
+    code, out, err = run_cli(capsys, "verify", "--builtin", "d8")
+    assert code == EXIT_MATH_FAILURE
+    assert out == ""
+    assert "IdentityFailed: stubbed identity" in err
+
+
+def test_verify_checks_the_pair_bound_before_transfer_work(capsys, monkeypatch):
+    import hrep.cli as cli_module
+
+    calls = []
+    real = cli_module.transfer.transfer_instances
+
+    def counting(group):
+        calls.append(group.order)
+        return real(group)
+
+    monkeypatch.setattr(cli_module.transfer, "transfer_instances", counting)
+    code, out, _ = run_cli(capsys, "verify", "--builtin", "heis7")
+    assert code == EXIT_BOUND_EXCEEDED
+    assert out == ""
+    assert calls == []
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -179,6 +212,31 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name} uses assert at lines {found}"
+
+
+def test_groups_are_not_mutated_after_construction():
+    """``label`` and ``coset_reps`` are assigned only in FiniteGroup.__init__."""
+    for path in sorted((SRC / "hrep").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "FiniteGroup"
+            for init in cls.body
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for node in ast.walk(init)
+        }
+        found = [
+            target.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for target in ast.walk(target)
+            if isinstance(target, ast.Attribute)
+            and target.attr in ("label", "coset_reps")
+            and id(target) not in allowed
+        ]
+        assert not found, f"{path.name} sets a group attribute at lines {found}"
 
 
 # -- file input --------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hrep.group_core import (
     direct_product,
     extraspecial_p3_exp_p2,
     from_cayley_table,
+    from_name,
     heisenberg_mod,
     quaternion8,
 )
@@ -155,6 +156,41 @@ def test_direct_product_orders():
     assert abelian_group([2, 4]).is_abelian
 
 
+def test_direct_product_table_is_mixed_radix():
+    """Oracle: (x_1, ..., x_k) has id (...(x_1 n_2 + x_2) n_3 ...) + x_k and
+    multiplies componentwise, with each factor's own mul."""
+    factors = (heisenberg_mod(3), cyclic(4), dihedral(6))
+    g = direct_product(*factors)
+    assert g.label == "prod:heis3,c4,d6"
+    sizes = [f.order for f in factors]
+
+    def split(x):
+        parts = []
+        for n in reversed(sizes):
+            x, r = divmod(x, n)
+            parts.append(r)
+        return parts[::-1]
+
+    for x in g.elements():
+        for y in g.elements():
+            want = 0
+            for f, a, b in zip(factors, split(x), split(y)):
+                want = want * f.order + f.mul(a, b)
+            assert g.mul(x, y) == want
+    d8 = dihedral(8)
+    assert direct_product(d8) is d8
+
+
+def test_quotient_records_coset_representatives():
+    d8 = dihedral(8)
+    for normal in d8.normal_subgroups():
+        q, proj = d8.quotient(normal)
+        assert list(q.coset_reps) == d8.left_transversal(normal)
+        assert [proj(r) for r in q.coset_reps] == list(q.elements())
+        proj.validate()
+    assert d8.coset_reps is None
+
+
 def test_invalid_constructor_parameters():
     with pytest.raises(InvalidSpec):
         cyclic(0)
@@ -207,6 +243,39 @@ def test_large_table_is_spot_checked():
     g = from_cayley_table(table, label="c600")
     assert not g.fully_validated
     assert g.order == 600
+
+
+# -- builtin names -------------------------------------------------------------
+
+
+def test_builtin_names():
+    assert from_name("d8").order == 8
+    assert from_name("c12").order == 12
+    assert from_name("q8").order == 8
+    assert from_name("heis3").order == 27
+    assert from_name("es_p3_exp_p2:5").order == 125
+    assert from_name("cp:d8,q8").order == 32
+    assert from_name("prod:d8,c3").order == 24
+    assert from_name("ab:2,4").order == 8
+
+
+def test_unknown_builtin():
+    with pytest.raises(InvalidSpec):
+        from_name("nonsense")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ("ab:2,4", "prod:d8,c3", "cp:d8,q8", "es_p3_exp_p2:5", "heis3", "c12", "d8", "q8"),
+)
+def test_builtin_name_is_the_label(name):
+    assert from_name(name).label == name
+
+
+@pytest.mark.parametrize("name", ("heisx", "ab:2,x", "es_p3_exp_p2:", "prod:d8,heis"))
+def test_malformed_builtin_number_is_invalid_spec(name):
+    with pytest.raises(InvalidSpec):
+        from_name(name)
 
 
 # -- element operations ----------------------------------------------------------

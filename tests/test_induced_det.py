@@ -24,6 +24,7 @@ from hrep.group_core import (
     cyclic,
     dihedral,
     extraspecial_p3_exp_p2,
+    from_name,
     heisenberg_mod,
     quaternion8,
 )
@@ -127,7 +128,7 @@ def test_skeleton_matches_induced_matrix_from_definition(name):
     """Definitional oracle: g t_j lands in the coset of t_i, with factor
     t_i^-1 g t_j, expanded with group.mul for every pair, maximal
     isotropic and element."""
-    group = cli.parse_builtin(name)
+    group = from_name(name)
     for pair in hb.enumerate_pairs(group):
         for sub in pair.maximal_isotropics:
             skeleton = group.coset_skeleton(sub)
@@ -533,3 +534,39 @@ def test_det_report_reduces_first():
     report = idet.build_det_report(pair)
     assert report.pair.group.order == 8
     assert report.all_agree
+
+
+# -- relabelling invariance -------------------------------------------------------------------
+
+
+def _pair_signature(group):
+    """Per pair, labelling-free: dim, rk2, the isotropic count and the
+    multiset of closed-form determinants over G on the reduced pair."""
+    rows = []
+    for pair in hb.enumerate_pairs(group):
+        reduced, proj = pair.reduction
+        dets = Counter(
+            tuple(str(v) for v in idet.det_formula(reduced, proj(g)))
+            for g in group.elements()
+        )
+        rk2 = hb.two_rank_of_quotient(pair)
+        rows.append((pair.dim, rk2, len(pair.maximal_isotropics), sorted(dets.items())))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "ab:2,4"))
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_pair_results_survive_relabelling(name, data):
+    """Conjugating the Cayley table by a random permutation of the ids
+    changes no pair count, dimension, 2-rank, isotropic count or
+    determinant multiset."""
+    group = from_name(name)
+    sigma = data.draw(st.permutations(range(group.order)))
+    table = group.table
+    inverse = {new: old for old, new in enumerate(sigma)}
+    relabelled = [
+        [sigma[table[inverse[x]][inverse[y]]] for y in range(group.order)]
+        for x in range(group.order)
+    ]
+    assert _pair_signature(FiniteGroup(relabelled, label=name)) == _pair_signature(group)

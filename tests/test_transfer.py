@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from hrep import abelian, cli, transfer as tr
+from hrep import abelian, transfer as tr
 from hrep.errors import PreconditionFailed
 from hrep.group_core import (
     abelian_group,
     cyclic,
     dihedral,
     direct_product,
+    from_name,
     heisenberg_mod,
     quaternion8,
 )
@@ -65,7 +66,7 @@ def test_cached_transfer_table_matches_the_product_loop(name):
     """Every subgroup, so every maximal isotropic of every pair and every
     transfer instance: the cached table equals the factor product
     recomputed here, also against a shuffled and H-shifted transversal."""
-    group = cli.parse_builtin(name)
+    group = from_name(name)
     rng = random.Random(0)
     for sub in group.all_subgroups():
         canonical = group.left_transversal(sub)
