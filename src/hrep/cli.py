@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import abelian, transfer
 from .errors import EnumerationBoundExceeded, HrepError, IdentityFailed, InvalidSpec
 from .group_core import FiniteGroup, construct_spec, from_cayley_table, from_name
-from .heisenberg import PAIR_ENUM_BOUND, enumerate_pairs, two_rank_of_quotient
+from .heisenberg import PAIR_ENUM_BOUND, enumerate_pairs
 from .induced_det import (
     P3_ORDER_BOUND,
     build_det_report,
@@ -31,7 +31,7 @@ from .induced_det import (
     isotropic_independence,
     oracle_equivalence_report,
     p3_classification,
-    twist,
+    twist_identity,
 )
 from .char_theory import linear_characters
 
@@ -102,7 +102,7 @@ def cmd_heisenberg(config: RunConfig) -> tuple[dict, int]:
                 "index": index,
                 "dim": pair.dim,
                 "Z": list(pair.Z.members),
-                "rk2": two_rank_of_quotient(pair),
+                "rk2": pair.two_rank,
                 "n_isotropics": len(pair.maximal_isotropics),
                 "chi": pair.chi.as_dict(),
             }
@@ -151,15 +151,19 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
 
     omegas = linear_characters(group)
     det_reports = []
+
+    def epsilon_split(pair):
+        det = build_det_report(pair)
+        if pair.dim > 1:
+            det_reports.append(det.as_dict())
+        return epsilon_case_report(det)
+
     for j, pair in enumerate(pairs):
         run(f"oracle_equivalence[{j}]", lambda q=pair: oracle_equivalence_report(q, seed=config.seed))
-        run(f"epsilon_case_split[{j}]", lambda q=pair: epsilon_case_report(q))
-        reduced, _ = pair.reduction
-        run(f"isotropic_independence[{j}]", lambda q=reduced: isotropic_independence(q))
-        run(f"twist_identity[{j}]", lambda q=pair: _twist_all(q, omegas))
-        run(f"trivializing_twist[{j}]", lambda q=reduced: _twist_search(q))
-        if pair.dim > 1:
-            det_reports.append(build_det_report(pair).as_dict())
+        run(f"epsilon_case_split[{j}]", lambda q=pair: epsilon_split(q))
+        run(f"isotropic_independence[{j}]", lambda q=pair: isotropic_independence(q.reduction[0]))
+        run(f"twist_identity[{j}]", lambda q=pair: twist_identity(q, omegas))
+        run(f"trivializing_twist[{j}]", lambda q=pair: _twist_search(q.reduction[0]))
 
     all_pass = all(c["pass"] for c in checks) and all(
         r["all_agree"] for r in det_reports
@@ -173,14 +177,6 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
         "det_reports": det_reports,
     }
     return report, EXIT_OK if all_pass else EXIT_MATH_FAILURE
-
-
-def _twist_all(pair, omegas) -> transfer.CheckReport:
-    for omega in omegas:
-        twist(pair, omega)
-    return transfer.CheckReport(
-        "twist_identity", True, stats={"n_characters": len(omegas), "dim": pair.dim}
-    )
 
 
 def _twist_search(reduced) -> transfer.CheckReport:

@@ -301,7 +301,3 @@ def symplectic_basis(pair: HeisenbergPair) -> SymplecticBasis:
     lifted = tuple((reps[t], reps[tp], m) for t, tp, m in ordered)
     return SymplecticBasis(lifted, h_sub, hp_sub)
 
-
-def two_rank_of_quotient(pair: HeisenbergPair) -> int:
-    """rk_2(G/Z), cached on the pair."""
-    return pair.two_rank

@@ -56,7 +56,7 @@ from .heisenberg import (
     enumerate_pairs,
     maximal_isotropic_through,
     quotient_by_kernel,
-    two_rank_of_quotient,
+    validate_pair,
 )
 from .transfer import CheckReport, correcting_function, transfer_product
 
@@ -242,10 +242,9 @@ def det_formula(pair: HeisenbergPair, g: int) -> tuple[QmodZ, QmodZ]:
     """
     _require_reduced(pair)
     group = pair.group
-    rk2 = two_rank_of_quotient(pair)
     gd = group.pow(g, pair.dim)
     _math_check(gd in pair.Z, f"g^d must be central, failed at g={g}")
-    if rk2 == 2 and g not in pair.squares_times_z:
+    if pair.two_rank == 2 and g not in pair.squares_times_z:
         eps = HALF
     else:
         eps = ZERO
@@ -358,7 +357,7 @@ def twist(pair: HeisenbergPair, omega: LinearCharacter) -> HeisenbergPair:
     """Tensor the pair with a linear character of G: same Z, chi * omega|_Z.
 
     The commutator pairing is unchanged, so the result is again a valid
-    pair; det picks up the factor omega^d, which is verified pointwise.
+    pair; its determinant picks up the factor omega^d (see twist_identity).
     """
     group = pair.group
     if omega.domain.members != group.full_subgroup().members:
@@ -367,23 +366,31 @@ def twist(pair: HeisenbergPair, omega: LinearCharacter) -> HeisenbergPair:
         omega.validate()
     except Exception as exc:
         raise NotACharacter(str(exc)) from exc
-    from .heisenberg import validate_pair
+    return validate_pair(group, pair.Z, pair.chi * omega.restrict(pair.Z))
 
-    chi2 = pair.chi * omega.restrict(pair.Z)
-    twisted = validate_pair(group, pair.Z, chi2)
 
+def twist_identity(pair: HeisenbergPair, omegas: list[LinearCharacter]) -> CheckReport:
+    """det(rho (x) omega) = det(rho) * omega^d, pointwise, for every omega.
+
+    The untwisted direct table is built once; each twisted pair's table
+    is computed by the direct route from chi_H * omega|_H on the same H.
+    """
+    group = pair.group
     sub = pair.maximal_isotropics[0]
     chi_h = pair.default_extension
-    chi_h2 = chi_h * omega.restrict(sub)
     d = pair.dim
-    twisted_det = _direct_table(twisted, sub, chi_h2)
     det = _direct_table(pair, sub, chi_h)
-    for g in group.elements():
-        _math_check(
-            twisted_det[g] == det[g] + omega(g).scale(d),
-            f"twisted determinant identity fails at {g}",
-        )
-    return twisted
+    for omega in omegas:
+        twisted = twist(pair, omega)
+        twisted_det = _direct_table(twisted, sub, chi_h * omega.restrict(sub))
+        for g in group.elements():
+            _math_check(
+                twisted_det[g] == det[g] + omega(g).scale(d),
+                f"twisted determinant identity fails at {g}",
+            )
+    return CheckReport(
+        "twist_identity", True, stats={"n_characters": len(omegas), "dim": d}
+    )
 
 
 def find_trivializing_twist(pair: HeisenbergPair) -> LinearCharacter | None:
@@ -411,7 +418,7 @@ def find_trivializing_twist(pair: HeisenbergPair) -> LinearCharacter | None:
     derived_members = set(group.commutator_subgroup().members)
     z0 = sorted(power_members & derived_members)
     criterion = all(pair.chi(x).is_zero() for x in z0)
-    if two_rank_of_quotient(pair) != 2:
+    if pair.two_rank != 2:
         _math_check(
             (found is not None) == criterion,
             "trivializing-twist criterion disagrees with the search",
@@ -478,7 +485,7 @@ def build_det_report(pair: HeisenbergPair) -> DetReport:
     sub = reduced.maximal_isotropics[0]
     chi_h = reduced.default_extension
     eps = epsilon_table(reduced, sub, chi_h)
-    rk2 = two_rank_of_quotient(reduced)
+    rk2 = reduced.two_rank
     direct = _direct_table(reduced, sub, chi_h)
     gallagher = _gallagher_table(reduced, sub, chi_h)
     rows = []
@@ -569,39 +576,38 @@ def oracle_equivalence_report(pair: HeisenbergPair, *, seed: int = 0) -> CheckRe
     return report
 
 
-def epsilon_case_report(pair: HeisenbergPair) -> CheckReport:
-    """Verify the sign character against its two-rank prediction.
+def epsilon_case_report(det: DetReport) -> CheckReport:
+    """Verify the sign character of a determinant report against its
+    two-rank prediction.
 
     rk_2(G/Z) = 0 or >= 4 forces eps identically trivial; rk_2 = 2
-    forces the + - - - pattern on the Klein quotient G/G^2Z.
+    forces the + - - - pattern on the Klein quotient G/G^2Z. The table
+    must also match the sign in the closed form.
     """
-    reduced, _ = pair.reduction
+    reduced = det.pair
     group = reduced.group
-    sub = reduced.maximal_isotropics[0]
-    chi_h = reduced.default_extension
-    table = epsilon_table(reduced, sub, chi_h)
-    rk2 = two_rank_of_quotient(reduced)
     report = CheckReport(
         "epsilon_case_split",
         True,
-        stats={"group": group.label, "dim": reduced.dim, "rk2": rk2, "case": _case_label(rk2)},
+        stats={"group": group.label, "dim": reduced.dim, "rk2": det.rk2, "case": det.case},
     )
     g2z = reduced.squares_times_z
-    if rk2 == 2:
+    if det.rk2 == 2:
         if group.order != 4 * len(g2z):
             report.passed = False
             report.counterexamples.append({"g": -1, "lhs": len(g2z), "rhs": group.order // 4})
         expected = {g: (ZERO if g in g2z else HALF) for g in group.elements()}
     else:
         expected = {g: ZERO for g in group.elements()}
+    table = [row.epsilon for row in det.rows]
     for g in group.elements():
         if table[g] != expected[g]:
             report.passed = False
             report.counterexamples.append(
                 {"g": g, "lhs": str(table[g]), "rhs": str(expected[g])}
             )
-    for g in group.elements():
-        _, eps_formula = det_formula(reduced, g)
+    for g, row in enumerate(det.rows):
+        eps_formula = row.det_formula - row.chi_of_gd
         if eps_formula != table[g]:
             report.passed = False
             report.counterexamples.append(

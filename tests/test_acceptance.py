@@ -209,7 +209,7 @@ def test_acceptance_05_epsilon_case_split():
     for factors in ((dihedral(8), dihedral(8)), (dihedral(8), quaternion8())):
         cp = central_product(*factors)
         pair = [p for p in hb.enumerate_pairs(cp) if p.dim == 4][0]
-        assert hb.two_rank_of_quotient(pair) == 4
+        assert pair.two_rank == 4
         sub = pair.maximal_isotropics[0]
         chi_h = ct.extend_character(cp, pair.chi, sub)
         table = idet.epsilon_table(pair, sub, chi_h)
@@ -221,7 +221,7 @@ def test_acceptance_05_epsilon_case_split():
     for group in rk2_cases:
         for pair in hb.enumerate_pairs(group):
             reduced, _ = hb.quotient_by_kernel(pair)
-            if hb.two_rank_of_quotient(reduced) != 2:
+            if reduced.two_rank != 2:
                 continue
             g2z = reduced.squares_times_z
             grp = reduced.group
@@ -327,9 +327,8 @@ def test_acceptance_08c_twist_identity():
     for group, pairs in core_pairs():
         omegas = ct.linear_characters(group)
         for pair in pairs:
-            for omega in omegas:
-                idet.twist(pair, omega)  # internal pointwise verification
-                twists += 1
+            assert idet.twist_identity(pair, omegas).passed
+            twists += len(omegas)
     assert twists > 200
     report_line("8c", f"twist identity, {twists} twists", started)
 

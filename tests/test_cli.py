@@ -155,6 +155,33 @@ def test_verify_records_other_library_errors_on_the_check(capsys, monkeypatch):
     ]
 
 
+def test_det_report_failure_is_recorded_on_the_epsilon_check(capsys, monkeypatch):
+    """The determinant report is built inside the epsilon check, so an
+    identity failure there fails that check alone and keeps the report."""
+    import hrep.cli as cli_module
+
+    _, out, _ = run_cli(capsys, "verify", "--builtin", "d8")
+    passing = json.loads(out)
+    assert passing["det_reports"]
+
+    def failing_det_report(pair):
+        raise IdentityFailed("stubbed det report")
+
+    monkeypatch.setattr(cli_module, "build_det_report", failing_det_report)
+    code, out, _ = run_cli(capsys, "verify", "--builtin", "d8")
+    assert code == EXIT_MATH_FAILURE
+    report = json.loads(out)
+    assert report["det_reports"] == []
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["check"] for c in failed] == [
+        f"epsilon_case_split[{j}]" for j in range(passing["n_pairs"])
+    ]
+    assert {c["stats"]["error"] for c in failed} == {"IdentityFailed: stubbed det report"}
+    assert [c for c in report["checks"] if c["pass"]] == [
+        c for c in passing["checks"] if c["check"] != "epsilon_case_split"
+    ]
+
+
 def test_identity_failure_outside_a_check_exits_one(capsys, monkeypatch):
     import hrep.cli as cli_module
 

@@ -280,14 +280,14 @@ def test_basis_orders_ascend_and_multiply_to_dim():
 
 
 def test_two_rank_examples():
-    assert hb.two_rank_of_quotient(heis3_pair()) == 0
-    assert hb.two_rank_of_quotient(d8_pair()) == 2
+    assert heis3_pair().two_rank == 0
+    assert d8_pair().two_rank == 2
     cp = central_product(dihedral(8), dihedral(8))
     pair = [p for p in hb.enumerate_pairs(cp) if p.dim == 4][0]
-    assert hb.two_rank_of_quotient(pair) == 4
+    assert pair.two_rank == 4
 
 
 def test_two_rank_always_even():
     for g in (dihedral(8), quaternion8(), heisenberg_mod(4), dihedral(16)):
         for pair in hb.enumerate_pairs(g):
-            assert hb.two_rank_of_quotient(pair) % 2 == 0
+            assert pair.two_rank % 2 == 0

@@ -13,6 +13,7 @@ from hrep import char_theory as ct, cli, heisenberg as hb, induced_det as idet
 from hrep.char_theory import HALF, ZERO, QmodZ, extend_character, extend_character_all
 from hrep.errors import (
     DimMismatch,
+    IdentityFailed,
     InvalidPrime,
     KernelNotReduced,
     NotACharacter,
@@ -156,7 +157,8 @@ def test_skeleton_matches_induced_matrix_from_definition(name):
 
 def test_verify_checks_each_object_once(monkeypatch, capsys):
     """Work-count regression: one extension check per route call, one
-    kernel reduction per pair, one skeleton per (G, H)."""
+    kernel reduction and one sign table per pair, one untwisted table per
+    twist identity, one skeleton per (G, H)."""
     extension_checks = [0]
     real_require = idet._require_extension
 
@@ -171,14 +173,23 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         reductions.append(pair)
         return real_reduce(pair)
 
-    checks_per_twist = []
-    real_twist = cli.twist
+    epsilon_tables = [0]
+    real_epsilon = idet.epsilon_table
 
-    def counting_twist(pair, omega):
-        before = extension_checks[0]
-        result = real_twist(pair, omega)
-        checks_per_twist.append(extension_checks[0] - before)
-        return result
+    def counting_epsilon(*args):
+        epsilon_tables[0] += 1
+        return real_epsilon(*args)
+
+    def counting(real, log):
+        def wrapper(*args):
+            before = extension_checks[0]
+            result = real(*args)
+            log.append(extension_checks[0] - before)
+            return result
+
+        return wrapper
+
+    checks_per_twist, checks_per_identity = [], []
 
     skeleton_builds = Counter()
     real_build = FiniteGroup._build_skeleton
@@ -190,16 +201,23 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     monkeypatch.setattr(idet, "_require_extension", counting_require)
     monkeypatch.setattr(hb, "quotient_by_kernel", counting_reduce)
     monkeypatch.setattr(idet, "quotient_by_kernel", counting_reduce)
-    monkeypatch.setattr(cli, "twist", counting_twist)
+    monkeypatch.setattr(idet, "epsilon_table", counting_epsilon)
+    monkeypatch.setattr(idet, "twist", counting(idet.twist, checks_per_twist))
+    monkeypatch.setattr(
+        cli, "twist_identity", counting(idet.twist_identity, checks_per_identity)
+    )
     monkeypatch.setattr(FiniteGroup, "_build_skeleton", counting_build)
 
     assert cli.main(["verify", "--builtin", "heis3"]) == 0
     report = json.loads(capsys.readouterr().out)
-    n_twists = sum(
+    n_characters = [
         c["stats"]["n_characters"] for c in report["checks"] if c["check"] == "twist_identity"
-    )
-    assert len(checks_per_twist) == n_twists > 0
-    assert max(checks_per_twist) <= 2
+    ]
+    assert len(n_characters) == report["n_pairs"]
+    assert checks_per_identity == [1 + n for n in n_characters]
+    assert len(checks_per_twist) == sum(n_characters) > 0
+    assert set(checks_per_twist) == {0}
+    assert epsilon_tables[0] == report["n_pairs"]
     assert len(reductions) == report["n_pairs"]
     assert skeleton_builds and set(skeleton_builds.values()) == {1}
 
@@ -403,7 +421,7 @@ def test_epsilon_case_reports():
     ]
     for group, dim, case in cases:
         pair = pair_of(group, dim)
-        report = idet.epsilon_case_report(pair)
+        report = idet.epsilon_case_report(idet.build_det_report(pair))
         assert report.passed, report.counterexamples[:3]
         assert report.stats["case"] == case
 
@@ -455,8 +473,27 @@ def test_twist_kills_order_three_characters_in_dim_three():
 def test_twist_identity_over_all_characters():
     for group, dim in ((dihedral(8), 2), (quaternion8(), 2)):
         pair = pair_of(group, dim)
-        for omega in ct.linear_characters(group):
-            idet.twist(pair, omega)  # raises on any identity failure
+        omegas = ct.linear_characters(group)
+        report = idet.twist_identity(pair, omegas)
+        assert report.passed
+        assert report.stats == {"n_characters": len(omegas), "dim": dim}
+
+
+def test_twist_identity_catches_a_wrong_twisted_table(monkeypatch):
+    """A twisted table that is off by a sign at one element fails the
+    identity: the comparison is not vacuous."""
+    pair = pair_of(dihedral(8), 2)
+    real_table = idet._direct_table
+
+    def shifted_table(q, sub, chi_h):
+        table = real_table(q, sub, chi_h)
+        if q is not pair:
+            table[0] = table[0] + HALF
+        return table
+
+    monkeypatch.setattr(idet, "_direct_table", shifted_table)
+    with pytest.raises(IdentityFailed, match="twisted determinant identity fails at 0"):
+        idet.twist_identity(pair, ct.linear_characters(pair.group))
 
 
 def test_twist_rejects_non_characters():
@@ -549,7 +586,7 @@ def _pair_signature(group):
             tuple(str(v) for v in idet.det_formula(reduced, proj(g)))
             for g in group.elements()
         )
-        rk2 = hb.two_rank_of_quotient(pair)
+        rk2 = pair.two_rank
         rows.append((pair.dim, rk2, len(pair.maximal_isotropics), sorted(dets.items())))
     return sorted(rows)
 

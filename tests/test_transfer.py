@@ -179,6 +179,35 @@ def test_odd_index_power_rule_rejects_higher_nilpotency():
     assert not tr.is_two_step_nilpotent(d16)
 
 
+def test_two_step_nilpotent_matches_the_commutator_definition():
+    """G' inside Z(G) agrees with the definition [G, [G, G]] = {e},
+    checked element by element."""
+
+    def brute_force(group):
+        e = group.identity_id
+        return all(
+            group.commutator(c, g) == e
+            for c in group.commutator_subgroup().members
+            for g in group.elements()
+        )
+
+    for name, expected in (
+        ("d8", True),
+        ("q8", True),
+        ("heis3", True),
+        ("heis4", True),
+        ("cp:d8,q8", True),
+        ("prod:d8,c3", True),
+        ("ab:2,4", True),
+        ("d6", False),
+        ("d16", False),
+        ("d24", False),
+    ):
+        group = from_name(name)
+        assert brute_force(group) is expected, name
+        assert tr.is_two_step_nilpotent(group) is expected, name
+
+
 def test_power_map_is_homomorphism_on_rule_instances():
     g = heisenberg_mod(3)
     d = 3
