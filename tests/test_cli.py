@@ -1,6 +1,7 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -379,3 +380,25 @@ def test_group_info_d8_golden_bytes(capsys):
     code, out, _ = run_cli(capsys, "group-info", "--builtin", "d8")
     assert code == EXIT_OK
     assert out == GROUP_INFO_D8_GOLDEN
+
+
+# sha256 of `verify --builtin G` stdout, pinned when the determinant and
+# transfer routes became whole-group tables; any change to a route that
+# alters a single byte of the report fails here
+VERIFY_STDOUT_SHA256 = {
+    ("d8", "json"): "8f3a36c096e3de01e2084491e7c29d2b0702db92c6bd44f443c77b35bf607102",
+    ("q8", "json"): "df91671270e9f35dc1f8b24bf573b1fd05a6f613b1328d8a100a351d2303e728",
+    ("heis3", "json"): "155bace338b87b2589da91d20164c4d9f12ccdb07f4dd7359db7a7c71cb9889c",
+    ("es_p3_exp_p2:3", "json"): "c5bb0c255f79cd914ba8fb29ed46934fb9aa17c91d8b2c151e71c98d570389dd",
+    ("cp:d8,q8", "json"): "7047c484f1e9465552149a5b5a7e94ea04858d68f6e0db98da63d5a18228f912",
+    ("ab:2,2,2,2", "json"): "0b643e3358c614dd437abc58555929224d17eb5bd8221438a0aad5f30aab9310",
+    ("d16", "json"): "104db6853d7cb44f562c8b927a94fd05611af0ba721e6fa36d65b811a6dc5bb1",
+    ("heis3", "tsv"): "21b17cc2eb932c8a24d0e0ab4b122bfc732779e5be0435cd4a560fde0c2e2b11",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_golden_sha256(capsys, name, fmt):
+    code, out, _ = run_cli(capsys, "verify", "--builtin", name, "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[(name, fmt)]
