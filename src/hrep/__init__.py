@@ -25,7 +25,13 @@ from .group_core import (
     quaternion8,
 )
 from .heisenberg import HeisenbergPair, enumerate_pairs, quotient_by_kernel, validate_pair
-from .induced_det import det_formula, det_gallagher, induced_matrix, monomial_det
+from .induced_det import (
+    det_formula,
+    direct_table,
+    gallagher_table,
+    induced_matrices,
+    monomial_det,
+)
 
 __version__ = "0.1.0"
 
@@ -41,15 +47,16 @@ __all__ = [
     "construct",
     "cyclic",
     "det_formula",
-    "det_gallagher",
     "dihedral",
     "direct_product",
+    "direct_table",
     "enumerate_pairs",
     "extraspecial_p3_exp_p2",
     "from_cayley_table",
     "from_name",
+    "gallagher_table",
     "heisenberg_mod",
-    "induced_matrix",
+    "induced_matrices",
     "monomial_det",
     "quaternion8",
     "quotient_by_kernel",

@@ -11,9 +11,12 @@ Three independent routes to det(rho)(g) are implemented and cross-checked:
   rk_2(G/Z) = 2, in which case it is the sign function on the Klein
   quotient G/G^2Z that is + on the trivial coset and - elsewhere.
 
-The direct and Gallagher routes read the coset skeleton and the transfer
-products that the group caches once per subgroup, and check a character
-extension once per whole-table call rather than once per element.
+The direct and Gallagher routes exist only as whole-group tables:
+``induced_matrices`` and ``direct_table`` for the direct route,
+``gallagher_table`` for Gallagher's. They read the coset skeleton and the
+transfer products that the group caches once per subgroup, and each call
+checks the character extension once. The closed form ``det_formula`` is
+evaluated per element.
 
 Signs live in QmodZ as 1/2, so the whole pipeline stays in one exact
 value domain. The closed form requires a kernel-reduced pair and
@@ -58,7 +61,12 @@ from .heisenberg import (
     quotient_by_kernel,
     validate_pair,
 )
-from .transfer import CheckReport, correcting_function, transfer_product
+from .transfer import CheckReport, correcting_function
+
+# Checks over pairs of elements run exhaustively up to this group order,
+# and on this many seeded random pairs above it.
+EXHAUSTIVE_BOUND = 64
+SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -127,61 +135,46 @@ def _require_isotropic(pair: HeisenbergPair, sub: Subgroup) -> None:
                 raise PreconditionFailed(f"H is not isotropic at ({a},{b})")
 
 
-def induced_matrix(
-    pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter, g: int
-) -> MonomialMatrix:
-    """The monomial matrix of g in the representation induced from chi_H.
+def induced_matrices(
+    pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter
+) -> list[MonomialMatrix]:
+    """The monomial matrix of every g in the representation induced from chi_H.
 
     Columns are indexed by the canonical left transversal; the column of
     t carries chi_H(s^-1 g t) in the row of s, where g t lands in s H.
     """
     _require_extension(pair, sub, chi_h)
-    return _induced_matrix_unchecked(pair, sub, chi_h, g)
-
-
-def _induced_matrix_unchecked(pair, sub, chi_h, g):
     skeleton = pair.group.coset_skeleton(sub)
-    exps = tuple(chi_h(f) for f in skeleton.factors[g])
-    return MonomialMatrix(len(skeleton.transversal), skeleton.perm[g], exps)
-
-
-def det_direct(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter, g: int) -> QmodZ:
-    """Brute-force determinant of the induced monomial matrix."""
-    return monomial_det(induced_matrix(pair, sub, chi_h, g))
-
-
-def _direct_table(pair, sub, chi_h) -> list[QmodZ]:
-    """det_direct of every element, checking the extension once."""
-    _require_extension(pair, sub, chi_h)
+    dim = len(skeleton.transversal)
     return [
-        monomial_det(_induced_matrix_unchecked(pair, sub, chi_h, g))
+        MonomialMatrix(dim, skeleton.perm[g], tuple(chi_h(f) for f in skeleton.factors[g]))
         for g in pair.group.elements()
     ]
 
 
+def direct_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> list[QmodZ]:
+    """The direct route: the determinant of every induced monomial matrix."""
+    return [monomial_det(m) for m in induced_matrices(pair, sub, chi_h)]
+
+
+def _element_pairs(group: FiniteGroup, seed: int) -> list[tuple[int, int]]:
+    """Every pair of elements up to EXHAUSTIVE_BOUND, else SAMPLES seeded pairs."""
+    if group.order <= EXHAUSTIVE_BOUND:
+        return [(x, y) for x in group.elements() for y in group.elements()]
+    rng = random.Random(seed)
+    n = group.order
+    return [(rng.randrange(n), rng.randrange(n)) for _ in range(SAMPLES)]
+
+
 def check_homomorphism(
-    pair: HeisenbergPair,
-    sub: Subgroup,
-    chi_h: LinearCharacter,
-    *,
-    seed: int = 0,
-    exhaustive_bound: int = 64,
-    samples: int = 10_000,
+    pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter, *, seed: int = 0
 ) -> CheckReport:
     """Certify Ind(g1) Ind(g2) = Ind(g1 g2), exhaustively on small groups
     and on seeded random pairs above the bound."""
     group = pair.group
-    _require_extension(pair, sub, chi_h)
-    matrices = [_induced_matrix_unchecked(pair, sub, chi_h, g) for g in group.elements()]
-    if group.order <= exhaustive_bound:
-        pairs = [(x, y) for x in group.elements() for y in group.elements()]
-        mode = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        pairs = [
-            (rng.randrange(group.order), rng.randrange(group.order)) for _ in range(samples)
-        ]
-        mode = "sampled"
+    matrices = induced_matrices(pair, sub, chi_h)
+    pairs = _element_pairs(group, seed)
+    mode = "exhaustive" if group.order <= EXHAUSTIVE_BOUND else "sampled"
     report = CheckReport(
         "induced_representation_homomorphism",
         True,
@@ -201,22 +194,12 @@ def delta_character(group: FiniteGroup, sub: Subgroup, g: int) -> QmodZ:
     return HALF if group.coset_skeleton(sub).odd[g] else ZERO
 
 
-def det_gallagher(
-    pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter, g: int
-) -> QmodZ:
-    """Delta_H(g) + chi_H(T_{G/H}(g)).
+def gallagher_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> list[QmodZ]:
+    """Gallagher's route: Delta_H(g) + chi_H(T_{G/H}(g)) for every g.
 
     The raw transfer product is a well-defined argument because chi_H
     kills [H,H].
     """
-    _require_extension(pair, sub, chi_h)
-    return delta_character(pair.group, sub, g) + chi_h(
-        transfer_product(pair.group, sub, g)
-    )
-
-
-def _gallagher_table(pair, sub, chi_h) -> list[QmodZ]:
-    """det_gallagher of every element, checking the extension once."""
     _require_extension(pair, sub, chi_h)
     group = pair.group
     transfers = group.transfer_products(sub)
@@ -251,16 +234,13 @@ def det_formula(pair: HeisenbergPair, g: int) -> tuple[QmodZ, QmodZ]:
     return eps + pair.chi(gd), eps
 
 
-def epsilon_table(
-    pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter | None = None
-) -> dict[int, QmodZ]:
+def epsilon_table(pair: HeisenbergPair, sub: Subgroup) -> dict[int, QmodZ]:
     """eps(g) = Delta_H(g) + chi(phi_{G/H}(g)) for a maximal isotropic H.
 
     Verifies that the values are signs, constant on G^2 Z cosets, and
     satisfy the sign-defect identity
     eps(g1) + eps(g2) - eps(g1 g2) = (d/2) * X(g1, g2) for even d
-    (for odd d the table is identically trivial). If chi_h is supplied,
-    the table is also cross-checked against the Gallagher determinant.
+    (for odd d the table is identically trivial).
     """
     _require_reduced(pair)
     _require_isotropic(pair, sub)
@@ -290,14 +270,6 @@ def epsilon_table(
                     defect == pair.x_value(g1, g2).scale(half_d),
                     f"sign defect identity fails at ({g1},{g2})",
                 )
-    if chi_h is not None:
-        gallagher = _gallagher_table(pair, sub, chi_h)
-        for g in group.elements():
-            gd = group.pow(g, d)
-            _math_check(
-                table[g] == gallagher[g] - pair.chi(gd),
-                f"eps disagrees with the Gallagher determinant at {g}",
-            )
     return table
 
 
@@ -321,7 +293,7 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
     for sub in pair.maximal_isotropics:
         for chi_h in extend_character_all(group, pair.chi, sub):
             n_tables += 1
-            table = _direct_table(pair, sub, chi_h)
+            table = direct_table(pair, sub, chi_h)
             if reference is None:
                 reference = table
             elif table != reference:
@@ -379,10 +351,10 @@ def twist_identity(pair: HeisenbergPair, omegas: list[LinearCharacter]) -> Check
     sub = pair.maximal_isotropics[0]
     chi_h = pair.default_extension
     d = pair.dim
-    det = _direct_table(pair, sub, chi_h)
+    det = direct_table(pair, sub, chi_h)
     for omega in omegas:
         twisted = twist(pair, omega)
-        twisted_det = _direct_table(twisted, sub, chi_h * omega.restrict(sub))
+        twisted_det = direct_table(twisted, sub, chi_h * omega.restrict(sub))
         for g in group.elements():
             _math_check(
                 twisted_det[g] == det[g] + omega(g).scale(d),
@@ -431,12 +403,18 @@ def find_trivializing_twist(pair: HeisenbergPair) -> LinearCharacter | None:
 
 @dataclass
 class DetRow:
+    """One element's determinant on each route, its sign from the sign
+    table and the sign inside the closed form."""
+
     g: int
-    det_direct: QmodZ
-    det_gallagher: QmodZ
-    det_formula: QmodZ
+    direct: QmodZ
+    gallagher: QmodZ
+    formula: QmodZ
     epsilon: QmodZ
-    chi_of_gd: QmodZ
+    formula_epsilon: QmodZ
+
+    def agrees(self) -> bool:
+        return self.direct == self.gallagher == self.formula and self.epsilon == self.formula_epsilon
 
 
 @dataclass
@@ -460,9 +438,9 @@ class DetReport:
             "rows": [
                 {
                     "g": row.g,
-                    "direct": str(row.det_direct),
-                    "gallagher": str(row.det_gallagher),
-                    "formula": str(row.det_formula),
+                    "direct": str(row.direct),
+                    "gallagher": str(row.gallagher),
+                    "formula": str(row.formula),
                     "epsilon": str(row.epsilon),
                 }
                 for row in self.rows
@@ -484,19 +462,15 @@ def build_det_report(pair: HeisenbergPair) -> DetReport:
     group = reduced.group
     sub = reduced.maximal_isotropics[0]
     chi_h = reduced.default_extension
-    eps = epsilon_table(reduced, sub, chi_h)
+    eps = epsilon_table(reduced, sub)
     rk2 = reduced.two_rank
-    direct = _direct_table(reduced, sub, chi_h)
-    gallagher = _gallagher_table(reduced, sub, chi_h)
+    direct = direct_table(reduced, sub, chi_h)
+    gallagher = gallagher_table(reduced, sub, chi_h)
     rows = []
-    all_agree = True
     for g in group.elements():
-        dd, dg = direct[g], gallagher[g]
-        df, eps_formula = det_formula(reduced, g)
-        gd = group.pow(g, reduced.dim)
-        rows.append(DetRow(g, dd, dg, df, eps[g], reduced.chi(gd)))
-        if not (dd == dg == df) or eps[g] != eps_formula:
-            all_agree = False
+        formula, formula_eps = det_formula(reduced, g)
+        rows.append(DetRow(g, direct[g], gallagher[g], formula, eps[g], formula_eps))
+    all_agree = all(row.agrees() for row in rows)
     return DetReport(reduced, sub, rows, rk2, _case_label(rk2), all_agree)
 
 
@@ -526,8 +500,9 @@ def oracle_equivalence_report(pair: HeisenbergPair, *, seed: int = 0) -> CheckRe
     for sub in pair.maximal_isotropics:
         for chi_h in extend_character_all(group, pair.chi, sub):
             report.stats["n_extensions"] += 1
-            direct = _direct_table(pair, sub, chi_h)
-            gallagher = _gallagher_table(pair, sub, chi_h)
+            matrices = induced_matrices(pair, sub, chi_h)
+            direct = [monomial_det(m) for m in matrices]
+            gallagher = gallagher_table(pair, sub, chi_h)
             for g in group.elements():
                 dd, dg, df = direct[g], gallagher[g], formula[g]
                 if not (dd == dg == df):
@@ -545,7 +520,7 @@ def oracle_equivalence_report(pair: HeisenbergPair, *, seed: int = 0) -> CheckRe
             if common is None:
                 common = direct
             for z in pair.Z.members:
-                matrix = _induced_matrix_unchecked(pair, sub, chi_h, z)
+                matrix = matrices[z]
                 if not (matrix.is_scalar() and matrix.exps[0] == pair.chi(z)):
                     report.passed = False
                     report.counterexamples.append(
@@ -560,14 +535,7 @@ def oracle_equivalence_report(pair: HeisenbergPair, *, seed: int = 0) -> CheckRe
             report.passed = False
             report.counterexamples.append({"g": -1, "lhs": "det", "rhs": "chi"})
         return report
-    if group.order <= 64:
-        element_pairs = [(x, y) for x in group.elements() for y in group.elements()]
-    else:
-        rng = random.Random(seed)
-        element_pairs = [
-            (rng.randrange(group.order), rng.randrange(group.order)) for _ in range(10_000)
-        ]
-    for x, y in element_pairs:
+    for x, y in _element_pairs(group, seed):
         if common[group.mul(x, y)] != common[x] + common[y]:
             report.passed = False
             report.counterexamples.append(
@@ -581,8 +549,9 @@ def epsilon_case_report(det: DetReport) -> CheckReport:
     two-rank prediction.
 
     rk_2(G/Z) = 0 or >= 4 forces eps identically trivial; rk_2 = 2
-    forces the + - - - pattern on the Klein quotient G/G^2Z. The table
-    must also match the sign in the closed form.
+    forces the + - - - pattern on the Klein quotient G/G^2Z. The report
+    itself must agree: every route's determinant and both signs, so a
+    pair whose report is not kept still has its routes compared.
     """
     reduced = det.pair
     group = reduced.group
@@ -606,13 +575,20 @@ def epsilon_case_report(det: DetReport) -> CheckReport:
             report.counterexamples.append(
                 {"g": g, "lhs": str(table[g]), "rhs": str(expected[g])}
             )
-    for g, row in enumerate(det.rows):
-        eps_formula = row.det_formula - row.chi_of_gd
-        if eps_formula != table[g]:
-            report.passed = False
-            report.counterexamples.append(
-                {"g": g, "lhs": str(table[g]), "rhs": str(eps_formula), "identity": "formula"}
-            )
+    if not det.all_agree:
+        row = next(row for row in det.rows if not row.agrees())
+        report.passed = False
+        report.counterexamples.append(
+            {
+                "g": row.g,
+                "lhs": str(row.direct),
+                "rhs": str(row.formula),
+                "gallagher": str(row.gallagher),
+                "epsilon": str(row.epsilon),
+                "formula_epsilon": str(row.formula_epsilon),
+                "identity": "det_report",
+            }
+        )
     return report
 
 

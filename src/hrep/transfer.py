@@ -1,10 +1,13 @@
 """The transfer homomorphism T_{G/H}: G -> H/[H,H] and the closed forms it
 satisfies on two-step nilpotent groups.
 
-For abelian H the quotient by [H,H] is trivial and transfer values are
-reported as elements of H itself, so the power-map identities below are
-plain element equalities. The correcting function phi records the
-central order-<=2 defect between T(g) and g^d.
+``transfer_table`` is the one way to read T: one homomorphism-checked
+tuple per subgroup, built from the group's cached raw transfer products.
+A value modulo [H,H] is encoded as the minimal element id of its
+[H,H]-coset; for abelian H that coset is a single element, so values are
+elements of H itself and the power-map identities below are plain
+element equalities. The correcting function phi records the central
+order-<=2 defect between T(g) and g^d.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ def squares_commutators_subgroup(group: FiniteGroup) -> Subgroup:
 
 def coabelian_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups between [G,G] and G (each is automatically normal)."""
-    derived = group.commutator_subgroup()
     ab_group, proj = group.abelianization
     return [proj.preimage(sub.members) for sub in ab_group.all_subgroups()]
 
@@ -69,79 +71,33 @@ def transfer_instances(group: FiniteGroup) -> list[Subgroup]:
 # -- the transfer map itself ---------------------------------------------------
 
 
-def transfer_product(group: FiniteGroup, sub: Subgroup, g: int) -> int:
-    """Product of the transversal factors, in canonical transversal order.
-
-    Well-defined only modulo [H,H]; exact for abelian H. Reads the
-    group's cached table of all transfer products.
-    """
-    return group.transfer_products(sub)[g]
-
-
-def _derived_members(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
-    gens = {group.commutator(x, y) for x in sub.members for y in sub.members}
-    return group.subgroup_generated(gens).members
-
-
-def _coset_min(group: FiniteGroup, x: int, derived: tuple[int, ...]) -> int:
-    return min(group.mul(x, d) for d in derived)
-
-
-def transfer(group: FiniteGroup, sub: Subgroup, g: int) -> int:
-    """Transfer value as a canonical element id.
-
-    For abelian H this is the exact factor product in H; otherwise the
-    minimal id in the product's [H,H]-coset.
-    """
-    result = transfer_product(group, sub, g)
+def _mod_derived(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
+    """red[x]: the minimal id of the coset x [H,H], which encodes x modulo
+    [H,H] for x in H; the identity map when H is abelian."""
     if sub.is_abelian:
-        return result
-    return _coset_min(group, result, _derived_members(group, sub))
+        return np.arange(group.order)
+    table, inverse = group._np_table, np.asarray(group.inverse)
+    h = np.asarray(sub.members)
+    commutators = table[table[table[np.ix_(h, h)], inverse[h][:, None]], inverse[h][None, :]]
+    derived = group.subgroup_generated(commutators.ravel().tolist())
+    reps, pos = group.coset_positions(derived)
+    return np.asarray(reps)[np.asarray(pos)]
 
 
-@dataclass(frozen=True)
-class TransferMap:
-    """Total transfer table of one subgroup.
+def transfer_table(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
+    """T_{G/H}(g) modulo [H,H] for every g, verified to be a homomorphism.
 
-    ``values[g]`` is an element id of H when H is abelian; otherwise an
-    element id of the standalone quotient group H/[H,H] stored in
-    ``codomain`` (with ``to_codomain`` mapping parent ids of H into it).
+    Each value is an element id of H: the raw transfer product when H is
+    abelian, otherwise the minimal id of the product's [H,H]-coset.
     """
-
-    group: FiniteGroup
-    subgroup: Subgroup
-    transversal: tuple[int, ...]
-    values: tuple[int, ...]
-    codomain: FiniteGroup | None = None
-    to_codomain: dict[int, int] | None = None
-
-
-def transfer_table(group: FiniteGroup, sub: Subgroup) -> TransferMap:
-    """Compute all transfer values and verify the homomorphism property."""
-    transversal, _ = group.coset_positions(sub)
-    raw = group.transfer_products(sub)
-    if sub.is_abelian:
-        values = tuple(raw)
-        codomain = None
-        to_codomain = None
-        _check_hom(group._np_table, np.array(values), group._np_table)
-    else:
-        hgrp, to_parent = sub.as_group
-        local = {m: i for i, m in enumerate(to_parent)}
-        quot, proj = hgrp.quotient(hgrp.commutator_subgroup())
-        to_codomain = {m: proj(local[m]) for m in sub.members}
-        values = tuple(to_codomain[v] for v in raw)
-        codomain = quot
-        _check_hom(group._np_table, np.array(values), quot._np_table)
-    return TransferMap(group, sub, tuple(transversal), values, codomain, to_codomain)
-
-
-def _check_hom(src_table: np.ndarray, values: np.ndarray, dst_table: np.ndarray) -> None:
-    lhs = values[src_table]
-    rhs = dst_table[np.ix_(values, values)]
+    red = _mod_derived(group, sub)
+    values = red[np.asarray(group.transfer_products(sub))]
+    table = group._np_table
     _math_check(
-        np.array_equal(lhs, rhs), "transfer values do not form a homomorphism"
+        np.array_equal(values[table], red[table[np.ix_(values, values)]]),
+        "transfer values do not form a homomorphism",
     )
+    return tuple(values.tolist())
 
 
 def transfer_values_with_transversal(
@@ -156,11 +112,8 @@ def transfer_values_with_transversal(
     covered = sorted(pos[t] for t in transversal)
     if covered != list(range(len(transversal))) or len(transversal) != sub.index():
         raise PreconditionFailed("not a left transversal: one representative per coset required")
-    raw = group.transfer_fold(sub, transversal)
-    if sub.is_abelian:
-        return list(raw)
-    derived = _derived_members(group, sub)
-    return [_coset_min(group, result, derived) for result in raw]
+    raw = np.asarray(group.transfer_fold(sub, transversal))
+    return _mod_derived(group, sub)[raw].tolist()
 
 
 def transversal_independence_check(
@@ -168,10 +121,7 @@ def transversal_independence_check(
 ) -> CheckReport:
     """Recompute transfer with randomly H-shifted transversals; values must agree."""
     base_t, _ = group.coset_positions(sub)
-    reference = list(group.transfer_products(sub))
-    if not sub.is_abelian:
-        derived = _derived_members(group, sub)
-        reference = [_coset_min(group, r, derived) for r in reference]
+    reference = transfer_table(group, sub)
     rng = random.Random(seed)
     report = CheckReport(
         "transversal_independence",
@@ -217,8 +167,9 @@ def check_odd_index_transfer(group: FiniteGroup, sub: Subgroup) -> CheckReport:
         True,
         stats={"group": group.label, "index": d, "universe": group.order},
     )
+    values = transfer_table(group, sub)
     for g in group.elements():
-        lhs = transfer(group, sub, g)
+        lhs = values[g]
         rhs = group.pow(g, d)
         if lhs != rhs:
             report.passed = False
@@ -241,17 +192,8 @@ class CorrectingFunction:
     """phi(g) = T(g) * (g^d)^-1: central involutions constant on
     cosets of G^2 [G,G]."""
 
-    group: FiniteGroup
-    subgroup: Subgroup
     values: tuple[int, ...]
     index: int
-    factors: tuple[int, ...]
-    generator_lifts: tuple[int, ...]
-    alpha_lift: int
-    alpha_lifts: tuple[int, ...]
-
-    def __call__(self, g: int) -> int:
-        return self.values[g]
 
 
 def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction:
@@ -266,11 +208,11 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
       the transfer values accordingly.
     """
     d = _power_rule_preconditions(group, sub, need_odd=False)
-    tmap = transfer_table(group, sub)
+    values = transfer_table(group, sub)
     e = group.identity_id
 
     phi = tuple(
-        group.mul(tmap.values[g], group.inv(group.pow(g, d))) for g in group.elements()
+        group.mul(values[g], group.inv(group.pow(g, d))) for g in group.elements()
     )
     z2 = central_involutions(group)
     for g, v in enumerate(phi):
@@ -300,12 +242,12 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     for i, (m, t, a_i) in enumerate(zip(dec.factors, lifts, alpha_lifts)):
         want = group.mul(group.pow(t, d), group.commutator(group.pow(t, m), a_i))
         _math_check(
-            tmap.values[t] == want,
+            values[t] == want,
             f"generator formula fails at t_{i} (element {t})",
         )
     for h in sub.members:
         want = group.mul(group.pow(h, d), group.commutator(h, alpha_lift))
-        _math_check(tmap.values[h] == want, f"subgroup formula fails at h={h}")
+        _math_check(values[h] == want, f"subgroup formula fails at h={h}")
 
     coords = dec.exponent_coordinates()
     for g in group.elements():
@@ -317,13 +259,11 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
         _math_check(h in sub, f"decomposition of {g} does not land in H")
         acc = e
         for t, a in zip(lifts, tup):
-            acc = group.mul(acc, group.pow(tmap.values[t], a))
-        acc = group.mul(acc, tmap.values[h])
-        _math_check(tmap.values[g] == acc, f"transfer does not factor through the decomposition at {g}")
+            acc = group.mul(acc, group.pow(values[t], a))
+        acc = group.mul(acc, values[h])
+        _math_check(values[g] == acc, f"transfer does not factor through the decomposition at {g}")
 
-    return CorrectingFunction(
-        group, sub, phi, d, dec.factors, lifts, alpha_lift, tuple(alpha_lifts)
-    )
+    return CorrectingFunction(phi, d)
 
 
 def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
@@ -404,23 +344,19 @@ def check_transfer_identities(
     )
 
     # conjugation covariance
-    base_values = group.transfer_products(sub)
+    base_values = transfer_table(group, sub)
     conj_failures = 0
-    # for normal H every conjugate is H, so its table is built once
-    seen_conjugates: dict[tuple[int, ...], tuple] = {}
+    # for normal H every conjugate is H, so no second table is built
+    seen_conjugates = {sub.members: (_mod_derived(group, sub), base_values)}
     for g in group.elements():
         members = tuple(sorted(group.conjugate(g, h) for h in sub.members))
         if members not in seen_conjugates:
             csub = Subgroup(group, members)
-            derived = None if csub.is_abelian else _derived_members(group, csub)
-            seen_conjugates[members] = (derived, group.transfer_products(csub))
-        derived, conj_values = seen_conjugates[members]
+            seen_conjugates[members] = (_mod_derived(group, csub), transfer_table(group, csub))
+        red, conj_values = seen_conjugates[members]
         for gp in group.elements():
             lhs = conj_values[gp]
-            rhs = group.conjugate(g, base_values[gp])
-            if derived is not None:
-                lhs = _coset_min(group, lhs, derived)
-                rhs = _coset_min(group, rhs, derived)
+            rhs = int(red[group.conjugate(g, base_values[gp])])
             if lhs != rhs:
                 conj_failures += 1
                 if len(report.counterexamples) < 10:
@@ -441,10 +377,10 @@ def check_transfer_identities(
         }
         img_ok = fixed <= central
         for g in group.elements():
-            if transfer(group, sub, g) not in fixed:
+            if base_values[g] not in fixed:
                 img_ok = False
                 report.counterexamples.append(
-                    {"g": g, "lhs": transfer(group, sub, g), "rhs": -1, "identity": "image"}
+                    {"g": g, "lhs": base_values[g], "rhs": -1, "identity": "image"}
                 )
         report.stats["image_pass"] = img_ok
         if not img_ok:
@@ -459,17 +395,20 @@ def check_transfer_identities(
         for k_sub in coabelian_subgroups(group):
             n_checked += 1
             exponent = len(k_sub) // derived_order
-            tmap = transfer_table(group, k_sub)
-            target = tmap.codomain if tmap.codomain is not None else group
-            e = target.identity_id
+            values = transfer_table(group, k_sub)
+            # [K,K] is the class of the identity; its minimal id need not be
+            # the identity's own id
+            red = _mod_derived(group, k_sub)
+            e = int(red[group.identity_id])
             for g in group.elements():
-                if target.pow(tmap.values[g], exponent) != e:
+                power = int(red[group.pow(values[g], exponent)])
+                if power != e:
                     furt_failures += 1
                     if len(report.counterexamples) < 10:
                         report.counterexamples.append(
                             {
                                 "g": g,
-                                "lhs": target.pow(tmap.values[g], exponent),
+                                "lhs": power,
                                 "rhs": e,
                                 "identity": "furtwangler",
                                 "K": list(k_sub.members),

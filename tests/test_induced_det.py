@@ -99,15 +99,16 @@ def test_permutation_sign_against_inversion_count():
 
 def test_identity_element_induces_identity_matrix():
     pair, sub, chi_h = default_setup(dihedral(8), 2)
-    m = idet.induced_matrix(pair, sub, chi_h, E)
+    m = idet.induced_matrices(pair, sub, chi_h)[E]
     assert m == MonomialMatrix.identity(2)
 
 
 def test_scalar_subgroup_acts_by_scalars():
     for group, dim in ((dihedral(8), 2), (heisenberg_mod(3), 3)):
         pair, sub, chi_h = default_setup(group, dim)
+        matrices = idet.induced_matrices(pair, sub, chi_h)
         for z in pair.Z.members:
-            m = idet.induced_matrix(pair, sub, chi_h, z)
+            m = matrices[z]
             assert m.is_scalar()
             assert m.exps[0] == pair.chi(z)
 
@@ -117,7 +118,7 @@ def test_d8_reflection_is_antidiagonal():
     sub = [h for h in pair.maximal_isotropics if h.members == (E, A, A2, A3)][0]
     chi_h = extend_character(pair.group, pair.chi, sub)
     assert chi_h(A) == QmodZ(1, 4)
-    m = idet.induced_matrix(pair, sub, chi_h, B)
+    m = idet.induced_matrices(pair, sub, chi_h)[B]
     assert m.perm == (1, 0)
 
 
@@ -137,6 +138,8 @@ def test_skeleton_matches_induced_matrix_from_definition(name):
             assert list(skeleton.transversal) == transversal
             coset_of = {group.mul(t, h): i for i, t in enumerate(transversal) for h in sub}
             chi_h = extend_character(group, pair.chi, sub)
+            matrices = idet.induced_matrices(pair, sub, chi_h)
+            assert len(matrices) == group.order
             for g in group.elements():
                 perm, factors = [], []
                 for t in transversal:
@@ -152,13 +155,13 @@ def test_skeleton_matches_induced_matrix_from_definition(name):
                 expected = MonomialMatrix(
                     len(perm), tuple(perm), tuple(chi_h(f) for f in factors)
                 )
-                assert idet.induced_matrix(pair, sub, chi_h, g) == expected
+                assert matrices[g] == expected
 
 
 def test_verify_checks_each_object_once(monkeypatch, capsys):
-    """Work-count regression: one extension check per route call, one
-    kernel reduction and one sign table per pair, one untwisted table per
-    twist identity, one skeleton per (G, H)."""
+    """Work-count regression: one extension check per table call, one
+    kernel reduction, one sign table and one reduced Gallagher table per
+    pair, one untwisted table per twist identity, one skeleton per (G, H)."""
     extension_checks = [0]
     real_require = idet._require_extension
 
@@ -190,6 +193,7 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         return wrapper
 
     checks_per_twist, checks_per_identity = [], []
+    checks_per_table = {"induced_matrices": [], "direct_table": [], "gallagher_table": []}
 
     skeleton_builds = Counter()
     real_build = FiniteGroup._build_skeleton
@@ -207,6 +211,8 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         cli, "twist_identity", counting(idet.twist_identity, checks_per_identity)
     )
     monkeypatch.setattr(FiniteGroup, "_build_skeleton", counting_build)
+    for name, log in checks_per_table.items():
+        monkeypatch.setattr(idet, name, counting(getattr(idet, name), log))
 
     assert cli.main(["verify", "--builtin", "heis3"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -218,14 +224,24 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     assert len(checks_per_twist) == sum(n_characters) > 0
     assert set(checks_per_twist) == {0}
     assert epsilon_tables[0] == report["n_pairs"]
+    for name, log in checks_per_table.items():
+        assert log and set(log) == {1}, name
+    n_extensions = sum(
+        c["stats"]["n_extensions"]
+        for c in report["checks"]
+        if c["check"] == "determinant_oracle_equivalence"
+    )
+    assert len(checks_per_table["gallagher_table"]) == report["n_pairs"] + n_extensions
     assert len(reductions) == report["n_pairs"]
     assert skeleton_builds and set(skeleton_builds.values()) == {1}
 
 
 def test_rejects_non_extension():
     pair, sub, _ = default_setup(dihedral(8), 2)
-    with pytest.raises(NotAnExtension):
-        idet.induced_matrix(pair, sub, ct.trivial_character(sub), B)
+    trivial = ct.trivial_character(sub)
+    for route in (idet.induced_matrices, idet.direct_table, idet.gallagher_table):
+        with pytest.raises(NotAnExtension):
+            route(pair, sub, trivial)
 
 
 def test_homomorphism_certificate():
@@ -252,7 +268,7 @@ def test_homomorphism_counterexample_records_both_matrices(monkeypatch):
     bad = report.counterexamples[0]
     x, y = bad["g"]
     assert bad["lhs"] == "perm=(0,1) exps=(0/1,0/1)"
-    assert bad["rhs"] == str(idet.induced_matrix(pair, sub, chi_h, pair.group.mul(x, y)))
+    assert bad["rhs"] == str(idet.induced_matrices(pair, sub, chi_h)[pair.group.mul(x, y)])
     assert bad["lhs"] != bad["rhs"]
 
 
@@ -263,8 +279,7 @@ def test_linear_pair_reduces_to_character_multiplicativity():
     chi_h = extend_character(g, pair.chi, sub)
     report = idet.check_homomorphism(pair, sub, chi_h)
     assert report.passed
-    for x in g.elements():
-        assert idet.det_direct(pair, sub, chi_h, x) == pair.chi(x)
+    assert idet.direct_table(pair, sub, chi_h) == [pair.chi(x) for x in g.elements()]
 
 
 # -- coset signs ----------------------------------------------------------------------
@@ -297,8 +312,8 @@ def test_delta_on_d8_reflection():
 
 def test_d8_reflection_determinant_is_minus_one():
     pair, sub, chi_h = default_setup(dihedral(8), 2)
-    assert idet.det_direct(pair, sub, chi_h, B) == HALF
-    assert idet.det_gallagher(pair, sub, chi_h, B) == HALF
+    assert idet.direct_table(pair, sub, chi_h)[B] == HALF
+    assert idet.gallagher_table(pair, sub, chi_h)[B] == HALF
     value, eps = idet.det_formula(pair, B)
     assert value == HALF and eps == HALF
 
@@ -307,10 +322,7 @@ def test_gallagher_equals_direct_everywhere_on_d8():
     pair = pair_of(dihedral(8), 2)
     for sub in pair.maximal_isotropics:
         for chi_h in extend_character_all(pair.group, pair.chi, sub):
-            for g in pair.group.elements():
-                assert idet.det_gallagher(pair, sub, chi_h, g) == idet.det_direct(
-                    pair, sub, chi_h, g
-                )
+            assert idet.gallagher_table(pair, sub, chi_h) == idet.direct_table(pair, sub, chi_h)
 
 
 def test_formula_requires_reduced_pair():
@@ -349,9 +361,17 @@ def test_oracle_equivalence_reports():
 # -- the sign function ------------------------------------------------------------------
 
 
+def eps_from_gallagher(pair, sub, chi_h):
+    """eps(g) = det(g) - chi(g^d), with det from Gallagher's route."""
+    gallagher = idet.gallagher_table(pair, sub, chi_h)
+    group = pair.group
+    return {g: gallagher[g] - pair.chi(group.pow(g, pair.dim)) for g in group.elements()}
+
+
 def test_epsilon_pattern_on_d8():
     pair, sub, chi_h = default_setup(dihedral(8), 2)
-    table = idet.epsilon_table(pair, sub, chi_h)
+    table = idet.epsilon_table(pair, sub)
+    assert table == eps_from_gallagher(pair, sub, chi_h)
     assert table == {
         E: ZERO,
         A2: ZERO,
@@ -366,7 +386,8 @@ def test_epsilon_pattern_on_d8():
 
 def test_epsilon_pattern_on_q8():
     pair, sub, chi_h = default_setup(quaternion8(), 2)
-    table = idet.epsilon_table(pair, sub, chi_h)
+    table = idet.epsilon_table(pair, sub)
+    assert table == eps_from_gallagher(pair, sub, chi_h)
     center = set(pair.Z.members)
     for g, v in table.items():
         assert v == (ZERO if g in center else HALF)
@@ -377,7 +398,8 @@ def test_epsilon_pattern_on_q8():
 
 def test_epsilon_trivial_for_odd_dim():
     pair, sub, chi_h = default_setup(heisenberg_mod(3), 3)
-    table = idet.epsilon_table(pair, sub, chi_h)
+    table = idet.epsilon_table(pair, sub)
+    assert table == eps_from_gallagher(pair, sub, chi_h)
     assert all(v == ZERO for v in table.values())
 
 
@@ -385,11 +407,13 @@ def test_epsilon_trivial_for_two_rank_four():
     for factors in ((dihedral(8), dihedral(8)), (dihedral(8), quaternion8())):
         cp = central_product(*factors)
         pair, sub, chi_h = default_setup(cp, 4)
-        table = idet.epsilon_table(pair, sub, chi_h)
+        table = idet.epsilon_table(pair, sub)
         assert all(v == ZERO for v in table.values())
+        assert table == eps_from_gallagher(pair, sub, chi_h)
         # cross-check against the direct determinant: det == chi(g^4)
+        direct = idet.direct_table(pair, sub, chi_h)
         for g in cp.elements():
-            assert idet.det_direct(pair, sub, chi_h, g) == pair.chi(cp.pow(g, 4))
+            assert direct[g] == pair.chi(cp.pow(g, 4))
 
 
 def test_epsilon_independent_of_the_isotropic():
@@ -397,14 +421,16 @@ def test_epsilon_independent_of_the_isotropic():
     tables = []
     for sub in pair.maximal_isotropics:
         chi_h = extend_character(pair.group, pair.chi, sub)
-        tables.append(idet.epsilon_table(pair, sub, chi_h))
+        tables.append(idet.epsilon_table(pair, sub))
+        assert tables[-1] == eps_from_gallagher(pair, sub, chi_h)
     assert tables[0] == tables[1] == tables[2]
 
 
 def test_epsilon_invariant_under_center_and_square_shifts():
     pair, sub, chi_h = default_setup(quaternion8(), 2)
     g8 = pair.group
-    table = idet.epsilon_table(pair, sub, chi_h)
+    table = idet.epsilon_table(pair, sub)
+    assert table == eps_from_gallagher(pair, sub, chi_h)
     for g in g8.elements():
         for z in pair.Z.members:
             assert table[g8.mul(g, z)] == table[g]
@@ -424,6 +450,29 @@ def test_epsilon_case_reports():
         report = idet.epsilon_case_report(idet.build_det_report(pair))
         assert report.passed, report.counterexamples[:3]
         assert report.stats["case"] == case
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_epsilon_case_report_fails_on_disagreeing_routes(monkeypatch, dim):
+    """A Gallagher table that is off by a sign at its last element makes
+    the report disagree, and the case split fails with that row's values,
+    also for a dim-1 pair, whose report verify does not keep."""
+    real_table = idet.gallagher_table
+
+    def shifted_table(*args):
+        table = real_table(*args)
+        table[-1] = table[-1] + HALF
+        return table
+
+    monkeypatch.setattr(idet, "gallagher_table", shifted_table)
+    det = idet.build_det_report(pair_of(dihedral(8), dim))
+    assert not det.all_agree
+    report = idet.epsilon_case_report(det)
+    assert not report.passed
+    bad = report.counterexamples[-1]
+    row = det.rows[-1]
+    assert bad["identity"] == "det_report" and bad["g"] == row.g
+    assert bad["gallagher"] == str(row.gallagher) != bad["lhs"] == str(row.direct)
 
 
 # -- independence of the isotropic -------------------------------------------------------
@@ -483,7 +532,7 @@ def test_twist_identity_catches_a_wrong_twisted_table(monkeypatch):
     """A twisted table that is off by a sign at one element fails the
     identity: the comparison is not vacuous."""
     pair = pair_of(dihedral(8), 2)
-    real_table = idet._direct_table
+    real_table = idet.direct_table
 
     def shifted_table(q, sub, chi_h):
         table = real_table(q, sub, chi_h)
@@ -491,7 +540,7 @@ def test_twist_identity_catches_a_wrong_twisted_table(monkeypatch):
             table[0] = table[0] + HALF
         return table
 
-    monkeypatch.setattr(idet, "_direct_table", shifted_table)
+    monkeypatch.setattr(idet, "direct_table", shifted_table)
     with pytest.raises(IdentityFailed, match="twisted determinant identity fails at 0"):
         idet.twist_identity(pair, ct.linear_characters(pair.group))
 
@@ -594,16 +643,10 @@ def _pair_signature(group):
 @pytest.mark.parametrize("name", ("d8", "q8", "heis3", "ab:2,4"))
 @settings(deadline=None, max_examples=10)
 @given(data=st.data())
-def test_pair_results_survive_relabelling(name, data):
+def test_pair_results_survive_relabelling(relabel, name, data):
     """Conjugating the Cayley table by a random permutation of the ids
     changes no pair count, dimension, 2-rank, isotropic count or
     determinant multiset."""
     group = from_name(name)
     sigma = data.draw(st.permutations(range(group.order)))
-    table = group.table
-    inverse = {new: old for old, new in enumerate(sigma)}
-    relabelled = [
-        [sigma[table[inverse[x]][inverse[y]]] for y in range(group.order)]
-        for x in range(group.order)
-    ]
-    assert _pair_signature(FiniteGroup(relabelled, label=name)) == _pair_signature(group)
+    assert _pair_signature(relabel(group, sigma)) == _pair_signature(group)

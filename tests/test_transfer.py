@@ -35,14 +35,15 @@ def test_transfer_against_hand_computed_product():
     transversal = d8.left_transversal(sub)
     assert transversal == [E, B]
     _, pos = d8.coset_positions(sub)
+    values = tr.transfer_table(d8, sub)
     for g in d8.elements():
         expected = d8.identity_id
         for t in transversal:
             x = d8.mul(g, t)
             s = transversal[pos[x]]
             expected = d8.mul(expected, d8.mul(d8.inv(s), x))
-        assert tr.transfer(d8, sub, g) == expected
-    assert tr.transfer(d8, sub, A) == E
+        assert values[g] == expected
+    assert values[A] == E
 
 
 def _product_loop(group, sub, transversal):
@@ -79,34 +80,72 @@ def test_cached_transfer_table_matches_the_product_loop(name):
 
 def test_transfer_to_whole_group_is_abelianization():
     d8 = dihedral(8)
-    tmap = tr.transfer_table(d8, d8.full_subgroup())
-    # index 1: the single factor is g itself, reported in G/[G,G]
-    assert tmap.codomain is not None
+    values = tr.transfer_table(d8, d8.full_subgroup())
+    # index 1: the single factor is g itself, reported in G/[G,G] as the
+    # minimal id of its coset
+    derived = d8.commutator_subgroup().members
     for g in d8.elements():
-        assert tmap.values[g] == tmap.to_codomain[g]
+        assert values[g] == min(d8.mul(g, c) for c in derived)
+    assert len(set(values)) == d8.order // len(derived)
     z6 = cyclic(6)
-    tmap6 = tr.transfer_table(z6, z6.full_subgroup())
-    assert tmap6.values == tuple(z6.elements())
+    assert tr.transfer_table(z6, z6.full_subgroup()) == tuple(z6.elements())
+
+
+def _commutators_of(group, sub):
+    return group.subgroup_generated(
+        {group.commutator(x, y) for x in sub.members for y in sub.members}
+    )
+
+
+def _quotient_group_values(group, sub):
+    """The transfer as element ids of H/[H,H] built as a standalone
+    quotient group of H, an encoding independent of the library's
+    coset-minimum ids.  Returns the quotient group, the map from ids of H
+    into it and the values."""
+    hgrp, to_parent = sub.as_group
+    local = {m: i for i, m in enumerate(to_parent)}
+    quot, proj = hgrp.quotient(hgrp.commutator_subgroup())
+    to_codomain = {m: proj(local[m]) for m in sub.members}
+    return quot, to_codomain, [to_codomain[v] for v in group.transfer_products(sub)]
+
+
+@pytest.mark.parametrize("name", ("d16", "d24", "q8", "heis3", "cp:d8,q8"))
+def test_transfer_table_matches_the_quotient_group_encoding(name):
+    """Every subgroup: each value is the minimal id of the raw product's
+    [H,H]-coset, and mapped onto H/[H,H] the table gives the quotient
+    group's values, which form a homomorphism into it."""
+    group = from_name(name)
+    for sub in group.all_subgroups():
+        values = tr.transfer_table(group, sub)
+        derived = _commutators_of(group, sub).members
+        raw = group.transfer_products(sub)
+        assert values == tuple(min(group.mul(r, c) for c in derived) for r in raw)
+        quot, to_codomain, expected = _quotient_group_values(group, sub)
+        image = [to_codomain[v] for v in values]
+        assert image == expected
+        for x in group.elements():
+            for y in group.elements():
+                assert image[group.mul(x, y)] == quot.mul(image[x], image[y])
 
 
 def test_transfer_in_abelian_group_is_index_power():
     for g in (cyclic(12), abelian_group([2, 4]), abelian_group([3, 6])):
         for sub in g.all_subgroups():
+            values = tr.transfer_table(g, sub)
             for x in g.elements():
-                assert tr.transfer(g, sub, x) == g.pow(x, sub.index())
+                assert values[x] == g.pow(x, sub.index())
 
 
 def test_transfer_to_commutator_subgroup_is_trivial():
     for g in (dihedral(8), quaternion8(), heisenberg_mod(3), dihedral(16)):
         derived = g.commutator_subgroup()
-        for x in g.elements():
-            assert tr.transfer(g, derived, x) == g.identity_id
+        assert tr.transfer_table(g, derived) == (g.identity_id,) * g.order
 
 
 def test_transfer_homomorphism_property():
     d8 = dihedral(8)
     sub = rotations(d8)
-    vals = tr.transfer_table(d8, sub).values
+    vals = tr.transfer_table(d8, sub)
     for x in d8.elements():
         for y in d8.elements():
             assert vals[d8.mul(x, y)] == d8.mul(vals[x], vals[y])
@@ -115,7 +154,7 @@ def test_transfer_homomorphism_property():
 def test_transversal_independence_rotated_and_shifted():
     d8 = dihedral(8)
     sub = rotations(d8)
-    base = [tr.transfer(d8, sub, g) for g in d8.elements()]
+    base = list(tr.transfer_table(d8, sub))
     # reversed transversal
     rotated = list(reversed(d8.left_transversal(sub)))
     assert tr.transfer_values_with_transversal(d8, sub, rotated) == base
@@ -236,8 +275,9 @@ def test_correcting_function_is_recomputable_from_definition():
     sub = d8.subgroup([E, B, A2, A2B])
     cf = tr.correcting_function(d8, sub)
     d = sub.index()
+    values = tr.transfer_table(d8, sub)
     for g in d8.elements():
-        assert cf.values[g] == d8.mul(tr.transfer(d8, sub, g), d8.inv(d8.pow(g, d)))
+        assert cf.values[g] == d8.mul(values[g], d8.inv(d8.pow(g, d)))
 
 
 def test_correcting_function_trivial_for_odd_index():
@@ -380,14 +420,32 @@ def test_identities_nonabelian_subgroup():
 
 
 def test_furtwangler_powers_d8():
+    """T_{G/K}(g)^[K:[G,G]] lies in [K,K], the identity class of K/[K,K]."""
     d8 = dihedral(8)
     derived_order = len(d8.commutator_subgroup())
     for k_sub in tr.coabelian_subgroups(d8):
         exponent = len(k_sub) // derived_order
-        tmap = tr.transfer_table(d8, k_sub)
-        target = tmap.codomain if tmap.codomain is not None else d8
+        values = tr.transfer_table(d8, k_sub)
+        k_derived = _commutators_of(d8, k_sub)
         for g in d8.elements():
-            assert target.pow(tmap.values[g], exponent) == target.identity_id
+            assert d8.pow(values[g], exponent) in k_derived
+
+
+def test_furtwangler_when_the_identity_is_not_the_minimal_id(relabel):
+    """Relabel d8 so that the identity has the largest id: the class of
+    the identity in G/[G,G] then has a smaller minimal id than the
+    identity itself, and Furtwangler's bound must still pass."""
+    d8 = dihedral(8)
+    sigma = list(range(8))
+    sigma[E], sigma[A3B] = A3B, E
+    group = relabel(d8, sigma)
+    assert group.identity_id == A3B
+    full = group.full_subgroup()
+    derived = _commutators_of(group, full)
+    assert min(derived.members) != group.identity_id
+    report = tr.check_transfer_identities(group, full)
+    assert report.passed, report.counterexamples
+    assert report.stats["furtwangler_pass"]
 
 
 def test_central_part_of_image_statement():
@@ -399,8 +457,7 @@ def test_central_part_of_image_statement():
         h for h in sub.members if all(g.conjugate(x, h) == h for x in g.elements())
     }
     assert fixed <= central
-    for x in g.elements():
-        assert tr.transfer(g, sub, x) in fixed
+    assert set(tr.transfer_table(g, sub)) <= fixed
 
 
 def test_power_image_iff_central_correcting_values():
