@@ -1,5 +1,5 @@
-"""Exact root-of-unity arithmetic, linear characters, and the commutator
-pairing with its radical.
+"""Exact root-of-unity arithmetic, linear characters of subgroups, and
+their extension to overgroups.
 
 A root of unity e^(2*pi*i*q) is stored as the reduced rational exponent
 q = num/den in [0, 1); adding exponents multiplies roots, so the whole
@@ -16,13 +16,10 @@ from itertools import product
 import numpy as np
 
 from .errors import (
-    CommutatorOutsideDomain,
-    DomainNotNormal,
     EnumerationBoundExceeded,
     NoExtension,
     NotAbelian,
     NotACharacter,
-    NotInvariant,
 )
 from .group_core import FiniteGroup, Subgroup
 
@@ -208,19 +205,6 @@ def linear_characters(group: FiniteGroup) -> list[LinearCharacter]:
     return characters_of_subgroup(group.full_subgroup())
 
 
-def is_g_invariant(group: FiniteGroup, chi: LinearCharacter) -> bool:
-    """True iff chi(g z g^-1) == chi(z) for all g in G, z in the domain."""
-    domain = chi.domain
-    if domain.parent is not group or not group.is_normal(domain):
-        raise DomainNotNormal(f"character domain is not normal in {group.label}")
-    for z in domain.members:
-        base = chi(z)
-        for w in group.class_of(z):
-            if chi(w) != base:
-                return False
-    return True
-
-
 def extend_character(
     group: FiniteGroup, chi: LinearCharacter, over: Subgroup
 ) -> LinearCharacter:
@@ -297,63 +281,3 @@ def _extend(group, chi, over, *, all_branches):
             raise NoExtension(f"branch assignment is inconsistent: {exc}") from exc
         out.append(result)
     return out
-
-
-class Bicharacter:
-    """The pairing X(g1, g2) = chi([g1, g2]) on a group with scalar part Z.
-
-    Requires [G, G] inside Z so every commutator is in chi's domain. The
-    pairing is alternating, and descends to (G/Z) x (G/Z) whenever chi is
-    invariant under conjugation.
-    """
-
-    def __init__(self, group: FiniteGroup, modulus: Subgroup, chi: LinearCharacter):
-        if not modulus.contains_subgroup(group.commutator_subgroup()):
-            raise CommutatorOutsideDomain(
-                f"[G,G] is not contained in the given modulus of {group.label}"
-            )
-        self.group = group
-        self.modulus = modulus
-        self.chi = chi
-
-    def value(self, g1: int, g2: int) -> QmodZ:
-        return self.chi(self.group.commutator(g1, g2))
-
-    @cached_property
-    def values(self) -> dict[tuple[int, int], QmodZ]:
-        """Total table on G x G (built lazily)."""
-        g = self.group
-        return {
-            (x, y): self.value(x, y) for x in g.elements() for y in g.elements()
-        }
-
-    def radical(self) -> Subgroup:
-        """{g : X(g, h) = 0 for all h}, by direct scan."""
-        g = self.group
-        members = [
-            x
-            for x in g.elements()
-            if all(self.value(x, y).is_zero() for y in g.elements())
-        ]
-        return Subgroup(g, tuple(members))
-
-    def is_nondegenerate(self) -> bool:
-        return self.radical().members == self.modulus.members
-
-
-def bicharacter_of(group: FiniteGroup, modulus: Subgroup, chi: LinearCharacter) -> Bicharacter:
-    """Build the commutator pairing and verify it descends to cosets of Z."""
-    x = Bicharacter(group, modulus, chi)
-    reps, _ = group.coset_positions(modulus)
-    for r in reps:
-        for s in reps:
-            base = x.value(r, s)
-            for z in modulus.members:
-                if (
-                    x.value(group.mul(r, z), s) != base
-                    or x.value(r, group.mul(s, z)) != base
-                ):
-                    raise NotInvariant(
-                        f"pairing is not constant on cosets at ({r},{s}) shifted by {z}"
-                    )
-    return x

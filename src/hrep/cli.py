@@ -62,6 +62,8 @@ def load_group(config: RunConfig) -> FiniteGroup:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidSpec(f"cannot read group file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidSpec("group file must hold a JSON object")
     label = data.get("label", "G")
     if "cayley_table" in data:
         return from_cayley_table(data["cayley_table"], label=label, seed=config.seed)

@@ -46,16 +46,8 @@ class NotAbelian(HrepError):
     """An operation defined only for abelian groups got a nonabelian one."""
 
 
-class DomainNotNormal(HrepError):
-    """A character's domain must be normal in the ambient group."""
-
-
 class NoExtension(HrepError):
     """A character cannot be extended to the requested overgroup."""
-
-
-class CommutatorOutsideDomain(HrepError):
-    """Commutators of the ambient group do not land in the pairing's domain."""
 
 
 class NotCoabelian(HrepError):

@@ -48,6 +48,8 @@ def _validate_table(table: np.ndarray, assoc_bound: int, seed: int):
     n = table.shape[0]
     if n == 0:
         raise NotAGroup("empty table")
+    if table.dtype.kind not in "iu":
+        raise NotAGroup(f"table entries must be integers, got dtype {table.dtype}")
     if table.min() < 0 or table.max() >= n:
         raise NotAGroup("table entries must be ids in 0..n-1")
 
@@ -109,8 +111,12 @@ class FiniteGroup:
     ):
         """``coset_reps``, set by ``quotient``, maps each quotient element to
         the minimal id of its coset in the parent group."""
-        arr = np.asarray(table, dtype=np.int64)
+        try:
+            arr = np.asarray(table)
+        except ValueError as exc:
+            raise NotAGroup("table rows must all have the same length") from exc
         identity, inverse, fully = _validate_table(arr, assoc_bound, seed)
+        arr = arr.astype(np.int64, copy=False)
         self.order: int = int(arr.shape[0])
         self.table: list[list[int]] = [[int(v) for v in row] for row in arr]
         self.identity_id: int = identity

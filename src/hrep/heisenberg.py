@@ -5,6 +5,12 @@ A pair consists of a coabelian normal subgroup Z and an invariant linear
 character chi of Z whose commutator pairing X(g1, g2) = chi([g1, g2]) is
 nondegenerate on G/Z. Linear characters of G appear as the degenerate
 dim-1 case Z = G and flow through the same pipeline.
+
+The pairing has one implementation: ``HeisenbergPair.x_value`` and its
+table ``x_on_quotient`` on G/Z; ``validate_pair`` screens the invariance
+of chi and the nondegeneracy of X. The maximal isotropic subgroups are
+enumerated once per pair (``maximal_isotropics``), and every caller that
+needs an isotropic, or one containing a given element, reads that list.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from functools import cached_property
 
 from . import abelian
 from .char_theory import (
-    Bicharacter,
     LinearCharacter,
     QmodZ,
     characters_of_subgroup,
@@ -31,7 +36,7 @@ from .errors import (
     math_check as _math_check,
 )
 from .group_core import FiniteGroup, GroupHom, Subgroup
-from .transfer import coabelian_subgroups, is_two_step_nilpotent
+from .transfer import coabelian_subgroups, is_two_step_nilpotent, squares_times
 
 PAIR_ENUM_BOUND = 256
 ISOTROPIC_ENUM_BOUND = 4096
@@ -66,9 +71,6 @@ class HeisenbergPair:
             for b in quot.elements()
         }
 
-    def bicharacter(self) -> Bicharacter:
-        return Bicharacter(self.group, self.Z, self.chi)
-
     @cached_property
     def is_reduced(self) -> bool:
         """True iff chi is faithful on Z (the pair equals its kernel reduction)."""
@@ -77,9 +79,7 @@ class HeisenbergPair:
     @cached_property
     def squares_times_z(self) -> Subgroup:
         """The subgroup G^2 Z controlling the sign character's cosets."""
-        gens = {self.group.mul(g, g) for g in self.group.elements()}
-        gens.update(self.Z.members)
-        return self.group.subgroup_generated(gens)
+        return squares_times(self.group, self.Z)
 
     @cached_property
     def maximal_isotropics(self) -> list[Subgroup]:
@@ -103,13 +103,6 @@ class HeisenbergPair:
         rank = abelian.two_rank(quot)
         _math_check(rank % 2 == 0, "two-rank of a symplectic quotient must be even")
         return rank
-
-    def as_dict(self) -> dict:
-        return {
-            "Z": list(self.Z.members),
-            "chi": self.chi.as_dict(),
-            "dim": self.dim,
-        }
 
 
 def validate_pair(group: FiniteGroup, scalar: Subgroup, chi: LinearCharacter) -> HeisenbergPair:
@@ -187,35 +180,6 @@ def quotient_by_kernel(pair: HeisenbergPair) -> tuple[HeisenbergPair, GroupHom]:
     return reduced, proj
 
 
-def _quotient_perp(pair: HeisenbergPair, subset: set[int], within: list[int]) -> list[int]:
-    """Elements of ``within`` pairing trivially with every element of ``subset``
-    (all ids in the quotient A = G/Z)."""
-    x = pair.x_on_quotient
-    return [a for a in within if all(x[(a, s)].is_zero() for s in subset)]
-
-
-def maximal_isotropic_through(pair: HeisenbergPair, g: int) -> Subgroup:
-    """A maximal isotropic subgroup containing g, grown greedily.
-
-    Start from <g> Z and repeatedly adjoin the smallest-id element of
-    H-perp outside H until H is self-perpendicular; the result has index
-    dim in G.
-    """
-    quot, proj = pair.ambient
-    everything = list(quot.elements())
-    current = quot.subgroup_generated([proj(g)])
-    while True:
-        perp = _quotient_perp(pair, set(current.members), everything)
-        extra = [a for a in perp if a not in current]
-        if not extra:
-            break
-        current = quot.subgroup_generated(set(current.members) | {min(extra)})
-    result = proj.preimage(current.members)
-    _math_check(g in result, "greedy growth lost the seed element")
-    _math_check(result.index() == pair.dim, "greedy growth did not reach index dim")
-    return result
-
-
 def all_maximal_isotropics(pair: HeisenbergPair) -> list[Subgroup]:
     """All subgroups H between Z and G with X trivial on H and [G:H] = dim."""
     index = pair.group.order // len(pair.Z)
@@ -244,11 +208,6 @@ class SymplecticBasis:
     H: Subgroup
     H_prime: Subgroup
 
-    def as_dict(self) -> dict:
-        return {
-            "pairs": [{"t": t, "t_prime": tp, "m": m} for t, tp, m in self.pairs]
-        }
-
 
 def symplectic_basis(pair: HeisenbergPair) -> SymplecticBasis:
     """Split A = G/Z into hyperbolic planes.
@@ -271,7 +230,7 @@ def symplectic_basis(pair: HeisenbergPair) -> SymplecticBasis:
         tp = min(partners)
         plane = quot.subgroup_generated([t, tp])
         _math_check(len(plane) == m * m, "hyperbolic plane must have order m^2")
-        remaining = _quotient_perp(pair, {t, tp}, current)
+        remaining = [a for a in current if x[(a, t)].is_zero() and x[(a, tp)].is_zero()]
         _math_check(
             len(remaining) * m * m == len(current),
             "orthogonal complement of a hyperbolic plane has complementary order",
@@ -300,4 +259,3 @@ def symplectic_basis(pair: HeisenbergPair) -> SymplecticBasis:
     _math_check(len(products) == pair.group.order, "G must factor as H * H'")
     lifted = tuple((reps[t], reps[tp], m) for t, tp, m in ordered)
     return SymplecticBasis(lifted, h_sub, hp_sub)
-

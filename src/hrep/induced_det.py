@@ -57,7 +57,6 @@ from .group_core import (
 from .heisenberg import (
     HeisenbergPair,
     enumerate_pairs,
-    maximal_isotropic_through,
     quotient_by_kernel,
     validate_pair,
 )
@@ -278,8 +277,8 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
     or on the chosen character extension.
 
     Also verifies the reformulation det(g) = chi(g^d) + X(g, alpha_{G/H})
-    with g placed inside a maximal isotropic H containing it and alpha
-    the product over G/H.
+    for every maximal isotropic H and every g in H, with alpha the product
+    over G/H; the isotropics must cover G, so every g is placed.
     """
     _require_reduced(pair)
     group = pair.group
@@ -304,20 +303,26 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
                             {"g": g, "lhs": str(table[g]), "rhs": str(reference[g])}
                         )
                         break
-    report.stats["n_extensions_total"] = n_tables
-    _math_check(reference is not None, "a pair has at least one maximal isotropic")
 
-    # placement reformulation through the Miller product of G/H
-    for g in group.elements():
-        sub = maximal_isotropic_through(pair, g)
-        quot, proj = group.quotient(sub)
+        # placement reformulation through the Miller product of G/H
+        quot, _ = group.quotient(sub)
         alpha_lift = quot.coset_reps[abelian.subgroup_product(quot, quot.elements())]
-        expected = pair.chi(group.pow(g, pair.dim)) + pair.x_value(g, alpha_lift)
-        if reference[g] != expected:
-            report.passed = False
-            report.counterexamples.append(
-                {"g": g, "lhs": str(reference[g]), "rhs": str(expected), "identity": "miller"}
-            )
+        for g in sub.members:
+            expected = pair.chi(group.pow(g, pair.dim)) + pair.x_value(g, alpha_lift)
+            if reference[g] != expected:
+                report.passed = False
+                report.counterexamples.append(
+                    {
+                        "g": g,
+                        "H": list(sub.members),
+                        "lhs": str(reference[g]),
+                        "rhs": str(expected),
+                        "identity": "miller",
+                    }
+                )
+    placed = set().union(*(sub.members for sub in pair.maximal_isotropics))
+    _math_check(len(placed) == group.order, "the maximal isotropics must cover G")
+    report.stats["n_extensions_total"] = n_tables
     report.stats["det"] = [str(q) for q in reference]
     return report
 
@@ -334,10 +339,7 @@ def twist(pair: HeisenbergPair, omega: LinearCharacter) -> HeisenbergPair:
     group = pair.group
     if omega.domain.members != group.full_subgroup().members:
         raise NotACharacter("twisting character must be defined on all of G")
-    try:
-        omega.validate()
-    except Exception as exc:
-        raise NotACharacter(str(exc)) from exc
+    omega.validate()
     return validate_pair(group, pair.Z, pair.chi * omega.restrict(pair.Z))
 
 

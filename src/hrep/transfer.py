@@ -50,10 +50,10 @@ def central_involutions(group: FiniteGroup) -> set[int]:
     return abelian.involution_set(group) & set(group.center().members)
 
 
-def squares_commutators_subgroup(group: FiniteGroup) -> Subgroup:
-    """The subgroup G^2 [G,G], generated by all squares and commutators."""
+def squares_times(group: FiniteGroup, normal: Subgroup) -> Subgroup:
+    """The subgroup G^2 N generated by all squares and a normal subgroup N."""
     gens = {group.mul(g, g) for g in group.elements()}
-    gens.update(group.commutator_subgroup().members)
+    gens.update(normal.members)
     return group.subgroup_generated(gens)
 
 
@@ -218,7 +218,7 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     for g, v in enumerate(phi):
         _math_check(v in z2, f"phi({g})={v} is not a central involution")
 
-    squares = squares_commutators_subgroup(group)
+    squares = squares_times(group, group.commutator_subgroup())
     _, pos = group.coset_positions(squares)
     by_coset: dict[int, int] = {}
     for g, v in enumerate(phi):

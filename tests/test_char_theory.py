@@ -1,5 +1,4 @@
-"""Exact exponent arithmetic, characters, extensions, and the commutator
-pairing."""
+"""Exact exponent arithmetic, characters, and extensions."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +6,7 @@ from hypothesis import strategies as st
 
 from hrep import char_theory as ct
 from hrep.char_theory import HALF, ZERO, QmodZ
-from hrep.errors import (
-    CommutatorOutsideDomain,
-    DomainNotNormal,
-    NoExtension,
-    NotAbelian,
-    NotACharacter,
-    NotInvariant,
-)
+from hrep.errors import NoExtension, NotAbelian, NotACharacter
 from hrep.group_core import abelian_group, cyclic, dihedral, heisenberg_mod, quaternion8
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
@@ -124,33 +116,7 @@ def test_character_validate_catches_bad_map():
         bad.validate()
 
 
-# -- invariance and kernels ----------------------------------------------------------
-
-
-def test_trivial_character_is_invariant():
-    d8 = dihedral(8)
-    chi = ct.trivial_character(d8.subgroup([E, A, A2, A3]))
-    assert ct.is_g_invariant(d8, chi)
-
-
-def test_center_characters_are_invariant():
-    d8 = dihedral(8)
-    for chi in ct.characters_of_subgroup(d8.center()):
-        assert ct.is_g_invariant(d8, chi)
-
-
-def test_quarter_character_on_rotations_not_invariant():
-    d8 = dihedral(8)
-    rot = d8.subgroup([E, A, A2, A3])
-    chi = [c for c in ct.characters_of_subgroup(rot) if c(A) == QmodZ(1, 4)][0]
-    assert not ct.is_g_invariant(d8, chi)
-
-
-def test_invariance_requires_normal_domain():
-    d8 = dihedral(8)
-    chi = ct.trivial_character(d8.subgroup([E, B]))
-    with pytest.raises(DomainNotNormal):
-        ct.is_g_invariant(d8, chi)
+# -- kernels ------------------------------------------------------------------------
 
 
 def test_kernel_examples():
@@ -224,71 +190,3 @@ def test_extension_refuses_character_alive_on_commutators():
     # chi is faithful on [G,G] = {e, a^2}, so it cannot extend to all of G
     with pytest.raises(NoExtension):
         ct.extend_character(d8, chi, d8.full_subgroup())
-
-
-# -- the commutator pairing ------------------------------------------------------------
-
-
-def test_pairing_vanishes_on_abelian_groups():
-    g = abelian_group([2, 4])
-    chi = ct.characters_of_abelian(g)[3]
-    x = ct.bicharacter_of(g, g.full_subgroup(), chi)
-    assert all(x.value(a, b).is_zero() for a in g.elements() for b in g.elements())
-    assert x.radical().members == tuple(g.elements())
-
-
-def test_d8_pairing_value_and_radical():
-    d8, chi = d8_center_character()
-    x = ct.bicharacter_of(d8, d8.center(), chi)
-    assert x.value(A, B) == HALF
-    assert x.radical().members == (E, A2)
-    assert x.is_nondegenerate()
-
-
-def test_d8_trivial_character_degenerate():
-    d8 = dihedral(8)
-    chi = ct.trivial_character(d8.center())
-    x = ct.bicharacter_of(d8, d8.center(), chi)
-    assert x.radical().members == tuple(d8.elements())
-    assert not x.is_nondegenerate()
-
-
-def test_heisenberg3_pairing_hits_all_cube_roots():
-    h3 = heisenberg_mod(3)
-    chi = [c for c in ct.characters_of_subgroup(h3.center()) if not c.is_trivial()][0]
-    x = ct.bicharacter_of(h3, h3.center(), chi)
-    values = {str(x.value(a, b)) for a in h3.elements() for b in h3.elements()}
-    assert values == {"0/1", "1/3", "2/3"}
-
-
-def test_pairing_requires_commutators_in_domain():
-    d8 = dihedral(8)
-    chi = ct.trivial_character(d8.trivial_subgroup())
-    with pytest.raises(CommutatorOutsideDomain):
-        ct.Bicharacter(d8, d8.trivial_subgroup(), chi)
-
-
-def test_pairing_is_alternating_and_bimultiplicative():
-    d8, chi = d8_center_character()
-    x = ct.bicharacter_of(d8, d8.center(), chi)
-    for g1 in d8.elements():
-        assert x.value(g1, g1).is_zero()
-        for g2 in d8.elements():
-            assert x.value(g1, g2) == -x.value(g2, g1)
-            for g3 in d8.elements():
-                assert x.value(d8.mul(g1, g2), g3) == x.value(g1, g3) + x.value(g2, g3)
-
-
-def test_pairing_table_is_total():
-    d8, chi = d8_center_character()
-    x = ct.bicharacter_of(d8, d8.center(), chi)
-    assert len(x.values) == 64
-    assert x.values[(A, B)] == HALF
-
-
-def test_pairing_coset_check_rejects_non_invariant_character():
-    d8 = dihedral(8)
-    rot = d8.subgroup([E, A, A2, A3])
-    chi = [c for c in ct.characters_of_subgroup(rot) if c(A) == QmodZ(1, 4)][0]
-    with pytest.raises(NotInvariant):
-        ct.bicharacter_of(d8, rot, chi)

@@ -267,6 +267,51 @@ def test_groups_are_not_mutated_after_construction():
         assert not found, f"{path.name} sets a group attribute at lines {found}"
 
 
+# Public definitions that nothing in src/ references but that stay, with the
+# reason each one is kept.
+UNREFERENCED_ALLOWED = {
+    "symplectic_basis": "the paper's splitting of G/Z into hyperbolic planes",
+    "check_correcting_ratio": "the paper's ratio formula for the correcting function",
+    "check_homomorphism": "the tests' reference check that Ind(x) Ind(y) = Ind(xy)",
+    "trivial_character": "the tests build trivial characters of subgroups with it",
+}
+
+
+def test_every_public_definition_is_referenced_in_src():
+    """Each public top-level function or class of src/hrep is referenced
+    somewhere in src/ outside its own definition (imports count)."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "hrep").glob("*.py"))
+    }
+
+    def referenced(tree, skip=frozenset()):
+        names = set()
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        return names
+
+    elsewhere = {
+        module: set().union(*(referenced(t) for m, t in trees.items() if m != module))
+        for module in trees
+    }
+    unreferenced = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                inside = {id(n) for n in ast.walk(node)}
+                if node.name not in elsewhere[module] | referenced(tree, inside):
+                    unreferenced.add(node.name)
+    assert unreferenced == set(UNREFERENCED_ALLOWED)
+
+
 # -- file input --------------------------------------------------------------------
 
 
@@ -300,6 +345,28 @@ def test_group_file_missing_keys(tmp_path, capsys):
     path.write_text(json.dumps({"label": "x"}))
     code, _, err = run_cli(capsys, "group-info", "--input", str(path))
     assert code == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize(
+    "payload,error",
+    [
+        ([[0, 1], [1, 0]], "InvalidSpec"),
+        ({"cayley_table": [[0, 1], [1]]}, "NotAGroup"),
+        ({"cayley_table": [["e", "a"], ["a", "e"]]}, "NotAGroup"),
+        ({"cayley_table": [[None]]}, "NotAGroup"),
+        ({"cayley_table": [[0.5]]}, "NotAGroup"),
+        ({"cayley_table": [[0, 1.7], [1.2, 0]]}, "NotAGroup"),
+    ],
+)
+def test_malformed_group_file_is_input_error(tmp_path, capsys, payload, error):
+    """A top-level array, a ragged table or non-integer entries are input
+    errors (exit 2), neither a crash nor a silently truncated table."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith(f"hrep: {error}:")
+    assert out == ""
 
 
 def test_group_file_unreadable(capsys):

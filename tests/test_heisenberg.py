@@ -1,10 +1,10 @@
-"""Pair validation, enumeration, kernel reduction, isotropic subgroups, and
-symplectic bases."""
+"""The commutator pairing, pair validation, enumeration, kernel reduction,
+isotropic subgroups, and symplectic bases."""
 
 import pytest
 
 from hrep import char_theory as ct, heisenberg as hb
-from hrep.char_theory import QmodZ
+from hrep.char_theory import HALF, QmodZ
 from hrep.errors import (
     Degenerate,
     EnumerationBoundExceeded,
@@ -34,6 +34,35 @@ def heis3_pair():
     return [p for p in hb.enumerate_pairs(h3) if p.dim == 3][0]
 
 
+def brute_radical(group, chi):
+    """{g : chi([g, h]) = 0 for every h in G}, by a full scan of G x G."""
+    return tuple(
+        g
+        for g in group.elements()
+        if all(chi(group.commutator(g, h)).is_zero() for h in group.elements())
+    )
+
+
+def is_class_invariant(group, chi):
+    """chi(g z g^-1) == chi(z) for every g in G and z in chi's domain."""
+    return all(
+        chi(group.conjugate(g, z)) == chi(z) for g in group.elements() for z in chi.domain.members
+    )
+
+
+def d8_center_character():
+    d8 = dihedral(8)
+    chi = [c for c in ct.characters_of_subgroup(d8.center()) if not c.is_trivial()][0]
+    return d8, chi
+
+
+def d8_quarter_character_on_rotations():
+    d8 = dihedral(8)
+    rot = d8.subgroup([E, A, A2, A3])
+    chi = [c for c in ct.characters_of_subgroup(rot) if c(A) == QmodZ(1, 4)][0]
+    return d8, rot, chi
+
+
 # -- validation ----------------------------------------------------------------
 
 
@@ -55,6 +84,7 @@ def test_d8_pair_valid():
 def test_d8_trivial_character_degenerate():
     d8 = dihedral(8)
     chi = ct.trivial_character(d8.center())
+    assert brute_radical(d8, chi) == tuple(d8.elements())
     with pytest.raises(Degenerate):
         hb.validate_pair(d8, d8.center(), chi)
 
@@ -83,10 +113,107 @@ def test_validate_rejects_non_invariant():
 
 def test_validated_radical_matches_brute_force():
     """The screened nondegeneracy check agrees with the full radical scan."""
+    for pair in (d8_pair(), heis3_pair()):
+        assert brute_radical(pair.group, pair.chi) == pair.Z.members
+
+
+# -- the commutator pairing and invariance ------------------------------------------
+
+
+def test_pairing_vanishes_on_abelian_groups():
+    g = abelian_group([2, 4])
+    chi = ct.characters_of_abelian(g)[3]
+    pair = hb.validate_pair(g, g.full_subgroup(), chi)
+    assert all(pair.x_value(a, b).is_zero() for a in g.elements() for b in g.elements())
+    assert all(v.is_zero() for v in pair.x_on_quotient.values())
+    assert brute_radical(g, chi) == tuple(g.elements())
+
+
+def test_d8_pairing_value_and_radical():
+    d8, chi = d8_center_character()
+    pair = hb.validate_pair(d8, d8.center(), chi)
+    assert pair.x_value(A, B) == HALF
+    assert brute_radical(d8, chi) == (E, A2) == pair.Z.members
+
+
+def test_heisenberg3_pairing_hits_all_cube_roots():
+    pair = heis3_pair()
+    h3 = pair.group
+    values = {str(pair.x_value(a, b)) for a in h3.elements() for b in h3.elements()}
+    assert values == {"0/1", "1/3", "2/3"}
+
+
+def test_pairing_requires_commutators_in_domain():
+    d8 = dihedral(8)
+    sub = d8.trivial_subgroup()
+    with pytest.raises(NotCoabelian):
+        hb.validate_pair(d8, sub, ct.trivial_character(sub))
+
+
+def test_pairing_is_alternating_and_bimultiplicative():
     pair = d8_pair()
-    assert pair.bicharacter().radical().members == pair.Z.members
-    pair3 = heis3_pair()
-    assert pair3.bicharacter().radical().members == pair3.Z.members
+    d8, x = pair.group, pair.x_value
+    for g1 in d8.elements():
+        assert x(g1, g1).is_zero()
+        for g2 in d8.elements():
+            assert x(g1, g2) == -x(g2, g1)
+            for g3 in d8.elements():
+                assert x(d8.mul(g1, g2), g3) == x(g1, g3) + x(g2, g3)
+
+
+def test_pairing_table_is_total():
+    pair = d8_pair()
+    quot, proj = pair.ambient
+    table = pair.x_on_quotient
+    assert len(table) == quot.order**2 == 16
+    assert table[(proj(A), proj(B))] == HALF
+    for a in pair.group.elements():
+        for b in pair.group.elements():
+            assert table[(proj(a), proj(b))] == pair.x_value(a, b)
+
+
+def test_pairing_coset_check_rejects_non_invariant_character():
+    d8, rot, chi = d8_quarter_character_on_rotations()
+    # the pairing is not constant on cosets of Z: [B, A] = A2 but [B, A*A] = E
+    assert chi(d8.commutator(B, A)) != chi(d8.commutator(B, d8.mul(A, A)))
+    with pytest.raises(NotInvariant):
+        hb.validate_pair(d8, rot, chi)
+
+
+def test_trivial_character_is_invariant():
+    d8 = dihedral(8)
+    rot = d8.subgroup([E, A, A2, A3])
+    chi = ct.trivial_character(rot)
+    assert is_class_invariant(d8, chi)
+    # past the invariance screen, the pairing on G/Z of order 2 is degenerate
+    with pytest.raises(Degenerate):
+        hb.validate_pair(d8, rot, chi)
+
+
+def test_center_characters_are_invariant():
+    d8 = dihedral(8)
+    for chi in ct.characters_of_subgroup(d8.center()):
+        assert is_class_invariant(d8, chi)
+        if chi.is_trivial():
+            with pytest.raises(Degenerate):
+                hb.validate_pair(d8, d8.center(), chi)
+        else:
+            assert hb.validate_pair(d8, d8.center(), chi).dim == 2
+
+
+def test_quarter_character_on_rotations_not_invariant():
+    d8, rot, chi = d8_quarter_character_on_rotations()
+    assert not is_class_invariant(d8, chi)
+    with pytest.raises(NotInvariant):
+        hb.validate_pair(d8, rot, chi)
+
+
+def test_invariance_requires_normal_domain():
+    d8 = dihedral(8)
+    sub = d8.subgroup([E, B])
+    assert any(d8.conjugate(g, B) not in sub for g in d8.elements())
+    with pytest.raises(NotNormal):
+        hb.validate_pair(d8, sub, ct.trivial_character(sub))
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -204,17 +331,15 @@ def test_isotropics_are_isotropic_normal_and_contain_z():
 
 def test_greedy_isotropic_through_d8_elements():
     pair = d8_pair()
-    assert hb.maximal_isotropic_through(pair, A).members == (E, A, A2, A3)
-    assert hb.maximal_isotropic_through(pair, B).members == (E, B, A2, A2B)
+    assert [h.members for h in pair.maximal_isotropics if A in h] == [(E, A, A2, A3)]
+    assert [h.members for h in pair.maximal_isotropics if B in h] == [(E, B, A2, A2B)]
 
 
 def test_greedy_isotropic_covers_every_element():
     for pair in (d8_pair(), heis3_pair()):
-        all_members = {h.members for h in hb.all_maximal_isotropics(pair)}
+        isotropics = hb.all_maximal_isotropics(pair)
         for g in pair.group.elements():
-            found = hb.maximal_isotropic_through(pair, g)
-            assert g in found
-            assert found.members in all_members
+            assert any(g in h for h in isotropics)
 
 
 # -- symplectic bases ---------------------------------------------------------------

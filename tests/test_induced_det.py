@@ -161,7 +161,8 @@ def test_skeleton_matches_induced_matrix_from_definition(name):
 def test_verify_checks_each_object_once(monkeypatch, capsys):
     """Work-count regression: one extension check per table call, one
     kernel reduction, one sign table and one reduced Gallagher table per
-    pair, one untwisted table per twist identity, one skeleton per (G, H)."""
+    pair, one untwisted table per twist identity, one skeleton per (G, H),
+    one quotient G/H per maximal isotropic in isotropic independence."""
     extension_checks = [0]
     real_require = idet._require_extension
 
@@ -192,6 +193,22 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
 
         return wrapper
 
+    quotients = [0]
+    real_quotient = FiniteGroup.quotient
+
+    def counting_quotient(*args, **kwargs):
+        quotients[0] += 1
+        return real_quotient(*args, **kwargs)
+
+    quotients_per_independence = []
+
+    def counting_independence(pair):
+        isotropics = pair.maximal_isotropics
+        before = quotients[0]
+        result = idet.isotropic_independence(pair)
+        quotients_per_independence.append((quotients[0] - before, len(isotropics)))
+        return result
+
     checks_per_twist, checks_per_identity = [], []
     checks_per_table = {"induced_matrices": [], "direct_table": [], "gallagher_table": []}
 
@@ -211,6 +228,8 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         cli, "twist_identity", counting(idet.twist_identity, checks_per_identity)
     )
     monkeypatch.setattr(FiniteGroup, "_build_skeleton", counting_build)
+    monkeypatch.setattr(FiniteGroup, "quotient", counting_quotient)
+    monkeypatch.setattr(cli, "isotropic_independence", counting_independence)
     for name, log in checks_per_table.items():
         monkeypatch.setattr(idet, name, counting(getattr(idet, name), log))
 
@@ -234,6 +253,9 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     assert len(checks_per_table["gallagher_table"]) == report["n_pairs"] + n_extensions
     assert len(reductions) == report["n_pairs"]
     assert skeleton_builds and set(skeleton_builds.values()) == {1}
+    assert len(quotients_per_independence) == report["n_pairs"]
+    for n_quotients, n_isotropics in quotients_per_independence:
+        assert n_quotients == n_isotropics
 
 
 def test_rejects_non_extension():
@@ -499,6 +521,17 @@ def test_isotropic_independence_linear_pair():
     assert report.stats["n_extensions_total"] == 1
 
 
+def test_isotropic_independence_requires_the_isotropics_to_cover_the_group():
+    """Placing every element needs the whole isotropic list: a pair whose
+    cached list misses part of G fails the coverage check."""
+    pair = pair_of(dihedral(8), 2)
+    pair.__dict__["maximal_isotropics"] = pair.maximal_isotropics[:1]
+    uncovered = [g for g in pair.group.elements() if g not in pair.maximal_isotropics[0]]
+    assert uncovered
+    with pytest.raises(IdentityFailed):
+        idet.isotropic_independence(pair)
+
+
 # -- twisting -----------------------------------------------------------------------------
 
 
@@ -549,6 +582,12 @@ def test_twist_rejects_non_characters():
     pair = pair_of(dihedral(8), 2)
     with pytest.raises(NotACharacter):
         idet.twist(pair, pair.chi)  # wrong domain
+    d8 = pair.group
+    not_multiplicative = ct.LinearCharacter(
+        d8.full_subgroup(), tuple(HALF if g == A else ZERO for g in d8.elements())
+    )
+    with pytest.raises(NotACharacter):
+        idet.twist(pair, not_multiplicative)
 
 
 def test_trivializing_twist_exists_iff_expected():

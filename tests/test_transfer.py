@@ -292,7 +292,7 @@ def test_correcting_function_constant_on_square_commutator_cosets():
     d8 = dihedral(8)
     sub = rotations(d8)
     cf = tr.correcting_function(d8, sub)
-    s = tr.squares_commutators_subgroup(d8)
+    s = tr.squares_times(d8, d8.commutator_subgroup())
     _, pos = d8.coset_positions(s)
     seen = {}
     for g in d8.elements():
