@@ -130,6 +130,18 @@ def test_kernel_examples():
     assert half.kernel().members == (0, 2)
 
 
+def test_d8_trivial_character_degenerate():
+    # The trivial character of Z(D8) kills every commutator, so the pairing
+    # chi([g, h]) it induces has all of D8 as its radical.
+    d8 = dihedral(8)
+    chi = ct.trivial_character(d8.center())
+    assert chi.is_trivial()
+    radical = tuple(
+        g for g in d8.elements() if all(chi(d8.commutator(g, h)).is_zero() for h in d8.elements())
+    )
+    assert radical == tuple(d8.elements())
+
+
 # -- extension ------------------------------------------------------------------------
 
 
