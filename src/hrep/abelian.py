@@ -8,6 +8,7 @@ decomposition as an internal direct product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import NotAbelian, math_check as _math_check
@@ -29,6 +30,7 @@ class AbelianDecomposition:
     factors: tuple[int, ...]
     generators: tuple[int, ...]
 
+    @cached_property
     def exponent_coordinates(self) -> dict[int, tuple[int, ...]]:
         """element id -> exponent tuple (a_1, ..., a_s); bijective by construction."""
         g = self.group
@@ -53,34 +55,37 @@ def decompose(group: FiniteGroup) -> AbelianDecomposition:
     """Invariant-factor decomposition with explicit generators.
 
     Repeatedly split off a cyclic subgroup generated by an element of
-    maximal order; the complement is found by exhaustive search over
-    subgroups that meet the cyclic part trivially and have complementary
-    order. Every order in the complement divides the maximal order, so
-    recursion yields the ascending chain directly.
+    maximal order; the complement is the first member of the group's
+    subgroup lattice, listed once, that lies in the current complement,
+    meets the cyclic part trivially and has complementary order. Every
+    order in the complement divides the maximal order, so the loop yields
+    the ascending chain directly.
     """
     _require_abelian(group)
+    lattice = group.all_subgroups(max_order=DECOMPOSE_VERIFY_BOUND)
     factors_desc: list[int] = []
     generators_desc: list[int] = []
 
-    current = group
-    to_ambient = tuple(range(group.order))
-    while current.order > 1:
-        orders = [current.element_order(x) for x in current.elements()]
+    current = lattice[-1]
+    while len(current) > 1:
+        orders = [group.element_order(x) for x in current.members]
         m = max(orders)
-        t = orders.index(m)
+        t = current.members[orders.index(m)]
         factors_desc.append(m)
-        generators_desc.append(to_ambient[t])
-        cyc = set(current.subgroup_generated([t]).members)
-        want = current.order // m
-        complement = None
-        for sub in current.all_subgroups(max_order=DECOMPOSE_VERIFY_BOUND):
-            if len(sub) == want and len(cyc & set(sub.members)) == 1:
-                complement = sub
-                break
-        _math_check(complement is not None, "maximal-order cyclic factor must split off")
-        grp, local_to_parent = complement.as_group
-        to_ambient = tuple(to_ambient[p] for p in local_to_parent)
-        current = grp
+        generators_desc.append(t)
+        cyc = set(group.subgroup_generated([t]).members)
+        want = len(current) // m
+        current = next(
+            (
+                sub
+                for sub in lattice
+                if len(sub) == want
+                and current.contains_subgroup(sub)
+                and cyc.intersection(sub.members) == {group.identity_id}
+            ),
+            None,
+        )
+        _math_check(current is not None, "maximal-order cyclic factor must split off")
 
     factors = tuple(reversed(factors_desc))
     generators = tuple(reversed(generators_desc))
@@ -93,7 +98,7 @@ def decompose(group: FiniteGroup) -> AbelianDecomposition:
     for m, t in zip(factors, generators):
         _math_check(group.element_order(t) == m, f"generator {t} must have order {m}")
     if group.order <= DECOMPOSE_VERIFY_BOUND:
-        coords = dec.exponent_coordinates()
+        coords = dec.exponent_coordinates
         _math_check(len(coords) == group.order, "expression by generator powers is not unique")
     return dec
 

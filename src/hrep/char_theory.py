@@ -130,9 +130,6 @@ class LinearCharacter:
             tuple(m for m in self.domain.members if self(m).is_zero()),
         )
 
-    def is_trivial(self) -> bool:
-        return all(q.is_zero() for q in self.exps)
-
     def restrict(self, sub: Subgroup) -> "LinearCharacter":
         return LinearCharacter(sub, tuple(self(m) for m in sub.members))
 
@@ -168,7 +165,7 @@ def characters_of_abelian(group: FiniteGroup) -> list[LinearCharacter]:
             f"|A|={group.order} exceeds character enumeration bound {CHARACTER_ENUM_BOUND}"
         )
     dec = decompose(group)
-    coords = dec.exponent_coordinates()
+    coords = dec.exponent_coordinates
     domain = group.full_subgroup()
     chars = []
     for idx in product(*[range(m) for m in dec.factors]):
@@ -184,20 +181,12 @@ def characters_of_abelian(group: FiniteGroup) -> list[LinearCharacter]:
 
 def characters_of_subgroup(sub: Subgroup) -> list[LinearCharacter]:
     """All linear characters of a subgroup (through its abelianization)."""
-    grp, to_parent = sub.as_group
-    derived = grp.commutator_subgroup()
-    if len(derived) == 1:
-        base_chars = characters_of_abelian(grp)
-        lift = list(range(grp.order))
-    else:
-        quot, proj = grp.quotient(derived)
-        base_chars = characters_of_abelian(quot)
-        lift = list(proj.map)
-    result = []
-    for chi in base_chars:
-        exps = tuple(chi(lift[i]) for i in range(grp.order))
-        result.append(LinearCharacter(sub, exps))
-    return result
+    grp, _ = sub.as_group
+    quot, proj = grp.abelianization
+    return [
+        LinearCharacter(sub, tuple(chi(proj(x)) for x in grp.elements()))
+        for chi in characters_of_abelian(quot)
+    ]
 
 
 def linear_characters(group: FiniteGroup) -> list[LinearCharacter]:

@@ -65,6 +65,8 @@ def load_group(config: RunConfig) -> FiniteGroup:
     if not isinstance(data, dict):
         raise InvalidSpec("group file must hold a JSON object")
     label = data.get("label", "G")
+    if not isinstance(label, str):
+        raise InvalidSpec(f"group file 'label' must be a string, got {label!r}")
     if "cayley_table" in data:
         return from_cayley_table(data["cayley_table"], label=label, seed=config.seed)
     if "construct" in data:

@@ -41,7 +41,7 @@ SPOT_CHECK_TRIPLES = 100_000
 SUBGROUP_ENUM_BOUND = 256
 
 
-def _validate_table(table: np.ndarray, assoc_bound: int, seed: int):
+def _validate_table(table: np.ndarray, seed: int):
     """Check the group axioms, returning (identity, inverse, fully_validated)."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup(f"table has shape {table.shape}, expected square")
@@ -76,7 +76,7 @@ def _validate_table(table: np.ndarray, assoc_bound: int, seed: int):
             raise NotAGroup(f"element {i} has no two-sided inverse")
         inverse[i] = js[0]
 
-    if n <= assoc_bound:
+    if n <= ASSOC_CHECK_BOUND:
         for i in range(n):
             lhs = table[table[i], :]
             rhs = table[i][table]
@@ -106,16 +106,14 @@ def _validate_table(table: np.ndarray, assoc_bound: int, seed: int):
 class FiniteGroup:
     """A finite group given by its Cayley table, ``table[i][j] = g_i * g_j``."""
 
-    def __init__(
-        self, table, label="G", *, coset_reps=None, assoc_bound=ASSOC_CHECK_BOUND, seed=0
-    ):
+    def __init__(self, table, label="G", *, coset_reps=None, seed=0):
         """``coset_reps``, set by ``quotient``, maps each quotient element to
         the minimal id of its coset in the parent group."""
         try:
             arr = np.asarray(table)
         except ValueError as exc:
             raise NotAGroup("table rows must all have the same length") from exc
-        identity, inverse, fully = _validate_table(arr, assoc_bound, seed)
+        identity, inverse, fully = _validate_table(arr, seed)
         arr = arr.astype(np.int64, copy=False)
         self.order: int = int(arr.shape[0])
         self.table: list[list[int]] = [[int(v) for v in row] for row in arr]
@@ -222,14 +220,22 @@ class FiniteGroup:
         classes = self.conjugacy_classes
         return classes[self._class_of[x]]
 
-    @cached_property
+    @property
     def abelianization(self) -> tuple["FiniteGroup", "GroupHom"]:
+        """G/[G,G] and its projection; an abelian group is its own.
+
+        Only the quotient is cached: caching (self, identity) would make
+        every abelian group a reference cycle that waits for the collector.
+        """
+        if self.is_abelian:
+            return self, GroupHom(self, self, tuple(range(self.order)))
+        return self._abelianization
+
+    @cached_property
+    def _abelianization(self) -> tuple["FiniteGroup", "GroupHom"]:
         return self.quotient(self.commutator_subgroup())
 
     # -- subgroup machinery ---------------------------------------------------
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (self.identity_id,))
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, tuple(range(self.order)))
@@ -322,9 +328,6 @@ class FiniteGroup:
         ordered = sorted(seen, key=lambda m: (len(m), m))
         return [Subgroup(self, m) for m in ordered]
 
-    def normal_subgroups(self, max_order: int = SUBGROUP_ENUM_BOUND) -> list["Subgroup"]:
-        return [sub for sub in self.all_subgroups(max_order) if self.is_normal(sub)]
-
     def quotient(self, normal: "Subgroup", label: str | None = None):
         """Quotient by a normal subgroup.
 
@@ -347,11 +350,6 @@ class FiniteGroup:
         qlabel = label if label is not None else f"{self.label}/{{{len(normal)}}}"
         quot = FiniteGroup(qtable, label=qlabel, coset_reps=reps)
         return quot, GroupHom(self, quot, coset_of)
-
-    def left_transversal(self, sub: "Subgroup") -> list[int]:
-        """Minimal id in each left coset g*H, listed in ascending order."""
-        transversal, _ = self.coset_positions(sub)
-        return list(transversal)
 
     def coset_positions(self, sub: "Subgroup"):
         """(transversal, pos) with pos[x] = index of the coset x*H."""
@@ -567,9 +565,9 @@ class GroupHom:
 # -- constructors --------------------------------------------------------------
 
 
-def from_cayley_table(table, label="G", *, assoc_bound=ASSOC_CHECK_BOUND, seed=0) -> FiniteGroup:
+def from_cayley_table(table, label="G", *, seed=0) -> FiniteGroup:
     """Validate a raw Cayley table and wrap it as a FiniteGroup."""
-    return FiniteGroup(table, label=label, assoc_bound=assoc_bound, seed=seed)
+    return FiniteGroup(table, label=label, seed=seed)
 
 
 def cyclic(n: int) -> FiniteGroup:

@@ -21,6 +21,9 @@ from . import abelian
 from .errors import PreconditionFailed, math_check as _math_check
 from .group_core import FiniteGroup, Subgroup
 
+# Randomly shifted transversals tried by transversal_independence_check.
+TRANSVERSAL_TRIALS = 10
+
 
 @dataclass
 class CheckReport:
@@ -117,7 +120,7 @@ def transfer_values_with_transversal(
 
 
 def transversal_independence_check(
-    group: FiniteGroup, sub: Subgroup, *, trials: int = 10, seed: int = 0
+    group: FiniteGroup, sub: Subgroup, *, seed: int = 0
 ) -> CheckReport:
     """Recompute transfer with randomly H-shifted transversals; values must agree."""
     base_t, _ = group.coset_positions(sub)
@@ -126,9 +129,9 @@ def transversal_independence_check(
     report = CheckReport(
         "transversal_independence",
         True,
-        stats={"group": group.label, "subgroup_order": len(sub), "trials": trials},
+        stats={"group": group.label, "subgroup_order": len(sub), "trials": TRANSVERSAL_TRIALS},
     )
-    for trial in range(trials):
+    for trial in range(TRANSVERSAL_TRIALS):
         shifted = [group.mul(t, rng.choice(sub.members)) for t in base_t]
         values = transfer_values_with_transversal(group, sub, shifted)
         for g, (got, want) in enumerate(zip(values, reference)):
@@ -249,7 +252,7 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
         want = group.mul(group.pow(h, d), group.commutator(h, alpha_lift))
         _math_check(values[h] == want, f"subgroup formula fails at h={h}")
 
-    coords = dec.exponent_coordinates()
+    coords = dec.exponent_coordinates
     for g in group.elements():
         tup = coords[proj(g)]
         base = e

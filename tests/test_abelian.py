@@ -1,6 +1,7 @@
 """Invariant factors, Miller products, 2-rank, and involution counting."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hrep import abelian
 from hrep.errors import NotAbelian
-from hrep.group_core import abelian_group, cyclic, dihedral, heisenberg_mod
+from hrep.group_core import FiniteGroup, abelian_group, cyclic, dihedral, heisenberg_mod
 
 
 def order_census(group):
@@ -58,8 +59,67 @@ def test_decompose_generators_realize_the_factors():
             assert g.element_order(t) == m
         for a, b in zip(dec.factors, dec.factors[1:]):
             assert b % a == 0
-        coords = dec.exponent_coordinates()
+        coords = dec.exponent_coordinates
         assert len(coords) == g.order  # unique expression
+
+
+def complement_search_decompose(group):
+    """The earlier decomposition, kept as the reference: split off <t> for
+    the lowest-id t of maximal order, take the first subgroup of the
+    complementary order that meets <t> trivially, rebuild it as a standalone
+    group and recurse. Returns (factors, generators) in ascending order."""
+    if group.order == 1:
+        return (), ()
+    orders = [group.element_order(x) for x in group.elements()]
+    m = max(orders)
+    t = orders.index(m)
+    cyc = set(group.subgroup_generated([t]).members)
+    complement = next(
+        sub
+        for sub in group.all_subgroups(max_order=abelian.DECOMPOSE_VERIFY_BOUND)
+        if len(sub) == group.order // m and cyc & set(sub.members) == {group.identity_id}
+    )
+    local, to_parent = complement.as_group
+    factors, generators = complement_search_decompose(local)
+    return factors + (m,), tuple(to_parent[x] for x in generators) + (t,)
+
+
+def test_decompose_matches_the_complement_search(relabel):
+    """One subgroup lattice per decomposition picks the same generators as
+    the recursive search, on the zoo and on relabellings whose identity is
+    not element 0."""
+    for g in abelian_zoo():
+        copies = [g]
+        for seed in (1, 2):
+            sigma = list(range(g.order))
+            random.Random(f"{g.label}:{seed}").shuffle(sigma)
+            copies.append(relabel(g, sigma))
+        for group in copies:
+            dec = abelian.decompose(group)
+            assert (dec.factors, dec.generators) == complement_search_decompose(group)
+
+
+def test_decompose_lists_one_lattice_and_builds_no_group(monkeypatch, relabel):
+    groups = [abelian_group([2, 2, 2, 2]), abelian_group([2, 4, 3]), abelian_group([3, 9])]
+    groups.append(relabel(groups[0], list(reversed(range(16)))))
+    lattices, built = [], []
+    real_init, real_all = FiniteGroup.__init__, FiniteGroup.all_subgroups
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def counting_all(self, *args, **kwargs):
+        lattices.append(self)
+        return real_all(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    monkeypatch.setattr(FiniteGroup, "all_subgroups", counting_all)
+    for group in groups:
+        lattices.clear()
+        abelian.decompose(group)
+        assert lattices == [group]
+    assert built == []
 
 
 def test_decompose_rejects_nonabelian():

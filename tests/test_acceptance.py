@@ -301,12 +301,12 @@ def test_acceptance_08a_transversal_independence():
         if group.order > 64 or group.is_abelian:
             continue
         for sub in tr.transfer_instances(group):
-            report = tr.transversal_independence_check(group, sub, trials=10, seed=2024)
+            report = tr.transversal_independence_check(group, sub, seed=2024)
             assert report.passed, (group.label, report.counterexamples[:3])
             instances += 1
     for group in (cyclic(12), cyclic(64), direct_product(cyclic(4), cyclic(6))):
         for sub in group.all_subgroups():
-            report = tr.transversal_independence_check(group, sub, trials=10, seed=2024)
+            report = tr.transversal_independence_check(group, sub, seed=2024)
             assert report.passed
             instances += 1
     assert instances > 50

@@ -268,18 +268,21 @@ def test_groups_are_not_mutated_after_construction():
 
 
 # Public definitions that nothing in src/ references but that stay, with the
-# reason each one is kept.
+# reason each one is kept; methods are named Class.method.
 UNREFERENCED_ALLOWED = {
     "symplectic_basis": "the paper's splitting of G/Z into hyperbolic planes",
     "check_correcting_ratio": "the paper's ratio formula for the correcting function",
     "check_homomorphism": "the tests' reference check that Ind(x) Ind(y) = Ind(xy)",
     "trivial_character": "the tests build trivial characters of subgroups with it",
+    "FiniteGroup.subgroup": "validated construction of a subgroup from an explicit member list",
+    "QmodZ.parse": "the inverse of the report format, which the tests parse",
 }
 
 
 def test_every_public_definition_is_referenced_in_src():
-    """Each public top-level function or class of src/hrep is referenced
-    somewhere in src/ outside its own definition (imports count)."""
+    """Each public top-level function or class of src/hrep, and each public
+    method of those classes, is referenced somewhere in src/ outside its own
+    definition (imports count)."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((SRC / "hrep").glob("*.py"))
@@ -302,13 +305,23 @@ def test_every_public_definition_is_referenced_in_src():
         module: set().union(*(referenced(t) for m, t in trees.items() if m != module))
         for module in trees
     }
+    definition = (ast.FunctionDef, ast.ClassDef)
     unreferenced = set()
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                inside = {id(n) for n in ast.walk(node)}
-                if node.name not in elsewhere[module] | referenced(tree, inside):
-                    unreferenced.add(node.name)
+            if not isinstance(node, definition) or node.name.startswith("_"):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+            for name, item in members:
+                inside = {id(n) for n in ast.walk(item)}
+                if item.name not in elsewhere[module] | referenced(tree, inside):
+                    unreferenced.add(name)
     assert unreferenced == set(UNREFERENCED_ALLOWED)
 
 
@@ -366,6 +379,23 @@ def test_malformed_group_file_is_input_error(tmp_path, capsys, payload, error):
     code, out, err = run_cli(capsys, "verify", "--input", str(path))
     assert code == EXIT_INPUT_ERROR
     assert err.startswith(f"hrep: {error}:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("label", (["a"], 3, None))
+@pytest.mark.parametrize("source", ("cayley_table", "construct"))
+def test_non_string_label_is_input_error(tmp_path, capsys, label, source):
+    """The label is printed as the report's group name, so anything but a
+    string is an input error rather than a list or number in the output."""
+    body = {
+        "cayley_table": [[0, 1], [1, 0]],
+        "construct": {"family": "cyclic", "params": {"n": 2}},
+    }[source]
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps({"label": label, source: body}))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("hrep: InvalidSpec:")
     assert out == ""
 
 

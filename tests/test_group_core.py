@@ -1,8 +1,12 @@
 """Group construction, element arithmetic, and subgroup machinery."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hrep
 from hrep.errors import EnumerationBoundExceeded, InvalidSpec, NotAGroup, NotNormal
 from hrep.group_core import (
     abelian_group,
@@ -183,9 +187,9 @@ def test_direct_product_table_is_mixed_radix():
 
 def test_quotient_records_coset_representatives():
     d8 = dihedral(8)
-    for normal in d8.normal_subgroups():
+    for normal in [s for s in d8.all_subgroups() if d8.is_normal(s)]:
         q, proj = d8.quotient(normal)
-        assert list(q.coset_reps) == d8.left_transversal(normal)
+        assert list(q.coset_reps) == list(d8.coset_positions(normal)[0])
         assert [proj(r) for r in q.coset_reps] == list(q.elements())
         proj.validate()
     assert d8.coset_reps is None
@@ -272,6 +276,23 @@ def test_builtin_name_is_the_label(name):
     assert from_name(name).label == name
 
 
+def test_benchmark_group_names_build_the_builtin_groups():
+    """The benchmark spells its groups in the --builtin grammar but builds
+    them with its own parser; both must give the same table and label.
+    perfbench/workloads.py is loaded read-only from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    names = sorted(
+        {cmd.group for w in workloads.WORKLOADS.values() for cmd in w.commands if cmd.group}
+    )
+    assert names
+    for name in names:
+        built, builtin = workloads.build_group(hrep, name), from_name(name)
+        assert (built.label, built.table) == (builtin.label, builtin.table), name
+
+
 @pytest.mark.parametrize("name", ("heisx", "ab:2,x", "es_p3_exp_p2:", "prod:d8,heis"))
 def test_malformed_builtin_number_is_invalid_spec(name):
     with pytest.raises(InvalidSpec):
@@ -354,7 +375,8 @@ def test_all_subgroups_matches_brute_force():
 
 
 def test_normal_subgroups_of_z4():
-    subs = cyclic(4).normal_subgroups()
+    z4 = cyclic(4)
+    subs = [s for s in z4.all_subgroups() if z4.is_normal(s)]
     assert [s.members for s in subs] == [(0,), (0, 2), (0, 1, 2, 3)]
 
 
@@ -381,7 +403,7 @@ def test_subgroup_validation():
 
 def test_quotient_by_trivial_is_isomorphic_copy():
     d8 = dihedral(8)
-    q, proj = d8.quotient(d8.trivial_subgroup())
+    q, proj = d8.quotient(d8.subgroup([d8.identity_id]))
     assert q.order == 8
     assert list(proj.map) == list(d8.elements())
     proj.validate()
@@ -411,15 +433,15 @@ def test_quotient_requires_normal():
 
 def test_left_transversal_examples():
     d8 = dihedral(8)
-    assert d8.left_transversal(d8.full_subgroup()) == [E]
-    assert d8.left_transversal(d8.trivial_subgroup()) == list(d8.elements())
-    assert d8.left_transversal(d8.subgroup([E, A, A2, A3])) == [E, B]
+    assert list(d8.coset_positions(d8.full_subgroup())[0]) == [E]
+    assert list(d8.coset_positions(d8.subgroup([d8.identity_id]))[0]) == list(d8.elements())
+    assert list(d8.coset_positions(d8.subgroup([E, A, A2, A3]))[0]) == [E, B]
 
 
 def test_transversal_covers_each_coset_once():
     h3 = heisenberg_mod(3)
     sub = h3.center()
-    transversal = h3.left_transversal(sub)
+    transversal = list(h3.coset_positions(sub)[0])
     cosets = [frozenset(h3.mul(t, h) for h in sub.members) for t in transversal]
     assert len(set(cosets)) == len(transversal) == h3.order // len(sub)
     union = set().union(*cosets)
