@@ -163,7 +163,7 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
         return epsilon_case_report(det)
 
     for j, pair in enumerate(pairs):
-        run(f"oracle_equivalence[{j}]", lambda q=pair: oracle_equivalence_report(q, seed=config.seed))
+        run(f"oracle_equivalence[{j}]", lambda q=pair: oracle_equivalence_report(q))
         run(f"epsilon_case_split[{j}]", lambda q=pair: epsilon_split(q))
         run(f"isotropic_independence[{j}]", lambda q=pair: isotropic_independence(q.reduction[0]))
         run(f"twist_identity[{j}]", lambda q=pair: twist_identity(q, omegas))

@@ -63,7 +63,12 @@ class Degenerate(HrepError):
 
 
 class NotACharacter(HrepError):
-    """A value map is not a multiplicative character."""
+    """A value map is not a multiplicative character; ``witness`` is a
+    pair (x, y) with chi(xy) != chi(x) + chi(y), when the failure has one."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class PreconditionFailed(HrepError):

@@ -163,6 +163,12 @@ class FiniteGroup:
         t = self.table
         return t[t[t[x][y]][self.inverse[x]]][self.inverse[y]]
 
+    def commutator_table(self, xs, ys) -> np.ndarray:
+        """``[x, y]`` for every x in xs (rows) and y in ys (columns)."""
+        t, inv = self._np_table, np.asarray(self.inverse)
+        xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+        return t[t[t[np.ix_(xs, ys)], inv[xs][:, None]], inv[ys][None, :]]
+
     def elements(self) -> range:
         return range(self.order)
 

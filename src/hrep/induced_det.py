@@ -18,6 +18,9 @@ transfer products that the group caches once per subgroup, and each call
 checks the character extension once. The closed form ``det_formula`` is
 evaluated per element.
 
+The sign defect and the determinant's multiplicativity are checked on
+all |G|^2 pairs as integer tables.
+
 Signs live in QmodZ as 1/2, so the whole pipeline stays in one exact
 value domain. The closed form requires a kernel-reduced pair and
 refuses anything else, making the reduction step explicit in the API.
@@ -25,8 +28,9 @@ refuses anything else, making the reduction step explicit in the API.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import abelian
 from .char_theory import (
@@ -36,9 +40,11 @@ from .char_theory import (
     QmodZ,
     extend_character_all,
     linear_characters,
+    residues,
 )
 from .errors import (
     DimMismatch,
+    IdentityFailed,
     InvalidPrime,
     KernelNotReduced,
     NotACharacter,
@@ -61,11 +67,6 @@ from .heisenberg import (
     validate_pair,
 )
 from .transfer import CheckReport, correcting_function
-
-# Checks over pairs of elements run exhaustively up to this group order,
-# and on this many seeded random pairs above it.
-EXHAUSTIVE_BOUND = 64
-SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,13 @@ def _require_extension(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharact
 def _require_isotropic(pair: HeisenbergPair, sub: Subgroup) -> None:
     if not sub.contains_subgroup(pair.Z) or sub.index() != pair.dim:
         raise PreconditionFailed("H must contain Z with index dim in G")
-    for a in sub.members:
-        for b in sub.members:
-            if not pair.x_value(a, b).is_zero():
-                raise PreconditionFailed(f"H is not isotropic at ({a},{b})")
+    # X(a, b) = chi([a, b]) vanishes exactly on commutators in Ker(chi)
+    in_kernel = np.zeros(pair.group.order, dtype=bool)
+    in_kernel[list(pair.chi.kernel().members)] = True
+    bad = np.argwhere(~in_kernel[pair.group.commutator_table(sub.members, sub.members)])
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise PreconditionFailed(f"H is not isotropic at ({sub.members[i]},{sub.members[j]})")
 
 
 def induced_matrices(
@@ -156,35 +160,23 @@ def direct_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) ->
     return [monomial_det(m) for m in induced_matrices(pair, sub, chi_h)]
 
 
-def _element_pairs(group: FiniteGroup, seed: int) -> list[tuple[int, int]]:
-    """Every pair of elements up to EXHAUSTIVE_BOUND, else SAMPLES seeded pairs."""
-    if group.order <= EXHAUSTIVE_BOUND:
-        return [(x, y) for x in group.elements() for y in group.elements()]
-    rng = random.Random(seed)
-    n = group.order
-    return [(rng.randrange(n), rng.randrange(n)) for _ in range(SAMPLES)]
-
-
 def check_homomorphism(
-    pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter, *, seed: int = 0
+    pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter
 ) -> CheckReport:
-    """Certify Ind(g1) Ind(g2) = Ind(g1 g2), exhaustively on small groups
-    and on seeded random pairs above the bound."""
+    """Certify Ind(g1) Ind(g2) = Ind(g1 g2) on every pair of elements."""
     group = pair.group
     matrices = induced_matrices(pair, sub, chi_h)
-    pairs = _element_pairs(group, seed)
-    mode = "exhaustive" if group.order <= EXHAUSTIVE_BOUND else "sampled"
     report = CheckReport(
         "induced_representation_homomorphism",
         True,
-        stats={"group": group.label, "mode": mode, "pairs": len(pairs), "seed": seed},
+        stats={"group": group.label, "pairs": group.order**2},
     )
-    for x, y in pairs:
-        product = monomial_mul(matrices[x], matrices[y])
-        image = matrices[group.mul(x, y)]
-        if product != image:
-            report.passed = False
-            report.counterexamples.append({"g": [x, y], "lhs": str(product), "rhs": str(image)})
+    for x in group.elements():
+        for y in group.elements():
+            product = monomial_mul(matrices[x], matrices[y])
+            image = matrices[group.mul(x, y)]
+            if product != image:
+                report.fail(g=[x, y], lhs=str(product), rhs=str(image))
     return report
 
 
@@ -260,15 +252,22 @@ def epsilon_table(pair: HeisenbergPair, sub: Subgroup) -> dict[int, QmodZ]:
     d = pair.dim
     if d % 2 == 1:
         _math_check(all(v.is_zero() for v in table.values()), "eps must be trivial for odd dim")
-    else:
-        half_d = d // 2
-        for g1 in group.elements():
-            for g2 in group.elements():
-                defect = table[g1] + table[g2] - table[group.mul(g1, g2)]
-                _math_check(
-                    defect == pair.x_value(g1, g2).scale(half_d),
-                    f"sign defect identity fails at ({g1},{g2})",
-                )
+        return table
+    # both sides as residues mod N; X(g1, g2) = chi([g1, g2]) with [G,G] inside Z
+    n = group.order
+    common, values = residues([*table.values(), *pair.chi.exps])
+    eps = values[:n]
+    chi = np.zeros(n, dtype=np.int64)
+    chi[list(pair.Z.members)] = values[n:]
+    lhs = (eps[:, None] + eps[None, :] - eps[group._np_table]) % common
+    rhs = (d // 2) * chi[group.commutator_table(group.elements(), group.elements())] % common
+    bad = np.argwhere(lhs != rhs)
+    if bad.size:
+        g1, g2 = bad[0].tolist()
+        raise IdentityFailed(
+            f"sign defect identity fails at ({g1},{g2}): "
+            f"{QmodZ(int(lhs[g1, g2]), common)} != {QmodZ(int(rhs[g1, g2]), common)}"
+        )
     return table
 
 
@@ -296,13 +295,8 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
             if reference is None:
                 reference = table
             elif table != reference:
-                report.passed = False
-                for g in group.elements():
-                    if table[g] != reference[g]:
-                        report.counterexamples.append(
-                            {"g": g, "lhs": str(table[g]), "rhs": str(reference[g])}
-                        )
-                        break
+                g = next(g for g in group.elements() if table[g] != reference[g])
+                report.fail(g=g, lhs=str(table[g]), rhs=str(reference[g]))
 
         # placement reformulation through the Miller product of G/H
         quot, _ = group.quotient(sub)
@@ -310,15 +304,12 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
         for g in sub.members:
             expected = pair.chi(group.pow(g, pair.dim)) + pair.x_value(g, alpha_lift)
             if reference[g] != expected:
-                report.passed = False
-                report.counterexamples.append(
-                    {
-                        "g": g,
-                        "H": list(sub.members),
-                        "lhs": str(reference[g]),
-                        "rhs": str(expected),
-                        "identity": "miller",
-                    }
+                report.fail(
+                    g=g,
+                    H=list(sub.members),
+                    lhs=str(reference[g]),
+                    rhs=str(expected),
+                    identity="miller",
                 )
     placed = set().union(*(sub.members for sub in pair.maximal_isotropics))
     _math_check(len(placed) == group.order, "the maximal isotropics must cover G")
@@ -476,14 +467,15 @@ def build_det_report(pair: HeisenbergPair) -> DetReport:
     return DetReport(reduced, sub, rows, rk2, _case_label(rk2), all_agree)
 
 
-def oracle_equivalence_report(pair: HeisenbergPair, *, seed: int = 0) -> CheckReport:
+def oracle_equivalence_report(pair: HeisenbergPair) -> CheckReport:
     """Compare all three determinant routes on every maximal isotropic,
     every character extension, and every group element.
 
     The direct and Gallagher determinants are computed on the original
     pair; the closed form on the kernel reduction, pulled back through
-    the projection. Also certifies that the common determinant is a
-    character and that the scalar subgroup acts by scalar matrices.
+    the projection. Also certifies, on every pair of elements, that the
+    common determinant is a character, and that the scalar subgroup acts
+    by scalar matrices.
     """
     group = pair.group
     reduced, proj = pair.reduction
@@ -508,41 +500,32 @@ def oracle_equivalence_report(pair: HeisenbergPair, *, seed: int = 0) -> CheckRe
             for g in group.elements():
                 dd, dg, df = direct[g], gallagher[g], formula[g]
                 if not (dd == dg == df):
-                    report.passed = False
-                    if len(report.counterexamples) < 10:
-                        report.counterexamples.append(
-                            {
-                                "g": g,
-                                "lhs": str(dd),
-                                "rhs": str(df),
-                                "gallagher": str(dg),
-                                "H": list(sub.members),
-                            }
-                        )
+                    report.fail(
+                        g=g, lhs=str(dd), rhs=str(df), gallagher=str(dg), H=list(sub.members)
+                    )
             if common is None:
                 common = direct
             for z in pair.Z.members:
                 matrix = matrices[z]
                 if not (matrix.is_scalar() and matrix.exps[0] == pair.chi(z)):
-                    report.passed = False
-                    report.counterexamples.append(
-                        {"g": z, "lhs": "non-scalar", "rhs": str(pair.chi(z))}
-                    )
+                    report.fail(g=z, lhs="non-scalar", rhs=str(pair.chi(z)), identity="scalar")
 
     _math_check(common is not None, "a pair has at least one maximal isotropic")
     if pair.dim == 1:
         # a 1x1 induced table is chi itself, whose multiplicativity was
         # verified exhaustively at validation time
-        if common != [pair.chi(g) for g in group.elements()]:
-            report.passed = False
-            report.counterexamples.append({"g": -1, "lhs": "det", "rhs": "chi"})
+        g = next((g for g in group.elements() if common[g] != pair.chi(g)), None)
+        if g is not None:
+            report.fail(g=g, lhs=str(common[g]), rhs=str(pair.chi(g)), identity="character")
         return report
-    for x, y in _element_pairs(group, seed):
-        if common[group.mul(x, y)] != common[x] + common[y]:
-            report.passed = False
-            report.counterexamples.append(
-                {"g": [x, y], "lhs": str(common[group.mul(x, y)]), "rhs": str(common[x] + common[y])}
-            )
+    try:
+        LinearCharacter(group.full_subgroup(), tuple(common)).validate()
+    except NotACharacter as exc:
+        x, y = exc.witness
+        xy = group.mul(x, y)
+        report.fail(
+            g=[x, y], lhs=str(common[xy]), rhs=str(common[x] + common[y]), identity="character"
+        )
     return report
 
 
@@ -565,31 +548,24 @@ def epsilon_case_report(det: DetReport) -> CheckReport:
     g2z = reduced.squares_times_z
     if det.rk2 == 2:
         if group.order != 4 * len(g2z):
-            report.passed = False
-            report.counterexamples.append({"g": -1, "lhs": len(g2z), "rhs": group.order // 4})
+            report.fail(g=-1, lhs=len(g2z), rhs=group.order // 4)
         expected = {g: (ZERO if g in g2z else HALF) for g in group.elements()}
     else:
         expected = {g: ZERO for g in group.elements()}
     table = [row.epsilon for row in det.rows]
     for g in group.elements():
         if table[g] != expected[g]:
-            report.passed = False
-            report.counterexamples.append(
-                {"g": g, "lhs": str(table[g]), "rhs": str(expected[g])}
-            )
+            report.fail(g=g, lhs=str(table[g]), rhs=str(expected[g]))
     if not det.all_agree:
         row = next(row for row in det.rows if not row.agrees())
-        report.passed = False
-        report.counterexamples.append(
-            {
-                "g": row.g,
-                "lhs": str(row.direct),
-                "rhs": str(row.formula),
-                "gallagher": str(row.gallagher),
-                "epsilon": str(row.epsilon),
-                "formula_epsilon": str(row.formula_epsilon),
-                "identity": "det_report",
-            }
+        report.fail(
+            g=row.g,
+            lhs=str(row.direct),
+            rhs=str(row.formula),
+            gallagher=str(row.gallagher),
+            epsilon=str(row.epsilon),
+            formula_epsilon=str(row.formula_epsilon),
+            identity="det_report",
         )
     return report
 

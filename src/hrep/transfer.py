@@ -8,6 +8,10 @@ A value modulo [H,H] is encoded as the minimal element id of its
 elements of H itself and the power-map identities below are plain
 element equalities. The correcting function phi records the central
 order-<=2 defect between T(g) and g^d.
+
+Pairwise identities are compared as whole |G| x |G| tables, and every
+check keeps the first witnesses of each failed identity through
+``CheckReport.fail``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .group_core import FiniteGroup, Subgroup
 # Randomly shifted transversals tried by transversal_independence_check.
 TRANSVERSAL_TRIALS = 10
 
+# A report keeps this many witnesses of each failed identity.
+MAX_COUNTEREXAMPLES = 10
+
 
 @dataclass
 class CheckReport:
@@ -33,6 +40,21 @@ class CheckReport:
     passed: bool
     counterexamples: list[dict] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+
+    def fail(self, **counterexample) -> None:
+        """Mark the check failed, keeping the witness unless its identity
+        (the ``identity`` key) already has MAX_COUNTEREXAMPLES."""
+        self.passed = False
+        identity = counterexample.get("identity")
+        kept = sum(c.get("identity") == identity for c in self.counterexamples)
+        if kept < MAX_COUNTEREXAMPLES:
+            self.counterexamples.append(counterexample)
+
+    def compare(self, lhs: np.ndarray, rhs: np.ndarray) -> None:
+        """Compare two tables indexed by pairs of element ids, failing at
+        the disagreeing pairs (g1, g2) in row-major order."""
+        for g1, g2 in np.argwhere(lhs != rhs)[:MAX_COUNTEREXAMPLES].tolist():
+            self.fail(g=[g1, g2], lhs=int(lhs[g1, g2]), rhs=int(rhs[g1, g2]))
 
     def as_dict(self) -> dict:
         return {
@@ -79,9 +101,7 @@ def _mod_derived(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     [H,H] for x in H; the identity map when H is abelian."""
     if sub.is_abelian:
         return np.arange(group.order)
-    table, inverse = group._np_table, np.asarray(group.inverse)
-    h = np.asarray(sub.members)
-    commutators = table[table[table[np.ix_(h, h)], inverse[h][:, None]], inverse[h][None, :]]
+    commutators = group.commutator_table(sub.members, sub.members)
     derived = group.subgroup_generated(commutators.ravel().tolist())
     reps, pos = group.coset_positions(derived)
     return np.asarray(reps)[np.asarray(pos)]
@@ -136,10 +156,7 @@ def transversal_independence_check(
         values = transfer_values_with_transversal(group, sub, shifted)
         for g, (got, want) in enumerate(zip(values, reference)):
             if got != want:
-                report.passed = False
-                report.counterexamples.append(
-                    {"g": g, "lhs": got, "rhs": want, "trial": trial}
-                )
+                report.fail(g=g, lhs=got, rhs=want, trial=trial)
     return report
 
 
@@ -175,18 +192,16 @@ def check_odd_index_transfer(group: FiniteGroup, sub: Subgroup) -> CheckReport:
         lhs = values[g]
         rhs = group.pow(g, d)
         if lhs != rhs:
-            report.passed = False
-            report.counterexamples.append({"g": g, "lhs": lhs, "rhs": rhs})
+            report.fail(g=g, lhs=lhs, rhs=rhs)
     e = group.identity_id
     for x in group.commutator_subgroup().members:
         if group.pow(x, d) != e:
-            report.passed = False
-            report.counterexamples.append({"g": x, "lhs": group.pow(x, d), "rhs": e})
+            report.fail(g=x, lhs=group.pow(x, d), rhs=e)
     central = set(group.center().members)
     for x in group.power_subgroup(d).members:
         if x not in central:
-            report.passed = False
-            report.counterexamples.append({"g": x, "lhs": x, "rhs": -1})
+            c = next(c for c in group.elements() if group.conjugate(c, x) != x)
+            report.fail(g=x, lhs=group.conjugate(c, x), rhs=x, conjugator=c)
     return report
 
 
@@ -281,25 +296,18 @@ def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
         True,
         stats={"group": group.label, "index": d, "pairs": group.order**2},
     )
-    hom_violations = 0
-    for g1 in group.elements():
-        for g2 in group.elements():
-            p12 = cf.values[group.mul(g1, g2)]
-            # phi values are involutions, so dividing is multiplying
-            lhs = group.mul(group.mul(p12, cf.values[g1]), cf.values[g2])
-            rhs = group.pow(group.commutator(g1, g2), exponent)
-            if lhs != rhs:
-                report.passed = False
-                report.counterexamples.append({"g": [g1, g2], "lhs": lhs, "rhs": rhs})
-            if lhs != e:
-                hom_violations += 1
-    report.stats["phi_is_homomorphism"] = hom_violations == 0
     if d % 2 == 1:
-        trivial = all(v == e for v in cf.values)
-        report.stats["phi_trivial"] = trivial
-        if not trivial:
-            report.passed = False
-            report.counterexamples.append({"g": -1, "lhs": -1, "rhs": e})
+        moved = [g for g, v in enumerate(cf.values) if v != e]
+        report.stats["phi_trivial"] = not moved
+        if moved:
+            report.fail(g=moved[0], lhs=cf.values[moved[0]], rhs=e)
+    table = group._np_table
+    phi = np.asarray(cf.values)
+    # phi values are involutions, so dividing is multiplying
+    lhs = table[table[phi[table], phi[:, None]], phi[None, :]]
+    powers = np.asarray([group.pow(x, exponent) for x in group.elements()])
+    report.compare(lhs, powers[group.commutator_table(group.elements(), group.elements())])
+    report.stats["phi_is_homomorphism"] = bool((lhs == e).all())
     return report
 
 
@@ -322,15 +330,9 @@ def check_correcting_ratio(
     )
     for g, v in enumerate(ratio):
         if v not in z2:
-            report.passed = False
-            report.counterexamples.append({"g": g, "lhs": v, "rhs": -1})
-    for g1 in group.elements():
-        for g2 in group.elements():
-            lhs = ratio[group.mul(g1, g2)]
-            rhs = group.mul(ratio[g1], ratio[g2])
-            if lhs != rhs:
-                report.passed = False
-                report.counterexamples.append({"g": [g1, g2], "lhs": lhs, "rhs": rhs})
+            report.fail(g=g, lhs=v, rhs=group.mul(v, v))
+    table, values = group._np_table, np.asarray(ratio)
+    report.compare(values[table], table[np.ix_(values, values)])
     return report
 
 
@@ -362,13 +364,8 @@ def check_transfer_identities(
             rhs = int(red[group.conjugate(g, base_values[gp])])
             if lhs != rhs:
                 conj_failures += 1
-                if len(report.counterexamples) < 10:
-                    report.counterexamples.append(
-                        {"g": [g, gp], "lhs": lhs, "rhs": rhs, "identity": "conjugation"}
-                    )
+                report.fail(g=[g, gp], lhs=lhs, rhs=rhs, identity="conjugation")
     report.stats["conjugation_pass"] = conj_failures == 0
-    if conj_failures:
-        report.passed = False
 
     # image in the fixed central part
     if sub.is_abelian and group.is_normal(sub):
@@ -380,10 +377,13 @@ def check_transfer_identities(
         }
         img_ok = fixed <= central
         for g in group.elements():
-            if base_values[g] not in fixed:
+            v = base_values[g]
+            if v not in fixed:
                 img_ok = False
-                report.counterexamples.append(
-                    {"g": g, "lhs": base_values[g], "rhs": -1, "identity": "image"}
+                e = group.identity_id
+                c = next((c for c in group.elements() if group.conjugate(c, v) != v), e)
+                report.fail(
+                    g=g, lhs=group.conjugate(c, v), rhs=v, conjugator=c, identity="image"
                 )
         report.stats["image_pass"] = img_ok
         if not img_ok:
@@ -407,18 +407,9 @@ def check_transfer_identities(
                 power = int(red[group.pow(values[g], exponent)])
                 if power != e:
                     furt_failures += 1
-                    if len(report.counterexamples) < 10:
-                        report.counterexamples.append(
-                            {
-                                "g": g,
-                                "lhs": power,
-                                "rhs": e,
-                                "identity": "furtwangler",
-                                "K": list(k_sub.members),
-                            }
-                        )
+                    report.fail(
+                        g=g, lhs=power, rhs=e, identity="furtwangler", K=list(k_sub.members)
+                    )
         report.stats["furtwangler_pass"] = furt_failures == 0
         report.stats["furtwangler_subgroups"] = n_checked
-        if furt_failures:
-            report.passed = False
     return report

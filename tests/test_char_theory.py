@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from hrep import char_theory as ct
 from hrep.char_theory import HALF, ZERO, QmodZ
 from hrep.errors import NoExtension, NotAbelian, NotACharacter
-from hrep.group_core import abelian_group, cyclic, dihedral, heisenberg_mod, quaternion8
+from hrep.group_core import (
+    FiniteGroup,
+    Subgroup,
+    abelian_group,
+    cyclic,
+    dihedral,
+    heisenberg_mod,
+    quaternion8,
+)
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
 
@@ -112,8 +120,33 @@ def test_character_validate_catches_bad_map():
     bad = ct.LinearCharacter(
         z4.full_subgroup(), (ZERO, QmodZ(1, 4), HALF, QmodZ(1, 4))
     )
-    with pytest.raises(NotACharacter):
+    with pytest.raises(NotACharacter) as info:
         bad.validate()
+    # the first pair (x, y) in row-major order with chi(xy) != chi(x) + chi(y):
+    # chi(3) = 1/4, but chi(1) + chi(2) = 3/4
+    assert info.value.witness == (1, 2)
+
+
+def test_character_validate_rejects_a_domain_not_closed_under_the_product():
+    d8 = dihedral(8)
+    with pytest.raises(NotACharacter, match="not closed"):
+        ct.LinearCharacter(Subgroup(d8, (E, A)), (ZERO, ZERO)).validate()
+
+
+def test_character_validate_builds_no_group(monkeypatch):
+    built = []
+    real_init = FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    h3 = heisenberg_mod(3)
+    subs = h3.all_subgroups()
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    for sub in subs:
+        ct.trivial_character(sub).validate()
+    assert built == []
 
 
 # -- kernels ------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_verify_reports_math_failure_with_exit_one(capsys, monkeypatch):
     are theorems on valid input, so the failing branch is driven by a stub)."""
     import hrep.cli as cli_module
 
-    def failing_report(pair, seed=0):
+    def failing_report(pair):
         return CheckReport(
             "determinant_oracle_equivalence",
             False,
@@ -490,6 +490,7 @@ VERIFY_STDOUT_SHA256 = {
     ("cp:d8,q8", "json"): "7047c484f1e9465552149a5b5a7e94ea04858d68f6e0db98da63d5a18228f912",
     ("ab:2,2,2,2", "json"): "0b643e3358c614dd437abc58555929224d17eb5bd8221438a0aad5f30aab9310",
     ("d16", "json"): "104db6853d7cb44f562c8b927a94fd05611af0ba721e6fa36d65b811a6dc5bb1",
+    ("d128", "json"): "4f1c7e93b2b15f4cf15e6bb63d78d084dcd78a9e87a0e27445c5c691dd61de6d",
     ("heis3", "tsv"): "21b17cc2eb932c8a24d0e0ab4b122bfc732779e5be0435cd4a560fde0c2e2b11",
 }
 

@@ -337,6 +337,15 @@ def test_commutator_examples():
     assert d8.commutator(A, B) == expected == A2
 
 
+@pytest.mark.parametrize("name", ["d8", "q8", "heis3", "c6"])
+def test_commutator_table_matches_the_scalar_commutator(name):
+    g = from_name(name)
+    xs, ys = [x for x in g.elements() if x % 2], list(reversed(g.elements()))
+    table = g.commutator_table(xs, ys)
+    assert table.shape == (len(xs), len(ys))
+    assert table.tolist() == [[g.commutator(x, y) for y in ys] for x in xs]
+
+
 # -- subgroup machinery -----------------------------------------------------------
 
 

@@ -271,15 +271,14 @@ def test_homomorphism_certificate():
         pair, sub, chi_h = default_setup(group, dim)
         report = idet.check_homomorphism(pair, sub, chi_h)
         assert report.passed
-        assert report.stats["mode"] == "exhaustive"
+        assert report.stats["pairs"] == group.order**2
 
 
-def test_homomorphism_certificate_sampled_mode_is_seeded():
+def test_homomorphism_certificate_is_exhaustive_above_order_64():
     pair, sub, chi_h = default_setup(heisenberg_mod(5), 5)
-    r1 = idet.check_homomorphism(pair, sub, chi_h, seed=5)
-    r2 = idet.check_homomorphism(pair, sub, chi_h, seed=5)
-    assert r1.passed and r1.as_dict() == r2.as_dict()
-    assert r1.stats["mode"] == "sampled"
+    report = idet.check_homomorphism(pair, sub, chi_h)
+    assert report.passed
+    assert report.stats["pairs"] == 125**2
 
 
 def test_homomorphism_counterexample_records_both_matrices(monkeypatch):
@@ -380,6 +379,68 @@ def test_oracle_equivalence_reports():
         assert report.passed, (group.label, report.counterexamples[:3])
 
 
+def plant_determinant(monkeypatch, order, g0):
+    """Make monomial_det add 1/2 at element g0 of every direct table."""
+    calls = []
+    original = idet.monomial_det
+
+    def planted(matrix):
+        calls.append(matrix)
+        return original(matrix) + (HALF if (len(calls) - 1) % order == g0 else ZERO)
+
+    monkeypatch.setattr(idet, "monomial_det", planted)
+    return original
+
+
+def test_oracle_reports_a_planted_d128_determinant_entry(monkeypatch):
+    """Order 128 is above the bound where this check used to sample pairs."""
+    group, g0 = dihedral(128), 5
+    pair = pair_of(group, 2)
+    original = plant_determinant(monkeypatch, group.order, g0)
+    report = idet.oracle_equivalence_report(pair)
+    assert not report.passed
+    routes = [c for c in report.counterexamples if "gallagher" in c]
+    assert routes and all(c["g"] == g0 for c in routes)
+
+    sub = pair.maximal_isotropics[0]
+    chi_h = extend_character_all(group, pair.chi, sub)[0]
+    common = [original(m) for m in idet.induced_matrices(pair, sub, chi_h)]
+    common[g0] = common[g0] + HALF
+    x, y = next(
+        (x, y)
+        for x in group.elements()
+        for y in group.elements()
+        if common[group.mul(x, y)] != common[x] + common[y]
+    )
+    witness = [c for c in report.counterexamples if c.get("identity") == "character"]
+    assert witness == [
+        {
+            "g": [x, y],
+            "lhs": str(common[group.mul(x, y)]),
+            "rhs": str(common[x] + common[y]),
+            "identity": "character",
+        }
+    ]
+
+
+def test_oracle_names_the_first_dim_one_determinant_off_chi(monkeypatch):
+    group, g0 = cyclic(6), 4
+    pair = hb.enumerate_pairs(group)[2]
+    assert pair.dim == 1
+    plant_determinant(monkeypatch, group.order, g0)
+    report = idet.oracle_equivalence_report(pair)
+    assert not report.passed
+    witness = [c for c in report.counterexamples if c.get("identity") == "character"]
+    assert witness == [
+        {
+            "g": g0,
+            "lhs": str(pair.chi(g0) + HALF),
+            "rhs": str(pair.chi(g0)),
+            "identity": "character",
+        }
+    ]
+
+
 # -- the sign function ------------------------------------------------------------------
 
 
@@ -458,6 +519,33 @@ def test_epsilon_invariant_under_center_and_square_shifts():
             assert table[g8.mul(g, z)] == table[g]
         for x in g8.elements():
             assert table[g8.mul(g, g8.mul(x, x))] == table[g]
+
+
+def test_sign_defect_reports_a_planted_eps_sign_with_real_values(monkeypatch):
+    pair, sub, _ = default_setup(dihedral(8), 2)
+    group = pair.group
+    # flip eps on a whole coset of G^2 Z, so it stays constant on cosets
+    flipped = {B, A2B}
+    eps = {
+        g: v + (HALF if g in flipped else ZERO)
+        for g, v in eps_from_gallagher(pair, sub, extend_character(group, pair.chi, sub)).items()
+    }
+    original = idet.delta_character
+    monkeypatch.setattr(
+        idet,
+        "delta_character",
+        lambda grp, s, g: original(grp, s, g) + (HALF if g in flipped else ZERO),
+    )
+    defect, x, g1, g2 = next(
+        (eps[g1] + eps[g2] - eps[group.mul(g1, g2)], pair.x_value(g1, g2), g1, g2)
+        for g1 in group.elements()
+        for g2 in group.elements()
+        if eps[g1] + eps[g2] - eps[group.mul(g1, g2)] != pair.x_value(g1, g2)
+    )
+    message = f"sign defect identity fails at ({g1},{g2}): {defect} != {x}"
+    with pytest.raises(IdentityFailed) as info:
+        idet.epsilon_table(pair, sub)
+    assert str(info.value) == message
 
 
 def test_epsilon_case_reports():

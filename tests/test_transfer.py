@@ -194,6 +194,20 @@ def test_odd_index_power_rule_heisenberg():
             assert report.stats["index"] in (n, n * n)
 
 
+def test_odd_index_power_rule_names_the_conjugator_of_a_noncentral_power(monkeypatch):
+    g = heisenberg_mod(3)
+    sub = [h for h in tr.transfer_instances(g) if h.index() == 3][0]
+    monkeypatch.setattr(g, "power_subgroup", lambda d: g.full_subgroup())
+    report = tr.check_odd_index_transfer(g, sub)
+    assert not report.passed
+    noncentral = [x for x in g.elements() if x not in g.center()]
+    expected = []
+    for x in noncentral[: tr.MAX_COUNTEREXAMPLES]:
+        c = next(c for c in g.elements() if g.conjugate(c, x) != x)
+        expected.append({"g": x, "lhs": g.conjugate(c, x), "rhs": x, "conjugator": c})
+    assert report.counterexamples == expected
+
+
 def test_odd_index_power_rule_rejects_even_index():
     d8 = dihedral(8)
     with pytest.raises(PreconditionFailed, match="odd"):
@@ -354,6 +368,54 @@ def test_cocycle_identity_d8_pair_value():
     assert not report.stats["phi_is_homomorphism"]
 
 
+def plant(cf, g, value):
+    """The correcting function with one entry replaced."""
+    values = list(cf.values)
+    values[g] = value
+    return tr.CorrectingFunction(tuple(values), cf.index)
+
+
+def failing_pairs(group, lhs, rhs):
+    """The reference loop: every (g1, g2) with lhs != rhs, in row-major order."""
+    return [
+        {"g": [g1, g2], "lhs": lhs(g1, g2), "rhs": rhs(g1, g2)}
+        for g1 in group.elements()
+        for g2 in group.elements()
+        if lhs(g1, g2) != rhs(g1, g2)
+    ]
+
+
+def test_cocycle_reports_a_planted_phi_entry_with_real_values(monkeypatch):
+    d8 = dihedral(8)
+    sub = rotations(d8)
+    cf = tr.correcting_function(d8, sub)
+    planted = plant(cf, B, d8.mul(cf.values[B], A2))
+    phi = planted.values
+    monkeypatch.setattr(tr, "correcting_function", lambda group, s: planted)
+    report = tr.check_correcting_cocycle(d8, sub)
+    assert not report.passed
+    expected = failing_pairs(
+        d8,
+        lambda g1, g2: d8.mul(d8.mul(phi[d8.mul(g1, g2)], phi[g1]), phi[g2]),
+        lambda g1, g2: d8.commutator(g1, g2),  # [g1, g2]^(d(d-1)/2) with d = 2
+    )
+    assert len(expected) > tr.MAX_COUNTEREXAMPLES
+    assert report.counterexamples == expected[: tr.MAX_COUNTEREXAMPLES]
+
+
+def test_cocycle_names_the_first_nontrivial_phi_value_for_odd_index(monkeypatch):
+    g = heisenberg_mod(3)
+    sub = tr.transfer_instances(g)[1]
+    z = next(x for x in g.center().members if x != g.identity_id)
+    cf = tr.correcting_function(g, sub)
+    assert cf.index % 2 == 1
+    monkeypatch.setattr(tr, "correcting_function", lambda group, s: plant(cf, 5, z))
+    report = tr.check_correcting_cocycle(g, sub)
+    assert not report.passed
+    assert report.stats["phi_trivial"] is False
+    assert report.counterexamples[0] == {"g": 5, "lhs": z, "rhs": g.identity_id}
+
+
 def test_correcting_ratio_same_subgroup_trivial():
     d8 = dihedral(8)
     sub = rotations(d8)
@@ -372,6 +434,34 @@ def test_correcting_ratio_d8_two_isotropics():
     ratio = [d8.mul(v2, d8.inv(v1)) for v1, v2 in zip(cf1.values, cf2.values)]
     # a Klein-four sign pattern: values in {e, a^2}, not all equal
     assert set(ratio) == {E, A2}
+
+
+def test_correcting_ratio_reports_a_planted_entry_with_real_values(monkeypatch):
+    d8 = dihedral(8)
+    h_rot, h1 = rotations(d8), d8.subgroup([E, B, A2, A2B])
+    cf1, cf2 = tr.correcting_function(d8, h_rot), tr.correcting_function(d8, h1)
+    cf2 = plant(cf2, A, d8.mul(cf2.values[A], A2))
+    monkeypatch.setattr(tr, "correcting_function", lambda group, s: cf1 if s is h_rot else cf2)
+    report = tr.check_correcting_ratio(d8, h_rot, h1)
+    assert not report.passed
+    ratio = [d8.mul(v2, d8.inv(v1)) for v1, v2 in zip(cf1.values, cf2.values)]
+    expected = failing_pairs(
+        d8, lambda g1, g2: ratio[d8.mul(g1, g2)], lambda g1, g2: d8.mul(ratio[g1], ratio[g2])
+    )
+    assert expected
+    assert report.counterexamples == expected[: tr.MAX_COUNTEREXAMPLES]
+
+
+def test_correcting_ratio_names_a_value_off_the_central_involutions(monkeypatch):
+    d8 = dihedral(8)
+    h_rot, h1 = rotations(d8), d8.subgroup([E, B, A2, A2B])
+    cf1, cf2 = tr.correcting_function(d8, h_rot), tr.correcting_function(d8, h1)
+    cf2 = plant(cf2, A, B)
+    monkeypatch.setattr(tr, "correcting_function", lambda group, s: cf1 if s is h_rot else cf2)
+    report = tr.check_correcting_ratio(d8, h_rot, h1)
+    v = d8.mul(B, d8.inv(cf1.values[A]))
+    assert not report.passed
+    assert report.counterexamples[0] == {"g": A, "lhs": v, "rhs": d8.mul(v, v)}
 
 
 def test_correcting_ratio_heisenberg_trivial():
@@ -446,6 +536,26 @@ def test_furtwangler_when_the_identity_is_not_the_minimal_id(relabel):
     report = tr.check_transfer_identities(group, full)
     assert report.passed, report.counterexamples
     assert report.stats["furtwangler_pass"]
+
+
+def test_image_statement_names_the_conjugator_of_a_moved_value(monkeypatch):
+    d8 = dihedral(8)
+    sub = rotations(d8)
+    planted = list(tr.transfer_table(d8, sub))
+    planted[B] = A
+    original = tr.transfer_table
+    monkeypatch.setattr(
+        tr,
+        "transfer_table",
+        lambda group, s: tuple(planted) if s.members == sub.members else original(group, s),
+    )
+    report = tr.check_transfer_identities(d8, sub, include_furtwangler=False)
+    assert not report.passed and not report.stats["image_pass"]
+    c = next(c for c in d8.elements() if d8.conjugate(c, A) != A)
+    image = [x for x in report.counterexamples if x["identity"] == "image"]
+    assert image == [
+        {"g": B, "lhs": d8.conjugate(c, A), "rhs": A, "conjugator": c, "identity": "image"}
+    ]
 
 
 def test_central_part_of_image_statement():
