@@ -1,10 +1,11 @@
 """Heisenberg representations of finite groups: transfer maps and exact
 determinant characters.
 
-The library computes with finite groups given as Cayley tables, encodes
-roots of unity as reduced rational exponents, and verifies the closed
-form det(rho)(g) = eps(g) * chi(g^d) against brute-force induced
-monomial determinants and Gallagher's transfer formula.
+The library computes with finite groups given as Cayley tables, holds
+roots of unity as integer residues mod N = lcm(exp(G), 2) and reports them
+as reduced rational exponents, and verifies the closed form
+det(rho)(g) = eps(g) * chi(g^d) against induced monomial determinants and
+Gallagher's transfer formula.
 """
 
 from .char_theory import LinearCharacter, QmodZ

@@ -1,16 +1,21 @@
 """Exact root-of-unity arithmetic, linear characters of subgroups, and
 their extension to overgroups.
 
-A root of unity e^(2*pi*i*q) is stored as the reduced rational exponent
-q = num/den in [0, 1); adding exponents multiplies roots, so the whole
-determinant pipeline stays in one exact value domain (-1 is 1/2).
+A root of unity e^(2*pi*i*q) is written as the reduced rational exponent
+q = num/den in [0, 1) (``QmodZ``); adding exponents multiplies roots. Every
+character value and every determinant of a group G has an order dividing
+N = lcm(exp(G), 2) (``residue_modulus``), so inside the pipeline a value is
+the integer residue r = q*N mod N, and -1 is N/2. ``residues`` is the one
+conversion from exponents to residues; a ``LinearCharacter`` converts its
+values once (``LinearCharacter.residues``), and ``QmodZ`` is built again
+only where a report prints a value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -79,10 +84,38 @@ ZERO = QmodZ(0, 1)
 HALF = QmodZ(1, 2)
 
 
-def residues(values) -> tuple[int, np.ndarray]:
-    """(N, r) with ``values[i] = r[i]/N`` over the least common denominator N."""
-    common = math.lcm(*(q.den for q in values))
-    return common, np.array([q.num * (common // q.den) for q in values], dtype=np.int64)
+def residue_modulus(group: FiniteGroup) -> int:
+    """N = lcm(exp(G), 2): every character value and determinant of G is
+    an N-th root of unity, the sign -1 included."""
+    return math.lcm(group.exponent, 2)
+
+
+def residues(values, modulus: int) -> np.ndarray:
+    """r with ``values[i] = r[i]/modulus``; a value whose order does not
+    divide the modulus is not a residue and raises NotACharacter."""
+    out = np.empty(len(values), dtype=np.int64)
+    for i, q in enumerate(values):
+        step, rest = divmod(modulus, q.den)
+        if rest:
+            raise NotACharacter(f"value {q} has order {q.den}, which does not divide N={modulus}")
+        out[i] = q.num * step
+    return out
+
+
+@cache
+def _exponents(modulus: int) -> tuple[QmodZ, ...]:
+    """QmodZ(r, modulus) for every residue r, built once per modulus."""
+    return tuple(QmodZ(r, modulus) for r in range(modulus))
+
+
+def multiplicativity_witness(values: np.ndarray, products: np.ndarray, modulus: int):
+    """The first (i, j) in row-major order with products[i, j] !=
+    values[i] + values[j] mod modulus, or None. The n^2 sums run in int32,
+    which holds the sum of any two residues."""
+    values = values.astype(np.int32, copy=False)
+    products = products.astype(np.int32, copy=False)
+    bad = (values[:, None] + values[None, :]) % modulus != products
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -90,7 +123,8 @@ class LinearCharacter:
     """A multiplicative map from a subgroup's elements into QmodZ.
 
     Values are stored as a total tuple aligned with ``domain.members``;
-    equality is structural.
+    equality is structural. ``residues`` is the same map as integers mod
+    the parent's N, the form every table computation reads.
     """
 
     domain: Subgroup
@@ -107,6 +141,16 @@ class LinearCharacter:
     def __call__(self, x: int) -> QmodZ:
         return self.exps[self._index[x]]
 
+    @cached_property
+    def residues(self) -> np.ndarray:
+        """The values as residues mod the parent's N, indexed by parent
+        element id; -1 off the domain. Read-only."""
+        parent = self.domain.parent
+        on_parent = np.full(parent.order, -1, dtype=np.int64)
+        on_parent[list(self.domain.members)] = residues(self.exps, residue_modulus(parent))
+        on_parent.flags.writeable = False
+        return on_parent
+
     @classmethod
     def from_values(cls, domain: Subgroup, values: dict[int, QmodZ]) -> "LinearCharacter":
         return cls(domain, tuple(values[m] for m in domain.members))
@@ -114,44 +158,67 @@ class LinearCharacter:
     def validate(self) -> None:
         """Exhaustive multiplicativity check over the whole domain.
 
-        Runs on residues over a common denominator, against the parent's
+        Runs on the residues mod the parent's N, against the parent's
         table restricted to the domain, so the n^2 comparisons stay in
-        integer arrays. A failure carries its first witness (x, y) in
-        row-major order.
+        integer arrays. A value whose order does not divide N fails first;
+        a multiplicativity failure carries its first witness (x, y) in
+        row-major order. The character is immutable, so a check that
+        passed is not run again.
         """
+        self._multiplicative
+
+    @cached_property
+    def _multiplicative(self) -> bool:
         g = self.domain.parent
         e = g.identity_id
-        if not self(e).is_zero():
+        on_parent = self.residues.astype(np.int32)
+        if on_parent[e] != 0:
             raise NotACharacter("character must send the identity to 0/1", witness=(e, e))
         members = np.asarray(self.domain.members)
-        common, ints = residues(self.exps)
-        on_parent = np.full(g.order, -1, dtype=np.int64)
-        on_parent[members] = ints
-        # a full domain reads the parent's table as is, without an n^2 copy
-        table = g._np_table if len(members) == g.order else g._np_table[np.ix_(members, members)]
-        products = on_parent[table]
-        if products.min() < 0:
-            raise NotACharacter("domain is not closed under the product")
-        ok = (ints[:, None] + ints[None, :]) % common == products
-        if not ok.all():
-            i, j = np.argwhere(~ok)[0]
-            x, y = self.domain.members[int(i)], self.domain.members[int(j)]
+        # a full domain reads the parent's table as is, without an n^2 copy,
+        # and is closed under the product
+        if len(members) == g.order:
+            products = on_parent[g._np_table]
+        else:
+            products = on_parent[g._np_table[np.ix_(members, members)]]
+            if products.min() < 0:
+                raise NotACharacter("domain is not closed under the product")
+        witness = multiplicativity_witness(on_parent[members], products, residue_modulus(g))
+        if witness is not None:
+            x, y = (self.domain.members[i] for i in witness)
             raise NotACharacter(f"multiplicativity fails at ({x},{y})", witness=(x, y))
+        return True
 
     def kernel(self) -> Subgroup:
-        return Subgroup(
-            self.domain.parent,
-            tuple(m for m in self.domain.members if self(m).is_zero()),
-        )
+        return Subgroup(self.domain.parent, tuple(np.flatnonzero(self.residues == 0).tolist()))
 
     def restrict(self, sub: Subgroup) -> "LinearCharacter":
-        return LinearCharacter(sub, tuple(self(m) for m in sub.members))
+        members = list(sub.members)
+        on_parent = np.full(len(self.residues), -1, dtype=np.int64)
+        on_parent[members] = self.residues[members]
+        if on_parent[members].min() < 0:
+            raise NotACharacter("can only restrict to a subgroup of the domain")
+        return LinearCharacter._from_residues(sub, on_parent)
 
     def __mul__(self, other: "LinearCharacter") -> "LinearCharacter":
         """Pointwise product of two characters on the same domain."""
         if other.domain.members != self.domain.members:
             raise NotACharacter("can only multiply characters on the same domain")
-        return LinearCharacter(self.domain, tuple(a + b for a, b in zip(self.exps, other.exps)))
+        modulus = residue_modulus(self.domain.parent)
+        on_domain = self.residues >= 0
+        on_parent = np.where(on_domain, (self.residues + other.residues) % modulus, -1)
+        return LinearCharacter._from_residues(self.domain, on_parent)
+
+    @classmethod
+    def _from_residues(cls, domain: Subgroup, on_parent: np.ndarray) -> "LinearCharacter":
+        """The character with these residues (indexed by parent id, -1 off
+        the domain), its exponents read from one shared table rather than
+        built, and its residues kept rather than converted back."""
+        table = _exponents(residue_modulus(domain.parent))
+        chi = cls(domain, tuple(map(table.__getitem__, on_parent[list(domain.members)].tolist())))
+        on_parent.flags.writeable = False
+        chi.__dict__["residues"] = on_parent
+        return chi
 
     def as_dict(self) -> dict:
         return {
@@ -238,11 +305,8 @@ def _extend(group, chi, over, *, all_branches):
     # commutators of the overgroup must die in chi (first witness in
     # row-major order); as Z lies in H, that makes chi H-invariant too:
     # chi(h z h^-1) = chi([h, z] z) = chi(z)
-    _, values = residues(chi.exps)
-    on_parent = np.full(group.order, -1, dtype=np.int64)
-    on_parent[list(z_members)] = values
     h = np.asarray(over.members)
-    bad = np.argwhere(on_parent[group.commutator_table(h, h)] != 0)
+    bad = np.argwhere(chi.residues[group.commutator_table(h, h)] != 0)
     if bad.size:
         h1, h2 = h[bad[0]].tolist()
         raise NoExtension(f"character is not trivial on [H,H] (witness [{h1},{h2}])")

@@ -209,22 +209,16 @@ class FiniteGroup:
         return self.subgroup_generated(gens)
 
     @cached_property
-    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        classes = []
-        class_of = [-1] * self.order
-        for x in self.elements():
-            if class_of[x] < 0:
-                orbit = sorted({self.conjugate(g, x) for g in self.elements()})
-                idx = len(classes)
-                classes.append(tuple(orbit))
-                for y in orbit:
-                    class_of[y] = idx
-        self._class_of = tuple(class_of)
-        return tuple(classes)
-
-    def class_of(self, x: int) -> tuple[int, ...]:
-        classes = self.conjugacy_classes
-        return classes[self._class_of[x]]
+    def class_reps(self) -> np.ndarray:
+        """Read-only: the minimal member of each element's conjugacy class,
+        which names the class."""
+        t, inv = self._np_table, np.asarray(self.inverse)
+        reps = np.full(self.order, -1, dtype=np.int64)
+        for x in range(self.order):
+            if reps[x] < 0:
+                reps[t[t[:, x], inv]] = x
+        reps.flags.writeable = False
+        return reps
 
     @property
     def abelianization(self) -> tuple["FiniteGroup", "GroupHom"]:
@@ -293,6 +287,8 @@ class FiniteGroup:
         return self.subgroup_generated({self.pow(g, d) for g in self.elements()})
 
     def is_normal(self, sub: "Subgroup") -> bool:
+        if self.is_abelian or len(sub) in (1, self.order):
+            return True
         table = self._np_table
         inv = np.asarray(self.inverse)
         mask = np.zeros(self.order, dtype=bool)
@@ -305,14 +301,16 @@ class FiniteGroup:
 
         Closure over adjoining single elements to already-found subgroups;
         exhaustive because any subgroup arises by adding generators one at
-        a time to the trivial subgroup.
+        a time to the trivial subgroup, and adjoining g or any g s with s
+        in S gives the same subgroup.
         """
         if self.order > max_order:
             raise EnumerationBoundExceeded(
                 f"|G|={self.order} exceeds subgroup enumeration bound {max_order}"
             )
         # adjoin one element at a time, carrying small generating sets so
-        # each closure stays linear in the subgroup produced
+        # each closure stays linear in the subgroup produced; <S, g> =
+        # <S, g s> for s in S, so one element per left coset g S is tried
         seen: dict[tuple[int, ...], tuple[int, ...]] = {}
         triv = (self.identity_id,)
         seen[triv] = ()
@@ -321,10 +319,13 @@ class FiniteGroup:
             new_frontier = []
             for mem in frontier:
                 gens = seen[mem]
-                inside = set(mem)
+                members = np.asarray(mem)
+                covered = np.zeros(self.order, dtype=bool)
+                covered[members] = True
                 for g in self.elements():
-                    if g in inside:
+                    if covered[g]:
                         continue
+                    covered[self._np_table[g, members]] = True
                     new_gens = gens + (g,)
                     bigger = self.subgroup_generated(new_gens).members
                     if bigger not in seen:
@@ -428,13 +429,10 @@ class FiniteGroup:
             and np.array_equal(self._np_table[reps[perm], factors], self._np_table[:, reps]),
             "coset skeleton: g t_j = t_perm[j] f_j with f_j in H fails",
         )
-        perm_rows = tuple(map(tuple, perm.tolist()))
-        return CosetSkeleton(
-            transversal,
-            perm_rows,
-            tuple(map(tuple, factors.tolist())),
-            tuple(_perm_is_odd(row) for row in perm_rows),
-        )
+        odd = np.array([_perm_is_odd(row) for row in perm.tolist()], dtype=bool)
+        for array in (perm, factors, odd):
+            array.flags.writeable = False
+        return CosetSkeleton(transversal, perm, factors, odd)
 
 
 def _perm_is_odd(perm: tuple[int, ...]) -> bool:
@@ -451,18 +449,19 @@ def _perm_is_odd(perm: tuple[int, ...]) -> bool:
     return (len(perm) - cycles) % 2 == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetSkeleton:
     """G acting on the left cosets of H, over the canonical transversal t.
 
-    For every g and column j, ``g t_j = t_{perm[g][j]} factors[g][j]`` with
-    ``factors[g][j]`` in H, and ``odd[g]`` is the parity of ``perm[g]``.
+    Read-only arrays: for every g and column j, ``g t_j = t_{perm[g, j]}
+    factors[g, j]`` with ``factors[g, j]`` in H (both n x d), and
+    ``odd[g]`` is the parity of the permutation ``perm[g]``.
     """
 
     transversal: tuple[int, ...]
-    perm: tuple[tuple[int, ...], ...]
-    factors: tuple[tuple[int, ...], ...]
-    odd: tuple[bool, ...]
+    perm: np.ndarray
+    factors: np.ndarray
+    odd: np.ndarray
 
 
 @dataclass(frozen=True)

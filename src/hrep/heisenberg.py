@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from . import abelian
 from .char_theory import (
     LinearCharacter,
@@ -108,9 +110,11 @@ class HeisenbergPair:
 def validate_pair(group: FiniteGroup, scalar: Subgroup, chi: LinearCharacter) -> HeisenbergPair:
     """Check the three pair conditions and return the validated pair.
 
-    Nondegeneracy is screened on coset representatives, which is
-    equivalent to the full radical computation once invariance holds
-    (the pairing is then constant on cosets of Z in both arguments).
+    Both screens are array tests on chi's residues: invariance over
+    conjugacy classes, nondegeneracy as ``chi[commutator_table(reps, reps)]``
+    along rows. Screening coset representatives is equivalent to the full
+    radical computation once invariance holds (the pairing is then
+    constant on cosets of Z in both arguments).
     """
     if chi.domain.members != scalar.members or chi.domain.parent is not group:
         raise InvalidSpec("character domain must be exactly the scalar subgroup")
@@ -121,18 +125,19 @@ def validate_pair(group: FiniteGroup, scalar: Subgroup, chi: LinearCharacter) ->
     if not scalar.contains_subgroup(derived):
         witness = next(m for m in derived.members if m not in scalar)
         raise NotCoabelian(f"G/Z is not abelian: commutator {witness} escapes Z")
-    for z in scalar.members:
-        base = chi(z)
-        for w in group.class_of(z):
-            if chi(w) != base:
-                raise NotInvariant(f"chi is not invariant on the class of {z}")
+    # chi is invariant iff it is constant on each class, named by its
+    # minimal member; the first witness is the least z of a broken class
+    values, class_reps = chi.residues, group.class_reps
+    z = np.asarray(scalar.members)
+    broken = class_reps[z[values[z] != values[class_reps[z]]]]
+    if broken.size:
+        raise NotInvariant(f"chi is not invariant on the class of {int(broken.min())}")
 
-    reps, _ = group.coset_positions(scalar)
-    for t in reps:
-        if t in scalar:
-            continue
-        if all(chi(group.commutator(t, u)).is_zero() for u in reps):
-            raise Degenerate(f"coset of {t} lies in the radical")
+    reps = np.asarray(group.coset_positions(scalar)[0])
+    # the one representative inside Z is that coset's minimal member
+    in_radical = (values[group.commutator_table(reps, reps)] == 0).all(axis=1) & (reps != z[0])
+    if in_radical.any():
+        raise Degenerate(f"coset of {int(reps[in_radical.argmax()])} lies in the radical")
 
     index = group.order // len(scalar)
     dim = math.isqrt(index)

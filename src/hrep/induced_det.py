@@ -11,19 +11,21 @@ Three independent routes to det(rho)(g) are implemented and cross-checked:
   rk_2(G/Z) = 2, in which case it is the sign function on the Klein
   quotient G/G^2Z that is + on the trivial coset and - elsewhere.
 
-The direct and Gallagher routes exist only as whole-group tables:
-``induced_matrices`` and ``direct_table`` for the direct route,
-``gallagher_table`` for Gallagher's. They read the coset skeleton and the
-transfer products that the group caches once per subgroup, and each call
-checks the character extension once. The closed form ``det_formula`` is
-evaluated per element.
+Every determinant is an N-th root of unity for N = lcm(exp(G), 2), so
+each route's table is an int64 array of residues mod N over the group's
+elements, and the sign -1 is N/2. The direct and Gallagher routes exist
+only as whole-group gathers on chi_H's residues: ``direct_table`` sums
+chi_H over the coset skeleton's factors, ``gallagher_table`` reads chi_H
+at the transfer products. Each call checks the character extension once,
+and neither reads the other's table. The closed form ``det_formula`` is
+evaluated per element. ``induced_matrices`` builds the monomial matrices
+themselves, for the homomorphism certificate and as a reference.
 
-The sign defect and the determinant's multiplicativity are checked on
-all |G|^2 pairs as integer tables.
-
-Signs live in QmodZ as 1/2, so the whole pipeline stays in one exact
-value domain. The closed form requires a kernel-reduced pair and
-refuses anything else, making the reduction step explicit in the API.
+Twists, the sign table, the sign defect, the determinant's
+multiplicativity and every route comparison run on these residue arrays;
+``QmodZ`` values are built only where a report prints one. The closed
+form requires a kernel-reduced pair and refuses anything else, making
+the reduction step explicit in the API.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .char_theory import (
     QmodZ,
     extend_character_all,
     linear_characters,
+    multiplicativity_witness,
+    residue_modulus,
     residues,
 )
 from .errors import (
@@ -53,7 +57,6 @@ from .errors import (
     math_check as _math_check,
 )
 from .group_core import (
-    FiniteGroup,
     Subgroup,
     _is_prime,
     _perm_is_odd,
@@ -90,9 +93,6 @@ class MonomialMatrix:
     def identity(cls, dim: int) -> "MonomialMatrix":
         return cls(dim, tuple(range(dim)), tuple(ZERO for _ in range(dim)))
 
-    def is_scalar(self) -> bool:
-        return self.perm == tuple(range(self.dim)) and len(set(self.exps)) == 1
-
     def __str__(self) -> str:
         perm = ",".join(str(i) for i in self.perm)
         exps = ",".join(str(q) for q in self.exps)
@@ -121,18 +121,18 @@ def monomial_det(matrix: MonomialMatrix) -> QmodZ:
 def _require_extension(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> None:
     if chi_h.domain.members != sub.members:
         raise NotAnExtension("character is not defined exactly on H")
-    for z in pair.Z.members:
-        if chi_h(z) != pair.chi(z):
-            raise NotAnExtension(f"character disagrees with chi at {z}")
+    z = np.asarray(pair.Z.members)
+    off = z[chi_h.residues[z] != pair.chi.residues[z]]
+    if off.size:
+        raise NotAnExtension(f"character disagrees with chi at {off[0]}")
 
 
 def _require_isotropic(pair: HeisenbergPair, sub: Subgroup) -> None:
     if not sub.contains_subgroup(pair.Z) or sub.index() != pair.dim:
         raise PreconditionFailed("H must contain Z with index dim in G")
-    # X(a, b) = chi([a, b]) vanishes exactly on commutators in Ker(chi)
-    in_kernel = np.zeros(pair.group.order, dtype=bool)
-    in_kernel[list(pair.chi.kernel().members)] = True
-    bad = np.argwhere(~in_kernel[pair.group.commutator_table(sub.members, sub.members)])
+    # X(a, b) = chi([a, b]) must vanish on H x H
+    commutators = pair.group.commutator_table(sub.members, sub.members)
+    bad = np.argwhere(pair.chi.residues[commutators] != 0)
     if bad.size:
         i, j = bad[0].tolist()
         raise PreconditionFailed(f"H is not isotropic at ({sub.members[i]},{sub.members[j]})")
@@ -150,14 +150,18 @@ def induced_matrices(
     skeleton = pair.group.coset_skeleton(sub)
     dim = len(skeleton.transversal)
     return [
-        MonomialMatrix(dim, skeleton.perm[g], tuple(chi_h(f) for f in skeleton.factors[g]))
-        for g in pair.group.elements()
+        MonomialMatrix(dim, tuple(perm), tuple(chi_h(f) for f in factors))
+        for perm, factors in zip(skeleton.perm.tolist(), skeleton.factors.tolist())
     ]
 
 
-def direct_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> list[QmodZ]:
-    """The direct route: the determinant of every induced monomial matrix."""
-    return [monomial_det(m) for m in induced_matrices(pair, sub, chi_h)]
+def direct_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> np.ndarray:
+    """The direct route: the determinant of every induced monomial matrix,
+    the permutation sign plus the sum of its entries, as residues mod N."""
+    _require_extension(pair, sub, chi_h)
+    skeleton = pair.group.coset_skeleton(sub)
+    n = residue_modulus(pair.group)
+    return (skeleton.odd * (n // 2) + chi_h.residues[skeleton.factors].sum(axis=1)) % n
 
 
 def check_homomorphism(
@@ -180,21 +184,18 @@ def check_homomorphism(
     return report
 
 
-def delta_character(group: FiniteGroup, sub: Subgroup, g: int) -> QmodZ:
-    """Sign of the permutation induced by g on the left cosets of H."""
-    return HALF if group.coset_skeleton(sub).odd[g] else ZERO
-
-
-def gallagher_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> list[QmodZ]:
-    """Gallagher's route: Delta_H(g) + chi_H(T_{G/H}(g)) for every g.
+def gallagher_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> np.ndarray:
+    """Gallagher's route: Delta_H(g) + chi_H(T_{G/H}(g)) for every g, as
+    residues mod N, with Delta_H the sign of g's coset permutation.
 
     The raw transfer product is a well-defined argument because chi_H
     kills [H,H].
     """
     _require_extension(pair, sub, chi_h)
     group = pair.group
-    transfers = group.transfer_products(sub)
-    return [delta_character(group, sub, g) + chi_h(transfers[g]) for g in group.elements()]
+    n = residue_modulus(group)
+    transfers = np.asarray(group.transfer_products(sub))
+    return (group.coset_skeleton(sub).odd * (n // 2) + chi_h.residues[transfers]) % n
 
 
 # -- the closed form -------------------------------------------------------------
@@ -225,8 +226,20 @@ def det_formula(pair: HeisenbergPair, g: int) -> tuple[QmodZ, QmodZ]:
     return eps + pair.chi(gd), eps
 
 
-def epsilon_table(pair: HeisenbergPair, sub: Subgroup) -> dict[int, QmodZ]:
-    """eps(g) = Delta_H(g) + chi(phi_{G/H}(g)) for a maximal isotropic H.
+def _formula_residues(pair: HeisenbergPair, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """``det_formula``'s (det, eps) for every g, as residues mod ``modulus``."""
+    rows = [det_formula(pair, g) for g in pair.group.elements()]
+    return residues([r[0] for r in rows], modulus), residues([r[1] for r in rows], modulus)
+
+
+def _text(residue, modulus: int) -> str:
+    """The report form of a residue: its reduced exponent."""
+    return str(QmodZ(int(residue), modulus))
+
+
+def epsilon_table(pair: HeisenbergPair, sub: Subgroup) -> np.ndarray:
+    """eps(g) = Delta_H(g) + chi(phi_{G/H}(g)) for a maximal isotropic H,
+    as residues mod N (0 or N/2).
 
     Verifies that the values are signs, constant on G^2 Z cosets, and
     satisfy the sign-defect identity
@@ -236,37 +249,33 @@ def epsilon_table(pair: HeisenbergPair, sub: Subgroup) -> dict[int, QmodZ]:
     _require_reduced(pair)
     _require_isotropic(pair, sub)
     group = pair.group
+    n = residue_modulus(group)
+    chi = pair.chi.residues
     cf = correcting_function(group, sub)
-    table = {}
-    for g in group.elements():
-        value = delta_character(group, sub, g) + pair.chi(cf.values[g])
-        _math_check(value in (ZERO, HALF), f"eps({g}) is not a sign")
-        table[g] = value
+    table = (group.coset_skeleton(sub).odd * (n // 2) + chi[np.asarray(cf.values)]) % n
+    not_sign = np.flatnonzero((table != 0) & (table != n // 2))
+    if not_sign.size:
+        raise IdentityFailed(f"eps({not_sign[0]}) is not a sign")
 
-    by_coset: dict[int, QmodZ] = {}
-    _, pos = group.coset_positions(pair.squares_times_z)
-    for g, value in table.items():
-        seen = by_coset.setdefault(pos[g], value)
-        _math_check(seen == value, f"eps is not constant on the G^2 Z coset of {g}")
+    # each coset's first element is its minimal id, its representative
+    reps, pos = group.coset_positions(pair.squares_times_z)
+    moved = np.flatnonzero(table != table[np.asarray(reps)[np.asarray(pos)]])
+    if moved.size:
+        raise IdentityFailed(f"eps is not constant on the G^2 Z coset of {moved[0]}")
 
     d = pair.dim
     if d % 2 == 1:
-        _math_check(all(v.is_zero() for v in table.values()), "eps must be trivial for odd dim")
+        _math_check(not table.any(), "eps must be trivial for odd dim")
         return table
-    # both sides as residues mod N; X(g1, g2) = chi([g1, g2]) with [G,G] inside Z
-    n = group.order
-    common, values = residues([*table.values(), *pair.chi.exps])
-    eps = values[:n]
-    chi = np.zeros(n, dtype=np.int64)
-    chi[list(pair.Z.members)] = values[n:]
-    lhs = (eps[:, None] + eps[None, :] - eps[group._np_table]) % common
-    rhs = (d // 2) * chi[group.commutator_table(group.elements(), group.elements())] % common
+    # X(g1, g2) = chi([g1, g2]) with [G,G] inside Z
+    lhs = (table[:, None] + table[None, :] - table[group._np_table]) % n
+    rhs = (d // 2) * chi[group.commutator_table(group.elements(), group.elements())] % n
     bad = np.argwhere(lhs != rhs)
     if bad.size:
         g1, g2 = bad[0].tolist()
         raise IdentityFailed(
             f"sign defect identity fails at ({g1},{g2}): "
-            f"{QmodZ(int(lhs[g1, g2]), common)} != {QmodZ(int(rhs[g1, g2]), common)}"
+            f"{_text(lhs[g1, g2], n)} != {_text(rhs[g1, g2], n)}"
         )
     return table
 
@@ -281,7 +290,9 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
     """
     _require_reduced(pair)
     group = pair.group
-    reference: list[QmodZ] | None = None
+    n = residue_modulus(group)
+    chi = pair.chi.residues
+    reference: np.ndarray | None = None
     n_tables = 0
     report = CheckReport(
         "isotropic_independence",
@@ -294,27 +305,31 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
             table = direct_table(pair, sub, chi_h)
             if reference is None:
                 reference = table
-            elif table != reference:
-                g = next(g for g in group.elements() if table[g] != reference[g])
-                report.fail(g=g, lhs=str(table[g]), rhs=str(reference[g]))
+                continue
+            off = np.flatnonzero(table != reference)
+            if off.size:
+                g = int(off[0])
+                report.fail(g=g, lhs=_text(table[g], n), rhs=_text(reference[g], n))
 
         # placement reformulation through the Miller product of G/H
         quot, _ = group.quotient(sub)
         alpha_lift = quot.coset_reps[abelian.subgroup_product(quot, quot.elements())]
-        for g in sub.members:
-            expected = pair.chi(group.pow(g, pair.dim)) + pair.x_value(g, alpha_lift)
-            if reference[g] != expected:
+        h = np.asarray(sub.members)
+        powers = [group.pow(g, pair.dim) for g in sub.members]
+        expected = (chi[powers] + chi[group.commutator_table(h, [alpha_lift])[:, 0]]) % n
+        for g, want in zip(h.tolist(), expected.tolist()):
+            if reference[g] != want:
                 report.fail(
                     g=g,
                     H=list(sub.members),
-                    lhs=str(reference[g]),
-                    rhs=str(expected),
+                    lhs=_text(reference[g], n),
+                    rhs=_text(want, n),
                     identity="miller",
                 )
     placed = set().union(*(sub.members for sub in pair.maximal_isotropics))
     _math_check(len(placed) == group.order, "the maximal isotropics must cover G")
     report.stats["n_extensions_total"] = n_tables
-    report.stats["det"] = [str(q) for q in reference]
+    report.stats["det"] = [_text(r, n) for r in reference.tolist()]
     return report
 
 
@@ -338,9 +353,10 @@ def twist_identity(pair: HeisenbergPair, omegas: list[LinearCharacter]) -> Check
     """det(rho (x) omega) = det(rho) * omega^d, pointwise, for every omega.
 
     The untwisted direct table is built once; each twisted pair's table
-    is computed by the direct route from chi_H * omega|_H on the same H.
+    is computed by the direct route from chi_H * omega|_H on the same H,
+    and the identity is compared as whole residue arrays.
     """
-    group = pair.group
+    n = residue_modulus(pair.group)
     sub = pair.maximal_isotropics[0]
     chi_h = pair.default_extension
     d = pair.dim
@@ -348,11 +364,9 @@ def twist_identity(pair: HeisenbergPair, omegas: list[LinearCharacter]) -> Check
     for omega in omegas:
         twisted = twist(pair, omega)
         twisted_det = direct_table(twisted, sub, chi_h * omega.restrict(sub))
-        for g in group.elements():
-            _math_check(
-                twisted_det[g] == det[g] + omega(g).scale(d),
-                f"twisted determinant identity fails at {g}",
-            )
+        off = np.flatnonzero(twisted_det != (det + d * omega.residues) % n)
+        if off.size:
+            raise IdentityFailed(f"twisted determinant identity fails at {off[0]}")
     return CheckReport(
         "twist_identity", True, stats={"n_characters": len(omegas), "dim": d}
     )
@@ -370,19 +384,18 @@ def find_trivializing_twist(pair: HeisenbergPair) -> LinearCharacter | None:
     """
     _require_reduced(pair)
     group = pair.group
+    n = residue_modulus(group)
     d = pair.dim
-    det0 = [det_formula(pair, g)[0] for g in group.elements()]
-
-    found = None
-    for omega in linear_characters(group):
-        if all((det0[g] + omega(g).scale(d)).is_zero() for g in group.elements()):
-            found = omega
-            break
+    det0, _ = _formula_residues(pair, n)
+    found = next(
+        (omega for omega in linear_characters(group) if not ((det0 + d * omega.residues) % n).any()),
+        None,
+    )
 
     power_members = set(group.power_subgroup(d).members)
     derived_members = set(group.commutator_subgroup().members)
     z0 = sorted(power_members & derived_members)
-    criterion = all(pair.chi(x).is_zero() for x in z0)
+    criterion = not pair.chi.residues[z0].any()
     if pair.two_rank != 2:
         _math_check(
             (found is not None) == criterion,
@@ -452,18 +465,22 @@ def build_det_report(pair: HeisenbergPair) -> DetReport:
     """Reduce the pair, pick the first maximal isotropic and the default
     character extension, and tabulate all three determinants."""
     reduced, _ = pair.reduction
-    group = reduced.group
+    n = residue_modulus(reduced.group)
     sub = reduced.maximal_isotropics[0]
     chi_h = reduced.default_extension
     eps = epsilon_table(reduced, sub)
     rk2 = reduced.two_rank
     direct = direct_table(reduced, sub, chi_h)
     gallagher = gallagher_table(reduced, sub, chi_h)
-    rows = []
-    for g in group.elements():
-        formula, formula_eps = det_formula(reduced, g)
-        rows.append(DetRow(g, direct[g], gallagher[g], formula, eps[g], formula_eps))
-    all_agree = all(row.agrees() for row in rows)
+    formula, formula_eps = _formula_residues(reduced, n)
+    all_agree = bool(
+        ((direct == gallagher) & (direct == formula) & (eps == formula_eps)).all()
+    )
+    columns = (direct, gallagher, formula, eps, formula_eps)
+    rows = [
+        DetRow(g, *(QmodZ(value, n) for value in values))
+        for g, values in enumerate(zip(*(column.tolist() for column in columns)))
+    ]
     return DetReport(reduced, sub, rows, rk2, _case_label(rk2), all_agree)
 
 
@@ -478,8 +495,10 @@ def oracle_equivalence_report(pair: HeisenbergPair) -> CheckReport:
     by scalar matrices.
     """
     group = pair.group
+    n = residue_modulus(group)
+    chi = pair.chi.residues
     reduced, proj = pair.reduction
-    formula = {g: det_formula(reduced, proj(g))[0] for g in group.elements()}
+    formula = _formula_residues(reduced, n)[0][np.asarray(proj.map)]
     report = CheckReport(
         "determinant_oracle_equivalence",
         True,
@@ -490,41 +509,49 @@ def oracle_equivalence_report(pair: HeisenbergPair) -> CheckReport:
             "n_extensions": 0,
         },
     )
-    common: list[QmodZ] | None = None
+    z = np.asarray(pair.Z.members)
+    common: np.ndarray | None = None
     for sub in pair.maximal_isotropics:
+        skeleton = group.coset_skeleton(sub)
+        # z acts by the scalar chi(z): it fixes every coset, and every
+        # factor of its matrix has the value chi(z)
+        fixes_cosets = (skeleton.perm[z] == np.arange(skeleton.perm.shape[1])).all(axis=1)
         for chi_h in extend_character_all(group, pair.chi, sub):
             report.stats["n_extensions"] += 1
-            matrices = induced_matrices(pair, sub, chi_h)
-            direct = [monomial_det(m) for m in matrices]
+            direct = direct_table(pair, sub, chi_h)
             gallagher = gallagher_table(pair, sub, chi_h)
-            for g in group.elements():
-                dd, dg, df = direct[g], gallagher[g], formula[g]
-                if not (dd == dg == df):
-                    report.fail(
-                        g=g, lhs=str(dd), rhs=str(df), gallagher=str(dg), H=list(sub.members)
-                    )
+            for g in np.flatnonzero((direct != gallagher) | (direct != formula)).tolist():
+                report.fail(
+                    g=g,
+                    lhs=_text(direct[g], n),
+                    rhs=_text(formula[g], n),
+                    gallagher=_text(gallagher[g], n),
+                    H=list(sub.members),
+                )
             if common is None:
                 common = direct
-            for z in pair.Z.members:
-                matrix = matrices[z]
-                if not (matrix.is_scalar() and matrix.exps[0] == pair.chi(z)):
-                    report.fail(g=z, lhs="non-scalar", rhs=str(pair.chi(z)), identity="scalar")
+            scalar = fixes_cosets & (chi_h.residues[skeleton.factors[z]] == chi[z][:, None]).all(axis=1)
+            for g in z[~scalar].tolist():
+                report.fail(g=g, lhs="non-scalar", rhs=_text(chi[g], n), identity="scalar")
 
     _math_check(common is not None, "a pair has at least one maximal isotropic")
     if pair.dim == 1:
         # a 1x1 induced table is chi itself, whose multiplicativity was
         # verified exhaustively at validation time
-        g = next((g for g in group.elements() if common[g] != pair.chi(g)), None)
-        if g is not None:
-            report.fail(g=g, lhs=str(common[g]), rhs=str(pair.chi(g)), identity="character")
+        off = np.flatnonzero(common != chi)
+        if off.size:
+            g = int(off[0])
+            report.fail(g=g, lhs=_text(common[g], n), rhs=_text(chi[g], n), identity="character")
         return report
-    try:
-        LinearCharacter(group.full_subgroup(), tuple(common)).validate()
-    except NotACharacter as exc:
-        x, y = exc.witness
-        xy = group.mul(x, y)
+    e = group.identity_id
+    witness = (e, e) if common[e] else multiplicativity_witness(common, common[group._np_table], n)
+    if witness is not None:
+        x, y = witness
         report.fail(
-            g=[x, y], lhs=str(common[xy]), rhs=str(common[x] + common[y]), identity="character"
+            g=[x, y],
+            lhs=_text(common[group.mul(x, y)], n),
+            rhs=_text(common[x] + common[y], n),
+            identity="character",
         )
     return report
 
@@ -596,9 +623,10 @@ def p3_classification(p: int) -> dict:
         power = group.power_subgroup(p)
         dets_trivial = []
         for q in pairs:
-            reduced, proj = quotient_by_kernel(q)
-            table = [det_formula(reduced, proj(g))[0] for g in group.elements()]
-            dets_trivial.append(all(v.is_zero() for v in table))
+            # the projection is onto, so the reduced group's table decides
+            reduced, _ = quotient_by_kernel(q)
+            det, _ = _formula_residues(reduced, residue_modulus(reduced.group))
+            dets_trivial.append(not det.any())
         if kind == "exponent_p":
             _math_check(len(power) == 1, "exponent-p group must have trivial p-th powers")
             _math_check(all(dets_trivial), "exponent-p determinants must be trivial")

@@ -50,11 +50,12 @@ class CheckReport:
         if kept < MAX_COUNTEREXAMPLES:
             self.counterexamples.append(counterexample)
 
-    def compare(self, lhs: np.ndarray, rhs: np.ndarray) -> None:
+    def compare(self, lhs: np.ndarray, rhs: np.ndarray, **extra) -> None:
         """Compare two tables indexed by pairs of element ids, failing at
-        the disagreeing pairs (g1, g2) in row-major order."""
+        the disagreeing pairs (g1, g2) in row-major order; ``extra`` keys
+        (such as ``identity``) go into every counterexample."""
         for g1, g2 in np.argwhere(lhs != rhs)[:MAX_COUNTEREXAMPLES].tolist():
-            self.fail(g=[g1, g2], lhs=int(lhs[g1, g2]), rhs=int(rhs[g1, g2]))
+            self.fail(g=[g1, g2], lhs=int(lhs[g1, g2]), rhs=int(rhs[g1, g2]), **extra)
 
     def as_dict(self) -> dict:
         return {
@@ -348,43 +349,42 @@ def check_transfer_identities(
         "transfer_identities", True, stats={"group": group.label, "subgroup_order": len(sub)}
     )
 
-    # conjugation covariance
-    base_values = transfer_table(group, sub)
-    conj_failures = 0
-    # for normal H every conjugate is H, so no second table is built
-    seen_conjugates = {sub.members: (_mod_derived(group, sub), base_values)}
-    for g in group.elements():
-        members = tuple(sorted(group.conjugate(g, h) for h in sub.members))
-        if members not in seen_conjugates:
-            csub = Subgroup(group, members)
-            seen_conjugates[members] = (_mod_derived(group, csub), transfer_table(group, csub))
-        red, conj_values = seen_conjugates[members]
-        for gp in group.elements():
-            lhs = conj_values[gp]
-            rhs = int(red[group.conjugate(g, base_values[gp])])
-            if lhs != rhs:
-                conj_failures += 1
-                report.fail(g=[g, gp], lhs=lhs, rhs=rhs, identity="conjugation")
-    report.stats["conjugation_pass"] = conj_failures == 0
+    table, inv = group._np_table, np.asarray(group.inverse)
+    members = np.asarray(sub.members)
+    base = np.asarray(transfer_table(group, sub))
+    # conj[g, i] = g h_i g^-1 for the i-th member h_i of H
+    conj = table[table[:, members], inv[:, None]]
 
-    # image in the fixed central part
-    if sub.is_abelian and group.is_normal(sub):
-        central = set(group.center().members)
-        fixed = {
-            h
-            for h in sub.members
-            if all(group.conjugate(g, h) == h for g in group.elements())
-        }
-        img_ok = fixed <= central
-        for g in group.elements():
-            v = base_values[g]
-            if v not in fixed:
-                img_ok = False
-                e = group.identity_id
-                c = next((c for c in group.elements() if group.conjugate(c, v) != v), e)
-                report.fail(
-                    g=g, lhs=group.conjugate(c, v), rhs=v, conjugator=c, identity="image"
-                )
+    # conjugation covariance, row g against the conjugate gHg^-1: one
+    # gather per distinct conjugate, a single one when H is normal
+    moved = table[table[:, base], inv[:, None]]
+    rows_of: dict[tuple[int, ...], list[int]] = {}
+    for g, row in enumerate(np.sort(conj, axis=1).tolist()):
+        rows_of.setdefault(tuple(row), []).append(g)
+    lhs, rhs = np.empty_like(moved), np.empty_like(moved)
+    for key, rows in rows_of.items():
+        csub = sub if key == sub.members else Subgroup(group, key)
+        lhs[rows] = base if csub is sub else np.asarray(transfer_table(group, csub))
+        rhs[rows] = _mod_derived(group, csub)[moved[rows]]
+    report.compare(lhs, rhs, identity="conjugation")
+    report.stats["conjugation_pass"] = bool(np.array_equal(lhs, rhs))
+
+    # image in the fixed central part, for abelian normal H (H is its own
+    # only conjugate); the fixed members are the columns of conj that no
+    # conjugation moves
+    if sub.is_abelian and len(rows_of) == 1:
+        fixed = members[(conj == members).all(axis=0)]
+        in_fixed = np.zeros(group.order, dtype=bool)
+        in_fixed[fixed] = True
+        outside = np.flatnonzero(~in_fixed[base])
+        img_ok = set(fixed.tolist()) <= set(group.center().members) and not outside.size
+        for g in outside[:MAX_COUNTEREXAMPLES].tolist():
+            v = int(base[g])
+            movers = np.flatnonzero(table[table[:, v], inv] != v)
+            c = int(movers[0]) if movers.size else group.identity_id
+            report.fail(
+                g=g, lhs=group.conjugate(c, v), rhs=v, conjugator=c, identity="image"
+            )
         report.stats["image_pass"] = img_ok
         if not img_ok:
             report.passed = False

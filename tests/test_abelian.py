@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from hrep import abelian
 from hrep.errors import NotAbelian
-from hrep.group_core import FiniteGroup, abelian_group, cyclic, dihedral, heisenberg_mod
+from hrep.group_core import (
+    FiniteGroup,
+    abelian_group,
+    cyclic,
+    dihedral,
+    from_name,
+    heisenberg_mod,
+)
 
 
 def order_census(group):
@@ -97,6 +104,38 @@ def test_decompose_matches_the_complement_search(relabel):
         for group in copies:
             dec = abelian.decompose(group)
             assert (dec.factors, dec.generators) == complement_search_decompose(group)
+
+
+def per_element_subgroups(group):
+    """The subgroup enumerator that adjoins every element outside each
+    found subgroup, not one per left coset: the reference lattice."""
+    seen = {(group.identity_id,): ()}
+    frontier = [(group.identity_id,)]
+    while frontier:
+        new_frontier = []
+        for mem in frontier:
+            for g in group.elements():
+                if g in mem:
+                    continue
+                gens = seen[mem] + (g,)
+                bigger = group.subgroup_generated(gens).members
+                if bigger not in seen:
+                    seen[bigger] = gens
+                    new_frontier.append(bigger)
+        frontier = new_frontier
+    return sorted(seen, key=lambda m: (len(m), m))
+
+
+def test_all_subgroups_matches_the_per_element_enumerator(relabel):
+    """Adjoining one element per left coset gS finds the same lattice in
+    the same (size, members) order, on the zoo, d128, d8 x d8 and
+    relabellings whose identity is not element 0."""
+    for g in [*abelian_zoo(), from_name("d128"), from_name("prod:d8,d8")]:
+        sigma = list(range(g.order))
+        random.Random(f"{g.label}:lattice").shuffle(sigma)
+        for group in (g, relabel(g, sigma)):
+            got = [s.members for s in group.all_subgroups()]
+            assert got == per_element_subgroups(group), group.label
 
 
 def test_decompose_lists_one_lattice_and_builds_no_group(monkeypatch, relabel):

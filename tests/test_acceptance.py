@@ -10,7 +10,7 @@ from functools import cache
 
 from hrep import char_theory as ct, heisenberg as hb, induced_det as idet
 from hrep import transfer as tr
-from hrep.char_theory import HALF, ZERO
+from hrep.char_theory import HALF, ZERO, QmodZ
 from hrep.group_core import (
     central_product,
     cyclic,
@@ -22,6 +22,12 @@ from hrep.group_core import (
 )
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
+
+
+def exps(table, group):
+    """A residue table mod N as the exponents a report prints."""
+    n = ct.residue_modulus(group)
+    return [QmodZ(int(r), n) for r in table]
 
 
 @cache
@@ -107,8 +113,8 @@ def test_acceptance_01_dihedral8_example():
     # det(g) = chi(g^2) on Z and -chi(g^2) off Z, on every route
     sub = pair.maximal_isotropics[0]
     chi_h = ct.extend_character(d8, pair.chi, sub)
-    direct = idet.direct_table(pair, sub, chi_h)
-    gallagher = idet.gallagher_table(pair, sub, chi_h)
+    direct = exps(idet.direct_table(pair, sub, chi_h), d8)
+    gallagher = exps(idet.gallagher_table(pair, sub, chi_h), d8)
     for g in d8.elements():
         expected = pair.chi(d8.pow(g, 2))
         if g not in pair.Z:
@@ -196,9 +202,10 @@ def test_acceptance_04_correcting_function_formulas():
 
 def assert_matches_gallagher(pair, sub, chi_h, table):
     """eps(g) = det(g) - chi(g^d), with det from Gallagher's route."""
-    gallagher = idet.gallagher_table(pair, sub, chi_h)
+    gallagher = exps(idet.gallagher_table(pair, sub, chi_h), pair.group)
+    eps = exps(table, pair.group)
     for g in pair.group.elements():
-        assert table[g] == gallagher[g] - pair.chi(pair.group.pow(g, pair.dim))
+        assert eps[g] == gallagher[g] - pair.chi(pair.group.pow(g, pair.dim))
 
 
 def test_acceptance_05_epsilon_case_split():
@@ -212,7 +219,7 @@ def test_acceptance_05_epsilon_case_split():
             sub = reduced.maximal_isotropics[0]
             chi_h = ct.extend_character(reduced.group, reduced.chi, sub)
             table = idet.epsilon_table(reduced, sub)
-            assert all(v == ZERO for v in table.values())
+            assert all(v == ZERO for v in exps(table, reduced.group))
             assert_matches_gallagher(reduced, sub, chi_h, table)
 
     # trivial sign: two-rank at least 4 (order-32 central products)
@@ -223,7 +230,7 @@ def test_acceptance_05_epsilon_case_split():
         sub = pair.maximal_isotropics[0]
         chi_h = ct.extend_character(cp, pair.chi, sub)
         table = idet.epsilon_table(pair, sub)
-        assert all(v == ZERO for v in table.values())
+        assert all(v == ZERO for v in exps(table, cp))
         assert_matches_gallagher(pair, sub, chi_h, table)
 
     # the + - - - pattern: two-rank exactly 2
@@ -241,8 +248,9 @@ def test_acceptance_05_epsilon_case_split():
             chi_h = ct.extend_character(grp, reduced.chi, sub)
             table = idet.epsilon_table(reduced, sub)
             assert_matches_gallagher(reduced, sub, chi_h, table)
+            eps = exps(table, grp)
             for g in grp.elements():
-                assert table[g] == (ZERO if g in g2z else HALF)
+                assert eps[g] == (ZERO if g in g2z else HALF)
             patterns += 1
     assert patterns >= 4
     report_line(5, f"epsilon case split, {patterns} sign patterns", started)
@@ -327,9 +335,10 @@ def test_acceptance_08b_sign_defect_identity():
             table = idet.epsilon_table(reduced, sub)
             assert_matches_gallagher(reduced, sub, chi_h, table)
             half_d = reduced.dim // 2
+            eps = exps(table, grp)
             for g1 in grp.elements():
                 for g2 in grp.elements():
-                    defect = table[g1] + table[g2] - table[grp.mul(g1, g2)]
+                    defect = eps[g1] + eps[g2] - eps[grp.mul(g1, g2)]
                     assert defect == reduced.x_value(g1, g2).scale(half_d)
             checked += 1
     assert checked >= 10

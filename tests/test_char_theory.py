@@ -127,6 +127,30 @@ def test_character_validate_catches_bad_map():
     assert info.value.witness == (1, 2)
 
 
+def test_character_validate_rejects_a_value_of_order_not_dividing_n():
+    """Every value of a character of G is an N-th root of unity for
+    N = lcm(exp(G), 2); on Z/3, N = 6 and a value 1/4 is no residue."""
+    z3 = cyclic(3)
+    assert ct.residue_modulus(z3) == 6
+    bad = ct.LinearCharacter(z3.full_subgroup(), (ZERO, QmodZ(1, 4), HALF))
+    with pytest.raises(NotACharacter, match="value 1/4 has order 4, which does not divide N=6"):
+        bad.validate()
+
+
+def test_residues_are_indexed_by_parent_id_and_read_only():
+    d8 = dihedral(8)
+    rot = d8.subgroup([E, A, A2, A3])
+    chi = [c for c in ct.characters_of_subgroup(rot) if c(A) == QmodZ(1, 4)][0]
+    assert ct.residue_modulus(d8) == 4
+    assert chi.residues.tolist() == [0, -1, 1, -1, 2, -1, 3, -1]
+    assert not chi.residues.flags.writeable
+    on_center = chi.restrict(d8.center())
+    assert on_center.exps == (ZERO, HALF) and on_center.residues.tolist() == [0, -1, -1, -1, 2, -1, -1, -1]
+    assert (chi * chi).exps == (ZERO, HALF, ZERO, HALF)
+    with pytest.raises(NotACharacter):
+        on_center.restrict(rot)
+
+
 def test_character_validate_rejects_a_domain_not_closed_under_the_product():
     d8 = dihedral(8)
     with pytest.raises(NotACharacter, match="not closed"):

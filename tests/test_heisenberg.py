@@ -1,18 +1,26 @@
 """The commutator pairing, pair validation, enumeration, kernel reduction,
 isotropic subgroups, and symplectic bases."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrep import char_theory as ct, heisenberg as hb
 from hrep.char_theory import HALF, QmodZ
 from hrep.errors import (
     Degenerate,
     EnumerationBoundExceeded,
+    HrepError,
+    InvalidSpec,
     NotCoabelian,
     NotInvariant,
     NotNormal,
+    math_check,
 )
 from hrep.group_core import (
+    from_name,
     abelian_group,
     central_product,
     cyclic,
@@ -117,6 +125,66 @@ def test_validated_radical_matches_brute_force():
     """The screened nondegeneracy check agrees with the full radical scan."""
     for pair in (d8_pair(), heis3_pair()):
         assert brute_radical(pair.group, pair.chi) == pair.Z.members
+
+
+def reference_validate_pair(group, scalar, chi):
+    """validate_pair with its invariance and nondegeneracy screens as
+    per-element loops over QmodZ values: the reference for the array
+    screens."""
+    if chi.domain.members != scalar.members or chi.domain.parent is not group:
+        raise InvalidSpec("character domain must be exactly the scalar subgroup")
+    chi.validate()
+    if not group.is_normal(scalar):
+        raise NotNormal(f"scalar subgroup {scalar.members} is not normal")
+    derived = group.commutator_subgroup()
+    if not scalar.contains_subgroup(derived):
+        witness = next(m for m in derived.members if m not in scalar)
+        raise NotCoabelian(f"G/Z is not abelian: commutator {witness} escapes Z")
+    for z in scalar.members:
+        base = chi(z)
+        for w in sorted({group.conjugate(g, z) for g in group.elements()}):
+            if chi(w) != base:
+                raise NotInvariant(f"chi is not invariant on the class of {z}")
+    reps, _ = group.coset_positions(scalar)
+    for t in reps:
+        if t in scalar:
+            continue
+        if all(chi(group.commutator(t, u)).is_zero() for u in reps):
+            raise Degenerate(f"coset of {t} lies in the radical")
+    index = group.order // len(scalar)
+    dim = math.isqrt(index)
+    math_check(dim * dim == index, "nondegenerate pairing forces a square index")
+    return hb.HeisenbergPair(group, scalar, chi, dim)
+
+
+def screen_outcome(validate, group, scalar, chi):
+    try:
+        pair = validate(group, scalar, chi)
+    except HrepError as exc:
+        return type(exc), str(exc)
+    return pair.dim, pair.Z.members, pair.chi.exps
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "cp:d8,q8", "ab:2,4"))
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_array_screens_match_the_per_element_loops(relabel, name, data):
+    """On every normal subgroup and each of its linear characters, the array screens of validate_pair raise the same
+    exception with the same first witness as the per-element loops, or
+    return the same pair; on the builtin labelling and a relabelling."""
+    group = from_name(name)
+    if data.draw(st.booleans()):
+        group = relabel(group, data.draw(st.permutations(range(group.order))))
+    outcomes = set()
+    for scalar in group.all_subgroups():
+        if not group.is_normal(scalar):
+            continue
+        for chi in ct.characters_of_subgroup(scalar):
+            want = screen_outcome(reference_validate_pair, group, scalar, chi)
+            assert screen_outcome(hb.validate_pair, group, scalar, chi) == want
+            outcomes.add(want[0])
+    if name in ("d8", "cp:d8,q8"):
+        assert {NotInvariant, Degenerate, 1} <= outcomes
 
 
 # -- the commutator pairing and invariance ------------------------------------------

@@ -5,6 +5,7 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,12 +31,19 @@ from hrep.group_core import (
     quaternion8,
 )
 from hrep.induced_det import MonomialMatrix, monomial_det, monomial_mul
+from hrep.transfer import CorrectingFunction
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
 
 
 def pair_of(group, dim):
     return [p for p in hb.enumerate_pairs(group, max_order=512) if p.dim == dim][0]
+
+
+def exps(table, group):
+    """A residue table mod N as the exponents a report prints."""
+    n = ct.residue_modulus(group)
+    return [QmodZ(int(r), n) for r in table]
 
 
 def default_setup(group, dim):
@@ -109,8 +117,8 @@ def test_scalar_subgroup_acts_by_scalars():
         matrices = idet.induced_matrices(pair, sub, chi_h)
         for z in pair.Z.members:
             m = matrices[z]
-            assert m.is_scalar()
-            assert m.exps[0] == pair.chi(z)
+            assert m.perm == tuple(range(dim))
+            assert set(m.exps) == {pair.chi(z)}
 
 
 def test_d8_reflection_is_antidiagonal():
@@ -134,6 +142,8 @@ def test_skeleton_matches_induced_matrix_from_definition(name):
     for pair in hb.enumerate_pairs(group):
         for sub in pair.maximal_isotropics:
             skeleton = group.coset_skeleton(sub)
+            for array in (skeleton.perm, skeleton.factors, skeleton.odd):
+                assert not array.flags.writeable
             transversal = list(group.coset_positions(sub)[0])
             assert list(skeleton.transversal) == transversal
             coset_of = {group.mul(t, h): i for i, t in enumerate(transversal) for h in sub}
@@ -146,23 +156,70 @@ def test_skeleton_matches_induced_matrix_from_definition(name):
                     x = group.mul(g, t)
                     perm.append(coset_of[x])
                     factors.append(group.mul(group.inv(transversal[coset_of[x]]), x))
-                assert skeleton.perm[g] == tuple(perm)
-                assert skeleton.factors[g] == tuple(factors)
+                assert skeleton.perm[g].tolist() == perm
+                assert skeleton.factors[g].tolist() == factors
                 inversions = sum(
                     perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
                 )
-                assert skeleton.odd[g] == (inversions % 2 == 1)
+                assert bool(skeleton.odd[g]) == (inversions % 2 == 1)
                 expected = MonomialMatrix(
                     len(perm), tuple(perm), tuple(chi_h(f) for f in factors)
                 )
                 assert matrices[g] == expected
 
 
+def reference_routes(pair, sub, chi_h):
+    """The direct route as monomial_det of every induced matrix, and
+    Gallagher's as the coset permutation's sign (by inversion count) plus
+    chi_H of the raw transfer product, both in QmodZ."""
+    matrices = idet.induced_matrices(pair, sub, chi_h)
+    transfers = pair.group.transfer_products(sub)
+    direct = [monomial_det(m) for m in matrices]
+    gallagher = []
+    for m, t in zip(matrices, transfers):
+        inversions = sum(m.perm[i] > m.perm[j] for i in range(m.dim) for j in range(i + 1, m.dim))
+        gallagher.append((HALF if inversions % 2 else ZERO) + chi_h(t))
+    return direct, gallagher
+
+
+def assert_residue_routes_match_references(group):
+    tables = 0
+    for pair in hb.enumerate_pairs(group):
+        for sub in pair.maximal_isotropics:
+            for chi_h in extend_character_all(group, pair.chi, sub):
+                direct, gallagher = reference_routes(pair, sub, chi_h)
+                assert exps(idet.direct_table(pair, sub, chi_h), group) == direct
+                assert exps(idet.gallagher_table(pair, sub, chi_h), group) == gallagher
+                tables += 1
+    assert tables
+
+
+GOLDEN_ZOO = ("d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "ab:2,2,2,2", "d16", "d128")
+
+
+@pytest.mark.parametrize("name", GOLDEN_ZOO)
+def test_residue_routes_match_matrices_and_transfer(name):
+    """On every pair, maximal isotropic and extension of the golden zoo,
+    the residue gathers equal the determinants of the induced matrices
+    and Delta_H + chi_H(T)."""
+    assert_residue_routes_match_references(from_name(name))
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "cp:d8,q8", "ab:2,4"))
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_residue_routes_survive_relabelling(relabel, name, data):
+    group = from_name(name)
+    sigma = data.draw(st.permutations(range(group.order)))
+    assert_residue_routes_match_references(relabel(group, sigma))
+
+
 def test_verify_checks_each_object_once(monkeypatch, capsys):
-    """Work-count regression: one extension check per table call, one
-    kernel reduction, one sign table and one reduced Gallagher table per
-    pair, one untwisted table per twist identity, one skeleton per (G, H),
-    one quotient G/H per maximal isotropic in isotropic independence."""
+    """Work-count regression: one extension check per residue-table call,
+    no monomial matrix built, one kernel reduction, one sign table and one
+    reduced Gallagher table per pair, one untwisted table per twist
+    identity, one skeleton per (G, H), one quotient G/H per maximal
+    isotropic in isotropic independence."""
     extension_checks = [0]
     real_require = idet._require_extension
 
@@ -210,7 +267,8 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         return result
 
     checks_per_twist, checks_per_identity = [], []
-    checks_per_table = {"induced_matrices": [], "direct_table": [], "gallagher_table": []}
+    checks_per_table = {"direct_table": [], "gallagher_table": []}
+    matrix_builds = []
 
     skeleton_builds = Counter()
     real_build = FiniteGroup._build_skeleton
@@ -232,6 +290,7 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "isotropic_independence", counting_independence)
     for name, log in checks_per_table.items():
         monkeypatch.setattr(idet, name, counting(getattr(idet, name), log))
+    monkeypatch.setattr(idet, "induced_matrices", counting(idet.induced_matrices, matrix_builds))
 
     assert cli.main(["verify", "--builtin", "heis3"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -245,6 +304,7 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     assert epsilon_tables[0] == report["n_pairs"]
     for name, log in checks_per_table.items():
         assert log and set(log) == {1}, name
+    assert matrix_builds == []
     n_extensions = sum(
         c["stats"]["n_extensions"]
         for c in report["checks"]
@@ -300,32 +360,31 @@ def test_linear_pair_reduces_to_character_multiplicativity():
     chi_h = extend_character(g, pair.chi, sub)
     report = idet.check_homomorphism(pair, sub, chi_h)
     assert report.passed
-    assert idet.direct_table(pair, sub, chi_h) == [pair.chi(x) for x in g.elements()]
+    assert exps(idet.direct_table(pair, sub, chi_h), g) == [pair.chi(x) for x in g.elements()]
 
 
 # -- coset signs ----------------------------------------------------------------------
 
 
 def test_delta_trivial_on_normal_subgroup_elements():
+    """Delta_H, the sign of the coset permutation, is the skeleton's parity."""
     d8 = dihedral(8)
     pair = pair_of(d8, 2)
     sub = pair.maximal_isotropics[1]
-    for h in sub.members:
-        assert idet.delta_character(d8, sub, h) == ZERO
+    assert not d8.coset_skeleton(sub).odd[list(sub.members)].any()
 
 
 def test_delta_trivial_for_odd_index():
     h3 = heisenberg_mod(3)
     pair = pair_of(h3, 3)
     for sub in pair.maximal_isotropics:
-        for g in h3.elements():
-            assert idet.delta_character(h3, sub, g) == ZERO
+        assert not h3.coset_skeleton(sub).odd.any()
 
 
 def test_delta_on_d8_reflection():
     d8 = dihedral(8)
     rot = d8.subgroup([E, A, A2, A3])
-    assert idet.delta_character(d8, rot, B) == HALF
+    assert d8.coset_skeleton(rot).odd[B]
 
 
 # -- the three routes agree ------------------------------------------------------------
@@ -333,8 +392,8 @@ def test_delta_on_d8_reflection():
 
 def test_d8_reflection_determinant_is_minus_one():
     pair, sub, chi_h = default_setup(dihedral(8), 2)
-    assert idet.direct_table(pair, sub, chi_h)[B] == HALF
-    assert idet.gallagher_table(pair, sub, chi_h)[B] == HALF
+    assert exps(idet.direct_table(pair, sub, chi_h), pair.group)[B] == HALF
+    assert exps(idet.gallagher_table(pair, sub, chi_h), pair.group)[B] == HALF
     value, eps = idet.det_formula(pair, B)
     assert value == HALF and eps == HALF
 
@@ -343,7 +402,8 @@ def test_gallagher_equals_direct_everywhere_on_d8():
     pair = pair_of(dihedral(8), 2)
     for sub in pair.maximal_isotropics:
         for chi_h in extend_character_all(pair.group, pair.chi, sub):
-            assert idet.gallagher_table(pair, sub, chi_h) == idet.direct_table(pair, sub, chi_h)
+            gallagher = idet.gallagher_table(pair, sub, chi_h)
+            assert np.array_equal(gallagher, idet.direct_table(pair, sub, chi_h))
 
 
 def test_formula_requires_reduced_pair():
@@ -379,16 +439,17 @@ def test_oracle_equivalence_reports():
         assert report.passed, (group.label, report.counterexamples[:3])
 
 
-def plant_determinant(monkeypatch, order, g0):
-    """Make monomial_det add 1/2 at element g0 of every direct table."""
-    calls = []
-    original = idet.monomial_det
+def plant_determinant(monkeypatch, group, g0):
+    """Make every direct table of the group add 1/2 at element g0."""
+    original = idet.direct_table
+    n = ct.residue_modulus(group)
 
-    def planted(matrix):
-        calls.append(matrix)
-        return original(matrix) + (HALF if (len(calls) - 1) % order == g0 else ZERO)
+    def planted(pair, sub, chi_h):
+        table = original(pair, sub, chi_h)
+        table[g0] = (table[g0] + n // 2) % n
+        return table
 
-    monkeypatch.setattr(idet, "monomial_det", planted)
+    monkeypatch.setattr(idet, "direct_table", planted)
     return original
 
 
@@ -396,7 +457,7 @@ def test_oracle_reports_a_planted_d128_determinant_entry(monkeypatch):
     """Order 128 is above the bound where this check used to sample pairs."""
     group, g0 = dihedral(128), 5
     pair = pair_of(group, 2)
-    original = plant_determinant(monkeypatch, group.order, g0)
+    original = plant_determinant(monkeypatch, group, g0)
     report = idet.oracle_equivalence_report(pair)
     assert not report.passed
     routes = [c for c in report.counterexamples if "gallagher" in c]
@@ -404,7 +465,7 @@ def test_oracle_reports_a_planted_d128_determinant_entry(monkeypatch):
 
     sub = pair.maximal_isotropics[0]
     chi_h = extend_character_all(group, pair.chi, sub)[0]
-    common = [original(m) for m in idet.induced_matrices(pair, sub, chi_h)]
+    common = exps(original(pair, sub, chi_h), group)
     common[g0] = common[g0] + HALF
     x, y = next(
         (x, y)
@@ -427,7 +488,7 @@ def test_oracle_names_the_first_dim_one_determinant_off_chi(monkeypatch):
     group, g0 = cyclic(6), 4
     pair = hb.enumerate_pairs(group)[2]
     assert pair.dim == 1
-    plant_determinant(monkeypatch, group.order, g0)
+    plant_determinant(monkeypatch, group, g0)
     report = idet.oracle_equivalence_report(pair)
     assert not report.passed
     witness = [c for c in report.counterexamples if c.get("identity") == "character"]
@@ -446,16 +507,16 @@ def test_oracle_names_the_first_dim_one_determinant_off_chi(monkeypatch):
 
 def eps_from_gallagher(pair, sub, chi_h):
     """eps(g) = det(g) - chi(g^d), with det from Gallagher's route."""
-    gallagher = idet.gallagher_table(pair, sub, chi_h)
     group = pair.group
-    return {g: gallagher[g] - pair.chi(group.pow(g, pair.dim)) for g in group.elements()}
+    gallagher = exps(idet.gallagher_table(pair, sub, chi_h), group)
+    return [gallagher[g] - pair.chi(group.pow(g, pair.dim)) for g in group.elements()]
 
 
 def test_epsilon_pattern_on_d8():
     pair, sub, chi_h = default_setup(dihedral(8), 2)
-    table = idet.epsilon_table(pair, sub)
+    table = exps(idet.epsilon_table(pair, sub), pair.group)
     assert table == eps_from_gallagher(pair, sub, chi_h)
-    assert table == {
+    expected = {
         E: ZERO,
         A2: ZERO,
         B: HALF,
@@ -465,14 +526,15 @@ def test_epsilon_pattern_on_d8():
         A3: HALF,
         A3B: HALF,
     }
+    assert table == [expected[g] for g in pair.group.elements()]
 
 
 def test_epsilon_pattern_on_q8():
     pair, sub, chi_h = default_setup(quaternion8(), 2)
-    table = idet.epsilon_table(pair, sub)
+    table = exps(idet.epsilon_table(pair, sub), pair.group)
     assert table == eps_from_gallagher(pair, sub, chi_h)
     center = set(pair.Z.members)
-    for g, v in table.items():
+    for g, v in enumerate(table):
         assert v == (ZERO if g in center else HALF)
     # the 2-dim irrep of the quaternion group is symplectic: det is trivial
     for g in pair.group.elements():
@@ -481,20 +543,20 @@ def test_epsilon_pattern_on_q8():
 
 def test_epsilon_trivial_for_odd_dim():
     pair, sub, chi_h = default_setup(heisenberg_mod(3), 3)
-    table = idet.epsilon_table(pair, sub)
+    table = exps(idet.epsilon_table(pair, sub), pair.group)
     assert table == eps_from_gallagher(pair, sub, chi_h)
-    assert all(v == ZERO for v in table.values())
+    assert all(v == ZERO for v in table)
 
 
 def test_epsilon_trivial_for_two_rank_four():
     for factors in ((dihedral(8), dihedral(8)), (dihedral(8), quaternion8())):
         cp = central_product(*factors)
         pair, sub, chi_h = default_setup(cp, 4)
-        table = idet.epsilon_table(pair, sub)
-        assert all(v == ZERO for v in table.values())
+        table = exps(idet.epsilon_table(pair, sub), pair.group)
+        assert all(v == ZERO for v in table)
         assert table == eps_from_gallagher(pair, sub, chi_h)
         # cross-check against the direct determinant: det == chi(g^4)
-        direct = idet.direct_table(pair, sub, chi_h)
+        direct = exps(idet.direct_table(pair, sub, chi_h), cp)
         for g in cp.elements():
             assert direct[g] == pair.chi(cp.pow(g, 4))
 
@@ -504,7 +566,7 @@ def test_epsilon_independent_of_the_isotropic():
     tables = []
     for sub in pair.maximal_isotropics:
         chi_h = extend_character(pair.group, pair.chi, sub)
-        tables.append(idet.epsilon_table(pair, sub))
+        tables.append(exps(idet.epsilon_table(pair, sub), pair.group))
         assert tables[-1] == eps_from_gallagher(pair, sub, chi_h)
     assert tables[0] == tables[1] == tables[2]
 
@@ -512,7 +574,7 @@ def test_epsilon_independent_of_the_isotropic():
 def test_epsilon_invariant_under_center_and_square_shifts():
     pair, sub, chi_h = default_setup(quaternion8(), 2)
     g8 = pair.group
-    table = idet.epsilon_table(pair, sub)
+    table = exps(idet.epsilon_table(pair, sub), pair.group)
     assert table == eps_from_gallagher(pair, sub, chi_h)
     for g in g8.elements():
         for z in pair.Z.members:
@@ -524,18 +586,22 @@ def test_epsilon_invariant_under_center_and_square_shifts():
 def test_sign_defect_reports_a_planted_eps_sign_with_real_values(monkeypatch):
     pair, sub, _ = default_setup(dihedral(8), 2)
     group = pair.group
-    # flip eps on a whole coset of G^2 Z, so it stays constant on cosets
+    # flip eps on a whole coset of G^2 Z, so it stays constant on cosets:
+    # phi moves by the central A2, where chi is 1/2
     flipped = {B, A2B}
-    eps = {
-        g: v + (HALF if g in flipped else ZERO)
-        for g, v in eps_from_gallagher(pair, sub, extend_character(group, pair.chi, sub)).items()
-    }
-    original = idet.delta_character
-    monkeypatch.setattr(
-        idet,
-        "delta_character",
-        lambda grp, s, g: original(grp, s, g) + (HALF if g in flipped else ZERO),
-    )
+    assert pair.chi(A2) == HALF
+    eps = [
+        v + (HALF if g in flipped else ZERO)
+        for g, v in enumerate(eps_from_gallagher(pair, sub, extend_character(group, pair.chi, sub)))
+    ]
+    original = idet.correcting_function
+
+    def planted(grp, s):
+        cf = original(grp, s)
+        values = tuple(grp.mul(v, A2) if g in flipped else v for g, v in enumerate(cf.values))
+        return CorrectingFunction(values, cf.index)
+
+    monkeypatch.setattr(idet, "correcting_function", planted)
     defect, x, g1, g2 = next(
         (eps[g1] + eps[g2] - eps[group.mul(g1, g2)], pair.x_value(g1, g2), g1, g2)
         for g1 in group.elements()
@@ -569,9 +635,10 @@ def test_epsilon_case_report_fails_on_disagreeing_routes(monkeypatch, dim):
     also for a dim-1 pair, whose report verify does not keep."""
     real_table = idet.gallagher_table
 
-    def shifted_table(*args):
-        table = real_table(*args)
-        table[-1] = table[-1] + HALF
+    def shifted_table(pair, sub, chi_h):
+        table = real_table(pair, sub, chi_h)
+        n = ct.residue_modulus(pair.group)
+        table[-1] = (table[-1] + n // 2) % n
         return table
 
     monkeypatch.setattr(idet, "gallagher_table", shifted_table)
@@ -658,7 +725,8 @@ def test_twist_identity_catches_a_wrong_twisted_table(monkeypatch):
     def shifted_table(q, sub, chi_h):
         table = real_table(q, sub, chi_h)
         if q is not pair:
-            table[0] = table[0] + HALF
+            n = ct.residue_modulus(q.group)
+            table[0] = (table[0] + n // 2) % n
         return table
 
     monkeypatch.setattr(idet, "direct_table", shifted_table)

@@ -8,6 +8,7 @@ import pytest
 from hrep import abelian, transfer as tr
 from hrep.errors import PreconditionFailed
 from hrep.group_core import (
+    Subgroup,
     abelian_group,
     cyclic,
     dihedral,
@@ -556,6 +557,110 @@ def test_image_statement_names_the_conjugator_of_a_moved_value(monkeypatch):
     assert image == [
         {"g": B, "lhs": d8.conjugate(c, A), "rhs": A, "conjugator": c, "identity": "image"}
     ]
+
+
+def reference_conjugation_and_image(group, sub):
+    """Conjugation covariance and the image statement as the pairwise
+    loops they replaced: (conjugation counterexamples, conjugation_pass,
+    image counterexamples, image_pass), at most 10 witnesses each."""
+    base_values = tr.transfer_table(group, sub)
+    conj, conj_pass = [], True
+    seen = {sub.members: (tr._mod_derived(group, sub), base_values)}
+    for g in group.elements():
+        members = tuple(sorted(group.conjugate(g, h) for h in sub.members))
+        if members not in seen:
+            csub = Subgroup(group, members)
+            seen[members] = (tr._mod_derived(group, csub), tr.transfer_table(group, csub))
+        red, conj_values = seen[members]
+        for gp in group.elements():
+            lhs, rhs = conj_values[gp], int(red[group.conjugate(g, base_values[gp])])
+            if lhs != rhs:
+                conj_pass = False
+                conj.append({"g": [g, gp], "lhs": lhs, "rhs": rhs, "identity": "conjugation"})
+    image, image_pass = [], None
+    if sub.is_abelian and group.is_normal(sub):
+        fixed = {
+            h for h in sub.members if all(group.conjugate(g, h) == h for g in group.elements())
+        }
+        image_pass = fixed <= set(group.center().members)
+        for g in group.elements():
+            v = base_values[g]
+            if v not in fixed:
+                image_pass = False
+                c = next(
+                    (c for c in group.elements() if group.conjugate(c, v) != v),
+                    group.identity_id,
+                )
+                image.append(
+                    {"g": g, "lhs": group.conjugate(c, v), "rhs": v, "conjugator": c,
+                     "identity": "image"}
+                )
+    return conj[:10], conj_pass, image[:10], image_pass
+
+
+def assert_matches_reference(group, sub):
+    report = tr.check_transfer_identities(group, sub, include_furtwangler=False)
+    conj, conj_pass, image, image_pass = reference_conjugation_and_image(group, sub)
+    by_identity = lambda name: [c for c in report.counterexamples if c["identity"] == name]
+    assert by_identity("conjugation") == conj
+    assert by_identity("image") == image
+    assert report.stats["conjugation_pass"] == conj_pass
+    assert report.stats["image_pass"] == image_pass
+    assert report.passed == (conj_pass and image_pass is not False)
+    return report
+
+
+def test_conjugation_and_image_match_the_pairwise_loops(relabel):
+    """Every subgroup of d8, q8, d16 and heis3, normal or not, and a
+    relabelled d16: the whole-table checks give the loops' outcome."""
+    d16 = dihedral(16)
+    sigma = list(range(16))
+    random.Random("d16:conjugation").shuffle(sigma)
+    for group in (dihedral(8), quaternion8(), d16, heisenberg_mod(3), relabel(d16, sigma)):
+        for sub in group.all_subgroups():
+            assert assert_matches_reference(group, sub).passed
+
+
+def test_conjugation_reports_planted_failures_like_the_pairwise_loop(monkeypatch):
+    """A wrong transfer table on one conjugate of a non-normal H gives the
+    loop's counterexamples: row-major, at most 10."""
+    d16 = dihedral(16)
+    sub = d16.subgroup([0, 1])  # <b>, not normal
+    assert not d16.is_normal(sub)
+    other = next(
+        m for m in {tuple(sorted(d16.conjugate(g, h) for h in sub)) for g in d16.elements()}
+        if m != sub.members
+    )
+    original = tr.transfer_table
+
+    def planted(group, s):
+        values = list(original(group, s))
+        if s.members == other:
+            for g in range(3, 9):
+                values[g] = other[0] if values[g] == other[1] else other[1]
+        return tuple(values)
+
+    monkeypatch.setattr(tr, "transfer_table", planted)
+    report = assert_matches_reference(d16, sub)
+    conj = [c for c in report.counterexamples if c["identity"] == "conjugation"]
+    assert len(conj) == 10 and not report.passed
+
+
+def test_image_reports_planted_failures_like_the_pairwise_loop(monkeypatch):
+    """Every transfer value moved off the fixed part of the rotations of
+    d16: the loop's first 10 image witnesses, with their conjugators."""
+    d16 = dihedral(16)
+    rot = d16.subgroup_generated([2])
+    assert len(rot) == 8 and rot.is_abelian and d16.is_normal(rot)
+    original = tr.transfer_table
+    monkeypatch.setattr(
+        tr,
+        "transfer_table",
+        lambda group, s: (2,) * 16 if s.members == rot.members else original(group, s),
+    )
+    report = assert_matches_reference(d16, rot)
+    image = [c for c in report.counterexamples if c["identity"] == "image"]
+    assert len(image) == 10 and not report.stats["image_pass"]
 
 
 def test_central_part_of_image_statement():
