@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
+import numpy as np
+
 from .errors import NotAbelian, math_check as _math_check
 from .group_core import FiniteGroup
 
@@ -110,7 +112,7 @@ def two_rank(group: FiniteGroup) -> int:
 
 def involution_set(group: FiniteGroup) -> set[int]:
     """All x with x^2 = e, identity included (any group)."""
-    return {x for x in group.elements() if group.mul(x, x) == group.identity_id}
+    return set(np.flatnonzero(group.powers(2) == group.identity_id).tolist())
 
 
 def subgroup_product(group: FiniteGroup, members) -> int:

@@ -246,18 +246,20 @@ def characters_of_abelian(group: FiniteGroup) -> list[LinearCharacter]:
             f"|A|={group.order} exceeds character enumeration bound {CHARACTER_ENUM_BOUND}"
         )
     dec = decompose(group)
+    modulus = residue_modulus(group)
     coords = dec.exponent_coordinates
+    # row x: the coordinates (a_i) of x, each scaled by N/m_i, so that
+    # chi_c(x) = sum_i c_i a_i / m_i is the residue (scaled @ c) mod N
+    scaled = np.array(
+        [coords[x] for x in group.elements()], dtype=np.int64
+    ).reshape(group.order, len(dec.factors)) * np.array(
+        [modulus // m for m in dec.factors], dtype=np.int64
+    )
     domain = group.full_subgroup()
-    chars = []
-    for idx in product(*[range(m) for m in dec.factors]):
-        exps = []
-        for x in group.elements():
-            value = ZERO
-            for c, a, m in zip(idx, coords[x], dec.factors):
-                value = value + QmodZ(c * a, m)
-            exps.append(value)
-        chars.append(LinearCharacter(domain, tuple(exps)))
-    return chars
+    return [
+        LinearCharacter._from_residues(domain, scaled @ np.array(idx, dtype=np.int64) % modulus)
+        for idx in product(*[range(m) for m in dec.factors])
+    ]
 
 
 def characters_of_subgroup(sub: Subgroup) -> list[LinearCharacter]:

@@ -71,7 +71,7 @@ def load_group(config: RunConfig) -> FiniteGroup:
         return from_cayley_table(data["cayley_table"], label=label, seed=config.seed)
     if "construct" in data:
         group = construct_spec(data["construct"])
-        return FiniteGroup(group._np_table, label=label)
+        return FiniteGroup(group, label=label)
     raise InvalidSpec("group file needs a 'cayley_table' or 'construct' key")
 
 

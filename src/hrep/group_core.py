@@ -8,11 +8,19 @@ Conventions used throughout the package:
   sorted tuple of member ids, so enumerations and reports are
   byte-stable;
 * all types are immutable after construction and safe to share across
-  threads; structural data (center, commutator subgroup, conjugacy
-  classes, and per subgroup the coset action and transfer products) is
-  computed lazily and cached. The caches are memos of pure functions of
-  the immutable table, so two threads that fill one race only to store
-  equal values.
+  threads: a group copies the table it is given and keeps it read-only.
+  Structural data (center, commutator subgroup, lower central series,
+  conjugacy classes, and per subgroup the coset action and transfer
+  products) is computed lazily and cached. The caches are memos of pure
+  functions of the immutable table, so two threads that fill one race
+  only to store equal values;
+* [G,G] and each term of the lower central series are read from one
+  ``commutator_table`` gather, and power subgroups from one vectorised
+  power of every element;
+* the quotient by the trivial subgroup, which ``quotient_by_kernel``
+  takes for every faithful pair, shares the parent's validated arrays
+  (and its ``fully_validated`` flag) under a new label, with its own
+  caches; every other table is validated when it is built.
 """
 
 from __future__ import annotations
@@ -107,18 +115,27 @@ class FiniteGroup:
     """A finite group given by its Cayley table, ``table[i][j] = g_i * g_j``."""
 
     def __init__(self, table, label="G", *, coset_reps=None, seed=0):
-        """``coset_reps``, set by ``quotient``, maps each quotient element to
-        the minimal id of its coset in the parent group."""
-        try:
-            arr = np.asarray(table)
-        except ValueError as exc:
-            raise NotAGroup("table rows must all have the same length") from exc
-        identity, inverse, fully = _validate_table(arr, seed)
-        arr = arr.astype(np.int64, copy=False)
+        """``table`` is a Cayley table, validated here, or a FiniteGroup
+        whose validated, read-only data the new group shares without
+        validating it again. ``coset_reps``, set by ``quotient``, maps each
+        quotient element to the minimal id of its coset in the parent group."""
+        if isinstance(table, FiniteGroup):
+            arr, rows, inverse = table._np_table, table.table, table.inverse
+            identity, fully = table.identity_id, table.fully_validated
+        else:
+            try:
+                # a copy: the caller keeps no handle on the validated table
+                arr = np.array(table)
+            except ValueError as exc:
+                raise NotAGroup("table rows must all have the same length") from exc
+            identity, inverse, fully = _validate_table(arr, seed)
+            arr = arr.astype(np.int64, copy=False)
+            arr.flags.writeable = False
+            rows, inverse = arr.tolist(), inverse.tolist()
         self.order: int = int(arr.shape[0])
-        self.table: list[list[int]] = [[int(v) for v in row] for row in arr]
+        self.table: list[list[int]] = rows
         self.identity_id: int = identity
-        self.inverse: list[int] = [int(v) for v in inverse]
+        self.inverse: list[int] = inverse
         self.label: str = label
         self.coset_reps: tuple[int, ...] | None = coset_reps
         self.fully_validated: bool = fully
@@ -169,6 +186,21 @@ class FiniteGroup:
         xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
         return t[t[t[np.ix_(xs, ys)], inv[xs][:, None]], inv[ys][None, :]]
 
+    def powers(self, k: int) -> np.ndarray:
+        """``x^k`` for every element id x (k >= 0), by square-and-multiply
+        over the whole id array."""
+        if k < 0:
+            raise InvalidSpec(f"powers needs k >= 0, got {k}")
+        t = self._np_table
+        result = np.full(self.order, self.identity_id, dtype=np.int64)
+        x = np.arange(self.order)
+        while k:
+            if k & 1:
+                result = t[result, x]
+            x = t[x, x]
+            k >>= 1
+        return result
+
     def elements(self) -> range:
         return range(self.order)
 
@@ -205,8 +237,15 @@ class FiniteGroup:
 
     @cached_property
     def _commutator_subgroup(self) -> "Subgroup":
-        gens = {self.commutator(x, y) for x in self.elements() for y in self.elements()}
-        return self.subgroup_generated(gens)
+        everything = range(self.order)
+        return self._generated_by_mask(self.commutator_table(everything, everything))
+
+    def _generated_by_mask(self, ids: np.ndarray) -> "Subgroup":
+        """The subgroup generated by the distinct ids in an array, marked in
+        a mask rather than collected in a set."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[ids] = True
+        return self.subgroup_generated(np.flatnonzero(mask).tolist())
 
     @cached_property
     def class_reps(self) -> np.ndarray:
@@ -263,18 +302,19 @@ class FiniteGroup:
 
     def lower_central_series(self) -> list["Subgroup"]:
         """[C^1 G, C^2 G, ...] with C^{i+1} = [C^i, G], until stabilization."""
+        return list(self._lower_central_series)
+
+    @cached_property
+    def _lower_central_series(self) -> tuple["Subgroup", ...]:
         series = [self.full_subgroup()]
-        while True:
-            current = series[-1]
-            gens = {self.commutator(c, g) for c in current.members for g in self.elements()}
-            nxt = self.subgroup_generated(gens)
-            if nxt.members == current.members:
-                break
+        nxt = self.commutator_subgroup()
+        while nxt.members != series[-1].members:
             series.append(nxt)
-        return series
+            nxt = self._generated_by_mask(self.commutator_table(nxt.members, range(self.order)))
+        return tuple(series)
 
     def nilpotency_class(self) -> int | None:
-        series = self.lower_central_series()
+        series = self._lower_central_series
         if len(series[-1]) != 1:
             return None
         return len(series) - 1
@@ -284,7 +324,7 @@ class FiniteGroup:
         not be closed)."""
         if d < 1:
             raise InvalidSpec(f"power subgroup needs d >= 1, got {d}")
-        return self.subgroup_generated({self.pow(g, d) for g in self.elements()})
+        return self._generated_by_mask(self.powers(d))
 
     def is_normal(self, sub: "Subgroup") -> bool:
         if self.is_abelian or len(sub) in (1, self.order):
@@ -347,10 +387,10 @@ class FiniteGroup:
             raise NotNormal(f"{normal.members} is not normal in {self.label}")
         n = self.order
         if len(normal) == 1:
-            # pass the table through uncopied: the gather below would
-            # allocate an n x n copy of it
+            # the same table under a new label: share the validated,
+            # read-only data rather than copy and validate it again
             qlabel = label if label is not None else f"{self.label}/{{1}}"
-            quot = FiniteGroup(self._np_table, label=qlabel, coset_reps=tuple(range(n)))
+            quot = FiniteGroup(self, label=qlabel, coset_reps=tuple(range(n)))
             return quot, GroupHom(self, quot, tuple(range(n)))
         reps, coset_of = self.coset_positions(normal)
         qtable = np.asarray(coset_of)[self._np_table[np.ix_(reps, reps)]]

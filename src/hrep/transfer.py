@@ -78,7 +78,7 @@ def central_involutions(group: FiniteGroup) -> set[int]:
 
 def squares_times(group: FiniteGroup, normal: Subgroup) -> Subgroup:
     """The subgroup G^2 N generated by all squares and a normal subgroup N."""
-    gens = {group.mul(g, g) for g in group.elements()}
+    gens = set(group.powers(2).tolist())
     gens.update(normal.members)
     return group.subgroup_generated(gens)
 

@@ -100,6 +100,62 @@ def test_characters_of_z6():
         chi.validate()
 
 
+def reference_characters_of_abelian(group):
+    """The per-element QmodZ sums characters_of_abelian replaced."""
+    from itertools import product
+
+    from hrep.abelian import decompose
+
+    dec = decompose(group)
+    coords = dec.exponent_coordinates
+    chars = []
+    for idx in product(*[range(m) for m in dec.factors]):
+        exps = []
+        for x in group.elements():
+            value = ZERO
+            for c, a, m in zip(idx, coords[x], dec.factors):
+                value = value + QmodZ(c * a, m)
+            exps.append(value)
+        chars.append(exps)
+    return chars
+
+
+ABELIAN_SPECS = ([1], [2], [6], [2, 2], [2, 4], [3, 9], [2, 2, 2, 2], [2, 6, 12], [4, 4])
+
+
+@pytest.mark.parametrize("factors", ABELIAN_SPECS)
+def test_characters_of_abelian_match_the_per_element_sums(factors):
+    group = abelian_group(factors)
+    chars = ct.characters_of_abelian(group)
+    assert [list(chi.exps) for chi in chars] == reference_characters_of_abelian(group)
+    modulus = ct.residue_modulus(group)
+    for chi in chars:
+        assert chi.residues.tolist() == ct.residues(chi.exps, modulus).tolist()
+        assert not chi.residues.flags.writeable
+        chi.validate()
+
+
+@pytest.mark.parametrize("factors", ([2, 4], [3, 3], [2, 2, 2]))
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_characters_of_abelian_survive_relabelling(relabel, factors, data):
+    group = abelian_group(factors)
+    group = relabel(group, data.draw(st.permutations(range(group.order))))
+    chars = ct.characters_of_abelian(group)
+    assert [list(chi.exps) for chi in chars] == reference_characters_of_abelian(group)
+
+
+def test_characters_of_abelian_build_no_qmodz(monkeypatch):
+    """Values come from the one shared exponent table per N."""
+    group = abelian_group([2, 6, 12])
+    ct._exponents(ct.residue_modulus(group))
+    built = []
+    real = QmodZ.__post_init__
+    monkeypatch.setattr(QmodZ, "__post_init__", lambda self: built.append(1) or real(self))
+    assert len(ct.characters_of_abelian(group)) == 144
+    assert built == []
+
+
 def test_characters_of_abelian_rejects_nonabelian():
     with pytest.raises(NotAbelian):
         ct.characters_of_abelian(dihedral(8))

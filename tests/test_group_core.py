@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hrep
+from hrep import abelian, transfer
 from hrep.errors import EnumerationBoundExceeded, InvalidSpec, NotAGroup, NotNormal
 from hrep.group_core import (
     abelian_group,
@@ -51,6 +54,42 @@ def brute_subgroups(group):
             if closed and all(group.inv(x) in mem for x in mem):
                 found.append(tuple(sorted(mem)))
     return sorted(found, key=lambda m: (len(m), m))
+
+
+def reference_commutator_subgroup(group):
+    """[G,G] from every commutator, one element pair at a time."""
+    return group.subgroup_generated(
+        {group.commutator(x, y) for x in group.elements() for y in group.elements()}
+    )
+
+
+def reference_lower_central_series(group):
+    series = [group.full_subgroup()]
+    while True:
+        current = series[-1]
+        gens = {group.commutator(c, g) for c in current.members for g in group.elements()}
+        nxt = group.subgroup_generated(gens)
+        if nxt.members == current.members:
+            break
+        series.append(nxt)
+    return series
+
+
+def reference_power_subgroup(group, d):
+    return group.subgroup_generated({group.pow(g, d) for g in group.elements()})
+
+
+def alternating5():
+    """A5 as the even permutations of five points, composed right to left."""
+    from itertools import permutations
+
+    def is_even(p):
+        return sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0
+
+    perms = [p for p in permutations(range(5)) if is_even(p)]
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(5))] for q in perms] for p in perms]
+    return from_cayley_table(table, label="a5")
 
 
 def assoc_holds(group):
@@ -105,6 +144,17 @@ def test_table_without_identity_rejected():
 def test_nonsquare_table_rejected():
     with pytest.raises(NotAGroup):
         from_cayley_table([[0, 1]])
+
+
+def test_group_keeps_no_alias_of_the_callers_array():
+    arr = np.array([[(i + j) % 4 for j in range(4)] for i in range(4)], dtype=np.int64)
+    g = from_cayley_table(arr)
+    arr[0, 0] = 3
+    assert g._np_table[0, 0] == g.table[0][0] == 0
+    assert g._np_table.tolist() == g.table
+    assert not g._np_table.flags.writeable
+    with pytest.raises(ValueError):
+        g._np_table[0, 0] = 3
 
 
 # -- constructor zoo -----------------------------------------------------------
@@ -362,6 +412,75 @@ def test_lower_central_series_heisenberg():
     assert h3.nilpotency_class() == 2
 
 
+def test_powers_match_square_and_multiply():
+    for g in (dihedral(8), quaternion8(), heisenberg_mod(3), abelian_group([2, 6])):
+        for k in range(2 * g.exponent + 2):
+            assert g.powers(k).tolist() == [g.pow(x, k) for x in g.elements()]
+    with pytest.raises(InvalidSpec):
+        cyclic(4).powers(-1)
+
+
+STRUCTURE_ZOO = ("d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "ab:2,2,2,2", "d16", "d128")
+
+
+def assert_structure_matches_references(g):
+    """[G,G], the lower central series, every d-th power subgroup, G^2 N and
+    the involutions, against the per-element loops they replaced."""
+    assert g.commutator_subgroup() == reference_commutator_subgroup(g)
+    series = g.lower_central_series()
+    assert series == reference_lower_central_series(g)
+    assert g.nilpotency_class() == (len(series) - 1 if len(series[-1]) == 1 else None)
+    for d in range(1, g.exponent + 2):
+        assert g.power_subgroup(d) == reference_power_subgroup(g, d)
+    for normal in (g.commutator_subgroup(), g.center(), g.full_subgroup()):
+        want = g.subgroup_generated({g.mul(x, x) for x in g.elements()} | set(normal.members))
+        assert transfer.squares_times(g, normal) == want
+    assert abelian.involution_set(g) == {
+        x for x in g.elements() if g.mul(x, x) == g.identity_id
+    }
+
+
+@pytest.mark.parametrize("name", STRUCTURE_ZOO)
+def test_structure_gathers_match_the_per_element_loops(name):
+    assert_structure_matches_references(from_name(name))
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "ab:2,4"))
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_structure_gathers_survive_relabelling(relabel, name, data):
+    group = from_name(name)
+    sigma = data.draw(st.permutations(range(group.order)))
+    assert_structure_matches_references(relabel(group, sigma))
+
+
+def test_perfect_group_series_stops_at_the_group():
+    a5 = alternating5()
+    assert a5.order == 60 and not a5.is_abelian
+    assert a5.commutator_subgroup() == a5.full_subgroup()
+    assert [s.members for s in a5.lower_central_series()] == [tuple(range(60))]
+    assert a5.nilpotency_class() is None
+    assert_structure_matches_references(a5)
+
+
+def test_lower_central_series_is_computed_once(monkeypatch):
+    h3 = heisenberg_mod(3)
+    calls = []
+    real = type(h3).commutator_table
+    monkeypatch.setattr(
+        type(h3), "commutator_table", lambda *a: calls.append(1) or real(*a)
+    )
+    series = h3.lower_central_series()
+    # one gather each for [G,G] = C^2, C^3 and C^4 = C^3
+    assert len(calls) == 3
+    assert h3.nilpotency_class() == 2
+    assert h3.lower_central_series() == series
+    assert h3.commutator_subgroup() == series[1]
+    assert len(calls) == 3
+    series.pop()
+    assert len(h3.lower_central_series()) == 3
+
+
 def test_power_subgroup_examples():
     d8 = dihedral(8)
     assert d8.power_subgroup(2).members == (E, A2)
@@ -416,6 +535,31 @@ def test_quotient_by_trivial_is_isomorphic_copy():
     assert q.order == 8
     assert list(proj.map) == list(d8.elements())
     proj.validate()
+
+
+def test_trivial_quotient_shares_the_validated_table(monkeypatch):
+    calls = []
+    real = hrep.group_core._validate_table
+    monkeypatch.setattr(
+        hrep.group_core, "_validate_table", lambda *a: calls.append(1) or real(*a)
+    )
+    spot_checked = from_cayley_table([[(i + j) % 600 for j in range(600)] for i in range(600)])
+    assert not spot_checked.fully_validated
+    for g in (heisenberg_mod(3), spot_checked):
+        calls.clear()
+        q, _ = g.quotient(g.subgroup([g.identity_id]), label="copy")
+        assert calls == []
+        assert q._np_table is g._np_table and not q._np_table.flags.writeable
+        assert (q.identity_id, q.inverse, q.fully_validated) == (
+            g.identity_id, g.inverse, g.fully_validated,
+        )
+        assert q.label == "copy" and q.coset_reps == tuple(range(g.order))
+        assert q.center().parent is q
+    # a non-trivial quotient builds a new table and validates it
+    h3 = heisenberg_mod(3)
+    calls.clear()
+    h3.quotient(h3.center())
+    assert calls == [1]
 
 
 def test_quotient_by_whole_group_is_trivial():

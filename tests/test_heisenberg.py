@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrep import char_theory as ct, heisenberg as hb
+from hrep import char_theory as ct, group_core, heisenberg as hb
 from hrep.char_theory import HALF, QmodZ
 from hrep.errors import (
     Degenerate,
@@ -341,6 +341,30 @@ def test_reduction_of_faithful_pair_is_isomorphic():
     assert reduced.group.order == 8
     assert reduced.dim == 2
     assert list(proj.map) == list(range(8))
+
+
+@pytest.mark.parametrize("name", ("d8", "heis3", "cp:d8,q8"))
+def test_reduction_of_faithful_pair_validates_no_table(monkeypatch, name):
+    """A faithful pair's reduction is the trivial quotient, which shares the
+    validated table; a pair with a kernel still validates its quotient."""
+    calls = []
+    real = group_core._validate_table
+    monkeypatch.setattr(group_core, "_validate_table", lambda *a: calls.append(1) or real(*a))
+    group = from_name(name)
+    pairs = hb.enumerate_pairs(group)
+    faithful = [p for p in pairs if p.is_reduced]
+    assert faithful
+    for pair in faithful:
+        calls.clear()
+        reduced, _ = hb.quotient_by_kernel(pair)
+        assert calls == []
+        assert reduced.group.fully_validated == group.fully_validated
+        assert reduced.group.identity_id == group.identity_id
+        assert reduced.group._np_table is group._np_table
+    for pair in (p for p in pairs if not p.is_reduced):
+        calls.clear()
+        hb.quotient_by_kernel(pair)
+        assert calls == [1]
 
 
 def test_reduction_of_trivial_linear_pair():
