@@ -13,10 +13,11 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NotAbelian, math_check as _math_check
+from .errors import EnumerationBoundExceeded, NotAbelian, math_check as _math_check
 from .group_core import FiniteGroup
 
-# Exhaustive unique-expression verification is performed up to this order.
+# decompose refuses larger groups; up to this order it checks that every
+# element is a unique product of generator powers.
 DECOMPOSE_VERIFY_BOUND = 4096
 
 
@@ -56,38 +57,32 @@ def _require_abelian(group: FiniteGroup) -> None:
 def decompose(group: FiniteGroup) -> AbelianDecomposition:
     """Invariant-factor decomposition with explicit generators.
 
-    Repeatedly split off a cyclic subgroup generated by an element of
-    maximal order; the complement is the first member of the group's
-    subgroup lattice, listed once, that lies in the current complement,
-    meets the cyclic part trivially and has complementary order. Every
-    order in the complement divides the maximal order, so the loop yields
-    the ascending chain directly.
+    Repeatedly split off the cyclic subgroup <t> generated by the least id
+    t of maximal order m in the current complement C, and replace C by the
+    lexicographically least complement of <t> in C. A cyclic subgroup of
+    maximal order is a direct summand, and so is its image in C/K for
+    any subgroup K of C meeting <t> trivially; so every such K extends to
+    a complement. The least complement is therefore built greedily: walk
+    C in id order, adjoining x whenever <K, x> still meets <t> trivially,
+    until K has order |C|/m. Every order in the complement divides m, so
+    the loop yields the ascending chain directly.
     """
     _require_abelian(group)
-    lattice = group.all_subgroups(max_order=DECOMPOSE_VERIFY_BOUND)
+    if group.order > DECOMPOSE_VERIFY_BOUND:
+        raise EnumerationBoundExceeded(
+            f"|G|={group.order} exceeds subgroup enumeration bound {DECOMPOSE_VERIFY_BOUND}"
+        )
     factors_desc: list[int] = []
     generators_desc: list[int] = []
 
-    current = lattice[-1]
-    while len(current) > 1:
-        orders = [group.element_order(x) for x in current.members]
+    current = np.arange(group.order)
+    while current.size > 1:
+        orders = [group.element_order(x) for x in current.tolist()]
         m = max(orders)
-        t = current.members[orders.index(m)]
+        t = int(current[orders.index(m)])
         factors_desc.append(m)
         generators_desc.append(t)
-        cyc = set(group.subgroup_generated([t]).members)
-        want = len(current) // m
-        current = next(
-            (
-                sub
-                for sub in lattice
-                if len(sub) == want
-                and current.contains_subgroup(sub)
-                and cyc.intersection(sub.members) == {group.identity_id}
-            ),
-            None,
-        )
-        _math_check(current is not None, "maximal-order cyclic factor must split off")
+        current = _least_complement(group, current, t, current.size // m)
 
     factors = tuple(reversed(factors_desc))
     generators = tuple(reversed(generators_desc))
@@ -99,10 +94,37 @@ def decompose(group: FiniteGroup) -> AbelianDecomposition:
     _math_check(prod_order == group.order, "invariant factors must multiply to the order")
     for m, t in zip(factors, generators):
         _math_check(group.element_order(t) == m, f"generator {t} must have order {m}")
-    if group.order <= DECOMPOSE_VERIFY_BOUND:
-        coords = dec.exponent_coordinates
-        _math_check(len(coords) == group.order, "expression by generator powers is not unique")
+    coords = dec.exponent_coordinates
+    _math_check(len(coords) == group.order, "expression by generator powers is not unique")
     return dec
+
+
+def _least_complement(group: FiniteGroup, current: np.ndarray, t: int, want: int) -> np.ndarray:
+    """The lexicographically least subgroup of order ``want`` in the
+    subgroup ``current`` (sorted ids) that meets <t> trivially, as sorted
+    ids; ``want`` is |current| / |<t>| and <t> is a direct summand."""
+    table, e = group._np_table, group.identity_id
+    in_cyclic = np.zeros(group.order, dtype=bool)
+    in_cyclic[list(group.subgroup_generated([t]).members)] = True
+    span = np.array([e])
+    in_span = np.zeros(group.order, dtype=bool)
+    in_span[e] = True
+    for x in current.tolist():
+        if span.size == want:
+            break
+        if in_span[x]:
+            continue
+        # <K, x> is the union of the cosets K x^k up to the first x^k in K
+        cosets, y = [], x
+        while not in_span[y]:
+            cosets.append(table[span, y])
+            y = table[y, x]
+        grown = np.concatenate(cosets)
+        if not in_cyclic[grown].any():
+            span = np.concatenate([span, grown])
+            in_span[grown] = True
+    _math_check(span.size == want, "maximal-order cyclic factor must split off")
+    return np.sort(span)
 
 
 def two_rank(group: FiniteGroup) -> int:

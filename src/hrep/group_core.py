@@ -20,7 +20,12 @@ Conventions used throughout the package:
 * the quotient by the trivial subgroup, which ``quotient_by_kernel``
   takes for every faithful pair, shares the parent's validated arrays
   (and its ``fully_validated`` flag) under a new label, with its own
-  caches; every other table is validated when it is built.
+  caches; every other table is validated when it is built;
+* validation proves associativity up to ``ASSOC_CHECK_BOUND`` elements
+  by Light's test, n^2 lookups for each of at most floor(log2 n)
+  generators; a table that fails it is scanned row by row, so the error
+  names the lexicographically first failing triple. The zoo constructors
+  build their tables as whole arrays.
 """
 
 from __future__ import annotations
@@ -40,10 +45,14 @@ from .errors import (
     math_check as _math_check,
 )
 
-# Full O(n^3) associativity check up to this order; larger tables are
+# Associativity is proved up to this order, by Light's test on at most
+# floor(log2 n) generators (n^2 lookups each); larger tables are
 # spot-checked on random triples and flagged partially validated.
 ASSOC_CHECK_BOUND = 512
 SPOT_CHECK_TRIPLES = 100_000
+# Light's test compares this many rows at a time, so its temporaries stay
+# small at every order.
+LIGHT_BLOCK_ROWS = 64
 
 # Default cap for exhaustive subgroup enumeration.
 SUBGROUP_ENUM_BOUND = 256
@@ -69,31 +78,20 @@ def _validate_table(table: np.ndarray, seed: int):
     if not col_ok.all():
         raise NotAGroup(f"column {int(np.flatnonzero(~col_ok)[0])} is not a permutation")
 
-    identity = -1
-    for i in range(n):
-        if np.array_equal(table[i], ref) and np.array_equal(table[:, i], ref):
-            identity = i
-            break
-    if identity < 0:
+    two_sided = (table == ref).all(axis=1) & (table == ref[:, None]).all(axis=0)
+    if not two_sided.any():
         raise NotAGroup("no two-sided identity element")
+    identity = int(np.argmax(two_sided))
 
-    inverse = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        js = np.flatnonzero(table[i] == identity)
-        if js.size != 1 or table[js[0], i] != identity:
-            raise NotAGroup(f"element {i} has no two-sided inverse")
-        inverse[i] = js[0]
+    # every row is a permutation, so it holds the identity exactly once
+    inverse = np.argmax(table == identity, axis=1)
+    one_sided = np.flatnonzero(table[inverse, ref] != identity)
+    if one_sided.size:
+        raise NotAGroup(f"element {int(one_sided[0])} has no two-sided inverse")
 
     if n <= ASSOC_CHECK_BOUND:
-        for i in range(n):
-            lhs = table[table[i], :]
-            rhs = table[i][table]
-            if not np.array_equal(lhs, rhs):
-                j, k = np.argwhere(lhs != rhs)[0]
-                raise NotAGroup(
-                    f"associativity fails at (i,j,k)=({i},{int(j)},{int(k)})",
-                    triple=(i, int(j), int(k)),
-                )
+        if _light_generators(table, identity) is None:
+            _associativity_scan(table)
         fully_validated = True
     else:
         rng = np.random.default_rng(seed)
@@ -109,6 +107,56 @@ def _validate_table(table: np.ndarray, seed: int):
         fully_validated = False
 
     return identity, inverse, fully_validated
+
+
+def _light_generators(table: np.ndarray, identity: int) -> list[int] | None:
+    """Light's associativity test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, section 1.2) on a Latin square with a
+    two-sided identity: the elements it checked, which generate the table
+    and so prove it associative, or None when one of them fails.
+
+    An element a is good when (x a) y = x (a y) for all x, y, that is
+    when ``table[table[:, a], :]`` equals ``table[:, table[a]]``, compared
+    here in blocks of rows. Products of good elements are good, so it
+    suffices to check a set that generates the table: greedily, the least
+    id outside the closure of the good elements found so far. That closure
+    is a subgroup whose cosets partition the table and which at least
+    doubles with each generator, so at most floor(log2 n) elements are
+    checked, n^2 lookups each.
+    """
+    n = table.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    generators: list[int] = []
+    while not reached.all():
+        a = int(np.argmin(reached))
+        column, row = table[:, a], table[a]
+        for start in range(0, n, LIGHT_BLOCK_ROWS):
+            rows = slice(start, start + LIGHT_BLOCK_ROWS)
+            if not np.array_equal(table[column[rows]], np.take(table[rows], row, axis=1)):
+                return None
+        generators.append(a)
+        reached[a] = True
+        while True:
+            members = np.flatnonzero(reached)
+            reached[table[np.ix_(members, members)]] = True
+            if np.count_nonzero(reached) in (members.size, n):
+                break
+    return generators
+
+
+def _associativity_scan(table: np.ndarray) -> None:
+    """Compare (i j) k with i (j k) row by row, raising NotAGroup at the
+    first failing triple (i, j, k) in lexicographic order."""
+    for i in range(table.shape[0]):
+        lhs = table[table[i], :]
+        rhs = table[i][table]
+        if not np.array_equal(lhs, rhs):
+            j, k = np.argwhere(lhs != rhs)[0]
+            raise NotAGroup(
+                f"associativity fails at (i,j,k)=({i},{int(j)},{int(k)})",
+                triple=(i, int(j), int(k)),
+            )
 
 
 class FiniteGroup:
@@ -618,7 +666,8 @@ def from_cayley_table(table, label="G", *, seed=0) -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidSpec(f"cyclic group needs n >= 1, got {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table = np.add.outer(np.arange(n), np.arange(n))
+    table %= n
     return FiniteGroup(table, label=f"c{n}")
 
 
@@ -634,43 +683,49 @@ def dihedral(order: int) -> FiniteGroup:
     """Dihedral group of the given order 2n; element a^i b^j has id 2*i + j."""
     if order < 2 or order % 2:
         raise InvalidSpec(f"dihedral group needs an even order >= 2, got {order}")
-    n = order // 2
-
-    def mul(i1, j1, i2, j2):
-        i = (i1 + (i2 if j1 == 0 else -i2)) % n
-        return 2 * i + (j1 + j2) % 2
-
-    table = [
-        [mul(x // 2, x % 2, y // 2, y % 2) for y in range(order)] for x in range(order)
-    ]
-    return FiniteGroup(table, label=f"d{order}")
+    return FiniteGroup(_semidirect_by_sign(order // 2, 0), label=f"d{order}")
 
 
 def quaternion8() -> FiniteGroup:
     """Quaternion group of order 8; element a^i b^j (a^4=e, b^2=a^2) has id 2*i + j."""
+    return FiniteGroup(_semidirect_by_sign(4, 2), label="q8")
 
-    def mul(i1, j1, i2, j2):
-        i = (i1 + (i2 if j1 == 0 else -i2) + (2 if j1 and j2 else 0)) % 4
-        return 2 * i + (j1 + j2) % 2
 
-    table = [[mul(x // 2, x % 2, y // 2, y % 2) for y in range(8)] for x in range(8)]
-    return FiniteGroup(table, label="q8")
+def _semidirect_by_sign(n: int, b_squared: int) -> np.ndarray:
+    """The table of <a, b | a^n, b^2 = a^b_squared, b a b^-1 = a^-1>, where
+    a^i b^j has id 2*i + j, built in place:
+    a^i1 b^j1 a^i2 b^j2 = a^(i1 + (-1)^j1 i2 + j1 j2 b_squared) b^(j1 + j2)."""
+    x = np.arange(2 * n)
+    i, j = x // 2, x % 2
+    table = np.multiply.outer(1 - 2 * j, i)
+    table += i[:, None]
+    table += np.multiply.outer(j, j * b_squared)
+    table %= n
+    table *= 2
+    table += j[:, None] ^ j
+    return table
 
 
 def heisenberg_mod(n: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z/n; (a,b,c) has id a*n^2 + b*n + c."""
     if n < 1:
         raise InvalidSpec(f"heisenberg group needs n >= 1, got {n}")
-    order = n**3
-
-    def mul(x, y):
-        a1, r = divmod(x, n * n)
-        b1, c1 = divmod(r, n)
-        a2, r = divmod(y, n * n)
-        b2, c2 = divmod(r, n)
-        return ((a1 + a2) % n) * n * n + ((b1 + b2 + a1 * c2) % n) * n + (c1 + c2) % n
-
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
+    x = np.arange(n**3)
+    a, b, c = x // (n * n), x // n % n, x % n
+    # (a1, b1, c1)(a2, b2, c2) = (a1 + a2, b1 + b2 + a1 c2, c1 + c2), one
+    # digit at a time, with at most one temporary beside the table
+    table = np.multiply.outer(a, c)
+    table += b[:, None]
+    table += b
+    table %= n
+    table *= n
+    digit = np.add.outer(a, a)
+    digit %= n
+    digit *= n * n
+    table += digit
+    np.add.outer(c, c, out=digit)
+    digit %= n
+    table += digit
     return FiniteGroup(table, label=f"heis{n}")
 
 
@@ -692,15 +747,17 @@ def extraspecial_p3_exp_p2(p: int) -> FiniteGroup:
         raise InvalidSpec(f"extraspecial construction needs a prime, got {p}")
     p2 = p * p
     # powers of the twist 1+p modulo p^2, indexed by j
-    twist = [pow(1 + p, j, p2) for j in range(p)]
-
-    def mul(i1, j1, i2, j2):
-        return ((i1 + i2 * twist[j1]) % p2) * p + (j1 + j2) % p
-
-    order = p2 * p
-    table = [
-        [mul(x // p, x % p, y // p, y % p) for y in range(order)] for x in range(order)
-    ]
+    twist = np.array([pow(1 + p, j, p2) for j in range(p)])
+    x = np.arange(p2 * p)
+    i, j = x // p, x % p
+    # a^i1 b^j1 a^i2 b^j2 = a^(i1 + i2 (1+p)^j1) b^(j1 + j2), built in place
+    table = np.multiply.outer(twist[j], i)
+    table += i[:, None]
+    table %= p2
+    table *= p
+    digit = np.add.outer(j, j)
+    digit %= p
+    table += digit
     return FiniteGroup(table, label=f"es_p3_exp_p2:{p}")
 
 

@@ -17,9 +17,11 @@ elements, and the sign -1 is N/2. The direct and Gallagher routes exist
 only as whole-group gathers on chi_H's residues: ``direct_table`` sums
 chi_H over the coset skeleton's factors, ``gallagher_table`` reads chi_H
 at the transfer products. Each call checks the character extension once,
-and neither reads the other's table. The closed form ``det_formula`` is
-evaluated per element. ``induced_matrices`` builds the monomial matrices
-themselves, for the homomorphism certificate and as a reference.
+and neither reads the other's table. The closed form is one gather of
+chi's residues at the d-th powers of every element; ``det_formula``
+evaluates it for one element, as the reference. ``induced_matrices``
+builds the monomial matrices themselves, for the homomorphism certificate
+and as a reference.
 
 Twists, the sign table, the sign defect, the determinant's
 multiplicativity and every route comparison run on these residue arrays;
@@ -44,7 +46,6 @@ from .char_theory import (
     linear_characters,
     multiplicativity_witness,
     residue_modulus,
-    residues,
 )
 from .errors import (
     DimMismatch,
@@ -227,9 +228,24 @@ def det_formula(pair: HeisenbergPair, g: int) -> tuple[QmodZ, QmodZ]:
 
 
 def _formula_residues(pair: HeisenbergPair, modulus: int) -> tuple[np.ndarray, np.ndarray]:
-    """``det_formula``'s (det, eps) for every g, as residues mod ``modulus``."""
-    rows = [det_formula(pair, g) for g in pair.group.elements()]
-    return residues([r[0] for r in rows], modulus), residues([r[1] for r in rows], modulus)
+    """``det_formula``'s (det, eps) for every g, as residues mod ``modulus``
+    (a multiple of the group's N), from one array of d-th powers."""
+    _require_reduced(pair)
+    group = pair.group
+    powers = group.powers(pair.dim)
+    central = np.zeros(group.order, dtype=bool)
+    central[list(pair.Z.members)] = True
+    off = np.flatnonzero(~central[powers])
+    if off.size:
+        raise IdentityFailed(f"g^d must be central, failed at g={int(off[0])}")
+    step, rest = divmod(modulus, residue_modulus(group))
+    _math_check(rest == 0, f"residue modulus {modulus} must be a multiple of the group's N")
+    # eps is - exactly off G^2 Z when rk2 = 2, and trivial otherwise
+    eps = np.zeros(group.order, dtype=np.int64)
+    if pair.two_rank == 2:
+        eps[:] = modulus // 2
+        eps[list(pair.squares_times_z.members)] = 0
+    return (eps + pair.chi.residues[powers] * step) % modulus, eps
 
 
 def _text(residue, modulus: int) -> str:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrep import abelian
-from hrep.errors import NotAbelian
+from hrep.errors import EnumerationBoundExceeded, NotAbelian
 from hrep.group_core import (
     FiniteGroup,
     abelian_group,
@@ -91,10 +91,36 @@ def complement_search_decompose(group):
     return factors + (m,), tuple(to_parent[x] for x in generators) + (t,)
 
 
+def lattice_decompose(group):
+    """The decomposition that lists the subgroup lattice once, kept as the
+    reference: split off <t> for the lowest-id t of maximal order in the
+    current complement C, and take as the next complement the first
+    subgroup in (size, members) order that lies in C, meets <t> trivially
+    and has order |C|/m. Returns (factors, generators) in ascending order."""
+    lattice = group.all_subgroups(max_order=abelian.DECOMPOSE_VERIFY_BOUND)
+    factors, generators = [], []
+    current = lattice[-1]
+    while len(current) > 1:
+        orders = [group.element_order(x) for x in current.members]
+        m = max(orders)
+        t = current.members[orders.index(m)]
+        cyc = set(group.subgroup_generated([t]).members)
+        current = next(
+            sub
+            for sub in lattice
+            if len(sub) == len(current) // m
+            and current.contains_subgroup(sub)
+            and cyc & set(sub.members) == {group.identity_id}
+        )
+        factors.append(m)
+        generators.append(t)
+    return tuple(reversed(factors)), tuple(reversed(generators))
+
+
 def test_decompose_matches_the_complement_search(relabel):
-    """One subgroup lattice per decomposition picks the same generators as
-    the recursive search, on the zoo and on relabellings whose identity is
-    not element 0."""
+    """The greedy least complement picks the same generators as the
+    lattice search and as the recursive search, on the zoo and on
+    relabellings whose identity is not element 0."""
     for g in abelian_zoo():
         copies = [g]
         for seed in (1, 2):
@@ -103,7 +129,22 @@ def test_decompose_matches_the_complement_search(relabel):
             copies.append(relabel(g, sigma))
         for group in copies:
             dec = abelian.decompose(group)
-            assert (dec.factors, dec.generators) == complement_search_decompose(group)
+            got = (dec.factors, dec.generators)
+            assert got == lattice_decompose(group) == complement_search_decompose(group)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 6, 8, 9]), min_size=1, max_size=3).filter(
+        lambda f: math.prod(f) <= 96
+    ),
+    st.data(),
+)
+def test_decompose_matches_the_lattice_search_on_relabellings(relabel, factors, data):
+    g = abelian_group(factors)
+    group = relabel(g, data.draw(st.permutations(range(g.order))))
+    dec = abelian.decompose(group)
+    assert (dec.factors, dec.generators) == lattice_decompose(group)
 
 
 def per_element_subgroups(group):
@@ -138,7 +179,7 @@ def test_all_subgroups_matches_the_per_element_enumerator(relabel):
             assert got == per_element_subgroups(group), group.label
 
 
-def test_decompose_lists_one_lattice_and_builds_no_group(monkeypatch, relabel):
+def test_decompose_lists_no_lattice_and_builds_no_group(monkeypatch, relabel):
     groups = [abelian_group([2, 2, 2, 2]), abelian_group([2, 4, 3]), abelian_group([3, 9])]
     groups.append(relabel(groups[0], list(reversed(range(16)))))
     lattices, built = [], []
@@ -155,10 +196,17 @@ def test_decompose_lists_one_lattice_and_builds_no_group(monkeypatch, relabel):
     monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
     monkeypatch.setattr(FiniteGroup, "all_subgroups", counting_all)
     for group in groups:
-        lattices.clear()
         abelian.decompose(group)
-        assert lattices == [group]
+    assert lattices == []
     assert built == []
+
+
+def test_decompose_refuses_groups_over_the_bound(monkeypatch):
+    monkeypatch.setattr(abelian, "DECOMPOSE_VERIFY_BOUND", 8)
+    abelian.decompose(abelian_group([2, 4]))
+    message = r"^\|G\|=9 exceeds subgroup enumeration bound 8$"
+    with pytest.raises(EnumerationBoundExceeded, match=message):
+        abelian.decompose(cyclic(9))
 
 
 def test_decompose_rejects_nonabelian():

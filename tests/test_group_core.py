@@ -1,6 +1,8 @@
 """Group construction, element arithmetic, and subgroup machinery."""
 
+import hashlib
 import importlib.util
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -113,16 +115,18 @@ def test_z2_from_table():
     assert g.element_order(1) == 2
 
 
+# a loop of order 5: Latin, identity 0, two-sided inverses, not associative
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_nonassociative_table_names_triple():
-    # a loop of order 5: Latin, identity 0, two-sided inverses, but not
-    # associative
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
+    table = LOOP5
     with pytest.raises(NotAGroup) as err:
         from_cayley_table(table)
     assert err.value.triple == (1, 1, 2)
@@ -155,6 +159,175 @@ def test_group_keeps_no_alias_of_the_callers_array():
     assert not g._np_table.flags.writeable
     with pytest.raises(ValueError):
         g._np_table[0, 0] = 3
+
+
+# -- Light's associativity test ------------------------------------------------
+
+GOLDEN_ZOO = ("d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "ab:2,2,2,2", "d16", "d128")
+
+
+def first_nonassociative_triple(table):
+    """The full n^3 scan, all products at once: the lexicographically first
+    (i, j, k) with (i j) k != i (j k), or None."""
+    t = np.asarray(table)
+    bad = np.argwhere(t[t] != t[np.arange(len(t))[:, None, None], t[None]])
+    return tuple(int(v) for v in bad[0]) if bad.size else None
+
+
+def greedy_generators(group):
+    """The least id outside the subgroup generated so far, repeatedly."""
+    gens, reached = [], {group.identity_id}
+    while len(reached) < group.order:
+        gens.append(min(set(group.elements()) - reached))
+        reached = set(group.subgroup_generated(gens).members)
+    return gens
+
+
+def relabel_table(table, sigma):
+    """The table with element x renamed sigma[x]."""
+    t, sigma = np.asarray(table), np.asarray(sigma)
+    old = np.argsort(sigma)
+    return sigma[t[np.ix_(old, old)]]
+
+
+def first_without_two_sided_inverse(table):
+    """The first element i of a loop whose right inverse j (i j = e) is not
+    also a left inverse, or None."""
+    t = np.asarray(table)
+    n = len(t)
+    identity = next(i for i in range(n) if list(t[i]) == list(range(n)))
+    for i in range(n):
+        j = list(t[i]).index(identity)
+        if t[j, i] != identity:
+            return i
+    return None
+
+
+def intercalate_swaps(group):
+    """Every table made from the group's by swapping the entries of one
+    2 x 2 subsquare (an intercalate) off the identity's row and column
+    that keeps two-sided inverses: loops that are one swap from a group."""
+    t, e = group._np_table, group.identity_id
+    rest = [x for x in group.elements() if x != e]
+    loops = []
+    for x1, x2 in combinations(rest, 2):
+        for y1, y2 in combinations(rest, 2):
+            if t[x1, y1] == t[x2, y2] and t[x1, y2] == t[x2, y1]:
+                u = t.copy()
+                u[[x1, x1, x2, x2], [y1, y2, y1, y2]] = t[[x1, x1, x2, x2], [y2, y1, y2, y1]]
+                if first_without_two_sided_inverse(u) is None:
+                    loops.append(u)
+    return loops
+
+
+def loop_times_group(loop, group):
+    """The direct product loop x group with ids l * |group| + g, so the
+    group's elements, all good for Light's test, come first."""
+    t = np.asarray(loop)
+    n = group.order
+    return (t[:, None, :, None] * n + group._np_table[None, :, None, :]).reshape(
+        len(t) * n, len(t) * n
+    )
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1: every
+    loop of order n with identity 0."""
+    by_first = {i: [p for p in permutations(range(n)) if p[0] == i] for i in range(n)}
+
+    def extend(rows):
+        if len(rows) == n:
+            yield [list(r) for r in rows]
+            return
+        for p in by_first[len(rows)]:
+            if all(p[j] != r[j] for r in rows for j in range(n)):
+                yield from extend(rows + [p])
+
+    yield from extend([tuple(range(n))])
+
+
+def assert_light_matches_the_full_scan(table):
+    """A table with a two-sided identity and inverses is accepted exactly
+    when the n^3 scan finds no failure, and is otherwise refused at the
+    scan's first triple; an accepted table was proved by at most floor(log2
+    n) generators, the greedy ones."""
+    want = first_nonassociative_triple(table)
+    if want is None:
+        g = from_cayley_table(table)
+        gens = hrep.group_core._light_generators(g._np_table, g.identity_id)
+        assert gens == greedy_generators(g)
+        assert len(gens) <= g.order.bit_length() - 1
+        assert g.fully_validated
+        return
+    with pytest.raises(NotAGroup, match=r"associativity fails at \(i,j,k\)") as err:
+        from_cayley_table(table)
+    assert err.value.triple == want
+    t = np.asarray(table)
+    identity = int(np.flatnonzero((t == np.arange(len(t))).all(axis=1))[0])
+    assert hrep.group_core._light_generators(t, identity) is None
+
+
+@pytest.mark.parametrize("name", GOLDEN_ZOO + ("heis4", "prod:d8,c3", "ab:3,9"))
+def test_light_test_proves_the_zoo(name):
+    assert_light_matches_the_full_scan(from_name(name)._np_table)
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "d16", "ab:2,4", "prod:d8,c3"))
+@settings(deadline=None, max_examples=6)
+@given(data=st.data())
+def test_light_test_survives_relabelling(name, data):
+    table = from_name(name)._np_table
+    sigma = data.draw(st.permutations(range(len(table))))
+    assert_light_matches_the_full_scan(relabel_table(table, sigma))
+
+
+def planted_loops():
+    loops = [np.array(LOOP5)]
+    for name in ("d8", "ab:2,2,2", "q8"):
+        loops += intercalate_swaps(from_name(name))
+    # the group's generators pass Light's test, the loop's first one fails
+    loops += [loop_times_group(LOOP5, from_name(k)) for k in ("c2", "ab:2,2", "ab:2,2,2")]
+    return loops
+
+
+@pytest.mark.parametrize("block_rows", (2, hrep.group_core.LIGHT_BLOCK_ROWS))
+def test_planted_loops_fail_at_the_scans_first_triple(monkeypatch, block_rows):
+    """Each planted loop, and a copy with every id moved up by one so that
+    the identity is not 0, is refused at the scan's first triple."""
+    monkeypatch.setattr(hrep.group_core, "LIGHT_BLOCK_ROWS", block_rows)
+    loops = planted_loops()
+    assert len(loops) > 100
+    for table in loops:
+        n = len(table)
+        for t in (table, relabel_table(table, [(x + 1) % n for x in range(n)])):
+            assert first_nonassociative_triple(t) is not None
+            assert_light_matches_the_full_scan(t)
+
+
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_planted_loops_survive_relabelling(data):
+    table = data.draw(st.sampled_from(planted_loops()))
+    sigma = data.draw(st.permutations(range(len(table))))
+    assert_light_matches_the_full_scan(relabel_table(table, sigma))
+
+
+def test_every_loop_of_order_at_most_five():
+    """Exhaustively: each loop of order 2 to 5 with identity 0, and a copy
+    with reversed ids, is refused at its first element without a two-sided
+    inverse, or else refused or accepted as the n^3 scan says."""
+    checked = 0
+    for n in range(2, 6):
+        for table in reduced_latin_squares(n):
+            for t in (np.array(table), relabel_table(table, list(reversed(range(n))))):
+                one_sided = first_without_two_sided_inverse(t)
+                if one_sided is None:
+                    assert_light_matches_the_full_scan(t)
+                else:
+                    with pytest.raises(NotAGroup, match=f"^element {one_sided} has no two"):
+                        from_cayley_table(t)
+                checked += 1
+    assert checked == 2 * (1 + 1 + 4 + 56)
 
 
 # -- constructor zoo -----------------------------------------------------------
@@ -289,6 +462,74 @@ def test_all_constructed_groups_are_associative():
     ):
         assert assoc_holds(g)
         assert g.fully_validated
+
+
+def reference_heisenberg_table(n):
+    """(a,b,c)(a',b',c') = (a+a', b+b'+a c', c+c') one pair at a time."""
+
+    def mul(x, y):
+        a1, r = divmod(x, n * n)
+        b1, c1 = divmod(r, n)
+        a2, r = divmod(y, n * n)
+        b2, c2 = divmod(r, n)
+        return ((a1 + a2) % n) * n * n + ((b1 + b2 + a1 * c2) % n) * n + (c1 + c2) % n
+
+    return [[mul(x, y) for y in range(n**3)] for x in range(n**3)]
+
+
+def reference_extraspecial_table(p):
+    twist = [pow(1 + p, j, p * p) for j in range(p)]
+
+    def mul(i1, j1, i2, j2):
+        return ((i1 + i2 * twist[j1]) % (p * p)) * p + (j1 + j2) % p
+
+    order = p**3
+    return [[mul(x // p, x % p, y // p, y % p) for y in range(order)] for x in range(order)]
+
+
+def reference_sign_table(n, b_squared):
+    """a^i b^j with b a b^-1 = a^-1 and b^2 = a^b_squared, id 2i + j."""
+
+    def mul(i1, j1, i2, j2):
+        i = (i1 + (i2 if j1 == 0 else -i2) + (b_squared if j1 and j2 else 0)) % n
+        return 2 * i + (j1 + j2) % 2
+
+    order = 2 * n
+    return [[mul(x // 2, x % 2, y // 2, y % 2) for y in range(order)] for x in range(order)]
+
+
+def test_zoo_tables_match_the_per_pair_products():
+    for n in range(1, 6):
+        assert heisenberg_mod(n).table == reference_heisenberg_table(n)
+    for p in (2, 3, 5, 7):
+        assert extraspecial_p3_exp_p2(p).table == reference_extraspecial_table(p)
+    for n in range(1, 17):
+        assert dihedral(2 * n).table == reference_sign_table(n, 0)
+        assert cyclic(n).table == [[(i + j) % n for j in range(n)] for i in range(n)]
+    assert quaternion8().table == reference_sign_table(4, 2)
+
+
+# sha256 of the int64 table bytes, pinned from the per-pair constructors
+TABLE_SHA256 = {
+    "heis3": "2f69035b3cf357fbe14498a470fddd11d8f46798bc042b8af0cff19df13a382f",
+    "heis5": "4a79c6c72b2e5ab0915d83ad03ff46a2adfbffcbdf1bcbc642abf422c8e87c2e",
+    "heis7": "df71b1e4a2f08074970ed40043f5f80a4f793b06799266aa50fe3318b9bb1b2b",
+    "heis11": "b33dc53e597466884016c9478d10f6a21f4a66ba0ed440b52293cd9b9df46245",
+    "es_p3_exp_p2:3": "ea815e7fd3b23b2f88e6caaa87ae1fcd74bdd039c397feb33f294eb3cf61f2a7",
+    "es_p3_exp_p2:5": "7b1779c2248a210cbeaab60cf35937c9aee89bd5226d7e257787c31765755a2a",
+    "es_p3_exp_p2:7": "758186725b3189fdd9cbbb089d3741fee87eb4e8b869d8378cced3ef2ec93cfd",
+    "es_p3_exp_p2:11": "c574ace80dbda2dec7f44e45fa3bc6aa9a83360c018eb198c76280adb5042adc",
+    "d128": "0abe65c91a217140c400fed5ca2933eb2c0987d00bde32c322714a588b103e3c",
+    "q8": "96afee3d3b4b549ffddb18e112d55b938494275135aab07a5068db1ac1ea0dcd",
+    "c64": "6d8988074a34eebaeed944798d4fa44b21266b91c05575e8c036efb936a699f9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SHA256))
+def test_zoo_table_digests(name):
+    table = from_name(name)._np_table
+    assert table.dtype == np.int64
+    assert hashlib.sha256(table.tobytes()).hexdigest() == TABLE_SHA256[name]
 
 
 def test_large_table_is_spot_checked():

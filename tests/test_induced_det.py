@@ -1,6 +1,7 @@
 """Monomial matrices, the three determinant routes, sign tables, twisting,
 and the order-p^3 dichotomy."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -412,7 +413,49 @@ def test_formula_requires_reduced_pair():
     with pytest.raises(KernelNotReduced):
         idet.det_formula(pair, 0)
     with pytest.raises(KernelNotReduced):
+        idet._formula_residues(pair, 8)
+    with pytest.raises(KernelNotReduced):
         idet.epsilon_table(pair, pair.maximal_isotropics[0])
+
+
+def assert_formula_residues_match_det_formula(group):
+    """The closed form as one array equals ``det_formula`` element by
+    element, on every reduced pair, mod the reduced group's N and mod the
+    parent's."""
+    for pair in hb.enumerate_pairs(group):
+        reduced, _ = pair.reduction
+        for modulus in {ct.residue_modulus(reduced.group), ct.residue_modulus(group)}:
+            det, eps = idet._formula_residues(reduced, modulus)
+            rows = [idet.det_formula(reduced, g) for g in reduced.group.elements()]
+            assert det.tolist() == ct.residues([r[0] for r in rows], modulus).tolist()
+            assert eps.tolist() == ct.residues([r[1] for r in rows], modulus).tolist()
+
+
+@pytest.mark.parametrize(
+    "name", ("d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "d16", "prod:d8,c3", "ab:2,4")
+)
+def test_formula_residues_match_det_formula(name):
+    assert_formula_residues_match_det_formula(from_name(name))
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3"))
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_formula_residues_survive_relabelling(relabel, name, data):
+    group = from_name(name)
+    sigma = data.draw(st.permutations(range(group.order)))
+    assert_formula_residues_match_det_formula(relabel(group, sigma))
+
+
+def test_formula_names_the_first_element_with_a_noncentral_power():
+    pair = pair_of(dihedral(8), 2)
+    wrong = dataclasses.replace(pair, dim=1)
+    first = next(g for g in wrong.group.elements() if g not in wrong.Z)
+    message = f"^g\\^d must be central, failed at g={first}$"
+    with pytest.raises(IdentityFailed, match=message):
+        idet.det_formula(wrong, first)
+    with pytest.raises(IdentityFailed, match=message):
+        idet._formula_residues(wrong, 4)
 
 
 def test_heisenberg3_determinant_trivial():

@@ -369,6 +369,20 @@ def test_cocycle_identity_d8_pair_value():
     assert not report.stats["phi_is_homomorphism"]
 
 
+def test_cocycle_identity_heisenberg4_index_four():
+    """Index 4 in heis4: the commutators, of order 4, are raised to
+    d(d-1)/2 = 6, which is not the identity map on them."""
+    g = heisenberg_mod(4)
+    instances = [s for s in tr.transfer_instances(g) if g.order // len(s) == 4]
+    assert len(instances) == 7
+    sixth = {g.pow(g.commutator(x, y), 6) for x in g.elements() for y in g.elements()}
+    assert sixth != {g.identity_id}
+    for sub in instances:
+        report = tr.check_correcting_cocycle(g, sub)
+        assert report.passed, report.counterexamples
+        assert not report.stats["phi_is_homomorphism"]
+
+
 def plant(cf, g, value):
     """The correcting function with one entry replaced."""
     values = list(cf.values)
@@ -537,6 +551,52 @@ def test_furtwangler_when_the_identity_is_not_the_minimal_id(relabel):
     report = tr.check_transfer_identities(group, full)
     assert report.passed, report.counterexamples
     assert report.stats["furtwangler_pass"]
+
+
+def reference_furtwangler(group):
+    """Furtwangler's bound one element at a time: its first witnesses and
+    whether it passed."""
+    derived_order = len(group.commutator_subgroup())
+    witnesses = []
+    for k_sub in tr.coabelian_subgroups(group):
+        exponent = len(k_sub) // derived_order
+        values = tr.transfer_table(group, k_sub)
+        red = tr._mod_derived(group, k_sub)
+        e = int(red[group.identity_id])
+        for g in group.elements():
+            power = int(red[group.pow(values[g], exponent)])
+            if power != e:
+                witnesses.append(
+                    {"g": g, "lhs": power, "rhs": e, "identity": "furtwangler",
+                     "K": list(k_sub.members)}
+                )
+    return witnesses[: tr.MAX_COUNTEREXAMPLES], not witnesses
+
+
+def test_furtwangler_reports_planted_failures_like_the_element_loop(monkeypatch, relabel):
+    """A transfer table onto the cyclic K = <a> of index 2 in d16 that sends
+    every g to a, whose square is not in [K,K] = 1: the loop's first 10
+    witnesses, on d16 and on a relabelling."""
+    d16 = dihedral(16)
+    sigma = list(range(16))
+    random.Random("d16:furtwangler").shuffle(sigma)
+    original = tr.transfer_table
+    for group in (d16, relabel(d16, sigma)):
+        a = sigma[A] if group is not d16 else A
+        rot = group.subgroup_generated([a])
+        monkeypatch.setattr(
+            tr,
+            "transfer_table",
+            lambda grp, s: (a,) * 16 if s.members == rot.members else original(grp, s),
+        )
+        report = tr.check_transfer_identities(group, group.full_subgroup())
+        furt = [c for c in report.counterexamples if c["identity"] == "furtwangler"]
+        witnesses, passed = reference_furtwangler(group)
+        assert len(witnesses) == tr.MAX_COUNTEREXAMPLES and not passed
+        assert furt == witnesses
+        assert report.stats["furtwangler_pass"] is False and not report.passed
+        monkeypatch.setattr(tr, "transfer_table", original)
+        assert reference_furtwangler(group) == ([], True)
 
 
 def test_image_statement_names_the_conjugator_of_a_moved_value(monkeypatch):
