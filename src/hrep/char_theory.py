@@ -215,7 +215,7 @@ class LinearCharacter:
         the domain), its exponents read from one shared table rather than
         built, and its residues kept rather than converted back."""
         table = _exponents(residue_modulus(domain.parent))
-        chi = cls(domain, tuple(map(table.__getitem__, on_parent[list(domain.members)].tolist())))
+        chi = cls(domain, tuple(map(table.__getitem__, on_parent[domain.mask].tolist())))
         on_parent.flags.writeable = False
         chi.__dict__["residues"] = on_parent
         return chi

@@ -288,12 +288,35 @@ class FiniteGroup:
         everything = range(self.order)
         return self._generated_by_mask(self.commutator_table(everything, everything))
 
+    @cached_property
+    def square_class_reps(self) -> np.ndarray:
+        """Read-only: the least id of each element's coset of G^2[G,G],
+        the subgroup generated by the squares and the commutators."""
+        squares = self._generated_by_mask(
+            np.concatenate([self.powers(2), np.asarray(self.commutator_subgroup().members)])
+        )
+        reps, pos = self.coset_positions(squares)
+        first = np.asarray(reps)[np.asarray(pos)]
+        first.flags.writeable = False
+        return first
+
     def _generated_by_mask(self, ids: np.ndarray) -> "Subgroup":
         """The subgroup generated by the distinct ids in an array, marked in
-        a mask rather than collected in a set."""
+        a mask rather than collected in a set. The closure adjoins only the
+        ids that the earlier ones do not already generate; each of them at
+        least doubles the subgroup, so there are at most log2 n."""
         mask = np.zeros(self.order, dtype=bool)
         mask[ids] = True
-        return self.subgroup_generated(np.flatnonzero(mask).tolist())
+        inside = np.zeros(self.order, dtype=bool)
+        inside[self.identity_id] = True
+        gens: list[int] = []
+        sub = Subgroup(self, (self.identity_id,))
+        for g in np.flatnonzero(mask).tolist():
+            if not inside[g]:
+                gens.append(g)
+                sub = self.subgroup_generated(gens)
+                inside[list(sub.members)] = True
+        return sub
 
     @cached_property
     def class_reps(self) -> np.ndarray:
@@ -379,10 +402,8 @@ class FiniteGroup:
             return True
         table = self._np_table
         inv = np.asarray(self.inverse)
-        mask = np.zeros(self.order, dtype=bool)
-        mask[list(sub.members)] = True
         conj = table[table[:, list(sub.members)], inv[:, None]]
-        return bool(mask[conj].all())
+        return bool(sub.mask[conj].all())
 
     def all_subgroups(self, max_order: int = SUBGROUP_ENUM_BOUND) -> list["Subgroup"]:
         """Every subgroup, deterministically ordered by (size, member tuple).
@@ -452,48 +473,52 @@ class FiniteGroup:
         cached = self._coset_cache.get(key)
         if cached is not None:
             return cached
-        n = self.order
-        pos = [-1] * n
+        members = np.asarray(sub.members, dtype=np.int64)
+        pos = np.full(self.order, -1, dtype=np.int64)
         reps: list[int] = []
-        for x in range(n):
+        for x in range(self.order):
             if pos[x] < 0:
-                idx = len(reps)
+                # x is the least id of its coset, which one gather fills
+                pos[self._np_table[x, members]] = len(reps)
                 reps.append(x)
-                for h in sub.members:
-                    pos[self.mul(x, h)] = idx
-        result = (tuple(reps), tuple(pos))
+        result = (tuple(reps), tuple(pos.tolist()))
         self._coset_cache[key] = result
         return result
 
-    def _coset_factors(self, sub: "Subgroup", transversal) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, factors), both n x d, with g t_j = t_{cols[g, j]} factors[g, j]
-        for the transversal t in its listed order; factors[g, j] lies in H."""
+    def _coset_factors(self, sub: "Subgroup", transversals) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, factors), both k x n x d for k transversals (rows of
+        ``transversals``), with g t_j = t_{cols[r, g, j]} factors[r, g, j]
+        for the r-th transversal t in its listed order; every factor lies
+        in H."""
         _, pos = self.coset_positions(sub)
         pos = np.asarray(pos, dtype=np.int64)
-        reps = np.asarray(transversal, dtype=np.int64)
-        col_of_coset = np.empty(len(reps), dtype=np.int64)
-        col_of_coset[pos[reps]] = np.arange(len(reps))
-        moved = self._np_table[:, reps]
-        cols = col_of_coset[pos[moved]]
-        factors = self._np_table[np.asarray(self.inverse)[reps[cols]], moved]
+        reps = np.asarray(transversals, dtype=np.int64)
+        rows = np.arange(reps.shape[0])[:, None]
+        col_of_coset = np.empty_like(reps)
+        col_of_coset[rows, pos[reps]] = np.arange(reps.shape[1])
+        # moved[r, g, j] = g t_j
+        moved = self._np_table[np.arange(self.order)[None, :, None], reps[:, None, :]]
+        cols = col_of_coset[rows[:, :, None], pos[moved]]
+        factors = self._np_table[np.asarray(self.inverse)[reps[rows[:, :, None], cols]], moved]
         return cols, factors
 
-    def transfer_fold(self, sub: "Subgroup", transversal) -> tuple[int, ...]:
-        """The raw transfer product of every g against an explicit left
-        transversal t (one representative per coset, in any order): the
+    def transfer_fold(self, sub: "Subgroup", transversals) -> np.ndarray:
+        """The raw transfer products of every g against each row of
+        ``transversals``, a k x d batch of left transversals (one
+        representative per coset, in any order), as a k x n array: the
         product of t_{cols[j]}^-1 g t_j over j in the listed order."""
-        _, factors = self._coset_factors(sub, transversal)
-        result = np.full(self.order, self.identity_id, dtype=np.int64)
-        for column in factors.T:
-            result = self._np_table[result, column]
-        return tuple(result.tolist())
+        _, factors = self._coset_factors(sub, transversals)
+        result = np.full(factors.shape[:2], self.identity_id, dtype=np.int64)
+        for j in range(factors.shape[2]):
+            result = self._np_table[result, factors[:, :, j]]
+        return result
 
     def transfer_products(self, sub: "Subgroup") -> tuple[int, ...]:
         """The raw transfer product of every g over the canonical transversal."""
         key = sub.members
         cached = self._transfer_cache.get(key)
         if cached is None:
-            cached = self.transfer_fold(sub, self.coset_positions(sub)[0])
+            cached = tuple(self.transfer_fold(sub, [self.coset_positions(sub)[0]])[0].tolist())
             self._transfer_cache[key] = cached
         return cached
 
@@ -508,12 +533,10 @@ class FiniteGroup:
 
     def _build_skeleton(self, sub: "Subgroup") -> "CosetSkeleton":
         transversal, _ = self.coset_positions(sub)
-        perm, factors = self._coset_factors(sub, transversal)
+        perm, factors = (array[0] for array in self._coset_factors(sub, [transversal]))
         reps = np.asarray(transversal, dtype=np.int64)
-        in_sub = np.zeros(self.order, dtype=bool)
-        in_sub[list(sub.members)] = True
         _math_check(
-            bool(in_sub[factors].all())
+            bool(sub.mask[factors].all())
             and np.array_equal(self._np_table[reps[perm], factors], self._np_table[:, reps]),
             "coset skeleton: g t_j = t_perm[j] f_j with f_j in H fails",
         )
@@ -591,9 +614,17 @@ class Subgroup:
         return frozenset(self.members)
 
     @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only: True exactly at the parent ids of the members."""
+        mask = np.zeros(self.parent.order, dtype=bool)
+        mask[list(self.members)] = True
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
     def is_abelian(self) -> bool:
-        g = self.parent
-        return all(g.mul(x, y) == g.mul(y, x) for x in self.members for y in self.members)
+        block = self.parent._np_table[np.ix_(self.members, self.members)]
+        return bool(np.array_equal(block, block.T))
 
     def index(self) -> int:
         return self.parent.order // len(self.members)

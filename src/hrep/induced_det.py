@@ -58,18 +58,14 @@ from .errors import (
     math_check as _math_check,
 )
 from .group_core import (
+    CosetSkeleton,
     Subgroup,
     _is_prime,
     _perm_is_odd,
     extraspecial_p3_exp_p2,
     heisenberg_mod,
 )
-from .heisenberg import (
-    HeisenbergPair,
-    enumerate_pairs,
-    quotient_by_kernel,
-    validate_pair,
-)
+from .heisenberg import HeisenbergPair, enumerate_pairs, quotient_by_kernel
 from .transfer import CheckReport, correcting_function
 
 
@@ -156,13 +152,30 @@ def induced_matrices(
     ]
 
 
+def _direct_residues(
+    skeleton: CosetSkeleton, chi_h: np.ndarray, n: int, omegas: np.ndarray | None = None
+) -> np.ndarray:
+    """The direct route's kernel: for every g, the sign of its coset
+    permutation plus chi_H summed over its monomial entries, mod n.
+
+    ``chi_h`` holds chi_H's residues by parent id. With ``omegas`` (one
+    row of residues per character omega of G) the result has one row per
+    omega, the direct route on chi_H * omega|_H: every entry lies in H,
+    so it reads omega only there.
+    """
+    total = skeleton.odd * (n // 2) + chi_h[skeleton.factors].sum(axis=1)
+    if omegas is not None:
+        total = total + omegas[:, skeleton.factors].sum(axis=2)
+    return total % n
+
+
 def direct_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> np.ndarray:
     """The direct route: the determinant of every induced monomial matrix,
     the permutation sign plus the sum of its entries, as residues mod N."""
     _require_extension(pair, sub, chi_h)
-    skeleton = pair.group.coset_skeleton(sub)
-    n = residue_modulus(pair.group)
-    return (skeleton.odd * (n // 2) + chi_h.residues[skeleton.factors].sum(axis=1)) % n
+    return _direct_residues(
+        pair.group.coset_skeleton(sub), chi_h.residues, residue_modulus(pair.group)
+    )
 
 
 def check_homomorphism(
@@ -233,9 +246,7 @@ def _formula_residues(pair: HeisenbergPair, modulus: int) -> tuple[np.ndarray, n
     _require_reduced(pair)
     group = pair.group
     powers = group.powers(pair.dim)
-    central = np.zeros(group.order, dtype=bool)
-    central[list(pair.Z.members)] = True
-    off = np.flatnonzero(~central[powers])
+    off = np.flatnonzero(~pair.Z.mask[powers])
     if off.size:
         raise IdentityFailed(f"g^d must be central, failed at g={int(off[0])}")
     step, rest = divmod(modulus, residue_modulus(group))
@@ -355,34 +366,62 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
 def twist(pair: HeisenbergPair, omega: LinearCharacter) -> HeisenbergPair:
     """Tensor the pair with a linear character of G: same Z, chi * omega|_Z.
 
-    The commutator pairing is unchanged, so the result is again a valid
-    pair; its determinant picks up the factor omega^d (see twist_identity).
+    The twisted pair is valid without running ``validate_pair`` again:
+    chi * omega|_Z is a character once omega is one (``omega.validate()``,
+    cached per character), and omega vanishes on [G,G], checked here as
+    one array test. So the pairing (chi * omega)([g, h]) = chi([g, h]) is
+    unchanged, and with it invariance and nondegeneracy. The determinant
+    picks up the factor omega^d (see twist_identity).
     """
     group = pair.group
-    if omega.domain.members != group.full_subgroup().members:
+    if omega.domain.parent is not group or len(omega.domain) != group.order:
         raise NotACharacter("twisting character must be defined on all of G")
     omega.validate()
-    return validate_pair(group, pair.Z, pair.chi * omega.restrict(pair.Z))
+    moved = np.flatnonzero(group.commutator_subgroup().mask & (omega.residues != 0))
+    if moved.size:
+        raise NotACharacter(f"twisting character is not trivial on [G,G] at {moved[0]}")
+    twisted = (pair.chi.residues + omega.residues) % residue_modulus(group)
+    chi = LinearCharacter._from_residues(pair.Z, np.where(pair.Z.mask, twisted, -1))
+    return HeisenbergPair(group, pair.Z, chi, pair.dim)
+
+
+# Blocks of stacked omega residues are sized so that one block's gather
+# over the coset factors stays under this many bytes.
+OMEGA_BLOCK_BYTES = 4 << 20
+
+
+def _omega_blocks(omegas: list[LinearCharacter], row_bytes: int):
+    """Consecutive slices of ``omegas`` with at most OMEGA_BLOCK_BYTES of
+    temporaries at ``row_bytes`` per omega, as (start, slice)."""
+    rows = max(1, OMEGA_BLOCK_BYTES // max(row_bytes, 1))
+    for start in range(0, len(omegas), rows):
+        yield start, omegas[start : start + rows]
 
 
 def twist_identity(pair: HeisenbergPair, omegas: list[LinearCharacter]) -> CheckReport:
     """det(rho (x) omega) = det(rho) * omega^d, pointwise, for every omega.
 
-    The untwisted direct table is built once; each twisted pair's table
-    is computed by the direct route from chi_H * omega|_H on the same H,
-    and the identity is compared as whole residue arrays.
+    The untwisted direct table is built once. Each omega is checked and
+    twisted by ``twist``, and the twisted tables, the direct route from
+    chi_H * omega|_H on the same H, come from one gather per block of
+    omegas. The identity is compared on the whole block, and fails at
+    its first (omega, g) in row-major order.
     """
-    n = residue_modulus(pair.group)
+    group = pair.group
+    n = residue_modulus(group)
     sub = pair.maximal_isotropics[0]
     chi_h = pair.default_extension
     d = pair.dim
     det = direct_table(pair, sub, chi_h)
-    for omega in omegas:
-        twisted = twist(pair, omega)
-        twisted_det = direct_table(twisted, sub, chi_h * omega.restrict(sub))
-        off = np.flatnonzero(twisted_det != (det + d * omega.residues) % n)
-        if off.size:
-            raise IdentityFailed(f"twisted determinant identity fails at {off[0]}")
+    skeleton = group.coset_skeleton(sub)
+    for _, chunk in _omega_blocks(omegas, skeleton.factors.nbytes):
+        for omega in chunk:
+            twist(pair, omega)
+        block = np.stack([omega.residues for omega in chunk])
+        twisted = _direct_residues(skeleton, chi_h.residues, n, block)
+        bad = np.argwhere(twisted != (det + d * block) % n)
+        if bad.size:
+            raise IdentityFailed(f"twisted determinant identity fails at {bad[0, 1]}")
     return CheckReport(
         "twist_identity", True, stats={"n_characters": len(omegas), "dim": d}
     )
@@ -403,14 +442,16 @@ def find_trivializing_twist(pair: HeisenbergPair) -> LinearCharacter | None:
     n = residue_modulus(group)
     d = pair.dim
     det0, _ = _formula_residues(pair, n)
-    found = next(
-        (omega for omega in linear_characters(group) if not ((det0 + d * omega.residues) % n).any()),
-        None,
-    )
+    omegas = linear_characters(group)
+    found = None
+    for start, chunk in _omega_blocks(omegas, det0.nbytes):
+        block = np.stack([omega.residues for omega in chunk])
+        trivial = np.flatnonzero(~((det0 + d * block) % n).any(axis=1))
+        if trivial.size:
+            found = omegas[start + int(trivial[0])]
+            break
 
-    power_members = set(group.power_subgroup(d).members)
-    derived_members = set(group.commutator_subgroup().members)
-    z0 = sorted(power_members & derived_members)
+    z0 = group.power_subgroup(d).mask & group.commutator_subgroup().mask
     criterion = not pair.chi.residues[z0].any()
     if pair.two_rank != 2:
         _math_check(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import abelian
-from .errors import PreconditionFailed, math_check as _math_check
+from .errors import IdentityFailed, PreconditionFailed, math_check as _math_check
 from .group_core import FiniteGroup, Subgroup
 
 # Randomly shifted transversals tried by transversal_independence_check.
@@ -76,11 +76,16 @@ def central_involutions(group: FiniteGroup) -> set[int]:
     return abelian.involution_set(group) & set(group.center().members)
 
 
+def _central_involution_mask(group: FiniteGroup) -> np.ndarray:
+    """``central_involutions`` as a mask over the element ids."""
+    mask = np.zeros(group.order, dtype=bool)
+    mask[list(central_involutions(group))] = True
+    return mask
+
+
 def squares_times(group: FiniteGroup, normal: Subgroup) -> Subgroup:
     """The subgroup G^2 N generated by all squares and a normal subgroup N."""
-    gens = set(group.powers(2).tolist())
-    gens.update(normal.members)
-    return group.subgroup_generated(gens)
+    return group._generated_by_mask(np.concatenate([group.powers(2), np.asarray(normal.members)]))
 
 
 def coabelian_subgroups(group: FiniteGroup) -> list[Subgroup]:
@@ -125,39 +130,46 @@ def transfer_table(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
 
 
 def transfer_values_with_transversal(
-    group: FiniteGroup, sub: Subgroup, transversal
-) -> list[int]:
-    """Transfer values computed against an explicit transversal (canonicalized).
+    group: FiniteGroup, sub: Subgroup, transversals
+) -> np.ndarray:
+    """Transfer values (canonicalized) against each row of a k x d batch of
+    explicit left transversals, as a k x n array from one fold.
 
     Used to confirm independence of the transversal choice.
     """
     _, pos = group.coset_positions(sub)
-    transversal = list(transversal)
-    covered = sorted(pos[t] for t in transversal)
-    if covered != list(range(len(transversal))) or len(transversal) != sub.index():
+    rows = np.asarray(transversals, dtype=np.int64)
+    d = sub.index()
+    if (
+        rows.ndim != 2
+        or rows.shape[1] != d
+        or not (np.sort(np.asarray(pos)[rows], axis=1) == np.arange(d)).all()
+    ):
         raise PreconditionFailed("not a left transversal: one representative per coset required")
-    raw = np.asarray(group.transfer_fold(sub, transversal))
-    return _mod_derived(group, sub)[raw].tolist()
+    return _mod_derived(group, sub)[group.transfer_fold(sub, rows)]
 
 
 def transversal_independence_check(
     group: FiniteGroup, sub: Subgroup, *, seed: int = 0
 ) -> CheckReport:
-    """Recompute transfer with randomly H-shifted transversals; values must agree."""
+    """Recompute transfer with randomly H-shifted transversals; values must agree.
+
+    The shifts are drawn trial by trial, coset by coset, and all trials
+    are folded at once; failures are reported in (trial, g) order.
+    """
     base_t, _ = group.coset_positions(sub)
-    reference = transfer_table(group, sub)
+    reference = np.asarray(transfer_table(group, sub))
     rng = random.Random(seed)
     report = CheckReport(
         "transversal_independence",
         True,
         stats={"group": group.label, "subgroup_order": len(sub), "trials": TRANSVERSAL_TRIALS},
     )
-    for trial in range(TRANSVERSAL_TRIALS):
-        shifted = [group.mul(t, rng.choice(sub.members)) for t in base_t]
-        values = transfer_values_with_transversal(group, sub, shifted)
-        for g, (got, want) in enumerate(zip(values, reference)):
-            if got != want:
-                report.fail(g=g, lhs=got, rhs=want, trial=trial)
+    shifts = [[rng.choice(sub.members) for _ in base_t] for _ in range(TRANSVERSAL_TRIALS)]
+    shifted = group._np_table[np.asarray(base_t)[None, :], np.asarray(shifts)]
+    values = transfer_values_with_transversal(group, sub, shifted)
+    for trial, g in np.argwhere(values != reference)[:MAX_COUNTEREXAMPLES].tolist():
+        report.fail(g=g, lhs=int(values[trial, g]), rhs=int(reference[g]), trial=trial)
     return report
 
 
@@ -188,21 +200,25 @@ def check_odd_index_transfer(group: FiniteGroup, sub: Subgroup) -> CheckReport:
         True,
         stats={"group": group.label, "index": d, "universe": group.order},
     )
-    values = transfer_table(group, sub)
-    for g in group.elements():
-        lhs = values[g]
-        rhs = group.pow(g, d)
-        if lhs != rhs:
-            report.fail(g=g, lhs=lhs, rhs=rhs)
+    # every loop below fails under the same identity key, which keeps at
+    # most MAX_COUNTEREXAMPLES witnesses in all, so each passes on no more
+    values = np.asarray(transfer_table(group, sub))
+    powers = group.powers(d)
+    for g in np.flatnonzero(values != powers)[:MAX_COUNTEREXAMPLES].tolist():
+        report.fail(g=g, lhs=int(values[g]), rhs=int(powers[g]))
     e = group.identity_id
-    for x in group.commutator_subgroup().members:
-        if group.pow(x, d) != e:
-            report.fail(g=x, lhs=group.pow(x, d), rhs=e)
-    central = set(group.center().members)
-    for x in group.power_subgroup(d).members:
-        if x not in central:
-            c = next(c for c in group.elements() if group.conjugate(c, x) != x)
-            report.fail(g=x, lhs=group.conjugate(c, x), rhs=x, conjugator=c)
+    derived = np.asarray(group.commutator_subgroup().members)
+    for x in derived[powers[derived] != e][:MAX_COUNTEREXAMPLES].tolist():
+        report.fail(g=x, lhs=int(powers[x]), rhs=e)
+    power_members = np.asarray(group.power_subgroup(d).members)
+    outside = power_members[~group.center().mask[power_members]][:MAX_COUNTEREXAMPLES]
+    # conj[c, i] = c x_i c^-1 for the i-th noncentral x_i; a noncentral
+    # x has a first conjugator c that moves it
+    table, inv = group._np_table, np.asarray(group.inverse)
+    conj = table[table[:, outside], inv[:, None]]
+    for x, column in zip(outside.tolist(), conj.T):
+        c = int(np.argmax(column != x))
+        report.fail(g=x, lhs=int(column[c]), rhs=x, conjugator=c)
     return report
 
 
@@ -215,6 +231,14 @@ class CorrectingFunction:
     index: int
 
 
+def _power_row(group: FiniteGroup, x: int, m: int) -> np.ndarray:
+    """x^a for a = 0, ..., m-1."""
+    row = np.full(m, group.identity_id, dtype=np.int64)
+    for a in range(1, m):
+        row[a] = group._np_table[row[a - 1], x]
+    return row
+
+
 def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction:
     """Compute phi for an abelian normal H with abelian quotient in a
     two-step nilpotent group, verifying every structural property:
@@ -225,24 +249,25 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
       over the complement of <t_i> in G/H and over all of G/H;
     * the unique decomposition g = t_1^{a_1} ... t_s^{a_s} h multiplies
       the transfer values accordingly.
+
+    Every property is one array test over G, raising at its first failing
+    element in id order.
     """
     d = _power_rule_preconditions(group, sub, need_odd=False)
-    values = transfer_table(group, sub)
+    values = np.asarray(transfer_table(group, sub))
+    table, inv = group._np_table, np.asarray(group.inverse)
     e = group.identity_id
+    powers = group.powers(d)
 
-    phi = tuple(
-        group.mul(values[g], group.inv(group.pow(g, d))) for g in group.elements()
-    )
-    z2 = central_involutions(group)
-    for g, v in enumerate(phi):
-        _math_check(v in z2, f"phi({g})={v} is not a central involution")
+    phi = table[values, inv[powers]]
+    off = np.flatnonzero(~_central_involution_mask(group)[phi])
+    if off.size:
+        g = int(off[0])
+        raise IdentityFailed(f"phi({g})={phi[g]} is not a central involution")
 
-    squares = squares_times(group, group.commutator_subgroup())
-    _, pos = group.coset_positions(squares)
-    by_coset: dict[int, int] = {}
-    for g, v in enumerate(phi):
-        seen = by_coset.setdefault(pos[g], v)
-        _math_check(seen == v, f"phi is not constant on the G^2[G,G]-coset of {g}")
+    moved = np.flatnonzero(phi != phi[group.square_class_reps])
+    if moved.size:
+        raise IdentityFailed(f"phi is not constant on the G^2[G,G]-coset of {moved[0]}")
 
     quot, proj = group.quotient(sub)
     dec = abelian.decompose(quot)
@@ -264,25 +289,34 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
             values[t] == want,
             f"generator formula fails at t_{i} (element {t})",
         )
-    for h in sub.members:
-        want = group.mul(group.pow(h, d), group.commutator(h, alpha_lift))
-        _math_check(values[h] == want, f"subgroup formula fails at h={h}")
+    h = np.asarray(sub.members)
+    want = table[powers[h], group.commutator_table(h, [alpha_lift])[:, 0]]
+    off = h[values[h] != want]
+    if off.size:
+        raise IdentityFailed(f"subgroup formula fails at h={off[0]}")
 
-    coords = dec.exponent_coordinates
-    for g in group.elements():
-        tup = coords[proj(g)]
-        base = e
-        for t, a in zip(lifts, tup):
-            base = group.mul(base, group.pow(t, a))
-        h = group.mul(group.inv(base), g)
-        _math_check(h in sub, f"decomposition of {g} does not land in H")
-        acc = e
-        for t, a in zip(lifts, tup):
-            acc = group.mul(acc, group.pow(values[t], a))
-        acc = group.mul(acc, values[h])
-        _math_check(values[g] == acc, f"transfer does not factor through the decomposition at {g}")
+    # coords[g, i] = a_i in g H = t_1^{a_1} ... t_s^{a_s} H; base is that
+    # product of generator powers and acc the same product of their
+    # transfer values, each read from a per-generator power row
+    exponents = dec.exponent_coordinates
+    quot_coords = np.array([exponents[q] for q in quot.elements()], dtype=np.int64)
+    coords = quot_coords.reshape(quot.order, len(lifts))[np.asarray(proj.map)]
+    base = np.full(group.order, e, dtype=np.int64)
+    acc = base.copy()
+    for i, (m, t) in enumerate(zip(dec.factors, lifts)):
+        base = table[base, _power_row(group, t, m)[coords[:, i]]]
+        acc = table[acc, _power_row(group, int(values[t]), m)[coords[:, i]]]
+    h_of = table[inv[base], np.arange(group.order)]
+    acc = table[acc, values[h_of]]
+    outside = ~sub.mask[h_of]
+    bad = np.flatnonzero(outside | (values != acc))
+    if bad.size:
+        g = int(bad[0])
+        if outside[g]:
+            raise IdentityFailed(f"decomposition of {g} does not land in H")
+        raise IdentityFailed(f"transfer does not factor through the decomposition at {g}")
 
-    return CorrectingFunction(phi, d)
+    return CorrectingFunction(tuple(phi.tolist()), d)
 
 
 def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
@@ -322,17 +356,19 @@ def check_correcting_ratio(
         raise PreconditionFailed(
             f"subgroups have different indices {cf1.index} != {cf2.index}"
         )
-    ratio = [group.mul(v2, group.inv(v1)) for v1, v2 in zip(cf1.values, cf2.values)]
-    z2 = central_involutions(group)
+    table, inv = group._np_table, np.asarray(group.inverse)
+    values = table[np.asarray(cf2.values), inv[np.asarray(cf1.values)]]
     report = CheckReport(
         "correcting_function_ratio",
         True,
         stats={"group": group.label, "index": cf1.index},
     )
-    for g, v in enumerate(ratio):
-        if v not in z2:
-            report.fail(g=g, lhs=v, rhs=group.mul(v, v))
-    table, values = group._np_table, np.asarray(ratio)
+    # the loop and the comparison share one identity key, which keeps at
+    # most MAX_COUNTEREXAMPLES witnesses in all
+    off = np.flatnonzero(~_central_involution_mask(group)[values])
+    for g in off[:MAX_COUNTEREXAMPLES].tolist():
+        v = int(values[g])
+        report.fail(g=g, lhs=v, rhs=int(table[v, v]))
     report.compare(values[table], table[np.ix_(values, values)])
     return report
 

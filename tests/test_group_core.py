@@ -695,6 +695,43 @@ def test_structure_gathers_survive_relabelling(relabel, name, data):
     assert_structure_matches_references(relabel(group, sigma))
 
 
+def assert_subgroup_arrays_match_references(g):
+    """On every subgroup: is_abelian and mask against the pairwise and
+    membership loops, coset_positions against the per-element fill it
+    replaced; and _generated_by_mask against one closure over all the ids."""
+    for sub in g.all_subgroups():
+        assert sub.is_abelian == all(g.mul(x, y) == g.mul(y, x) for x in sub for y in sub)
+        assert sub.mask.tolist() == [x in sub for x in g.elements()]
+        assert not sub.mask.flags.writeable
+        pos, reps = [-1] * g.order, []
+        for x in g.elements():
+            if pos[x] < 0:
+                reps.append(x)
+                for h in sub.members:
+                    pos[g.mul(x, h)] = len(reps) - 1
+        got = g.coset_positions(sub)
+        assert got == (tuple(reps), tuple(pos))
+        assert all(type(i) is int for i in got[0] + got[1])
+    rng = np.random.default_rng(g.order)
+    for size in (1, 2, 3, g.order):
+        ids = rng.integers(0, g.order, size=size)
+        assert g._generated_by_mask(ids) == g.subgroup_generated(ids.tolist())
+
+
+@pytest.mark.parametrize("name", STRUCTURE_ZOO)
+def test_subgroup_arrays_match_the_per_element_loops(name):
+    assert_subgroup_arrays_match_references(from_name(name))
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "ab:2,4"))
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_subgroup_arrays_survive_relabelling(relabel, name, data):
+    group = from_name(name)
+    sigma = data.draw(st.permutations(range(group.order)))
+    assert_subgroup_arrays_match_references(relabel(group, sigma))
+
+
 def test_perfect_group_series_stops_at_the_group():
     a5 = alternating5()
     assert a5.order == 60 and not a5.is_abelian
@@ -873,3 +910,18 @@ def test_hom_kernel_and_surjectivity():
     assert len(proj.image()) == q.order
     # preimage of the trivial subgroup is the kernel
     assert proj.preimage({q.identity_id}).members == h3.center().members
+
+
+def test_generated_by_mask_closes_over_at_most_log2_n_ids(monkeypatch):
+    """heis5's 125 squares are all distinct; the closure adjoins only the
+    ids not yet generated, each at least doubling the subgroup."""
+    h5 = heisenberg_mod(5)
+    closures = []
+    real = type(h5).subgroup_generated
+    monkeypatch.setattr(
+        type(h5), "subgroup_generated", lambda self, gens: closures.append(list(gens)) or real(self, gens)
+    )
+    assert len(set(h5.powers(2).tolist())) == 125
+    assert h5.power_subgroup(2) == h5.full_subgroup()
+    assert 1 <= len(closures) <= 6
+    assert all(len(gens) == i + 1 for i, gens in enumerate(closures))

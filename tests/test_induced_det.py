@@ -218,9 +218,11 @@ def test_residue_routes_survive_relabelling(relabel, name, data):
 def test_verify_checks_each_object_once(monkeypatch, capsys):
     """Work-count regression: one extension check per residue-table call,
     no monomial matrix built, one kernel reduction, one sign table and one
-    reduced Gallagher table per pair, one untwisted table per twist
-    identity, one skeleton per (G, H), one quotient G/H per maximal
-    isotropic in isotropic independence."""
+    reduced Gallagher table per pair, one extension check per twist
+    identity (its untwisted table), one cheap twist per omega (no
+    extension check, no validate_pair, and each omega's multiplicativity
+    checked once in the whole run), one skeleton per (G, H), one quotient
+    G/H per maximal isotropic in isotropic independence."""
     extension_checks = [0]
     real_require = idet._require_extension
 
@@ -267,7 +269,31 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         quotients_per_independence.append((quotients[0] - before, len(isotropics)))
         return result
 
-    checks_per_twist, checks_per_identity = [], []
+    witnesses = [0]
+    real_witness = ct.multiplicativity_witness
+
+    def counting_witness(*args):
+        witnesses[0] += 1
+        return real_witness(*args)
+
+    validations = [0]
+    real_validate = hb.validate_pair
+
+    def counting_validate(*args):
+        validations[0] += 1
+        return real_validate(*args)
+
+    work_per_twist = []
+    real_twist = idet.twist
+
+    def counting_twist(*args):
+        before = (extension_checks[0], validations[0], witnesses[0])
+        result = real_twist(*args)
+        after = (extension_checks[0], validations[0], witnesses[0])
+        work_per_twist.append(tuple(b - a for a, b in zip(before, after)))
+        return result
+
+    checks_per_identity = []
     checks_per_table = {"direct_table": [], "gallagher_table": []}
     matrix_builds = []
 
@@ -282,7 +308,9 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     monkeypatch.setattr(hb, "quotient_by_kernel", counting_reduce)
     monkeypatch.setattr(idet, "quotient_by_kernel", counting_reduce)
     monkeypatch.setattr(idet, "epsilon_table", counting_epsilon)
-    monkeypatch.setattr(idet, "twist", counting(idet.twist, checks_per_twist))
+    monkeypatch.setattr(idet, "twist", counting_twist)
+    monkeypatch.setattr(ct, "multiplicativity_witness", counting_witness)
+    monkeypatch.setattr(hb, "validate_pair", counting_validate)
     monkeypatch.setattr(
         cli, "twist_identity", counting(idet.twist_identity, checks_per_identity)
     )
@@ -299,9 +327,14 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         c["stats"]["n_characters"] for c in report["checks"] if c["check"] == "twist_identity"
     ]
     assert len(n_characters) == report["n_pairs"]
-    assert checks_per_identity == [1 + n for n in n_characters]
-    assert len(checks_per_twist) == sum(n_characters) > 0
-    assert set(checks_per_twist) == {0}
+    assert checks_per_identity == [1] * report["n_pairs"]
+    assert len(work_per_twist) == sum(n_characters) > 0
+    assert {(checks, validated) for checks, validated, _ in work_per_twist} == {(0, 0)}
+    # omega.validate() is cached per character: the first pair's twists
+    # check each omega once, and no later twist checks one again
+    assert [witnessed for _, _, witnessed in work_per_twist] == [1] * n_characters[0] + [0] * (
+        sum(n_characters) - n_characters[0]
+    )
     assert epsilon_tables[0] == report["n_pairs"]
     for name, log in checks_per_table.items():
         assert log and set(log) == {1}, name
@@ -763,16 +796,15 @@ def test_twist_identity_catches_a_wrong_twisted_table(monkeypatch):
     """A twisted table that is off by a sign at one element fails the
     identity: the comparison is not vacuous."""
     pair = pair_of(dihedral(8), 2)
-    real_table = idet.direct_table
+    real_kernel = idet._direct_residues
 
-    def shifted_table(q, sub, chi_h):
-        table = real_table(q, sub, chi_h)
-        if q is not pair:
-            n = ct.residue_modulus(q.group)
-            table[0] = (table[0] + n // 2) % n
+    def shifted_kernel(skeleton, chi_h, n, omegas=None):
+        table = real_kernel(skeleton, chi_h, n, omegas)
+        if omegas is not None:
+            table[:, 0] = (table[:, 0] + n // 2) % n
         return table
 
-    monkeypatch.setattr(idet, "direct_table", shifted_table)
+    monkeypatch.setattr(idet, "_direct_residues", shifted_kernel)
     with pytest.raises(IdentityFailed, match="twisted determinant identity fails at 0"):
         idet.twist_identity(pair, ct.linear_characters(pair.group))
 
@@ -787,6 +819,148 @@ def test_twist_rejects_non_characters():
     )
     with pytest.raises(NotACharacter):
         idet.twist(pair, not_multiplicative)
+
+
+def reference_twisted_tables(pair, omegas):
+    """The per-twist loop the batched identity replaced: validate_pair on
+    chi * omega|_Z, then the direct table of chi_H * omega|_H, one omega
+    at a time."""
+    group, sub, chi_h = pair.group, pair.maximal_isotropics[0], pair.default_extension
+    pairs, tables = [], []
+    for omega in omegas:
+        twisted = hb.validate_pair(group, pair.Z, pair.chi * omega.restrict(pair.Z))
+        pairs.append(twisted)
+        tables.append(idet.direct_table(twisted, sub, chi_h * omega.restrict(sub)))
+    return pairs, np.array(tables)
+
+
+def assert_batched_twists_match_the_loop(group):
+    omegas = ct.linear_characters(group)
+    n = ct.residue_modulus(group)
+    stacked = np.stack([omega.residues for omega in omegas])
+    twists = 0
+    for pair in hb.enumerate_pairs(group):
+        want_pairs, want_tables = reference_twisted_tables(pair, omegas)
+        for omega, want in zip(omegas, want_pairs):
+            got = idet.twist(pair, omega)
+            assert (got.group, got.Z, got.dim) == (want.group, want.Z, want.dim)
+            assert got.chi.exps == want.chi.exps
+            assert np.array_equal(got.chi.residues, want.chi.residues)
+        skeleton = group.coset_skeleton(pair.maximal_isotropics[0])
+        batched = idet._direct_residues(skeleton, pair.default_extension.residues, n, stacked)
+        assert np.array_equal(batched, want_tables)
+        assert idet.twist_identity(pair, omegas).passed
+        twists += len(omegas)
+    assert twists
+
+
+@pytest.mark.parametrize("name", GOLDEN_ZOO)
+def test_batched_twists_match_the_per_twist_loop(name):
+    """Every pair of the golden zoo twisted by every omega: the cheap twist
+    builds the pair validate_pair builds, and one gather gives the direct
+    table of every twisted extension."""
+    assert_batched_twists_match_the_loop(from_name(name))
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "ab:2,4"))
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_batched_twists_survive_relabelling(relabel, name, data):
+    group = from_name(name)
+    sigma = data.draw(st.permutations(range(group.order)))
+    assert_batched_twists_match_the_loop(relabel(group, sigma))
+
+
+@pytest.mark.parametrize("block_bytes", (1, idet.OMEGA_BLOCK_BYTES))
+def test_twist_identity_fails_at_the_first_omega_then_element(monkeypatch, block_bytes):
+    """Planted mismatches at (omega 1, g 5), (omega 1, g 6) and (omega 3,
+    g 2) fail at g = 5, as the per-twist loop would, whether the omegas
+    come in one block or one at a time; every omega up to the failing
+    block is twisted first."""
+    pair = pair_of(dihedral(8), 2)
+    omegas = ct.linear_characters(pair.group)
+    n = ct.residue_modulus(pair.group)
+    real_kernel = idet._direct_residues
+    real_twist = idet.twist
+    twisted = []
+
+    def planted(skeleton, chi_h, m, rows=None):
+        table = real_kernel(skeleton, chi_h, m, rows)
+        if rows is not None:
+            for k, g in ((1, 5), (1, 6), (3, 2)):
+                match = np.flatnonzero((rows == omegas[k].residues).all(axis=1))
+                table[match, g] = (table[match, g] + n // 2) % n
+        return table
+
+    def counting_twist(q, omega):
+        twisted.append(omegas.index(omega))
+        return real_twist(q, omega)
+
+    monkeypatch.setattr(idet, "OMEGA_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(idet, "_direct_residues", planted)
+    monkeypatch.setattr(idet, "twist", counting_twist)
+    with pytest.raises(IdentityFailed, match="twisted determinant identity fails at 5$"):
+        idet.twist_identity(pair, omegas)
+    assert twisted == ([0, 1] if block_bytes == 1 else list(range(len(omegas))))
+
+
+def test_twist_blocks_stay_under_the_byte_bound(monkeypatch):
+    """heis5's dimension-5 pairs twisted by its 25 characters: every block
+    of the gather is at most OMEGA_BLOCK_BYTES (or one omega), and the
+    blocks cover the omegas in order."""
+    group = heisenberg_mod(5)
+    pair = pair_of(group, 5)
+    omegas = ct.linear_characters(group)
+    row_bytes = group.coset_skeleton(pair.maximal_isotropics[0]).factors.nbytes
+    for bound in (1, row_bytes, 3 * row_bytes + 1, idet.OMEGA_BLOCK_BYTES):
+        monkeypatch.setattr(idet, "OMEGA_BLOCK_BYTES", bound)
+        blocks = list(idet._omega_blocks(omegas, row_bytes))
+        assert [omega for _, chunk in blocks for omega in chunk] == omegas
+        assert [start for start, _ in blocks] == list(
+            np.cumsum([0] + [len(chunk) for _, chunk in blocks[:-1]])
+        )
+        for _, chunk in blocks:
+            assert len(chunk) == 1 or len(chunk) * row_bytes <= bound
+
+
+def test_twist_rejects_a_character_not_trivial_on_the_derived_subgroup():
+    """An omega that reached twist with its multiplicativity taken as
+    checked, but nonzero on [G,G] = {e, a^2}, is refused by the array
+    test on [G,G]; no character of G can be nonzero there."""
+    pair = pair_of(dihedral(8), 2)
+    d8 = pair.group
+    on_derived = ct.LinearCharacter(
+        d8.full_subgroup(), tuple(HALF if g == A2 else ZERO for g in d8.elements())
+    )
+    on_derived.__dict__["_multiplicative"] = True
+    with pytest.raises(NotACharacter, match=r"not trivial on \[G,G\] at 4"):
+        idet.twist(pair, on_derived)
+    with pytest.raises(NotACharacter, match="defined on all of G"):
+        idet.twist(pair, ct.linear_characters(dihedral(8))[0])
+
+
+@pytest.mark.parametrize("block_bytes", (1, idet.OMEGA_BLOCK_BYTES))
+def test_trivializing_twist_matches_the_per_character_search(monkeypatch, block_bytes):
+    """The first omega with a trivial twisted closed form, found as one
+    (omega x g) array test, is the one the per-character search finds,
+    also with one omega per block."""
+    monkeypatch.setattr(idet, "OMEGA_BLOCK_BYTES", block_bytes)
+    groups = (dihedral(8), quaternion8(), heisenberg_mod(3), extraspecial_p3_exp_p2(3))
+    for group in groups + (from_name("cp:d8,q8"), from_name("prod:d8,c3")):
+        for pair in hb.enumerate_pairs(group):
+            reduced, _ = pair.reduction
+            g = reduced.group
+            n = ct.residue_modulus(g)
+            det0, _ = idet._formula_residues(reduced, n)
+            want = next(
+                (
+                    omega
+                    for omega in ct.linear_characters(g)
+                    if not ((det0 + reduced.dim * omega.residues) % n).any()
+                ),
+                None,
+            )
+            assert idet.find_trivializing_twist(reduced) == want
 
 
 def test_trivializing_twist_exists_iff_expected():

@@ -2,11 +2,15 @@
 classical identities."""
 
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrep import abelian, transfer as tr
-from hrep.errors import PreconditionFailed
+from hrep.errors import IdentityFailed, PreconditionFailed
 from hrep.group_core import (
     Subgroup,
     abelian_group,
@@ -76,7 +80,10 @@ def test_cached_transfer_table_matches_the_product_loop(name):
         assert group.transfer_products(sub) is group.transfer_products(sub)
         other = [group.mul(t, rng.choice(sub.members)) for t in canonical]
         rng.shuffle(other)
-        assert group.transfer_fold(sub, other) == _product_loop(group, sub, other)
+        batch = group.transfer_fold(sub, [canonical, other])
+        assert batch.shape == (2, group.order)
+        assert tuple(batch[0].tolist()) == _product_loop(group, sub, canonical)
+        assert tuple(batch[1].tolist()) == _product_loop(group, sub, other)
 
 
 def test_transfer_to_whole_group_is_abelianization():
@@ -158,10 +165,10 @@ def test_transversal_independence_rotated_and_shifted():
     base = list(tr.transfer_table(d8, sub))
     # reversed transversal
     rotated = list(reversed(d8.coset_positions(sub)[0]))
-    assert tr.transfer_values_with_transversal(d8, sub, rotated) == base
     # shifted by subgroup elements
     shifted = [d8.mul(t, h) for t, h in zip(d8.coset_positions(sub)[0], [A2, A])]
-    assert tr.transfer_values_with_transversal(d8, sub, shifted) == base
+    values = tr.transfer_values_with_transversal(d8, sub, [rotated, shifted])
+    assert values.tolist() == [base, base]
     report = tr.transversal_independence_check(d8, sub, seed=3)
     assert report.passed
 
@@ -177,8 +184,9 @@ def test_transversal_independence_seed_determinism():
 
 def test_bad_transversal_rejected():
     d8 = dihedral(8)
-    with pytest.raises(PreconditionFailed):
-        tr.transfer_values_with_transversal(d8, rotations(d8), [E, A])
+    for transversals in ([E, A], [[E, A]], [[E, B], [E, A]], [[E]]):
+        with pytest.raises(PreconditionFailed):
+            tr.transfer_values_with_transversal(d8, rotations(d8), transversals)
 
 
 # -- odd-index power rule ----------------------------------------------------------
@@ -745,3 +753,342 @@ def test_power_image_iff_central_correcting_values():
             power_central = set(g.power_subgroup(d).members) <= central
             phi_central = set(cf.values) <= central
             assert power_central == phi_central
+
+
+# -- the array checks against the per-element loops they replaced ---------------------
+
+
+def reference_correcting_function(group, sub):
+    """correcting_function as per-element loops over pow, mul and sets."""
+    d = tr._power_rule_preconditions(group, sub, need_odd=False)
+    values = tr.transfer_table(group, sub)
+    e = group.identity_id
+    phi = tuple(group.mul(values[g], group.inv(group.pow(g, d))) for g in group.elements())
+    z2 = tr.central_involutions(group)
+    for g, v in enumerate(phi):
+        if v not in z2:
+            raise IdentityFailed(f"phi({g})={v} is not a central involution")
+    _, pos = group.coset_positions(tr.squares_times(group, group.commutator_subgroup()))
+    by_coset = {}
+    for g, v in enumerate(phi):
+        if by_coset.setdefault(pos[g], v) != v:
+            raise IdentityFailed(f"phi is not constant on the G^2[G,G]-coset of {g}")
+    quot, proj = group.quotient(sub)
+    dec = abelian.decompose(quot)
+    reps = quot.coset_reps
+    lifts = tuple(reps[t] for t in dec.generators)
+    alpha_lift = reps[abelian.subgroup_product(quot, quot.elements())]
+    for i, (m, t) in enumerate(zip(dec.factors, lifts)):
+        others = [u for j, u in enumerate(dec.generators) if j != i]
+        alpha_i = reps[abelian.subgroup_product(quot, quot.subgroup_generated(others).members)]
+        if values[t] != group.mul(group.pow(t, d), group.commutator(group.pow(t, m), alpha_i)):
+            raise IdentityFailed(f"generator formula fails at t_{i} (element {t})")
+    for h in sub.members:
+        if values[h] != group.mul(group.pow(h, d), group.commutator(h, alpha_lift)):
+            raise IdentityFailed(f"subgroup formula fails at h={h}")
+    coords = dec.exponent_coordinates
+    for g in group.elements():
+        tup = coords[proj(g)]
+        base = e
+        for t, a in zip(lifts, tup):
+            base = group.mul(base, group.pow(t, a))
+        h = group.mul(group.inv(base), g)
+        if h not in sub:
+            raise IdentityFailed(f"decomposition of {g} does not land in H")
+        acc = e
+        for t, a in zip(lifts, tup):
+            acc = group.mul(acc, group.pow(values[t], a))
+        if values[g] != group.mul(acc, values[h]):
+            raise IdentityFailed(f"transfer does not factor through the decomposition at {g}")
+    return tr.CorrectingFunction(phi, d)
+
+
+def reference_transversal_check(group, sub, seed):
+    """transversal_independence_check one trial at a time, each shifted
+    transversal's products expanded by _product_loop."""
+    base_t, _ = group.coset_positions(sub)
+    reference = tr.transfer_table(group, sub)
+    red = tr._mod_derived(group, sub)
+    rng = random.Random(seed)
+    report = tr.CheckReport(
+        "transversal_independence",
+        True,
+        stats={"group": group.label, "subgroup_order": len(sub), "trials": tr.TRANSVERSAL_TRIALS},
+    )
+    for trial in range(tr.TRANSVERSAL_TRIALS):
+        shifted = [group.mul(t, rng.choice(sub.members)) for t in base_t]
+        values = [int(red[v]) for v in _product_loop(group, sub, shifted)]
+        for g, (got, want) in enumerate(zip(values, reference)):
+            if got != want:
+                report.fail(g=g, lhs=got, rhs=want, trial=trial)
+    return report
+
+
+def reference_odd_index_transfer(group, sub):
+    """check_odd_index_transfer with per-element pow and conjugate."""
+    d = tr._power_rule_preconditions(group, sub, need_odd=True)
+    report = tr.CheckReport(
+        "odd_index_transfer_power_rule",
+        True,
+        stats={"group": group.label, "index": d, "universe": group.order},
+    )
+    values = tr.transfer_table(group, sub)
+    for g in group.elements():
+        if values[g] != group.pow(g, d):
+            report.fail(g=g, lhs=values[g], rhs=group.pow(g, d))
+    e = group.identity_id
+    for x in group.commutator_subgroup().members:
+        if group.pow(x, d) != e:
+            report.fail(g=x, lhs=group.pow(x, d), rhs=e)
+    central = set(group.center().members)
+    for x in group.power_subgroup(d).members:
+        if x not in central:
+            c = next(c for c in group.elements() if group.conjugate(c, x) != x)
+            report.fail(g=x, lhs=group.conjugate(c, x), rhs=x, conjugator=c)
+    return report
+
+
+def reference_correcting_ratio(group, sub1, sub2):
+    """check_correcting_ratio with per-element mul and inv."""
+    cf1, cf2 = tr.correcting_function(group, sub1), tr.correcting_function(group, sub2)
+    ratio = [group.mul(v2, group.inv(v1)) for v1, v2 in zip(cf1.values, cf2.values)]
+    z2 = tr.central_involutions(group)
+    report = tr.CheckReport(
+        "correcting_function_ratio", True, stats={"group": group.label, "index": cf1.index}
+    )
+    for g, v in enumerate(ratio):
+        if v not in z2:
+            report.fail(g=g, lhs=v, rhs=group.mul(v, v))
+    report.compare(
+        np.array([[ratio[group.mul(x, y)] for y in group.elements()] for x in group.elements()]),
+        np.array([[group.mul(ratio[x], ratio[y]) for y in group.elements()] for x in group.elements()]),
+    )
+    return report
+
+
+def outcome(func, *args, **kwargs):
+    """The value, or the IdentityFailed message, of one call."""
+    try:
+        result = func(*args, **kwargs)
+    except IdentityFailed as exc:
+        return f"IdentityFailed: {exc}"
+    return result.as_dict() if isinstance(result, tr.CheckReport) else result
+
+
+ARRAY_CHECK_ZOO = ("d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "heis4", "prod:d8,c3", "ab:2,2,2", "ab:2,4")
+
+
+def assert_array_checks_match_references(group):
+    instances = tr.transfer_instances(group)
+    for sub in instances:
+        assert outcome(tr.correcting_function, group, sub) == outcome(
+            reference_correcting_function, group, sub
+        )
+        assert isinstance(tr.correcting_function(group, sub).values[0], int)
+        if sub.index() % 2 == 1:
+            assert outcome(tr.check_odd_index_transfer, group, sub) == outcome(
+                reference_odd_index_transfer, group, sub
+            )
+        for other in instances:
+            if other.index() == sub.index():
+                assert outcome(tr.check_correcting_ratio, group, sub, other) == outcome(
+                    reference_correcting_ratio, group, sub, other
+                )
+    for sub in group.all_subgroups():
+        for seed in (0, 5):
+            assert outcome(
+                tr.transversal_independence_check, group, sub, seed=seed
+            ) == outcome(reference_transversal_check, group, sub, seed)
+    assert instances
+
+
+@pytest.mark.parametrize("name", ARRAY_CHECK_ZOO)
+def test_array_transfer_checks_match_the_per_element_loops(name):
+    """correcting_function, the odd-index power rule, the correcting ratio
+    on every pair of instances of one index, and transversal independence
+    on every subgroup, against the loops they replaced."""
+    assert_array_checks_match_references(from_name(name))
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "ab:2,4"))
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_array_transfer_checks_survive_relabelling(relabel, name, data):
+    group = from_name(name)
+    sigma = data.draw(st.permutations(range(group.order)))
+    assert_array_checks_match_references(relabel(group, sigma))
+
+
+def planted_transfer_tables(monkeypatch, group, sub, plants):
+    """Make tr.transfer_table return the true table of ``sub`` with the
+    entries in ``plants`` (g -> value) replaced."""
+    real = tr.transfer_table
+    values = list(real(group, sub))
+    for g, v in plants.items():
+        values[g] = v
+    monkeypatch.setattr(
+        tr, "transfer_table", lambda grp, s: tuple(values) if s == sub else real(grp, s)
+    )
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "ab:2,2,2", "prod:d8,c3"))
+def test_correcting_function_fails_where_the_loop_fails(monkeypatch, name):
+    """With one transfer value replaced, by every element on d8, q8 and
+    ab:2,2,2 and by a sample elsewhere, and with random pairs of values
+    replaced, the array correcting function raises the loop's message at
+    the same first element (or agrees with it), and so does the
+    odd-index rule's report."""
+    group = from_name(name)
+    rng = random.Random(7)
+    singles = [{g: v} for g in group.elements() for v in group.elements()]
+    if len(singles) > 150:
+        singles = rng.sample(singles, 150)
+    # pairs of plants, so that the first failing element is not the only one
+    doubles = [
+        dict(zip(rng.sample(range(group.order), 2), rng.choices(range(group.order), k=2)))
+        for _ in range(60)
+    ]
+    failed = False
+    for sub in tr.transfer_instances(group):
+        for plants in singles + doubles:
+            with monkeypatch.context() as patch:
+                planted_transfer_tables(patch, group, sub, plants)
+                want = outcome(reference_correcting_function, group, sub)
+                assert outcome(tr.correcting_function, group, sub) == want
+                failed = failed or isinstance(want, str)
+                if sub.index() % 2 == 1:
+                    assert outcome(tr.check_odd_index_transfer, group, sub) == outcome(
+                        reference_odd_index_transfer, group, sub
+                    )
+    assert failed
+
+
+def test_correcting_function_failures_cover_every_check(monkeypatch):
+    """Single planted transfer values on d8, q8 and ab:2,2,2 reach every
+    message of the correcting function except the decomposition landing
+    outside H, which no transfer value can move."""
+    messages = set()
+    for name in ("d8", "q8", "ab:2,2,2"):
+        group = from_name(name)
+        for sub in tr.transfer_instances(group):
+            for g in group.elements():
+                for v in group.elements():
+                    with monkeypatch.context() as patch:
+                        planted_transfer_tables(patch, group, sub, {g: v})
+                        got = outcome(tr.correcting_function, group, sub)
+                    if isinstance(got, str):
+                        messages.add(re.sub(r"\d+", "#", got))
+    assert messages == {
+        "IdentityFailed: phi(#)=# is not a central involution",
+        "IdentityFailed: phi is not constant on the G^#[G,G]-coset of #",
+        "IdentityFailed: generator formula fails at t_# (element #)",
+        "IdentityFailed: subgroup formula fails at h=#",
+        "IdentityFailed: transfer does not factor through the decomposition at #",
+    }
+
+
+def test_transversal_independence_reports_planted_failures_like_the_trial_loop(monkeypatch):
+    """Two planted reference values fail in every trial; the batched fold
+    keeps the first MAX_COUNTEREXAMPLES in (trial, g) order, as the
+    trial-by-trial loop did."""
+    g = heisenberg_mod(3)
+    sub = g.center()
+    true = tr.transfer_table(g, sub)
+    moved = {x: next(h for h in sub.members if h != true[x]) for x in (4, 20)}
+    planted_transfer_tables(monkeypatch, g, sub, moved)
+    report = tr.transversal_independence_check(g, sub, seed=11)
+    assert not report.passed
+    assert [(c["trial"], c["g"]) for c in report.counterexamples] == [
+        (trial, x) for trial in range(5) for x in (4, 20)
+    ]
+    assert report.as_dict() == reference_transversal_check(g, sub, 11).as_dict()
+
+
+def test_odd_index_rule_reports_planted_powers_like_the_loop(monkeypatch):
+    """A planted power map (x^3 moved at two elements, one of them in
+    [G,G]) fails the power rule and the [G,G]^d rule with the loop's
+    witnesses, in the loop's order."""
+    g = heisenberg_mod(3)
+    sub = [h for h in tr.transfer_instances(g) if h.index() == 3][0]
+    z = next(x for x in g.commutator_subgroup().members if x != g.identity_id)
+    y = next(x for x in g.elements() if x not in g.center())
+    real_powers = g.powers
+
+    def planted_powers(k):
+        out = real_powers(k)
+        if k == 3:
+            out[[z, y]] = [z, g.inv(y)]
+        return out
+
+    monkeypatch.setattr(g, "powers", planted_powers)
+    monkeypatch.setattr(g, "pow", lambda x, k: int(planted_powers(k)[x]) if k >= 0 else None)
+    report = tr.check_odd_index_transfer(g, sub)
+    assert not report.passed
+    assert report.as_dict() == reference_odd_index_transfer(g, sub).as_dict()
+    assert {c["g"] for c in report.counterexamples} >= {z, y}
+
+
+def test_correcting_ratio_reports_planted_values_like_the_loop(monkeypatch):
+    """Every single-entry plant of either of d8's two correcting functions,
+    and the same entry of both moved off the centre: the array ratio
+    check reports what the per-element loop reports."""
+    d8 = dihedral(8)
+    h_rot, h1 = rotations(d8), d8.subgroup([E, B, A2, A2B])
+    cf1, cf2 = tr.correcting_function(d8, h_rot), tr.correcting_function(d8, h1)
+    plants = [(plant(cf1, g, v), cf2) for g in d8.elements() for v in d8.elements()]
+    plants += [(cf1, plant(cf2, g, v)) for g in d8.elements() for v in d8.elements()]
+    plants += [(plant(cf1, g, A), plant(cf2, g, B)) for g in d8.elements()]
+    for planted1, planted2 in plants:
+        monkeypatch.setattr(
+            tr, "correcting_function", lambda group, s: planted1 if s is h_rot else planted2
+        )
+        assert tr.check_correcting_ratio(d8, h_rot, h1).as_dict() == (
+            reference_correcting_ratio(d8, h_rot, h1).as_dict()
+        )
+
+
+def test_correcting_function_reads_the_square_classes_once_per_group(monkeypatch):
+    """G^2[G,G] and its coset map are computed once per group, however
+    many instances read them, and name each coset by its least id."""
+    g = from_name("ab:2,4,4")
+    g.commutator_subgroup()
+    closures = []
+    real = type(g)._generated_by_mask
+    monkeypatch.setattr(type(g), "_generated_by_mask", lambda *a: closures.append(1) or real(*a))
+    instances = tr.transfer_instances(g)
+    for sub in instances:
+        tr.correcting_function(g, sub)
+        tr.correcting_function(g, sub)
+    assert len(instances) > 2 and len(closures) == 1
+    reps, pos = g.coset_positions(tr.squares_times(g, g.commutator_subgroup()))
+    assert g.square_class_reps.tolist() == [reps[p] for p in pos]
+    assert len(reps) == 8 and not g.square_class_reps.flags.writeable
+
+
+def test_transversal_independence_names_the_trial_of_a_wrong_fold(monkeypatch):
+    """A fold made wrong for exactly the transversal drawn in trial 2 (found
+    by replaying the seed) fails in trial 2 only: the trials are drawn and
+    folded in order."""
+    g = heisenberg_mod(3)
+    sub = g.center()
+    base_t, _ = g.coset_positions(sub)
+    rng = random.Random(11)
+    drawn = [
+        tuple(g.mul(t, rng.choice(sub.members)) for t in base_t)
+        for _ in range(tr.TRANSVERSAL_TRIALS)
+    ]
+    assert len(set(drawn)) == tr.TRANSVERSAL_TRIALS
+    real_fold = g.transfer_fold
+    z = next(x for x in sub.members if x != g.identity_id)
+
+    def wrong_for_trial_two(s, transversals):
+        out = real_fold(s, transversals)
+        for row, transversal in zip(out, np.asarray(transversals).tolist()):
+            if tuple(transversal) == drawn[2]:
+                row[7] = g.mul(row[7], z)
+        return out
+
+    monkeypatch.setattr(g, "transfer_fold", wrong_for_trial_two)
+    report = tr.transversal_independence_check(g, sub, seed=11)
+    assert not report.passed
+    assert [(c["trial"], c["g"]) for c in report.counterexamples] == [(2, 7)]
