@@ -263,13 +263,22 @@ def characters_of_abelian(group: FiniteGroup) -> list[LinearCharacter]:
 
 
 def characters_of_subgroup(sub: Subgroup) -> list[LinearCharacter]:
-    """All linear characters of a subgroup (through its abelianization)."""
+    """All linear characters of a subgroup (through its abelianization).
+
+    Each is one gather of a character of H/[H,H] through the projection,
+    its residues scaled from that quotient's modulus to the parent's N
+    (a multiple of it, as exp(H/[H,H]) divides exp(G)).
+    """
     grp, _ = sub.as_group
     quot, proj = grp.abelianization
-    return [
-        LinearCharacter(sub, tuple(chi(proj(x)) for x in grp.elements()))
-        for chi in characters_of_abelian(quot)
-    ]
+    scale = residue_modulus(sub.parent) // residue_modulus(quot)
+    members, local = list(sub.members), np.asarray(proj.map)
+    characters = []
+    for chi in characters_of_abelian(quot):
+        on_parent = np.full(sub.parent.order, -1, dtype=np.int64)
+        on_parent[members] = chi.residues[local] * scale
+        characters.append(LinearCharacter._from_residues(sub, on_parent))
+    return characters
 
 
 def linear_characters(group: FiniteGroup) -> list[LinearCharacter]:

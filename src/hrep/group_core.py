@@ -10,10 +10,11 @@ Conventions used throughout the package:
 * all types are immutable after construction and safe to share across
   threads: a group copies the table it is given and keeps it read-only.
   Structural data (center, commutator subgroup, lower central series,
-  conjugacy classes, and per subgroup the coset action and transfer
-  products) is computed lazily and cached. The caches are memos of pure
-  functions of the immutable table, so two threads that fill one race
-  only to store equal values;
+  conjugacy classes, central involutions, the coabelian subgroups, and
+  per subgroup the coset action, the raw transfer products and the
+  checked transfer table) is computed lazily and cached. The caches are
+  memos of pure functions of the immutable table, so two threads that
+  fill one race only to store equal values;
 * [G,G] and each term of the lower central series are read from one
   ``commutator_table`` gather, and power subgroups from one vectorised
   power of every element;
@@ -190,6 +191,8 @@ class FiniteGroup:
         self._np_table = arr
         self._coset_cache: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._transfer_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # filled by transfer.transfer_table: the homomorphism-checked table
+        self._transfer_table_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._skeleton_cache: dict[tuple[int, ...], CosetSkeleton] = {}
 
     # -- element operations -------------------------------------------------
@@ -276,9 +279,9 @@ class FiniteGroup:
 
     @cached_property
     def _center(self) -> "Subgroup":
+        # x is central iff its row of the table equals its column
         t = self._np_table
-        members = [int(x) for x in range(self.order) if np.array_equal(t[x], t[:, x])]
-        return Subgroup(self, tuple(members))
+        return Subgroup(self, tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist()))
 
     def commutator_subgroup(self) -> "Subgroup":
         return self._commutator_subgroup
@@ -299,6 +302,13 @@ class FiniteGroup:
         first = np.asarray(reps)[np.asarray(pos)]
         first.flags.writeable = False
         return first
+
+    @cached_property
+    def central_involution_mask(self) -> np.ndarray:
+        """Read-only: True exactly at the central elements x with x^2 = e."""
+        mask = self.center().mask & (self.powers(2) == self.identity_id)
+        mask.flags.writeable = False
+        return mask
 
     def _generated_by_mask(self, ids: np.ndarray) -> "Subgroup":
         """The subgroup generated by the distinct ids in an array, marked in
@@ -344,6 +354,13 @@ class FiniteGroup:
     @cached_property
     def _abelianization(self) -> tuple["FiniteGroup", "GroupHom"]:
         return self.quotient(self.commutator_subgroup())
+
+    @cached_property
+    def _coabelian_subgroups(self) -> tuple["Subgroup", ...]:
+        """Every subgroup between [G,G] and G: the subgroups of G^ab, pulled
+        back, in the order ``all_subgroups`` lists them on G^ab."""
+        ab_group, proj = self.abelianization
+        return tuple(proj.preimage(sub.members) for sub in ab_group.all_subgroups())
 
     # -- subgroup machinery ---------------------------------------------------
 
@@ -826,11 +843,7 @@ def central_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 def _unique_central_involution(g: FiniteGroup) -> int:
-    found = [
-        x
-        for x in g.center().members
-        if x != g.identity_id and g.mul(x, x) == g.identity_id
-    ]
+    found = [x for x in np.flatnonzero(g.central_involution_mask).tolist() if x != g.identity_id]
     if len(found) != 1:
         raise InvalidSpec(
             f"{g.label} has {len(found)} central involutions, central product needs exactly 1"

@@ -148,24 +148,40 @@ def validate_pair(group: FiniteGroup, scalar: Subgroup, chi: LinearCharacter) ->
 def enumerate_pairs(group: FiniteGroup, *, max_order: int = PAIR_ENUM_BOUND) -> list[HeisenbergPair]:
     """All valid pairs, ordered by (|Z| descending, Z members, chi index).
 
-    Candidate scalar subgroups are exactly the subgroups between [G,G]
-    and G; candidate characters run through each Z's linear characters.
+    Candidate scalar subgroups are the subgroups between Z(G)[G,G] and G
+    of square index; candidate characters run through each Z's linear
+    characters, and ``validate_pair`` checks every one.
+
+    A subgroup Z that misses a central element c holds no pair: chi([c, g])
+    = chi(e) = 0 for every g, so for an invariant chi the coset cZ != Z
+    lies in the radical and ``validate_pair`` would raise Degenerate (a chi
+    that is not invariant fails earlier, with NotInvariant). The result is
+    checked against the census sum(dim^2) = [G : gamma_3(G)]: the
+    Heisenberg representations are exactly the irreducibles of G/gamma_3(G).
     """
     if group.order > max_order:
         raise EnumerationBoundExceeded(
             f"|G|={group.order} exceeds pair enumeration bound {max_order}"
         )
     pairs = []
+    center = group.center()
     candidates = sorted(coabelian_subgroups(group), key=lambda s: (-len(s), s.members))
     for scalar in candidates:
         index = group.order // len(scalar)
-        if math.isqrt(index) ** 2 != index:
+        if math.isqrt(index) ** 2 != index or not scalar.contains_subgroup(center):
             continue
         for chi in characters_of_subgroup(scalar):
             try:
                 pairs.append(validate_pair(group, scalar, chi))
             except (NotInvariant, Degenerate):
                 continue
+    # gamma_3 is the series' third term, or its last when it stabilises sooner
+    series = group.lower_central_series()
+    gamma3 = series[min(2, len(series) - 1)]
+    _math_check(
+        sum(pair.dim**2 for pair in pairs) == group.order // len(gamma3),
+        "pair census: the squared dimensions must sum to [G : gamma_3(G)]",
+    )
     return pairs
 
 

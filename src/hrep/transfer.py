@@ -72,15 +72,9 @@ def is_two_step_nilpotent(group: FiniteGroup) -> bool:
 
 
 def central_involutions(group: FiniteGroup) -> set[int]:
-    """Central elements of order at most 2."""
+    """Central elements of order at most 2, as a set; the checks read the
+    same elements from ``FiniteGroup.central_involution_mask``."""
     return abelian.involution_set(group) & set(group.center().members)
-
-
-def _central_involution_mask(group: FiniteGroup) -> np.ndarray:
-    """``central_involutions`` as a mask over the element ids."""
-    mask = np.zeros(group.order, dtype=bool)
-    mask[list(central_involutions(group))] = True
-    return mask
 
 
 def squares_times(group: FiniteGroup, normal: Subgroup) -> Subgroup:
@@ -89,9 +83,9 @@ def squares_times(group: FiniteGroup, normal: Subgroup) -> Subgroup:
 
 
 def coabelian_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """All subgroups between [G,G] and G (each is automatically normal)."""
-    ab_group, proj = group.abelianization
-    return [proj.preimage(sub.members) for sub in ab_group.all_subgroups()]
+    """All subgroups between [G,G] and G (each is automatically normal),
+    listed once per group and returned as a fresh list."""
+    return list(group._coabelian_subgroups)
 
 
 def transfer_instances(group: FiniteGroup) -> list[Subgroup]:
@@ -117,8 +111,17 @@ def transfer_table(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
     """T_{G/H}(g) modulo [H,H] for every g, verified to be a homomorphism.
 
     Each value is an element id of H: the raw transfer product when H is
-    abelian, otherwise the minimal id of the product's [H,H]-coset.
+    abelian, otherwise the minimal id of the product's [H,H]-coset. The
+    table is built and checked once per (G, H) and kept on the group.
     """
+    cached = group._transfer_table_cache.get(sub.members)
+    if cached is None:
+        cached = group._transfer_table_cache[sub.members] = _checked_transfer_table(group, sub)
+    return cached
+
+
+def _checked_transfer_table(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
+    """``transfer_table`` built from the raw products and checked."""
     red = _mod_derived(group, sub)
     values = red[np.asarray(group.transfer_products(sub))]
     table = group._np_table
@@ -260,7 +263,7 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     powers = group.powers(d)
 
     phi = table[values, inv[powers]]
-    off = np.flatnonzero(~_central_involution_mask(group)[phi])
+    off = np.flatnonzero(~group.central_involution_mask[phi])
     if off.size:
         g = int(off[0])
         raise IdentityFailed(f"phi({g})={phi[g]} is not a central involution")
@@ -365,7 +368,7 @@ def check_correcting_ratio(
     )
     # the loop and the comparison share one identity key, which keeps at
     # most MAX_COUNTEREXAMPLES witnesses in all
-    off = np.flatnonzero(~_central_involution_mask(group)[values])
+    off = np.flatnonzero(~group.central_involution_mask[values])
     for g in off[:MAX_COUNTEREXAMPLES].tolist():
         v = int(values[g])
         report.fail(g=g, lhs=v, rhs=int(table[v, v]))

@@ -13,6 +13,7 @@ from hrep.group_core import (
     abelian_group,
     cyclic,
     dihedral,
+    from_name,
     heisenberg_mod,
     quaternion8,
 )
@@ -169,6 +170,41 @@ def test_characters_of_nonabelian_subgroup_kill_commutators():
     for chi in chars:
         chi.validate()
         assert all(chi(x).is_zero() for x in derived.members)
+
+
+def reference_characters_of_subgroup(sub):
+    """Each character of H/[H,H] evaluated through the projection at every
+    member, one QmodZ value at a time."""
+    grp, _ = sub.as_group
+    quot, proj = grp.abelianization
+    return [
+        ct.LinearCharacter(sub, tuple(chi(proj(x)) for x in grp.elements()))
+        for chi in ct.characters_of_abelian(quot)
+    ]
+
+
+@pytest.mark.parametrize("name", ("heis7", "prod:q8,c16", "cp:d8,q8", "ab:2,6,12", "d128"))
+def test_characters_of_subgroup_match_the_per_element_values(name):
+    """The gathered characters equal the per-element ones, residues too, on
+    the whole group, its center, [G,G], the cyclic subgroup of element 1
+    and the trivial subgroup; on each group some of these have a residue
+    modulus that is a proper divisor of the group's."""
+    group = from_name(name)
+    scaled = 0
+    subgroups = (
+        group.full_subgroup(),
+        group.center(),
+        group.commutator_subgroup(),
+        group.subgroup_generated([1]),
+        group.subgroup_generated([]),
+    )
+    for sub in subgroups:
+        got, want = ct.characters_of_subgroup(sub), reference_characters_of_subgroup(sub)
+        assert got == want
+        assert [c.residues.tolist() for c in got] == [c.residues.tolist() for c in want]
+        quot = sub.as_group[0].abelianization[0]
+        scaled += ct.residue_modulus(quot) < ct.residue_modulus(group)
+    assert scaled
 
 
 def test_character_validate_catches_bad_map():

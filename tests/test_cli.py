@@ -276,6 +276,10 @@ UNREFERENCED_ALLOWED = {
     "trivial_character": "the tests build trivial characters of subgroups with it",
     "FiniteGroup.subgroup": "validated construction of a subgroup from an explicit member list",
     "QmodZ.parse": "the inverse of the report format, which the tests parse",
+    "central_involutions": (
+        "the central involutions as a set, the tests' reference for "
+        "FiniteGroup.central_involution_mask"
+    ),
     "LinearCharacter.restrict": (
         "omega|_Z and omega|_H of the paper's twist chi * omega|_Z, which the tests' "
         "per-twist reference builds"

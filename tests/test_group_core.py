@@ -665,8 +665,9 @@ STRUCTURE_ZOO = ("d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "ab:2,2,2,2"
 
 
 def assert_structure_matches_references(g):
-    """[G,G], the lower central series, every d-th power subgroup, G^2 N and
-    the involutions, against the per-element loops they replaced."""
+    """[G,G], the lower central series, every d-th power subgroup, G^2 N,
+    the involutions, the center and the central involutions, against the
+    per-element loops they replaced."""
     assert g.commutator_subgroup() == reference_commutator_subgroup(g)
     series = g.lower_central_series()
     assert series == reference_lower_central_series(g)
@@ -679,6 +680,12 @@ def assert_structure_matches_references(g):
     assert abelian.involution_set(g) == {
         x for x in g.elements() if g.mul(x, x) == g.identity_id
     }
+    central = [x for x in g.elements() if all(g.mul(x, y) == g.mul(y, x) for y in g.elements())]
+    assert g.center().members == tuple(central)
+    assert all(type(x) is int for x in g.center().members)
+    mask = g.central_involution_mask
+    assert set(np.flatnonzero(mask).tolist()) == transfer.central_involutions(g)
+    assert not mask.flags.writeable and mask is g.central_involution_mask
 
 
 @pytest.mark.parametrize("name", STRUCTURE_ZOO)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrep import char_theory as ct, group_core, heisenberg as hb
+from hrep import char_theory as ct, group_core, heisenberg as hb, transfer as tr
 from hrep.char_theory import HALF, QmodZ
 from hrep.errors import (
     Degenerate,
     EnumerationBoundExceeded,
     HrepError,
+    IdentityFailed,
     InvalidSpec,
     NotCoabelian,
     NotInvariant,
@@ -330,6 +331,137 @@ def test_enumeration_is_deterministic():
 def test_enumeration_bound():
     with pytest.raises(EnumerationBoundExceeded):
         hb.enumerate_pairs(cyclic(300))
+
+
+# The golden zoo, abelian groups of several shapes, and groups whose center
+# escapes [G,G] (so the center screen skips candidates) or whose lower
+# central series is longer than two steps or stabilises above {e}.
+SCREEN_ZOO = (
+    "d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "ab:2,2,2,2", "d16", "d128",
+    "c1", "c12", "ab:4,4", "ab:3,3,3", "ab:2,6,12", "ab:2,2,2,2,2",
+    "prod:q8,c16", "prod:heis3,c4", "prod:d6,c4", "d6", "d24",
+)
+
+
+def reference_enumerate_pairs(group):
+    """The unscreened enumeration: every coabelian subgroup of square index,
+    with validate_pair on each of its characters."""
+    pairs = []
+    for scalar in sorted(tr.coabelian_subgroups(group), key=lambda s: (-len(s), s.members)):
+        index = group.order // len(scalar)
+        if math.isqrt(index) ** 2 != index:
+            continue
+        for chi in ct.characters_of_subgroup(scalar):
+            try:
+                pairs.append(hb.validate_pair(group, scalar, chi))
+            except (NotInvariant, Degenerate):
+                continue
+    return pairs
+
+
+def pair_keys(pairs):
+    return [(p.Z.members, p.chi.exps, p.chi.residues.tolist(), p.dim) for p in pairs]
+
+
+def gamma3_index(group):
+    """[G : gamma_3(G)] from the per-element reference series."""
+    series = [group.full_subgroup()]
+    while len(series) < 3:
+        term = group.subgroup_generated(
+            {group.commutator(x, g) for x in series[-1].members for g in group.elements()}
+        )
+        series.append(term)
+    return group.order // len(series[2])
+
+
+def screened_candidates(group):
+    """The scalar subgroups the screen keeps, listed independently: square
+    index, containing every element that commutes with all of G."""
+    everything = group.elements()
+    central = {x for x in everything if all(group.mul(x, g) == group.mul(g, x) for g in everything)}
+    return [
+        s.members
+        for s in tr.coabelian_subgroups(group)
+        if math.isqrt(len(group) // len(s)) ** 2 == len(group) // len(s) and central <= set(s.members)
+    ]
+
+
+@pytest.mark.parametrize("name", SCREEN_ZOO)
+def test_center_screen_matches_the_unscreened_enumeration(monkeypatch, name):
+    """The screened enumeration returns the reference's pairs in its order,
+    runs validate_pair only on the candidates that contain Z(G), and meets
+    the census sum(dim^2) = [G : gamma_3(G)]."""
+    group = from_name(name)
+    want = pair_keys(reference_enumerate_pairs(group))
+    screened = []
+    real_validate = hb.validate_pair
+
+    def recording_validate(g, scalar, chi):
+        screened.append(scalar.members)
+        return real_validate(g, scalar, chi)
+
+    monkeypatch.setattr(hb, "validate_pair", recording_validate)
+    pairs = hb.enumerate_pairs(group)
+    assert pair_keys(pairs) == want
+    assert sorted(set(screened)) == sorted(screened_candidates(group))
+    assert sum(p.dim**2 for p in pairs) == gamma3_index(group)
+
+
+@pytest.mark.parametrize("name", ("d8", "heis3", "cp:d8,q8", "ab:2,4", "prod:d6,c4", "c12"))
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_center_screen_survives_relabelling(relabel, name, data):
+    group = from_name(name)
+    group = relabel(group, data.draw(st.permutations(range(group.order))))
+    assert pair_keys(hb.enumerate_pairs(group)) == pair_keys(reference_enumerate_pairs(group))
+
+
+@pytest.mark.parametrize("name", ("ab:2,2,2,2", "prod:q8,c16", "prod:heis3,c4", "prod:d6,c4", "c12"))
+def test_every_skipped_candidate_holds_no_pair(name):
+    """A square-index candidate that misses a central element fails every
+    character: Degenerate when the character is invariant (the central
+    coset lies in the radical), NotInvariant otherwise."""
+    group = from_name(name)
+    center = group.center()
+    skipped = [
+        s
+        for s in tr.coabelian_subgroups(group)
+        if math.isqrt(s.index()) ** 2 == s.index() and not s.contains_subgroup(center)
+    ]
+    assert skipped
+    outcomes = set()
+    for scalar in skipped:
+        for chi in ct.characters_of_subgroup(scalar):
+            want = Degenerate if is_class_invariant(group, chi) else NotInvariant
+            with pytest.raises(want):
+                hb.validate_pair(group, scalar, chi)
+            outcomes.add(want)
+    assert Degenerate in outcomes
+
+
+def test_screen_skips_the_candidates_that_miss_the_center():
+    """prod:q8,c16 screens 2 of its 24 square-index candidates, and an
+    elementary abelian group only G itself."""
+    for name, kept, total in (("prod:q8,c16", 2, 24), ("ab:2,2,2,2,2", 1, 187)):
+        group = from_name(name)
+        square = [s for s in tr.coabelian_subgroups(group) if math.isqrt(s.index()) ** 2 == s.index()]
+        assert len(square) == total
+        assert len(screened_candidates(group)) == kept
+
+
+def test_census_catches_a_dropped_pair(monkeypatch):
+    """A pair lost by the enumeration fails the census."""
+    real_validate = hb.validate_pair
+    d8 = dihedral(8)
+
+    def dropping_validate(group, scalar, chi):
+        if scalar.members == d8.center().members:
+            raise Degenerate("dropped")
+        return real_validate(group, scalar, chi)
+
+    monkeypatch.setattr(hb, "validate_pair", dropping_validate)
+    with pytest.raises(IdentityFailed, match="census"):
+        hb.enumerate_pairs(d8)
 
 
 # -- kernel reduction ---------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrep import char_theory as ct, cli, heisenberg as hb, induced_det as idet
+from hrep import char_theory as ct, cli, heisenberg as hb, induced_det as idet, transfer as tr
 from hrep.char_theory import HALF, ZERO, QmodZ, extend_character, extend_character_all
 from hrep.errors import (
     DimMismatch,
@@ -222,7 +222,9 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     identity (its untwisted table), one cheap twist per omega (no
     extension check, no validate_pair, and each omega's multiplicativity
     checked once in the whole run), one skeleton per (G, H), one quotient
-    G/H per maximal isotropic in isotropic independence."""
+    G/H per maximal isotropic in isotropic independence, one subgroup
+    lattice of G^ab, and one homomorphism-checked transfer table per
+    (G, H)."""
     extension_checks = [0]
     real_require = idet._require_extension
 
@@ -304,6 +306,27 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         skeleton_builds[(group, sub.members)] += 1
         return real_build(group, sub)
 
+    loaded = []
+    real_load = cli.load_group
+
+    def recording_load(config):
+        loaded.append(real_load(config))
+        return loaded[-1]
+
+    listed = []
+    real_all_subgroups = FiniteGroup.all_subgroups
+
+    def recording_all_subgroups(group, *args, **kwargs):
+        listed.append(group)
+        return real_all_subgroups(group, *args, **kwargs)
+
+    transfer_checks = Counter()
+    real_checked_table = tr._checked_transfer_table
+
+    def counting_checked_table(group, sub):
+        transfer_checks[(group, sub.members)] += 1
+        return real_checked_table(group, sub)
+
     monkeypatch.setattr(idet, "_require_extension", counting_require)
     monkeypatch.setattr(hb, "quotient_by_kernel", counting_reduce)
     monkeypatch.setattr(idet, "quotient_by_kernel", counting_reduce)
@@ -315,6 +338,9 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         cli, "twist_identity", counting(idet.twist_identity, checks_per_identity)
     )
     monkeypatch.setattr(FiniteGroup, "_build_skeleton", counting_build)
+    monkeypatch.setattr(cli, "load_group", recording_load)
+    monkeypatch.setattr(FiniteGroup, "all_subgroups", recording_all_subgroups)
+    monkeypatch.setattr(tr, "_checked_transfer_table", counting_checked_table)
     monkeypatch.setattr(FiniteGroup, "quotient", counting_quotient)
     monkeypatch.setattr(cli, "isotropic_independence", counting_independence)
     for name, log in checks_per_table.items():
@@ -350,6 +376,14 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     assert len(quotients_per_independence) == report["n_pairs"]
     for n_quotients, n_isotropics in quotients_per_independence:
         assert n_quotients == n_isotropics
+    # the coabelian subgroups are listed once, from one lattice of G^ab, and
+    # each transfer table of G is built and checked once per subgroup
+    (group,) = loaded
+    ab_group = group.abelianization[0]
+    assert sum(g is ab_group for g in listed) == 1
+    instances = {sub.members for sub in tr.transfer_instances(group)}
+    assert instances and instances <= {members for g, members in transfer_checks if g is group}
+    assert set(transfer_checks.values()) == {1}
 
 
 def test_rejects_non_extension():
