@@ -37,13 +37,11 @@ class AbelianDecomposition:
     def exponent_coordinates(self) -> dict[int, tuple[int, ...]]:
         """element id -> exponent tuple (a_1, ..., a_s); bijective by construction."""
         g = self.group
-        coords: dict[int, tuple[int, ...]] = {}
-        for tup in product(*[range(m) for m in self.factors]):
-            x = g.identity_id
-            for t, a in zip(self.generators, tup):
-                x = g.mul(x, g.pow(t, a))
-            coords[x] = tup
-        return coords
+        # ids[i] = t_1^a_1 ... t_k^a_k for the i-th tuple in product order
+        ids = np.array([g.identity_id])
+        for t, m in zip(self.generators, self.factors):
+            ids = g.table[ids[:, None], [g.pow(t, a) for a in range(m)]].reshape(-1)
+        return dict(zip(ids.tolist(), product(*[range(m) for m in self.factors])))
 
     def as_dict(self) -> dict:
         return {"factors": list(self.factors), "generators": list(self.generators)}
@@ -77,9 +75,9 @@ def decompose(group: FiniteGroup) -> AbelianDecomposition:
 
     current = np.arange(group.order)
     while current.size > 1:
-        orders = [group.element_order(x) for x in current.tolist()]
-        m = max(orders)
-        t = int(current[orders.index(m)])
+        orders = group.element_orders[current]
+        m = int(orders.max())
+        t = int(current[np.argmax(orders)])
         factors_desc.append(m)
         generators_desc.append(t)
         current = _least_complement(group, current, t, current.size // m)
@@ -103,7 +101,7 @@ def _least_complement(group: FiniteGroup, current: np.ndarray, t: int, want: int
     """The lexicographically least subgroup of order ``want`` in the
     subgroup ``current`` (sorted ids) that meets <t> trivially, as sorted
     ids; ``want`` is |current| / |<t>| and <t> is a direct summand."""
-    table, e = group._np_table, group.identity_id
+    table, e = group.table, group.identity_id
     in_cyclic = np.zeros(group.order, dtype=bool)
     in_cyclic[list(group.subgroup_generated([t]).members)] = True
     span = np.array([e])

@@ -178,9 +178,9 @@ class LinearCharacter:
         # a full domain reads the parent's table as is, without an n^2 copy,
         # and is closed under the product
         if len(members) == g.order:
-            products = on_parent[g._np_table]
+            products = on_parent[g.table]
         else:
-            products = on_parent[g._np_table[np.ix_(members, members)]]
+            products = on_parent[g.table[np.ix_(members, members)]]
             if products.min() < 0:
                 raise NotACharacter("domain is not closed under the product")
         witness = multiplicativity_witness(on_parent[members], products, residue_modulus(g))

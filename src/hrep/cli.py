@@ -68,7 +68,7 @@ def load_group(config: RunConfig) -> FiniteGroup:
     if not isinstance(label, str):
         raise InvalidSpec(f"group file 'label' must be a string, got {label!r}")
     if "cayley_table" in data:
-        return from_cayley_table(data["cayley_table"], label=label, seed=config.seed)
+        return from_cayley_table(data["cayley_table"], label=label)
     if "construct" in data:
         group = construct_spec(data["construct"])
         return FiniteGroup(group, label=label)
@@ -242,18 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Heisenberg representations, transfer maps, and determinant characters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand takes --seed, so one command line fits them all
+    seed_help = "seeds the random transversal shifts of verify's transversal-independence check"
     for name in ("group-info", "heisenberg", "verify"):
         cmd = sub.add_parser(name)
         source = cmd.add_mutually_exclusive_group(required=True)
         source.add_argument("--input", help="path to a JSON group file")
         source.add_argument("--builtin", help="builtin zoo name, e.g. d8 or cp:d8,q8")
         cmd.add_argument("--format", choices=("json", "tsv"), default="json")
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--seed", type=int, default=0, help=seed_help)
         cmd.add_argument("--max-order", type=int, default=PAIR_ENUM_BOUND)
     p3_cmd = sub.add_parser("p3")
     p3_cmd.add_argument("p", type=int, help=f"an odd prime with p^3 <= {P3_ORDER_BOUND}")
     p3_cmd.add_argument("--format", choices=("json", "tsv"), default="json")
-    p3_cmd.add_argument("--seed", type=int, default=0)
+    p3_cmd.add_argument("--seed", type=int, default=0, help=seed_help)
     return parser
 
 

@@ -8,7 +8,9 @@ Conventions used throughout the package:
   sorted tuple of member ids, so enumerations and reports are
   byte-stable;
 * all types are immutable after construction and safe to share across
-  threads: a group copies the table it is given and keeps it read-only.
+  threads: a group copies the table it is given, and ``table`` and
+  ``inverse`` are read-only int64 arrays, the only copy of each;
+  element operations read them with ``.item`` and return Python ints.
   Structural data (center, commutator subgroup, lower central series,
   conjugacy classes, central involutions, the coabelian subgroups, and
   per subgroup the coset action, the raw transfer products and the
@@ -20,13 +22,13 @@ Conventions used throughout the package:
   power of every element;
 * the quotient by the trivial subgroup, which ``quotient_by_kernel``
   takes for every faithful pair, shares the parent's validated arrays
-  (and its ``fully_validated`` flag) under a new label, with its own
-  caches; every other table is validated when it is built;
-* validation proves associativity up to ``ASSOC_CHECK_BOUND`` elements
-  by Light's test, n^2 lookups for each of at most floor(log2 n)
-  generators; a table that fails it is scanned row by row, so the error
-  names the lexicographically first failing triple. The zoo constructors
-  build their tables as whole arrays.
+  under a new label, with its own caches; every other table is
+  validated when it is built;
+* validation proves associativity at every order by Light's test, n^2
+  lookups for each of at most floor(log2 n) generators; a table that
+  fails it is scanned row by row, so the error names the
+  lexicographically first failing triple. The zoo constructors build
+  their tables as whole arrays.
 """
 
 from __future__ import annotations
@@ -46,11 +48,6 @@ from .errors import (
     math_check as _math_check,
 )
 
-# Associativity is proved up to this order, by Light's test on at most
-# floor(log2 n) generators (n^2 lookups each); larger tables are
-# spot-checked on random triples and flagged partially validated.
-ASSOC_CHECK_BOUND = 512
-SPOT_CHECK_TRIPLES = 100_000
 # Light's test compares this many rows at a time, so its temporaries stay
 # small at every order.
 LIGHT_BLOCK_ROWS = 64
@@ -59,8 +56,8 @@ LIGHT_BLOCK_ROWS = 64
 SUBGROUP_ENUM_BOUND = 256
 
 
-def _validate_table(table: np.ndarray, seed: int):
-    """Check the group axioms, returning (identity, inverse, fully_validated)."""
+def _validate_table(table: np.ndarray):
+    """Check the group axioms, returning (identity, inverse)."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup(f"table has shape {table.shape}, expected square")
     n = table.shape[0]
@@ -90,24 +87,9 @@ def _validate_table(table: np.ndarray, seed: int):
     if one_sided.size:
         raise NotAGroup(f"element {int(one_sided[0])} has no two-sided inverse")
 
-    if n <= ASSOC_CHECK_BOUND:
-        if _light_generators(table, identity) is None:
-            _associativity_scan(table)
-        fully_validated = True
-    else:
-        rng = np.random.default_rng(seed)
-        trip = rng.integers(0, n, size=(SPOT_CHECK_TRIPLES, 3))
-        lhs = table[table[trip[:, 0], trip[:, 1]], trip[:, 2]]
-        rhs = table[trip[:, 0], table[trip[:, 1], trip[:, 2]]]
-        bad = np.flatnonzero(lhs != rhs)
-        if bad.size:
-            i, j, k = (int(v) for v in trip[bad[0]])
-            raise NotAGroup(
-                f"associativity fails at (i,j,k)=({i},{j},{k})", triple=(i, j, k)
-            )
-        fully_validated = False
-
-    return identity, inverse, fully_validated
+    if _light_generators(table, identity) is None:
+        _associativity_scan(table)
+    return identity, inverse
 
 
 def _light_generators(table: np.ndarray, identity: int) -> list[int] | None:
@@ -161,34 +143,31 @@ def _associativity_scan(table: np.ndarray) -> None:
 
 
 class FiniteGroup:
-    """A finite group given by its Cayley table, ``table[i][j] = g_i * g_j``."""
+    """A finite group given by its Cayley table, ``table[i, j] = g_i * g_j``."""
 
-    def __init__(self, table, label="G", *, coset_reps=None, seed=0):
+    def __init__(self, table, label="G", *, coset_reps=None):
         """``table`` is a Cayley table, validated here, or a FiniteGroup
         whose validated, read-only data the new group shares without
         validating it again. ``coset_reps``, set by ``quotient``, maps each
         quotient element to the minimal id of its coset in the parent group."""
         if isinstance(table, FiniteGroup):
-            arr, rows, inverse = table._np_table, table.table, table.inverse
-            identity, fully = table.identity_id, table.fully_validated
+            arr, inverse, identity = table.table, table.inverse, table.identity_id
         else:
             try:
                 # a copy: the caller keeps no handle on the validated table
                 arr = np.array(table)
             except ValueError as exc:
                 raise NotAGroup("table rows must all have the same length") from exc
-            identity, inverse, fully = _validate_table(arr, seed)
+            identity, inverse = _validate_table(arr)
             arr = arr.astype(np.int64, copy=False)
-            arr.flags.writeable = False
-            rows, inverse = arr.tolist(), inverse.tolist()
+            for array in (arr, inverse):
+                array.flags.writeable = False
         self.order: int = int(arr.shape[0])
-        self.table: list[list[int]] = rows
+        self.table: np.ndarray = arr
         self.identity_id: int = identity
-        self.inverse: list[int] = inverse
+        self.inverse: np.ndarray = inverse
         self.label: str = label
         self.coset_reps: tuple[int, ...] | None = coset_reps
-        self.fully_validated: bool = fully
-        self._np_table = arr
         self._coset_cache: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._transfer_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         # filled by transfer.transfer_table: the homomorphism-checked table
@@ -198,42 +177,39 @@ class FiniteGroup:
     # -- element operations -------------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
+        return self.table.item(x, y)
 
     def inv(self, x: int) -> int:
-        return self.inverse[x]
+        return self.inverse.item(x)
 
     def pow(self, x: int, k: int) -> int:
         """k-th power by square-and-multiply; negative k allowed."""
         if k < 0:
-            x, k = self.inverse[x], -k
+            x, k = self.inverse.item(x), -k
         result = self.identity_id
         while k:
             if k & 1:
-                result = self.table[result][x]
-            x = self.table[x][x]
+                result = self.table.item(result, x)
+            x = self.table.item(x, x)
             k >>= 1
         return result
 
     def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != self.identity_id:
-            y = self.table[y][x]
-            k += 1
-        return k
+        return self.element_orders.item(x)
 
     def conjugate(self, g: int, x: int) -> int:
         """g x g^-1."""
-        return self.table[self.table[g][x]][self.inverse[g]]
+        t = self.table
+        return t.item(t.item(g, x), self.inverse.item(g))
 
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x y x^-1 y^-1."""
-        t = self.table
-        return t[t[t[x][y]][self.inverse[x]]][self.inverse[y]]
+        t, inv = self.table, self.inverse
+        return t.item(t.item(t.item(x, y), inv.item(x)), inv.item(y))
 
     def commutator_table(self, xs, ys) -> np.ndarray:
         """``[x, y]`` for every x in xs (rows) and y in ys (columns)."""
-        t, inv = self._np_table, np.asarray(self.inverse)
+        t, inv = self.table, self.inverse
         xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
         return t[t[t[np.ix_(xs, ys)], inv[xs][:, None]], inv[ys][None, :]]
 
@@ -242,7 +218,7 @@ class FiniteGroup:
         over the whole id array."""
         if k < 0:
             raise InvalidSpec(f"powers needs k >= 0, got {k}")
-        t = self._np_table
+        t = self.table
         result = np.full(self.order, self.identity_id, dtype=np.int64)
         x = np.arange(self.order)
         while k:
@@ -265,14 +241,27 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return np.array_equal(self._np_table, self._np_table.T)
+        return np.array_equal(self.table, self.table.T)
+
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        """Read-only: the order of every element x, the least k with x^k = e.
+        Each x walks its own powers: verify builds hundreds of small
+        quotients, where one array gather per power costs more than this."""
+        t, e = self.table, self.identity_id
+        orders = []
+        for x in range(self.order):
+            k, y = 1, x
+            while y != e:
+                y, k = t.item(y, x), k + 1
+            orders.append(k)
+        orders = np.array(orders, dtype=np.int64)
+        orders.flags.writeable = False
+        return orders
 
     @cached_property
     def exponent(self) -> int:
-        result = 1
-        for x in self.elements():
-            result = math.lcm(result, self.element_order(x))
-        return result
+        return math.lcm(*self.element_orders.tolist())
 
     def center(self) -> "Subgroup":
         return self._center
@@ -280,7 +269,7 @@ class FiniteGroup:
     @cached_property
     def _center(self) -> "Subgroup":
         # x is central iff its row of the table equals its column
-        t = self._np_table
+        t = self.table
         return Subgroup(self, tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist()))
 
     def commutator_subgroup(self) -> "Subgroup":
@@ -332,7 +321,7 @@ class FiniteGroup:
     def class_reps(self) -> np.ndarray:
         """Read-only: the minimal member of each element's conjugacy class,
         which names the class."""
-        t, inv = self._np_table, np.asarray(self.inverse)
+        t, inv = self.table, self.inverse
         reps = np.full(self.order, -1, dtype=np.int64)
         for x in range(self.order):
             if reps[x] < 0:
@@ -375,14 +364,14 @@ class FiniteGroup:
 
     def subgroup_generated(self, gens) -> "Subgroup":
         """Closure of the generating set under multiplication (breadth-first)."""
-        gens = sorted({int(g) for g in gens})
+        # column g holds x g for every x
+        columns = [self.table[:, g].tolist() for g in sorted({int(g) for g in gens})]
         members = {self.identity_id}
         frontier = [self.identity_id]
-        row = self.table
         while frontier:
             x = frontier.pop()
-            for g in gens:
-                y = row[x][g]
+            for column in columns:
+                y = column[x]
                 if y not in members:
                     members.add(y)
                     frontier.append(y)
@@ -417,9 +406,8 @@ class FiniteGroup:
     def is_normal(self, sub: "Subgroup") -> bool:
         if self.is_abelian or len(sub) in (1, self.order):
             return True
-        table = self._np_table
-        inv = np.asarray(self.inverse)
-        conj = table[table[:, list(sub.members)], inv[:, None]]
+        table = self.table
+        conj = table[table[:, list(sub.members)], self.inverse[:, None]]
         return bool(sub.mask[conj].all())
 
     def all_subgroups(self, max_order: int = SUBGROUP_ENUM_BOUND) -> list["Subgroup"]:
@@ -451,7 +439,7 @@ class FiniteGroup:
                 for g in self.elements():
                     if covered[g]:
                         continue
-                    covered[self._np_table[g, members]] = True
+                    covered[self.table[g, members]] = True
                     new_gens = gens + (g,)
                     bigger = self.subgroup_generated(new_gens).members
                     if bigger not in seen:
@@ -479,7 +467,7 @@ class FiniteGroup:
             quot = FiniteGroup(self, label=qlabel, coset_reps=tuple(range(n)))
             return quot, GroupHom(self, quot, tuple(range(n)))
         reps, coset_of = self.coset_positions(normal)
-        qtable = np.asarray(coset_of)[self._np_table[np.ix_(reps, reps)]]
+        qtable = np.asarray(coset_of)[self.table[np.ix_(reps, reps)]]
         qlabel = label if label is not None else f"{self.label}/{{{len(normal)}}}"
         quot = FiniteGroup(qtable, label=qlabel, coset_reps=reps)
         return quot, GroupHom(self, quot, coset_of)
@@ -496,7 +484,7 @@ class FiniteGroup:
         for x in range(self.order):
             if pos[x] < 0:
                 # x is the least id of its coset, which one gather fills
-                pos[self._np_table[x, members]] = len(reps)
+                pos[self.table[x, members]] = len(reps)
                 reps.append(x)
         result = (tuple(reps), tuple(pos.tolist()))
         self._coset_cache[key] = result
@@ -514,9 +502,9 @@ class FiniteGroup:
         col_of_coset = np.empty_like(reps)
         col_of_coset[rows, pos[reps]] = np.arange(reps.shape[1])
         # moved[r, g, j] = g t_j
-        moved = self._np_table[np.arange(self.order)[None, :, None], reps[:, None, :]]
+        moved = self.table[np.arange(self.order)[None, :, None], reps[:, None, :]]
         cols = col_of_coset[rows[:, :, None], pos[moved]]
-        factors = self._np_table[np.asarray(self.inverse)[reps[rows[:, :, None], cols]], moved]
+        factors = self.table[self.inverse[reps[rows[:, :, None], cols]], moved]
         return cols, factors
 
     def transfer_fold(self, sub: "Subgroup", transversals) -> np.ndarray:
@@ -527,7 +515,7 @@ class FiniteGroup:
         _, factors = self._coset_factors(sub, transversals)
         result = np.full(factors.shape[:2], self.identity_id, dtype=np.int64)
         for j in range(factors.shape[2]):
-            result = self._np_table[result, factors[:, :, j]]
+            result = self.table[result, factors[:, :, j]]
         return result
 
     def transfer_products(self, sub: "Subgroup") -> tuple[int, ...]:
@@ -554,10 +542,12 @@ class FiniteGroup:
         reps = np.asarray(transversal, dtype=np.int64)
         _math_check(
             bool(sub.mask[factors].all())
-            and np.array_equal(self._np_table[reps[perm], factors], self._np_table[:, reps]),
+            and np.array_equal(self.table[reps[perm], factors], self.table[:, reps]),
             "coset skeleton: g t_j = t_perm[j] f_j with f_j in H fails",
         )
-        odd = np.array([_perm_is_odd(row) for row in perm.tolist()], dtype=bool)
+        # a permutation is odd when it has an odd number of inversions
+        i, j = np.triu_indices(perm.shape[1], 1)
+        odd = np.count_nonzero(perm[:, i] > perm[:, j], axis=1) % 2 == 1
         for array in (perm, factors, odd):
             array.flags.writeable = False
         return CosetSkeleton(transversal, perm, factors, odd)
@@ -607,15 +597,18 @@ class Subgroup:
 
     def validate(self) -> None:
         g = self.parent
-        mem = set(self.members)
-        if g.identity_id not in mem:
+        if not self.mask[g.identity_id]:
             raise NotAGroup("subgroup must contain the identity")
-        for x in self.members:
-            if g.inv(x) not in mem:
+        members = np.asarray(self.members)
+        # row x: x^-1, then x y for each member y; the first witness in
+        # row-major order is the one a loop over x, then y, would meet
+        inside = self.mask[np.column_stack([g.inverse[members], g.table[np.ix_(members, members)]])]
+        if not inside.all():
+            row, col = np.argwhere(~inside)[0].tolist()
+            x = self.members[row]
+            if col == 0:
                 raise NotAGroup(f"subgroup not closed under inverse at {x}")
-            for y in self.members:
-                if g.mul(x, y) not in mem:
-                    raise NotAGroup(f"subgroup not closed under product at ({x},{y})")
+            raise NotAGroup(f"subgroup not closed under product at ({x},{self.members[col - 1]})")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -640,7 +633,7 @@ class Subgroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        block = self.parent._np_table[np.ix_(self.members, self.members)]
+        block = self.parent.table[np.ix_(self.members, self.members)]
         return bool(np.array_equal(block, block.T))
 
     def index(self) -> int:
@@ -657,10 +650,12 @@ class Subgroup:
         g = self.parent
         if len(self.members) == g.order:
             return g, self.members
-        pos = {m: i for i, m in enumerate(self.members)}
-        table = [[pos[g.mul(x, y)] for y in self.members] for x in self.members]
-        grp = FiniteGroup(table, label=f"{g.label}<{len(self.members)}>")
-        return grp, self.members
+        members = np.asarray(self.members)
+        # local id of each member; -1 elsewhere, which validation refuses
+        local = np.full(g.order, -1, dtype=np.int64)
+        local[members] = np.arange(members.size)
+        table = local[g.table[np.ix_(members, members)]]
+        return FiniteGroup(table, label=f"{g.label}<{members.size}>"), self.members
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return set(other.members) <= self._member_set
@@ -679,10 +674,8 @@ class GroupHom:
 
     def validate(self) -> None:
         m = np.asarray(self.map, dtype=np.int64)
-        src = self.source._np_table
-        tgt = self.target._np_table
-        lhs = m[src]
-        rhs = tgt[np.ix_(m, m)]
+        lhs = m[self.source.table]
+        rhs = self.target.table[np.ix_(m, m)]
         if not np.array_equal(lhs, rhs):
             i, j = np.argwhere(lhs != rhs)[0]
             raise NotAGroup(f"map is not multiplicative at ({int(i)},{int(j)})")
@@ -706,9 +699,9 @@ class GroupHom:
 # -- constructors --------------------------------------------------------------
 
 
-def from_cayley_table(table, label="G", *, seed=0) -> FiniteGroup:
+def from_cayley_table(table, label="G") -> FiniteGroup:
     """Validate a raw Cayley table and wrap it as a FiniteGroup."""
-    return FiniteGroup(table, label=label, seed=seed)
+    return FiniteGroup(table, label=label)
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -824,7 +817,7 @@ def _product(groups: Sequence[FiniteGroup], label: str) -> FiniteGroup:
     table = np.zeros((1, 1), dtype=np.int64)
     for g in groups:
         n = g.order
-        table = table[:, None, :, None] * n + g._np_table[None, :, None, :]
+        table = table[:, None, :, None] * n + g.table[None, :, None, :]
         table = table.reshape(table.shape[0] * n, -1)
     return FiniteGroup(table, label=label)
 

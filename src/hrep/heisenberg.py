@@ -7,7 +7,7 @@ nondegenerate on G/Z. Linear characters of G appear as the degenerate
 dim-1 case Z = G and flow through the same pipeline.
 
 The pairing has one implementation: ``HeisenbergPair.x_value`` and its
-table ``x_on_quotient`` on G/Z; ``validate_pair`` screens the invariance
+residue matrix ``x_on_quotient`` on G/Z; ``validate_pair`` screens the invariance
 of chi and the nondegeneracy of X. The maximal isotropic subgroups are
 enumerated once per pair (``maximal_isotropics``), and every caller that
 needs an isotropic, or one containing a given element, reads that list.
@@ -27,6 +27,7 @@ from .char_theory import (
     QmodZ,
     characters_of_subgroup,
     extend_character,
+    residue_modulus,
 )
 from .errors import (
     Degenerate,
@@ -63,15 +64,13 @@ class HeisenbergPair:
         return self.chi(self.group.commutator(g1, g2))
 
     @cached_property
-    def x_on_quotient(self) -> dict[tuple[int, int], QmodZ]:
-        """X as a table on A x A, evaluated on minimal coset representatives."""
-        quot, _ = self.ambient
-        reps = quot.coset_reps
-        return {
-            (a, b): self.x_value(reps[a], reps[b])
-            for a in quot.elements()
-            for b in quot.elements()
-        }
+    def x_on_quotient(self) -> np.ndarray:
+        """Read-only: X on A x A as residues mod N, ``x[a, b] = chi([r_a, r_b])``
+        for the minimal coset representatives r."""
+        reps = self.ambient[0].coset_reps
+        x = self.chi.residues[self.group.commutator_table(reps, reps)]
+        x.flags.writeable = False
+        return x
 
     @cached_property
     def is_reduced(self) -> bool:
@@ -214,7 +213,7 @@ def all_maximal_isotropics(pair: HeisenbergPair) -> list[Subgroup]:
     for sub in quot.all_subgroups(max_order=ISOTROPIC_ENUM_BOUND):
         if len(sub) != pair.dim:
             continue
-        if all(x[(a, b)].is_zero() for a in sub.members for b in sub.members):
+        if not x[np.ix_(sub.members, sub.members)].any():
             found.append(proj.preimage(sub.members))
     found.sort(key=lambda s: s.members)
     return found
@@ -239,21 +238,23 @@ def symplectic_basis(pair: HeisenbergPair) -> SymplecticBasis:
     """
     quot, proj = pair.ambient
     x = pair.x_on_quotient
-    current = [a for a in quot.elements()]
+    n = residue_modulus(pair.group)
+    # ascending ids, so the first of a kind is the smallest
+    current = np.arange(quot.order)
     pairs_desc: list[tuple[int, int, int]] = []
-    while len(current) > 1:
-        orders = {a: quot.element_order(a) for a in current}
-        m = max(orders.values())
-        t = min(a for a, o in orders.items() if o == m)
-        partners = [a for a in current if x[(t, a)].order == m]
-        if not partners:
+    while current.size > 1:
+        orders = quot.element_orders[current]
+        m = int(orders.max())
+        t = int(current[np.argmax(orders)])
+        partners = current[n // np.gcd(x[t, current], n) == m]
+        if not partners.size:
             raise Degenerate(f"no hyperbolic partner of exact order {m} for {t}")
-        tp = min(partners)
+        tp = int(partners[0])
         plane = quot.subgroup_generated([t, tp])
         _math_check(len(plane) == m * m, "hyperbolic plane must have order m^2")
-        remaining = [a for a in current if x[(a, t)].is_zero() and x[(a, tp)].is_zero()]
+        remaining = current[(x[current, t] == 0) & (x[current, tp] == 0)]
         _math_check(
-            len(remaining) * m * m == len(current),
+            remaining.size * m * m == current.size,
             "orthogonal complement of a hyperbolic plane has complementary order",
         )
         pairs_desc.append((t, tp, m))

@@ -295,7 +295,7 @@ def epsilon_table(pair: HeisenbergPair, sub: Subgroup) -> np.ndarray:
         _math_check(not table.any(), "eps must be trivial for odd dim")
         return table
     # X(g1, g2) = chi([g1, g2]) with [G,G] inside Z
-    lhs = (table[:, None] + table[None, :] - table[group._np_table]) % n
+    lhs = (table[:, None] + table[None, :] - table[group.table]) % n
     rhs = (d // 2) * chi[group.commutator_table(group.elements(), group.elements())] % n
     bad = np.argwhere(lhs != rhs)
     if bad.size:
@@ -601,7 +601,7 @@ def oracle_equivalence_report(pair: HeisenbergPair) -> CheckReport:
             report.fail(g=g, lhs=_text(common[g], n), rhs=_text(chi[g], n), identity="character")
         return report
     e = group.identity_id
-    witness = (e, e) if common[e] else multiplicativity_witness(common, common[group._np_table], n)
+    witness = (e, e) if common[e] else multiplicativity_witness(common, common[group.table], n)
     if witness is not None:
         x, y = witness
         report.fail(
@@ -655,7 +655,7 @@ def epsilon_case_report(det: DetReport) -> CheckReport:
 
 
 # p3_classification covers the odd primes p with p^3 at most this order.
-P3_ORDER_BOUND = 512
+P3_ORDER_BOUND = 1331
 
 
 def p3_classification(p: int) -> dict:

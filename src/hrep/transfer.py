@@ -124,7 +124,7 @@ def _checked_transfer_table(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...
     """``transfer_table`` built from the raw products and checked."""
     red = _mod_derived(group, sub)
     values = red[np.asarray(group.transfer_products(sub))]
-    table = group._np_table
+    table = group.table
     _math_check(
         np.array_equal(values[table], red[table[np.ix_(values, values)]]),
         "transfer values do not form a homomorphism",
@@ -169,7 +169,7 @@ def transversal_independence_check(
         stats={"group": group.label, "subgroup_order": len(sub), "trials": TRANSVERSAL_TRIALS},
     )
     shifts = [[rng.choice(sub.members) for _ in base_t] for _ in range(TRANSVERSAL_TRIALS)]
-    shifted = group._np_table[np.asarray(base_t)[None, :], np.asarray(shifts)]
+    shifted = group.table[np.asarray(base_t)[None, :], np.asarray(shifts)]
     values = transfer_values_with_transversal(group, sub, shifted)
     for trial, g in np.argwhere(values != reference)[:MAX_COUNTEREXAMPLES].tolist():
         report.fail(g=g, lhs=int(values[trial, g]), rhs=int(reference[g]), trial=trial)
@@ -217,7 +217,7 @@ def check_odd_index_transfer(group: FiniteGroup, sub: Subgroup) -> CheckReport:
     outside = power_members[~group.center().mask[power_members]][:MAX_COUNTEREXAMPLES]
     # conj[c, i] = c x_i c^-1 for the i-th noncentral x_i; a noncentral
     # x has a first conjugator c that moves it
-    table, inv = group._np_table, np.asarray(group.inverse)
+    table, inv = group.table, group.inverse
     conj = table[table[:, outside], inv[:, None]]
     for x, column in zip(outside.tolist(), conj.T):
         c = int(np.argmax(column != x))
@@ -238,7 +238,7 @@ def _power_row(group: FiniteGroup, x: int, m: int) -> np.ndarray:
     """x^a for a = 0, ..., m-1."""
     row = np.full(m, group.identity_id, dtype=np.int64)
     for a in range(1, m):
-        row[a] = group._np_table[row[a - 1], x]
+        row[a] = group.table[row[a - 1], x]
     return row
 
 
@@ -258,7 +258,7 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     """
     d = _power_rule_preconditions(group, sub, need_odd=False)
     values = np.asarray(transfer_table(group, sub))
-    table, inv = group._np_table, np.asarray(group.inverse)
+    table, inv = group.table, group.inverse
     e = group.identity_id
     powers = group.powers(d)
 
@@ -339,7 +339,7 @@ def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
         report.stats["phi_trivial"] = not moved
         if moved:
             report.fail(g=moved[0], lhs=cf.values[moved[0]], rhs=e)
-    table = group._np_table
+    table = group.table
     phi = np.asarray(cf.values)
     # phi values are involutions, so dividing is multiplying
     lhs = table[table[phi[table], phi[:, None]], phi[None, :]]
@@ -359,7 +359,7 @@ def check_correcting_ratio(
         raise PreconditionFailed(
             f"subgroups have different indices {cf1.index} != {cf2.index}"
         )
-    table, inv = group._np_table, np.asarray(group.inverse)
+    table, inv = group.table, group.inverse
     values = table[np.asarray(cf2.values), inv[np.asarray(cf1.values)]]
     report = CheckReport(
         "correcting_function_ratio",
@@ -388,7 +388,7 @@ def check_transfer_identities(
         "transfer_identities", True, stats={"group": group.label, "subgroup_order": len(sub)}
     )
 
-    table, inv = group._np_table, np.asarray(group.inverse)
+    table, inv = group.table, group.inverse
     members = np.asarray(sub.members)
     base = np.asarray(transfer_table(group, sub))
     # conj[g, i] = g h_i g^-1 for the i-th member h_i of H

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,13 @@ def test_decompose_generators_realize_the_factors():
             assert b % a == 0
         coords = dec.exponent_coordinates
         assert len(coords) == g.order  # unique expression
+        # the per-element reference: t_1^a_1 ... t_k^a_k in product order
+        assert list(coords.values()) == list(product(*[range(m) for m in dec.factors]))
+        for x, exps in coords.items():
+            y = g.identity_id
+            for t, a in zip(dec.generators, exps):
+                y = g.mul(y, g.pow(t, a))
+            assert y == x
 
 
 def complement_search_decompose(group):

@@ -284,6 +284,11 @@ UNREFERENCED_ALLOWED = {
         "omega|_Z and omega|_H of the paper's twist chi * omega|_Z, which the tests' "
         "per-twist reference builds"
     ),
+    "HeisenbergPair.x_value": (
+        "the paper's pairing X(g1, g2) = chi([g1, g2]) at one pair of elements, the "
+        "tests' reference for the residue matrix x_on_quotient"
+    ),
+    "QmodZ.is_zero": "the tests' check that a pairing or character value is trivial",
 }
 
 
@@ -424,7 +429,8 @@ def test_p3_command(capsys):
 
 
 def test_p3_rejects_two_and_composites(capsys):
-    for p in ("2", "4"):
+    # and 13, the least odd prime with p^3 above the order bound
+    for p in ("2", "4", "13"):
         code, _, err = run_cli(capsys, "p3", p)
         assert code == EXIT_INPUT_ERROR
 

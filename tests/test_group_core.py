@@ -95,7 +95,7 @@ def alternating5():
 
 
 def assoc_holds(group):
-    t = group._np_table
+    t = group.table
     return all(
         np.array_equal(t[t[i], :], t[i][t]) for i in range(group.order)
     )
@@ -106,7 +106,7 @@ def assoc_holds(group):
 
 def test_trivial_group_from_table():
     g = from_cayley_table([[0]], label="triv")
-    assert g.order == 1 and g.identity_id == 0 and g.inverse == [0]
+    assert g.order == 1 and g.identity_id == 0 and g.inverse.tolist() == [0]
 
 
 def test_z2_from_table():
@@ -154,11 +154,10 @@ def test_group_keeps_no_alias_of_the_callers_array():
     arr = np.array([[(i + j) % 4 for j in range(4)] for i in range(4)], dtype=np.int64)
     g = from_cayley_table(arr)
     arr[0, 0] = 3
-    assert g._np_table[0, 0] == g.table[0][0] == 0
-    assert g._np_table.tolist() == g.table
-    assert not g._np_table.flags.writeable
+    assert g.table[0, 0] == 0
+    assert not g.table.flags.writeable
     with pytest.raises(ValueError):
-        g._np_table[0, 0] = 3
+        g.table[0, 0] = 3
 
 
 # -- Light's associativity test ------------------------------------------------
@@ -207,7 +206,7 @@ def intercalate_swaps(group):
     """Every table made from the group's by swapping the entries of one
     2 x 2 subsquare (an intercalate) off the identity's row and column
     that keeps two-sided inverses: loops that are one swap from a group."""
-    t, e = group._np_table, group.identity_id
+    t, e = group.table, group.identity_id
     rest = [x for x in group.elements() if x != e]
     loops = []
     for x1, x2 in combinations(rest, 2):
@@ -225,7 +224,7 @@ def loop_times_group(loop, group):
     group's elements, all good for Light's test, come first."""
     t = np.asarray(loop)
     n = group.order
-    return (t[:, None, :, None] * n + group._np_table[None, :, None, :]).reshape(
+    return (t[:, None, :, None] * n + group.table[None, :, None, :]).reshape(
         len(t) * n, len(t) * n
     )
 
@@ -254,10 +253,9 @@ def assert_light_matches_the_full_scan(table):
     want = first_nonassociative_triple(table)
     if want is None:
         g = from_cayley_table(table)
-        gens = hrep.group_core._light_generators(g._np_table, g.identity_id)
+        gens = hrep.group_core._light_generators(g.table, g.identity_id)
         assert gens == greedy_generators(g)
         assert len(gens) <= g.order.bit_length() - 1
-        assert g.fully_validated
         return
     with pytest.raises(NotAGroup, match=r"associativity fails at \(i,j,k\)") as err:
         from_cayley_table(table)
@@ -269,14 +267,14 @@ def assert_light_matches_the_full_scan(table):
 
 @pytest.mark.parametrize("name", GOLDEN_ZOO + ("heis4", "prod:d8,c3", "ab:3,9"))
 def test_light_test_proves_the_zoo(name):
-    assert_light_matches_the_full_scan(from_name(name)._np_table)
+    assert_light_matches_the_full_scan(from_name(name).table)
 
 
 @pytest.mark.parametrize("name", ("d8", "q8", "heis3", "d16", "ab:2,4", "prod:d8,c3"))
 @settings(deadline=None, max_examples=6)
 @given(data=st.data())
 def test_light_test_survives_relabelling(name, data):
-    table = from_name(name)._np_table
+    table = from_name(name).table
     sigma = data.draw(st.permutations(range(len(table))))
     assert_light_matches_the_full_scan(relabel_table(table, sigma))
 
@@ -461,7 +459,6 @@ def test_all_constructed_groups_are_associative():
         abelian_group([2, 6]),
     ):
         assert assoc_holds(g)
-        assert g.fully_validated
 
 
 def reference_heisenberg_table(n):
@@ -500,13 +497,13 @@ def reference_sign_table(n, b_squared):
 
 def test_zoo_tables_match_the_per_pair_products():
     for n in range(1, 6):
-        assert heisenberg_mod(n).table == reference_heisenberg_table(n)
+        assert heisenberg_mod(n).table.tolist() == reference_heisenberg_table(n)
     for p in (2, 3, 5, 7):
-        assert extraspecial_p3_exp_p2(p).table == reference_extraspecial_table(p)
+        assert extraspecial_p3_exp_p2(p).table.tolist() == reference_extraspecial_table(p)
     for n in range(1, 17):
-        assert dihedral(2 * n).table == reference_sign_table(n, 0)
-        assert cyclic(n).table == [[(i + j) % n for j in range(n)] for i in range(n)]
-    assert quaternion8().table == reference_sign_table(4, 2)
+        assert dihedral(2 * n).table.tolist() == reference_sign_table(n, 0)
+        assert cyclic(n).table.tolist() == [[(i + j) % n for j in range(n)] for i in range(n)]
+    assert quaternion8().table.tolist() == reference_sign_table(4, 2)
 
 
 # sha256 of the int64 table bytes, pinned from the per-pair constructors
@@ -527,17 +524,52 @@ TABLE_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(TABLE_SHA256))
 def test_zoo_table_digests(name):
-    table = from_name(name)._np_table
+    table = from_name(name).table
     assert table.dtype == np.int64
     assert hashlib.sha256(table.tobytes()).hexdigest() == TABLE_SHA256[name]
 
 
-def test_large_table_is_spot_checked():
+def test_large_nonassociative_table_names_the_scans_first_triple():
+    """Tables above 512 elements are proved too: Z/600 with its intercalate
+    at rows and columns {1, 301} swapped is a Latin square with identity 0
+    that is not associative, refused at the row scan's first triple."""
     n = 600
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    g = from_cayley_table(table, label="c600")
-    assert not g.fully_validated
-    assert g.order == 600
+    table = np.add.outer(np.arange(n), np.arange(n)) % n
+    assert from_cayley_table(table, label="c600").order == n
+    block = np.ix_([1, 301], [1, 301])
+    table[block] = table[block][::-1]
+    ref = np.arange(n)
+    assert (np.sort(table, axis=1) == ref).all() and (np.sort(table, axis=0) == ref[:, None]).all()
+    assert (table[0] == ref).all() and (table[:, 0] == ref).all()
+    with pytest.raises(NotAGroup, match=r"associativity fails at \(i,j,k\)") as err:
+        from_cayley_table(table, label="c600")
+    assert err.value.triple == (1, 1, 2)
+    assert table[table[1, 1], 2] != table[1, table[1, 2]]
+
+
+def test_tables_are_read_only_and_operations_return_ints():
+    """``table`` and ``inverse`` are the read-only int64 arrays on every
+    construction path: a validated table, the trivial quotient that shares
+    it, and a subgroup relabelled as a group. Element operations read them
+    and return Python ints."""
+    h3 = heisenberg_mod(3)
+    trivial_quotient, _ = h3.quotient(h3.subgroup([h3.identity_id]))
+    as_group, _ = h3.subgroup_generated([1, 3]).as_group
+    for g in (h3, trivial_quotient, as_group):
+        for array in (g.table, g.inverse):
+            assert isinstance(array, np.ndarray) and array.dtype == np.int64
+        with pytest.raises(ValueError):
+            g.table[1, 1] = 0
+        with pytest.raises(ValueError):
+            g.inverse[1] = 0
+        values = (
+            g.mul(1, 1), g.mul(np.int64(1), 2), g.inv(1), g.pow(1, 5), g.pow(2, -1),
+            g.conjugate(2, 1), g.commutator(1, 2), g.element_order(1), g.exponent,
+        )
+        assert all(type(v) is int for v in values)
+    assert h3.mul(1, 1) == h3.table[1, 1] == 2
+    assert h3.subgroup_generated([1]).members == (0, 1, 2)
+
 
 
 # -- builtin names -------------------------------------------------------------
@@ -581,7 +613,7 @@ def test_benchmark_group_names_build_the_builtin_groups():
     assert names
     for name in names:
         built, builtin = workloads.build_group(hrep, name), from_name(name)
-        assert (built.label, built.table) == (builtin.label, builtin.table), name
+        assert (built.label, built.table.tolist()) == (builtin.label, builtin.table.tolist()), name
 
 
 @pytest.mark.parametrize("name", ("heisx", "ab:2,x", "es_p3_exp_p2:", "prod:d8,heis"))
@@ -811,6 +843,47 @@ def test_subgroup_validation():
     assert sub.is_abelian and sub.index() == 2
 
 
+def first_closure_failure(group, members):
+    """The per-element reference for Subgroup.validate: for each member x
+    in id order, its inverse, then its products x y in id order."""
+    inside = set(members)
+    if group.identity_id not in inside:
+        return "subgroup must contain the identity"
+    for x in members:
+        if group.inv(x) not in inside:
+            return f"subgroup not closed under inverse at {x}"
+        for y in members:
+            if group.mul(x, y) not in inside:
+                return f"subgroup not closed under product at ({x},{y})"
+    return None
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "ab:2,4", "cp:d8,q8"))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_subgroup_validation_names_the_loops_first_witness(name, data):
+    """On random member sets, and on subgroups with one element added,
+    the array check raises the reference's message, or passes with it;
+    every subgroup relabelled as a group has the per-pair table."""
+    group = from_name(name)
+    subgroups = group.all_subgroups()
+    members = set(data.draw(st.sets(st.integers(0, group.order - 1))))
+    if data.draw(st.booleans()):
+        members = set(data.draw(st.sampled_from(subgroups)).members) | members
+    sub = hrep.group_core.Subgroup(group, tuple(sorted(members)))
+    want = first_closure_failure(group, sub.members)
+    if want is None:
+        sub.validate()
+        local, to_parent = sub.as_group
+        position = {m: i for i, m in enumerate(to_parent)}
+        want_table = [[position[group.mul(x, y)] for y in to_parent] for x in to_parent]
+        assert local.table.tolist() == want_table
+    else:
+        with pytest.raises(NotAGroup) as err:
+            sub.validate()
+        assert str(err.value) == want
+
+
 # -- quotients and transversals ------------------------------------------------------
 
 
@@ -828,16 +901,13 @@ def test_trivial_quotient_shares_the_validated_table(monkeypatch):
     monkeypatch.setattr(
         hrep.group_core, "_validate_table", lambda *a: calls.append(1) or real(*a)
     )
-    spot_checked = from_cayley_table([[(i + j) % 600 for j in range(600)] for i in range(600)])
-    assert not spot_checked.fully_validated
-    for g in (heisenberg_mod(3), spot_checked):
+    c600 = from_cayley_table([[(i + j) % 600 for j in range(600)] for i in range(600)])
+    for g in (heisenberg_mod(3), c600):
         calls.clear()
         q, _ = g.quotient(g.subgroup([g.identity_id]), label="copy")
         assert calls == []
-        assert q._np_table is g._np_table and not q._np_table.flags.writeable
-        assert (q.identity_id, q.inverse, q.fully_validated) == (
-            g.identity_id, g.inverse, g.fully_validated,
-        )
+        assert q.table is g.table and not q.table.flags.writeable
+        assert q.identity_id == g.identity_id and q.inverse is g.inverse
         assert q.label == "copy" and q.coset_reps == tuple(range(g.order))
         assert q.center().parent is q
     # a non-trivial quotient builds a new table and validates it

@@ -1040,8 +1040,29 @@ def test_p3_classification_for_p3():
     assert by_kind["exponent_p2"]["det_trivial"] is False
 
 
+def test_p3_classification_for_p11():
+    """Order 1331, the largest under the bound: p - 1 = 10 pairs of
+    dimension 11 in each group; heis11 (ids a p^2 + b p + c) has the
+    center b p and trivial determinants, and the exponent-p^2 group (ids
+    i p + j for a^i b^j) has G^p = Z = <a^p> and nontrivial ones."""
+    p = 11
+    report = idet.p3_classification(p)
+    heis_center = [b * p for b in range(p)]
+    es_center = [k * p * p for k in range(p)]
+    assert report == {
+        "p": p,
+        "rows": [
+            {"group": "heis11", "kind": "exponent_p", "order": 1331, "n_pairs_dim_p": 10,
+             "power_subgroup": [0], "center": heis_center, "det_trivial": True},
+            {"group": "es_p3_exp_p2:11", "kind": "exponent_p2", "order": 1331,
+             "n_pairs_dim_p": 10, "power_subgroup": es_center, "center": es_center,
+             "det_trivial": False},
+        ],
+    }
+
+
 def test_p3_classification_rejects_bad_primes():
-    for p in (2, 4, 9, 11):
+    for p in (2, 4, 9, 13):
         with pytest.raises(InvalidPrime):
             idet.p3_classification(p)
 
