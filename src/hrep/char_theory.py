@@ -5,10 +5,10 @@ A root of unity e^(2*pi*i*q) is written as the reduced rational exponent
 q = num/den in [0, 1) (``QmodZ``); adding exponents multiplies roots. Every
 character value and every determinant of a group G has an order dividing
 N = lcm(exp(G), 2) (``residue_modulus``), so inside the pipeline a value is
-the integer residue r = q*N mod N, and -1 is N/2. ``residues`` is the one
-conversion from exponents to residues; a ``LinearCharacter`` converts its
-values once (``LinearCharacter.residues``), and ``QmodZ`` is built again
-only where a report prints a value.
+the integer residue r = q*N mod N, and -1 is N/2. A ``LinearCharacter`` is
+its domain and one read-only residue array, and extension grows that array
+layer by layer. ``QmodZ`` values appear only where a report prints one,
+read from one shared table per N (``_exponents``).
 """
 
 from __future__ import annotations
@@ -90,21 +90,10 @@ def residue_modulus(group: FiniteGroup) -> int:
     return math.lcm(group.exponent, 2)
 
 
-def residues(values, modulus: int) -> np.ndarray:
-    """r with ``values[i] = r[i]/modulus``; a value whose order does not
-    divide the modulus is not a residue and raises NotACharacter."""
-    out = np.empty(len(values), dtype=np.int64)
-    for i, q in enumerate(values):
-        step, rest = divmod(modulus, q.den)
-        if rest:
-            raise NotACharacter(f"value {q} has order {q.den}, which does not divide N={modulus}")
-        out[i] = q.num * step
-    return out
-
-
 @cache
 def _exponents(modulus: int) -> tuple[QmodZ, ...]:
-    """QmodZ(r, modulus) for every residue r, built once per modulus."""
+    """QmodZ(r, modulus) for every residue r, built once per modulus: the
+    one lookup from residues to the exponents a report prints."""
     return tuple(QmodZ(r, modulus) for r in range(modulus))
 
 
@@ -118,52 +107,54 @@ def multiplicativity_witness(values: np.ndarray, products: np.ndarray, modulus: 
     return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCharacter:
-    """A multiplicative map from a subgroup's elements into QmodZ.
+    """A multiplicative map from a subgroup's elements into the N-th roots
+    of unity, N the parent's residue modulus.
 
-    Values are stored as a total tuple aligned with ``domain.members``;
-    equality is structural. ``residues`` is the same map as integers mod
-    the parent's N, the form every table computation reads.
+    ``residues`` is the whole map: the value at each parent element id as
+    an integer residue mod N, and -1 off the domain; it is read-only.
+    Equality is structural: the same domain and the same residues.
     """
 
     domain: Subgroup
-    exps: tuple[QmodZ, ...]
+    residues: np.ndarray
 
     def __post_init__(self):
-        if len(self.exps) != len(self.domain.members):
-            raise NotACharacter("value tuple length must match the domain")
+        parent = self.domain.parent
+        on_parent = np.array(self.residues, dtype=np.int64)
+        if on_parent.shape != (parent.order,):
+            raise NotACharacter("residue array length must match the parent's order")
+        mask, modulus = self.domain.mask, residue_modulus(parent)
+        if (on_parent[~mask] != -1).any():
+            raise NotACharacter("a residue off the domain must be -1")
+        inside = on_parent[mask]
+        if inside.size and (inside.min() < 0 or inside.max() >= modulus):
+            raise NotACharacter(f"residues on the domain must lie in [0, {modulus})")
+        on_parent.flags.writeable = False
+        object.__setattr__(self, "residues", on_parent)
 
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.domain.members)}
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearCharacter):
+            return NotImplemented
+        return self.domain == other.domain and np.array_equal(self.residues, other.residues)
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.residues.tobytes()))
 
     def __call__(self, x: int) -> QmodZ:
-        return self.exps[self._index[x]]
-
-    @cached_property
-    def residues(self) -> np.ndarray:
-        """The values as residues mod the parent's N, indexed by parent
-        element id; -1 off the domain. Read-only."""
-        parent = self.domain.parent
-        on_parent = np.full(parent.order, -1, dtype=np.int64)
-        on_parent[list(self.domain.members)] = residues(self.exps, residue_modulus(parent))
-        on_parent.flags.writeable = False
-        return on_parent
-
-    @classmethod
-    def from_values(cls, domain: Subgroup, values: dict[int, QmodZ]) -> "LinearCharacter":
-        return cls(domain, tuple(values[m] for m in domain.members))
+        if x not in self.domain:
+            raise KeyError(x)
+        return _exponents(residue_modulus(self.domain.parent))[self.residues.item(x)]
 
     def validate(self) -> None:
         """Exhaustive multiplicativity check over the whole domain.
 
         Runs on the residues mod the parent's N, against the parent's
         table restricted to the domain, so the n^2 comparisons stay in
-        integer arrays. A value whose order does not divide N fails first;
-        a multiplicativity failure carries its first witness (x, y) in
-        row-major order. The character is immutable, so a check that
-        passed is not run again.
+        integer arrays. A multiplicativity failure carries its first
+        witness (x, y) in row-major order. The character is immutable, so
+        a check that passed is not run again.
         """
         self._multiplicative
 
@@ -193,42 +184,30 @@ class LinearCharacter:
         return Subgroup(self.domain.parent, tuple(np.flatnonzero(self.residues == 0).tolist()))
 
     def restrict(self, sub: Subgroup) -> "LinearCharacter":
-        members = list(sub.members)
-        on_parent = np.full(len(self.residues), -1, dtype=np.int64)
-        on_parent[members] = self.residues[members]
-        if on_parent[members].min() < 0:
+        on_parent = np.where(sub.mask, self.residues, -1)
+        if on_parent[sub.mask].min() < 0:
             raise NotACharacter("can only restrict to a subgroup of the domain")
-        return LinearCharacter._from_residues(sub, on_parent)
+        return LinearCharacter(sub, on_parent)
 
     def __mul__(self, other: "LinearCharacter") -> "LinearCharacter":
         """Pointwise product of two characters on the same domain."""
         if other.domain.members != self.domain.members:
             raise NotACharacter("can only multiply characters on the same domain")
         modulus = residue_modulus(self.domain.parent)
-        on_domain = self.residues >= 0
-        on_parent = np.where(on_domain, (self.residues + other.residues) % modulus, -1)
-        return LinearCharacter._from_residues(self.domain, on_parent)
-
-    @classmethod
-    def _from_residues(cls, domain: Subgroup, on_parent: np.ndarray) -> "LinearCharacter":
-        """The character with these residues (indexed by parent id, -1 off
-        the domain), its exponents read from one shared table rather than
-        built, and its residues kept rather than converted back."""
-        table = _exponents(residue_modulus(domain.parent))
-        chi = cls(domain, tuple(map(table.__getitem__, on_parent[domain.mask].tolist())))
-        on_parent.flags.writeable = False
-        chi.__dict__["residues"] = on_parent
-        return chi
+        on_parent = np.where(self.domain.mask, (self.residues + other.residues) % modulus, -1)
+        return LinearCharacter(self.domain, on_parent)
 
     def as_dict(self) -> dict:
+        table = _exponents(residue_modulus(self.domain.parent))
+        values = self.residues[self.domain.mask].tolist()
         return {
             "domain": list(self.domain.members),
-            "values": {str(m): str(self(m)) for m in self.domain.members},
+            "values": {str(m): str(table[r]) for m, r in zip(self.domain.members, values)},
         }
 
 
 def trivial_character(domain: Subgroup) -> LinearCharacter:
-    return LinearCharacter(domain, tuple(ZERO for _ in domain.members))
+    return LinearCharacter(domain, np.where(domain.mask, 0, -1))
 
 
 def characters_of_abelian(group: FiniteGroup) -> list[LinearCharacter]:
@@ -257,7 +236,7 @@ def characters_of_abelian(group: FiniteGroup) -> list[LinearCharacter]:
     )
     domain = group.full_subgroup()
     return [
-        LinearCharacter._from_residues(domain, scaled @ np.array(idx, dtype=np.int64) % modulus)
+        LinearCharacter(domain, scaled @ np.array(idx, dtype=np.int64) % modulus)
         for idx in product(*[range(m) for m in dec.factors])
     ]
 
@@ -277,7 +256,7 @@ def characters_of_subgroup(sub: Subgroup) -> list[LinearCharacter]:
     for chi in characters_of_abelian(quot):
         on_parent = np.full(sub.parent.order, -1, dtype=np.int64)
         on_parent[members] = chi.residues[local] * scale
-        characters.append(LinearCharacter._from_residues(sub, on_parent))
+        characters.append(LinearCharacter(sub, on_parent))
     return characters
 
 
@@ -292,9 +271,9 @@ def extend_character(
     """Extend chi from its domain Z to an overgroup H, deterministically.
 
     Repeatedly adjoins the smallest-id element t of H not yet covered;
-    with m minimal such that t^m lands in the covered part, the value
-    chi(t^m) = num/den is lifted to num/(den*m), the smallest of the m
-    branch choices. ``extend_character_all`` enumerates every branch.
+    with m minimal such that t^m lands in the covered part, the residue
+    r of chi(t^m) is lifted to r/m, the smallest of the m branch choices
+    (r + j*N)/m. ``extend_character_all`` enumerates every branch.
     """
     return _extend(group, chi, over, all_branches=False)[0]
 
@@ -307,12 +286,10 @@ def extend_character_all(
 
 
 def _extend(group, chi, over, *, all_branches):
-    z_members = chi.domain.members
-    if over.members == z_members:
+    if over.members == chi.domain.members:
         return [chi]
     if not over.contains_subgroup(chi.domain):
         raise NoExtension("overgroup does not contain the character's domain")
-    over_set = set(over.members)
     # commutators of the overgroup must die in chi (first witness in
     # row-major order); as Z lies in H, that makes chi H-invariant too:
     # chi(h z h^-1) = chi([h, z] z) = chi(z)
@@ -322,36 +299,39 @@ def _extend(group, chi, over, *, all_branches):
         h1, h2 = h[bad[0]].tolist()
         raise NoExtension(f"character is not trivial on [H,H] (witness [{h1},{h2}])")
 
-    def grow(values: dict[int, QmodZ]) -> list[dict[int, QmodZ]]:
-        if len(values) == len(over_set):
-            return [values]
-        t = min(over_set - values.keys())
-        m, p = 1, t
-        while p not in values:
-            p = group.mul(p, t)
-            m += 1
-        base = values[p]
-        branches = range(m) if all_branches else range(1)
-        results = []
-        for j in branches:
-            w = QmodZ(base.num + j * base.den, base.den * m)
-            # the covered part contains [H,H], hence is normal with cyclic
-            # quotient <t>: every new element is c*t^k uniquely
-            extended = dict(values)
-            power = group.identity_id
-            for k in range(1, m):
-                power = group.mul(power, t)
-                shift = w.scale(k)
-                for c, vc in values.items():
-                    extended[group.mul(c, power)] = vc + shift
-            results.extend(grow(extended))
-        return results
+    n = residue_modulus(group)
+    covered = chi.domain.mask.copy()
+    tables = [chi.residues]
+    while (missing := np.flatnonzero(over.mask & ~covered)).size:
+        t = int(missing[0])
+        # the covered part contains [H,H], hence is normal with cyclic
+        # quotient <t>: every new element is c*t^k uniquely, 0 < k < m
+        powers = [t]
+        while not covered[powers[-1]]:
+            powers.append(group.mul(powers[-1], t))
+        m, inside = len(powers), np.flatnonzero(covered)
+        layers = [group.table[inside, p] for p in powers[:-1]]
+        grown = []
+        for values in tables:
+            base = int(values[powers[-1]])
+            for j in range(m) if all_branches else range(1):
+                # the branch (base/N + j)/m of chi(t), scaled by N
+                w, rest = divmod(base + j * n, m)
+                if rest:
+                    raise NoExtension(
+                        f"branch assignment is inconsistent: branch {j} at {t} is no residue"
+                    )
+                extended = values.copy()
+                for k, layer in enumerate(layers, 1):
+                    extended[layer] = (values[inside] + k * w) % n
+                grown.append(extended)
+        tables = grown
+        for layer in layers:
+            covered[layer] = True
 
-    start = {z: chi(z) for z in z_members}
-    tables = grow(start)
     out = []
     for values in tables:
-        result = LinearCharacter.from_values(over, values)
+        result = LinearCharacter(over, values)
         try:
             result.validate()
         except NotACharacter as exc:

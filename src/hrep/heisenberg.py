@@ -191,8 +191,12 @@ def quotient_by_kernel(pair: HeisenbergPair) -> tuple[HeisenbergPair, GroupHom]:
     kernel = pair.chi.kernel()
     quot, proj = group.quotient(kernel, label=f"{group.label}~red")
     scalar = Subgroup(quot, tuple(sorted({proj(z) for z in pair.Z.members})))
-    reps = quot.coset_reps
-    chi_bar = LinearCharacter(scalar, tuple(pair.chi(reps[m]) for m in scalar.members))
+    # chi_bar(zK) = chi(z) for K = Ker(chi), read at each coset's minimal
+    # representative and rescaled from G's N to that of G/K, which divides it
+    lifted = pair.chi.residues[np.asarray(quot.coset_reps)]
+    step = residue_modulus(group) // residue_modulus(quot)
+    _math_check(not (lifted[scalar.mask] % step).any(), "chi_bar must be a residue mod N of G/K")
+    chi_bar = LinearCharacter(scalar, np.where(scalar.mask, lifted // step, -1))
     reduced = validate_pair(quot, scalar, chi_bar)
     _math_check(reduced.dim == pair.dim, "kernel reduction must preserve the dimension")
     _math_check(is_two_step_nilpotent(quot), "reduced group must be two-step nilpotent")

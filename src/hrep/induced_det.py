@@ -24,8 +24,11 @@ builds the monomial matrices themselves, for the homomorphism certificate
 and as a reference.
 
 Twists, the sign table, the sign defect, the determinant's
-multiplicativity and every route comparison run on these residue arrays;
-``QmodZ`` values are built only where a report prints one. The closed
+multiplicativity, every route comparison and the determinant report
+(``DetReport``, its five residue tables) run on these residue arrays. A
+report prints a residue as its exponent, read from one shared table per
+N; ``QmodZ`` values are built only by the references, ``det_formula`` and
+the monomial matrices. The closed
 form requires a kernel-reduced pair and refuses anything else, making
 the reduction step explicit in the API.
 """
@@ -42,6 +45,7 @@ from .char_theory import (
     ZERO,
     LinearCharacter,
     QmodZ,
+    _exponents,
     extend_character_all,
     linear_characters,
     multiplicativity_witness,
@@ -261,7 +265,7 @@ def _formula_residues(pair: HeisenbergPair, modulus: int) -> tuple[np.ndarray, n
 
 def _text(residue, modulus: int) -> str:
     """The report form of a residue: its reduced exponent."""
-    return str(QmodZ(int(residue), modulus))
+    return str(_exponents(modulus)[int(residue) % modulus])
 
 
 def epsilon_table(pair: HeisenbergPair, sub: Subgroup) -> np.ndarray:
@@ -381,7 +385,7 @@ def twist(pair: HeisenbergPair, omega: LinearCharacter) -> HeisenbergPair:
     if moved.size:
         raise NotACharacter(f"twisting character is not trivial on [G,G] at {moved[0]}")
     twisted = (pair.chi.residues + omega.residues) % residue_modulus(group)
-    chi = LinearCharacter._from_residues(pair.Z, np.where(pair.Z.mask, twisted, -1))
+    chi = LinearCharacter(pair.Z, np.where(pair.Z.mask, twisted, -1))
     return HeisenbergPair(group, pair.Z, chi, pair.dim)
 
 
@@ -464,34 +468,38 @@ def find_trivializing_twist(pair: HeisenbergPair) -> LinearCharacter | None:
 # -- reports and classifications ---------------------------------------------------
 
 
-@dataclass
-class DetRow:
-    """One element's determinant on each route, its sign from the sign
-    table and the sign inside the closed form."""
-
-    g: int
-    direct: QmodZ
-    gallagher: QmodZ
-    formula: QmodZ
-    epsilon: QmodZ
-    formula_epsilon: QmodZ
-
-    def agrees(self) -> bool:
-        return self.direct == self.gallagher == self.formula and self.epsilon == self.formula_epsilon
-
-
-@dataclass
+@dataclass(eq=False)
 class DetReport:
-    """Per-element determinant comparison on the kernel-reduced pair."""
+    """Per-element determinant comparison on the kernel-reduced pair: each
+    route's table, the sign table and the sign inside the closed form, as
+    residues mod the reduced group's N."""
 
     pair: HeisenbergPair
     sub: Subgroup
-    rows: list[DetRow]
+    modulus: int
+    direct: np.ndarray
+    gallagher: np.ndarray
+    formula: np.ndarray
+    epsilon: np.ndarray
+    formula_epsilon: np.ndarray
     rk2: int
     case: str
-    all_agree: bool
+
+    def disagreeing(self) -> np.ndarray:
+        """The elements where two routes or the two signs differ."""
+        return np.flatnonzero(
+            (self.direct != self.gallagher)
+            | (self.direct != self.formula)
+            | (self.epsilon != self.formula_epsilon)
+        )
+
+    @property
+    def all_agree(self) -> bool:
+        return not self.disagreeing().size
 
     def as_dict(self) -> dict:
+        columns = ("direct", "gallagher", "formula", "epsilon")
+        values = zip(*(getattr(self, column).tolist() for column in columns))
         return {
             "group": self.pair.group.label,
             "Z": list(self.pair.Z.members),
@@ -499,14 +507,8 @@ class DetReport:
             "rk2": self.rk2,
             "case": self.case,
             "rows": [
-                {
-                    "g": row.g,
-                    "direct": str(row.direct),
-                    "gallagher": str(row.gallagher),
-                    "formula": str(row.formula),
-                    "epsilon": str(row.epsilon),
-                }
-                for row in self.rows
+                {"g": g, **{column: _text(r, self.modulus) for column, r in zip(columns, row)}}
+                for g, row in enumerate(values)
             ],
             "all_agree": self.all_agree,
         }
@@ -530,15 +532,9 @@ def build_det_report(pair: HeisenbergPair) -> DetReport:
     direct = direct_table(reduced, sub, chi_h)
     gallagher = gallagher_table(reduced, sub, chi_h)
     formula, formula_eps = _formula_residues(reduced, n)
-    all_agree = bool(
-        ((direct == gallagher) & (direct == formula) & (eps == formula_eps)).all()
+    return DetReport(
+        reduced, sub, n, direct, gallagher, formula, eps, formula_eps, rk2, _case_label(rk2)
     )
-    columns = (direct, gallagher, formula, eps, formula_eps)
-    rows = [
-        DetRow(g, *(QmodZ(value, n) for value in values))
-        for g, values in enumerate(zip(*(column.tolist() for column in columns)))
-    ]
-    return DetReport(reduced, sub, rows, rk2, _case_label(rk2), all_agree)
 
 
 def oracle_equivalence_report(pair: HeisenbergPair) -> CheckReport:
@@ -629,26 +625,24 @@ def epsilon_case_report(det: DetReport) -> CheckReport:
         True,
         stats={"group": group.label, "dim": reduced.dim, "rk2": det.rk2, "case": det.case},
     )
+    n = det.modulus
     g2z = reduced.squares_times_z
+    expected = np.zeros(group.order, dtype=np.int64)
     if det.rk2 == 2:
         if group.order != 4 * len(g2z):
             report.fail(g=-1, lhs=len(g2z), rhs=group.order // 4)
-        expected = {g: (ZERO if g in g2z else HALF) for g in group.elements()}
-    else:
-        expected = {g: ZERO for g in group.elements()}
-    table = [row.epsilon for row in det.rows]
-    for g in group.elements():
-        if table[g] != expected[g]:
-            report.fail(g=g, lhs=str(table[g]), rhs=str(expected[g]))
+        expected[~g2z.mask] = n // 2
+    for g in np.flatnonzero(det.epsilon != expected).tolist():
+        report.fail(g=g, lhs=_text(det.epsilon[g], n), rhs=_text(expected[g], n))
     if not det.all_agree:
-        row = next(row for row in det.rows if not row.agrees())
+        g = int(det.disagreeing()[0])
         report.fail(
-            g=row.g,
-            lhs=str(row.direct),
-            rhs=str(row.formula),
-            gallagher=str(row.gallagher),
-            epsilon=str(row.epsilon),
-            formula_epsilon=str(row.formula_epsilon),
+            g=g,
+            lhs=_text(det.direct[g], n),
+            rhs=_text(det.formula[g], n),
+            gallagher=_text(det.gallagher[g], n),
+            epsilon=_text(det.epsilon[g], n),
+            formula_epsilon=_text(det.formula_epsilon[g], n),
             identity="det_report",
         )
     return report

@@ -102,7 +102,7 @@ def _mod_derived(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     if sub.is_abelian:
         return np.arange(group.order)
     commutators = group.commutator_table(sub.members, sub.members)
-    derived = group.subgroup_generated(commutators.ravel().tolist())
+    derived = group._generated_by_mask(commutators.ravel())
     reps, pos = group.coset_positions(derived)
     return np.asarray(reps)[np.asarray(pos)]
 

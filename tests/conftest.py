@@ -1,7 +1,10 @@
 """Helpers shared by several test modules."""
 
+import numpy as np
 import pytest
 
+from hrep.char_theory import LinearCharacter, residue_modulus
+from hrep.errors import NotACharacter
 from hrep.group_core import FiniteGroup
 
 
@@ -22,3 +25,17 @@ def relabelled(group: FiniteGroup, sigma) -> FiniteGroup:
 @pytest.fixture(scope="session")
 def relabel():
     return relabelled
+
+
+def character(domain, values) -> LinearCharacter:
+    """The linear character with these QmodZ values, one per member of
+    ``domain`` in order, as residues mod the parent's N. A value whose
+    order does not divide N has no residue and raises NotACharacter."""
+    modulus = residue_modulus(domain.parent)
+    on_parent = np.full(domain.parent.order, -1, dtype=np.int64)
+    for member, q in zip(domain.members, values, strict=True):
+        step, rest = divmod(modulus, q.den)
+        if rest:
+            raise NotACharacter(f"value {q} has order {q.den}, which does not divide N={modulus}")
+        on_parent[member] = q.num * step
+    return LinearCharacter(domain, on_parent)

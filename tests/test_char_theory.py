@@ -1,10 +1,14 @@
 """Exact exponent arithmetic, characters, and extensions."""
 
+import random
+
+import numpy as np
 import pytest
+from conftest import character
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrep import char_theory as ct
+from hrep import char_theory as ct, heisenberg as hb
 from hrep.char_theory import HALF, ZERO, QmodZ
 from hrep.errors import NoExtension, NotAbelian, NotACharacter
 from hrep.group_core import (
@@ -86,7 +90,7 @@ def test_characters_of_klein_four():
     chars = ct.characters_of_abelian(abelian_group([2, 2]))
     assert len(chars) == 4
     for chi in chars:
-        assert set(chi.exps) <= {ZERO, HALF}
+        assert {chi(x) for x in chi.domain} <= {ZERO, HALF}
         chi.validate()
 
 
@@ -128,10 +132,10 @@ ABELIAN_SPECS = ([1], [2], [6], [2, 2], [2, 4], [3, 9], [2, 2, 2, 2], [2, 6, 12]
 def test_characters_of_abelian_match_the_per_element_sums(factors):
     group = abelian_group(factors)
     chars = ct.characters_of_abelian(group)
-    assert [list(chi.exps) for chi in chars] == reference_characters_of_abelian(group)
-    modulus = ct.residue_modulus(group)
-    for chi in chars:
-        assert chi.residues.tolist() == ct.residues(chi.exps, modulus).tolist()
+    want = reference_characters_of_abelian(group)
+    assert [[chi(x) for x in group.elements()] for chi in chars] == want
+    for chi, values in zip(chars, want):
+        assert chi == character(chi.domain, values)
         assert not chi.residues.flags.writeable
         chi.validate()
 
@@ -143,7 +147,8 @@ def test_characters_of_abelian_survive_relabelling(relabel, factors, data):
     group = abelian_group(factors)
     group = relabel(group, data.draw(st.permutations(range(group.order))))
     chars = ct.characters_of_abelian(group)
-    assert [list(chi.exps) for chi in chars] == reference_characters_of_abelian(group)
+    want = reference_characters_of_abelian(group)
+    assert [[chi(x) for x in group.elements()] for chi in chars] == want
 
 
 def test_characters_of_abelian_build_no_qmodz(monkeypatch):
@@ -178,7 +183,7 @@ def reference_characters_of_subgroup(sub):
     grp, _ = sub.as_group
     quot, proj = grp.abelianization
     return [
-        ct.LinearCharacter(sub, tuple(chi(proj(x)) for x in grp.elements()))
+        character(sub, tuple(chi(proj(x)) for x in grp.elements()))
         for chi in ct.characters_of_abelian(quot)
     ]
 
@@ -209,9 +214,7 @@ def test_characters_of_subgroup_match_the_per_element_values(name):
 
 def test_character_validate_catches_bad_map():
     z4 = cyclic(4)
-    bad = ct.LinearCharacter(
-        z4.full_subgroup(), (ZERO, QmodZ(1, 4), HALF, QmodZ(1, 4))
-    )
+    bad = character(z4.full_subgroup(), (ZERO, QmodZ(1, 4), HALF, QmodZ(1, 4)))
     with pytest.raises(NotACharacter) as info:
         bad.validate()
     # the first pair (x, y) in row-major order with chi(xy) != chi(x) + chi(y):
@@ -221,12 +224,14 @@ def test_character_validate_catches_bad_map():
 
 def test_character_validate_rejects_a_value_of_order_not_dividing_n():
     """Every value of a character of G is an N-th root of unity for
-    N = lcm(exp(G), 2); on Z/3, N = 6 and a value 1/4 is no residue."""
+    N = lcm(exp(G), 2); on Z/3, N = 6 and a value 1/4 is no residue, and
+    the constructor refuses a residue outside [0, 6)."""
     z3 = cyclic(3)
     assert ct.residue_modulus(z3) == 6
-    bad = ct.LinearCharacter(z3.full_subgroup(), (ZERO, QmodZ(1, 4), HALF))
     with pytest.raises(NotACharacter, match="value 1/4 has order 4, which does not divide N=6"):
-        bad.validate()
+        character(z3.full_subgroup(), (ZERO, QmodZ(1, 4), HALF))
+    with pytest.raises(NotACharacter, match=r"must lie in \[0, 6\)"):
+        ct.LinearCharacter(z3.full_subgroup(), [0, 6, 3])
 
 
 def test_residues_are_indexed_by_parent_id_and_read_only():
@@ -237,8 +242,9 @@ def test_residues_are_indexed_by_parent_id_and_read_only():
     assert chi.residues.tolist() == [0, -1, 1, -1, 2, -1, 3, -1]
     assert not chi.residues.flags.writeable
     on_center = chi.restrict(d8.center())
-    assert on_center.exps == (ZERO, HALF) and on_center.residues.tolist() == [0, -1, -1, -1, 2, -1, -1, -1]
-    assert (chi * chi).exps == (ZERO, HALF, ZERO, HALF)
+    assert (on_center(E), on_center(A2)) == (ZERO, HALF)
+    assert on_center.residues.tolist() == [0, -1, -1, -1, 2, -1, -1, -1]
+    assert [(chi * chi)(x) for x in rot] == [ZERO, HALF, ZERO, HALF]
     with pytest.raises(NotACharacter):
         on_center.restrict(rot)
 
@@ -246,7 +252,7 @@ def test_residues_are_indexed_by_parent_id_and_read_only():
 def test_character_validate_rejects_a_domain_not_closed_under_the_product():
     d8 = dihedral(8)
     with pytest.raises(NotACharacter, match="not closed"):
-        ct.LinearCharacter(Subgroup(d8, (E, A)), (ZERO, ZERO)).validate()
+        character(Subgroup(d8, (E, A)), (ZERO, ZERO)).validate()
 
 
 def test_character_validate_builds_no_group(monkeypatch):
@@ -284,7 +290,7 @@ def test_d8_trivial_character_degenerate():
     # chi([g, h]) it induces has all of D8 as its radical.
     d8 = dihedral(8)
     chi = ct.trivial_character(d8.center())
-    assert all(q.is_zero() for q in chi.exps)
+    assert all(chi(x).is_zero() for x in chi.domain)
     radical = tuple(
         g for g in d8.elements() if all(chi(d8.commutator(g, h)).is_zero() for h in d8.elements())
     )
@@ -304,13 +310,13 @@ def d8_center_character():
 def test_extension_to_itself_is_identity():
     d8, chi = d8_center_character()
     same = ct.extend_character(d8, chi, d8.center())
-    assert same.exps == chi.exps
+    assert same == chi
 
 
 def test_extension_in_z4_smallest_branch():
     z4 = cyclic(4)
     sub = z4.subgroup([0, 2])
-    chi = ct.LinearCharacter(sub, (ZERO, HALF))
+    chi = character(sub, (ZERO, HALF))
     ext = ct.extend_character(z4, chi, z4.full_subgroup())
     assert ext(1) == QmodZ(1, 4)
 
@@ -329,7 +335,7 @@ def test_extension_count_is_the_index():
         sub = d8.subgroup(members)
         exts = ct.extend_character_all(d8, chi, sub)
         assert len(exts) == len(sub) // 2
-        assert exts[0].exps == ct.extend_character(d8, chi, sub).exps
+        assert exts[0] == ct.extend_character(d8, chi, sub)
         for ext in exts:
             ext.validate()
             assert all(ext(z) == chi(z) for z in d8.center().members)
@@ -353,3 +359,109 @@ def test_extension_refuses_character_alive_on_commutators():
     # chi is faithful on [G,G] = {e, a^2}, so it cannot extend to all of G
     with pytest.raises(NoExtension):
         ct.extend_character(d8, chi, d8.full_subgroup())
+
+
+def test_extension_names_the_domain_outside_and_the_live_commutator():
+    d8, chi = d8_center_character()
+    rot = d8.subgroup([E, A, A2, A3])
+    on_rot = ct.characters_of_subgroup(rot)[1]
+    with pytest.raises(NoExtension, match="^overgroup does not contain the character's domain$"):
+        ct.extend_character(d8, on_rot, d8.subgroup([E, B]))
+    # the first commutator [h1, h2] in row-major order with chi nonzero
+    h1, h2 = next(
+        (x, y) for x in d8.elements() for y in d8.elements() if chi(d8.commutator(x, y)) != ZERO
+    )
+    message = rf"^character is not trivial on \[H,H\] \(witness \[{h1},{h2}\]\)$"
+    with pytest.raises(NoExtension, match=message):
+        ct.extend_character_all(d8, chi, d8.full_subgroup())
+
+
+def reference_extend_all(group, chi, over):
+    """The recursive extension over dicts of QmodZ values that the residue
+    layers replaced: adjoin the smallest uncovered t, lift chi(t^m) = num/den
+    to (num + j*den)/(den*m) for every branch j, and fill each c*t^k."""
+    over_set = set(over.members)
+
+    def grow(values):
+        if len(values) == len(over_set):
+            return [values]
+        t = min(over_set - values.keys())
+        m, p = 1, t
+        while p not in values:
+            p = group.mul(p, t)
+            m += 1
+        base = values[p]
+        results = []
+        for j in range(m):
+            w = QmodZ(base.num + j * base.den, base.den * m)
+            extended = dict(values)
+            power = group.identity_id
+            for k in range(1, m):
+                power = group.mul(power, t)
+                for c, vc in values.items():
+                    extended[group.mul(c, power)] = vc + w.scale(k)
+            results.extend(grow(extended))
+        return results
+
+    start = {z: chi(z) for z in chi.domain.members}
+    return [character(over, tuple(v[m] for m in over.members)) for v in grow(start)]
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "heis5", "cp:d8,q8", "prod:d8,c3"))
+@pytest.mark.parametrize("relabelled", (False, True))
+def test_extension_matches_the_qmodz_reference(relabel, name, relabelled):
+    """Every pair's character extended to every maximal isotropic, and the
+    trivial character of the center extended to the whole group: the same
+    characters in the same order as the per-element QmodZ recursion, on
+    the group and on one relabelled copy."""
+    group = from_name(name)
+    if relabelled:
+        sigma = list(range(group.order))
+        random.Random(group.order).shuffle(sigma)
+        group = relabel(group, sigma)
+    cases = [(ct.trivial_character(group.center()), group.full_subgroup())]
+    cases += [(p.chi, sub) for p in hb.enumerate_pairs(group) for sub in p.maximal_isotropics]
+    extensions = 0
+    for chi, over in cases:
+        got = ct.extend_character_all(group, chi, over)
+        assert got == reference_extend_all(group, chi, over)
+        assert ct.extend_character(group, chi, over) == got[0]
+        extensions += len(got)
+    assert extensions > len(cases)
+
+
+def test_character_constructor_guards():
+    d8 = dihedral(8)
+    center = d8.center()
+    with pytest.raises(NotACharacter, match="length"):
+        ct.LinearCharacter(center, [0, -1, 2])
+    with pytest.raises(NotACharacter, match="off the domain must be -1"):
+        ct.LinearCharacter(center, [0, 0, -1, -1, 2, -1, -1, -1])
+    for bad in (-2, 4):
+        with pytest.raises(NotACharacter, match=r"must lie in \[0, 4\)"):
+            ct.LinearCharacter(center, [0, -1, -1, -1, bad, -1, -1, -1])
+    values = np.array([0, -1, -1, -1, 2, -1, -1, -1])
+    chi = ct.LinearCharacter(center, values)
+    assert chi(A2) == HALF
+    with pytest.raises(KeyError):
+        chi(A)
+    with pytest.raises(KeyError):
+        chi(-1)
+    assert not chi.residues.flags.writeable
+    with pytest.raises(ValueError):
+        chi.residues[A2] = 0
+    values[A2] = 0
+    assert chi(A2) == HALF
+
+
+def test_character_equality_is_structural():
+    d8 = dihedral(8)
+    chi = ct.LinearCharacter(d8.center(), [0, -1, -1, -1, 2, -1, -1, -1])
+    same = ct.LinearCharacter(d8.subgroup([E, A2]), np.array([0, -1, -1, -1, 2, -1, -1, -1]))
+    assert chi == same and hash(chi) == hash(same) and len({chi, same}) == 1
+    assert chi != ct.trivial_character(d8.center())
+    rot = d8.subgroup([E, A, A2, A3])
+    assert ct.trivial_character(rot) != ct.trivial_character(d8.center())
+    other = dihedral(8)
+    assert chi != ct.LinearCharacter(other.center(), chi.residues)
+    assert chi != chi.residues.tolist()

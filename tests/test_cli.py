@@ -242,6 +242,37 @@ def test_library_has_no_assert_statements():
         assert not found, f"{path.name} uses assert at lines {found}"
 
 
+# The definitions of src/hrep that may call QmodZ(...): the class itself, the
+# shared residue-to-exponent table, and the references that work in exponents.
+QMODZ_BUILDERS = {"QmodZ", "_exponents", "det_formula", "MonomialMatrix", "monomial_det"}
+
+
+def test_qmodz_is_built_only_at_the_report_boundary():
+    """Everywhere else a value is a residue mod N; module constants such as
+    ZERO and HALF are allowed too."""
+    found = {}
+    for path in sorted((SRC / "hrep").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for top in tree.body
+            if isinstance(top, (ast.Assign, ast.AnnAssign))
+            or (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in QMODZ_BUILDERS)
+            for node in ast.walk(top)
+        }
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "QmodZ"
+            and id(node) not in allowed
+        ]
+        if lines:
+            found[path.name] = lines
+    assert not found, f"QmodZ built outside the report boundary: {found}"
+
+
 def test_groups_are_not_mutated_after_construction():
     """``label`` and ``coset_reps`` are assigned only in FiniteGroup.__init__."""
     for path in sorted((SRC / "hrep").glob("*.py")):

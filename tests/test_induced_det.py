@@ -8,6 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import character
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -494,8 +495,8 @@ def assert_formula_residues_match_det_formula(group):
         for modulus in {ct.residue_modulus(reduced.group), ct.residue_modulus(group)}:
             det, eps = idet._formula_residues(reduced, modulus)
             rows = [idet.det_formula(reduced, g) for g in reduced.group.elements()]
-            assert det.tolist() == ct.residues([r[0] for r in rows], modulus).tolist()
-            assert eps.tolist() == ct.residues([r[1] for r in rows], modulus).tolist()
+            assert [QmodZ(r, modulus) for r in det.tolist()] == [r[0] for r in rows]
+            assert [QmodZ(r, modulus) for r in eps.tolist()] == [r[1] for r in rows]
 
 
 @pytest.mark.parametrize(
@@ -757,9 +758,31 @@ def test_epsilon_case_report_fails_on_disagreeing_routes(monkeypatch, dim):
     report = idet.epsilon_case_report(det)
     assert not report.passed
     bad = report.counterexamples[-1]
-    row = det.rows[-1]
-    assert bad["identity"] == "det_report" and bad["g"] == row.g
-    assert bad["gallagher"] == str(row.gallagher) != bad["lhs"] == str(row.direct)
+    g, n = det.pair.group.order - 1, det.modulus
+    assert bad["identity"] == "det_report" and bad["g"] == g
+    assert bad["gallagher"] == str(QmodZ(int(det.gallagher[g]), n)) != bad["lhs"]
+    assert bad["lhs"] == str(QmodZ(int(det.direct[g]), n))
+
+
+def test_epsilon_case_report_names_the_first_disagreeing_element(monkeypatch):
+    """Gallagher tables off by a sign at elements 5 and 3 fail at 3, the
+    first element in id order, with every route's value there."""
+    real_table = idet.gallagher_table
+
+    def shifted_table(pair, sub, chi_h):
+        table = real_table(pair, sub, chi_h)
+        n = ct.residue_modulus(pair.group)
+        table[[5, 3]] = (table[[5, 3]] + n // 2) % n
+        return table
+
+    monkeypatch.setattr(idet, "gallagher_table", shifted_table)
+    det = idet.build_det_report(pair_of(dihedral(8), 2))
+    bad = idet.epsilon_case_report(det).counterexamples[-1]
+    row = det.as_dict()["rows"][3]
+    assert bad["g"] == 3 and bad["identity"] == "det_report"
+    assert (bad["lhs"], bad["gallagher"], bad["rhs"], bad["epsilon"]) == (
+        row["direct"], row["gallagher"], row["formula"], row["epsilon"]
+    )
 
 
 # -- independence of the isotropic -------------------------------------------------------
@@ -804,7 +827,7 @@ def test_twist_by_trivial_character_is_identity():
     pair = pair_of(dihedral(8), 2)
     omega = ct.linear_characters(pair.group)[0]
     twisted = idet.twist(pair, omega)
-    assert twisted.chi.exps == pair.chi.exps
+    assert twisted.chi == pair.chi
 
 
 def test_twist_kills_order_three_characters_in_dim_three():
@@ -848,7 +871,7 @@ def test_twist_rejects_non_characters():
     with pytest.raises(NotACharacter):
         idet.twist(pair, pair.chi)  # wrong domain
     d8 = pair.group
-    not_multiplicative = ct.LinearCharacter(
+    not_multiplicative = character(
         d8.full_subgroup(), tuple(HALF if g == A else ZERO for g in d8.elements())
     )
     with pytest.raises(NotACharacter):
@@ -878,7 +901,7 @@ def assert_batched_twists_match_the_loop(group):
         for omega, want in zip(omegas, want_pairs):
             got = idet.twist(pair, omega)
             assert (got.group, got.Z, got.dim) == (want.group, want.Z, want.dim)
-            assert got.chi.exps == want.chi.exps
+            assert got.chi == want.chi
             assert np.array_equal(got.chi.residues, want.chi.residues)
         skeleton = group.coset_skeleton(pair.maximal_isotropics[0])
         batched = idet._direct_residues(skeleton, pair.default_extension.residues, n, stacked)
@@ -963,7 +986,7 @@ def test_twist_rejects_a_character_not_trivial_on_the_derived_subgroup():
     test on [G,G]; no character of G can be nonzero there."""
     pair = pair_of(dihedral(8), 2)
     d8 = pair.group
-    on_derived = ct.LinearCharacter(
+    on_derived = character(
         d8.full_subgroup(), tuple(HALF if g == A2 else ZERO for g in d8.elements())
     )
     on_derived.__dict__["_multiplicative"] = True

@@ -105,6 +105,39 @@ def _commutators_of(group, sub):
     )
 
 
+def reference_mod_derived(group, sub):
+    """_mod_derived with [H,H] generated by the whole list of |H|^2
+    commutators in one subgroup_generated call."""
+    if sub.is_abelian:
+        return np.arange(group.order)
+    commutators = group.commutator_table(sub.members, sub.members)
+    derived = group.subgroup_generated(commutators.ravel().tolist())
+    reps, pos = group.coset_positions(derived)
+    return np.asarray(reps)[np.asarray(pos)]
+
+
+@pytest.mark.parametrize("name", ("heis3", "heis5", "cp:d8,q8"))
+def test_mod_derived_closes_at_most_log2_generators(monkeypatch, name):
+    """Every subgroup H: the [H,H]-coset minima equal the reference's, and
+    no closure of [H,H] is handed more than log2 |G| generators."""
+    group = from_name(name)
+    subs = [sub for sub in group.all_subgroups() if not sub.is_abelian]
+    assert subs
+    want = [reference_mod_derived(group, sub) for sub in subs]
+    calls = []
+    real = type(group).subgroup_generated
+
+    def counting(self, gens):
+        gens = list(gens)
+        calls.append(len(gens))
+        return real(self, gens)
+
+    monkeypatch.setattr(type(group), "subgroup_generated", counting)
+    for sub, expected in zip(subs, want):
+        assert np.array_equal(tr._mod_derived(group, sub), expected)
+    assert calls and 2 ** max(calls) <= group.order
+
+
 def _quotient_group_values(group, sub):
     """The transfer as element ids of H/[H,H] built as a standalone
     quotient group of H, an encoding independent of the library's
