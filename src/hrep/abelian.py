@@ -7,9 +7,9 @@ decomposition as an internal direct product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class AbelianDecomposition:
     """An abelian group as Z/m_1 x ... x Z/m_s with m_1 | ... | m_s.
 
     ``generators[i]`` has order ``factors[i]`` and every element is a
-    unique product of generator powers.
+    unique product of generator powers (``exponent_coordinates`` checks it).
     """
 
     group: FiniteGroup
@@ -34,14 +34,21 @@ class AbelianDecomposition:
     generators: tuple[int, ...]
 
     @cached_property
-    def exponent_coordinates(self) -> dict[int, tuple[int, ...]]:
-        """element id -> exponent tuple (a_1, ..., a_s); bijective by construction."""
-        g = self.group
-        # ids[i] = t_1^a_1 ... t_k^a_k for the i-th tuple in product order
+    def exponent_coordinates(self) -> np.ndarray:
+        """Read-only n x s: row x holds the exponents (a_1, ..., a_s) with
+        x = t_1^a_1 ... t_s^a_s. Raises IdentityFailed unless every element
+        is reached exactly once."""
+        g, s = self.group, len(self.factors)
+        # ids[i] = t_1^a_1 ... t_s^a_s for the i-th tuple in product order
         ids = np.array([g.identity_id])
         for t, m in zip(self.generators, self.factors):
             ids = g.table[ids[:, None], [g.pow(t, a) for a in range(m)]].reshape(-1)
-        return dict(zip(ids.tolist(), product(*[range(m) for m in self.factors])))
+        unique = np.array_equal(np.sort(ids), np.arange(g.order))
+        _math_check(unique, "expression by generator powers is not unique")
+        coords = np.empty((g.order, s), dtype=np.int64)
+        coords[ids] = np.indices(self.factors).reshape(s, g.order).T
+        coords.flags.writeable = False
+        return coords
 
     def as_dict(self) -> dict:
         return {"factors": list(self.factors), "generators": list(self.generators)}
@@ -86,14 +93,10 @@ def decompose(group: FiniteGroup) -> AbelianDecomposition:
     generators = tuple(reversed(generators_desc))
     dec = AbelianDecomposition(group, factors, generators)
 
-    prod_order = 1
-    for m in factors:
-        prod_order *= m
-    _math_check(prod_order == group.order, "invariant factors must multiply to the order")
+    _math_check(math.prod(factors) == group.order, "invariant factors must multiply to the order")
     for m, t in zip(factors, generators):
         _math_check(group.element_order(t) == m, f"generator {t} must have order {m}")
-    coords = dec.exponent_coordinates
-    _math_check(len(coords) == group.order, "expression by generator powers is not unique")
+    dec.exponent_coordinates  # raises unless each element is reached exactly once
     return dec
 
 

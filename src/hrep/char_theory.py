@@ -226,12 +226,9 @@ def characters_of_abelian(group: FiniteGroup) -> list[LinearCharacter]:
         )
     dec = decompose(group)
     modulus = residue_modulus(group)
-    coords = dec.exponent_coordinates
     # row x: the coordinates (a_i) of x, each scaled by N/m_i, so that
     # chi_c(x) = sum_i c_i a_i / m_i is the residue (scaled @ c) mod N
-    scaled = np.array(
-        [coords[x] for x in group.elements()], dtype=np.int64
-    ).reshape(group.order, len(dec.factors)) * np.array(
+    scaled = dec.exponent_coordinates * np.array(
         [modulus // m for m in dec.factors], dtype=np.int64
     )
     domain = group.full_subgroup()
@@ -251,7 +248,7 @@ def characters_of_subgroup(sub: Subgroup) -> list[LinearCharacter]:
     grp, _ = sub.as_group
     quot, proj = grp.abelianization
     scale = residue_modulus(sub.parent) // residue_modulus(quot)
-    members, local = list(sub.members), np.asarray(proj.map)
+    members, local = list(sub.members), proj.map
     characters = []
     for chi in characters_of_abelian(quot):
         on_parent = np.full(sub.parent.order, -1, dtype=np.int64)

@@ -167,7 +167,7 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
         run(f"epsilon_case_split[{j}]", lambda q=pair: epsilon_split(q))
         run(f"isotropic_independence[{j}]", lambda q=pair: isotropic_independence(q.reduction[0]))
         run(f"twist_identity[{j}]", lambda q=pair: twist_identity(q, omegas))
-        run(f"trivializing_twist[{j}]", lambda q=pair: _twist_search(q.reduction[0]))
+        run(f"trivializing_twist[{j}]", lambda q=pair: _twist_search(q, omegas))
 
     all_pass = all(c["pass"] for c in checks) and all(
         r["all_agree"] for r in det_reports
@@ -183,12 +183,12 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK if all_pass else EXIT_MATH_FAILURE
 
 
-def _twist_search(reduced) -> transfer.CheckReport:
-    omega = find_trivializing_twist(reduced)
+def _twist_search(pair, omegas) -> transfer.CheckReport:
+    omega = find_trivializing_twist(pair, omegas)
     return transfer.CheckReport(
         "trivializing_twist",
         True,
-        stats={"possible": omega is not None, "dim": reduced.dim},
+        stats={"possible": omega is not None, "dim": pair.dim},
     )
 
 

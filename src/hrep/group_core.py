@@ -8,8 +8,10 @@ Conventions used throughout the package:
   sorted tuple of member ids, so enumerations and reports are
   byte-stable;
 * all types are immutable after construction and safe to share across
-  threads: a group copies the table it is given, and ``table`` and
-  ``inverse`` are read-only int64 arrays, the only copy of each;
+  threads: a group copies the table it is given, and every map indexed
+  by element id (``table``, ``inverse``, the coset representatives and
+  positions, a homomorphism's ``map``, the transfer products and the
+  coset skeleton) is a read-only int64 array, with no tuple copy;
   element operations read them with ``.item`` and return Python ints.
   Structural data (center, commutator subgroup, lower central series,
   conjugacy classes, central involutions, the coabelian subgroups, and
@@ -148,8 +150,8 @@ class FiniteGroup:
     def __init__(self, table, label="G", *, coset_reps=None):
         """``table`` is a Cayley table, validated here, or a FiniteGroup
         whose validated, read-only data the new group shares without
-        validating it again. ``coset_reps``, set by ``quotient``, maps each
-        quotient element to the minimal id of its coset in the parent group."""
+        validating it again. ``coset_reps``, set by ``quotient``, holds the
+        minimal id of each quotient element's coset in the parent group."""
         if isinstance(table, FiniteGroup):
             arr, inverse, identity = table.table, table.inverse, table.identity_id
         else:
@@ -167,11 +169,11 @@ class FiniteGroup:
         self.identity_id: int = identity
         self.inverse: np.ndarray = inverse
         self.label: str = label
-        self.coset_reps: tuple[int, ...] | None = coset_reps
-        self._coset_cache: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._transfer_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.coset_reps: np.ndarray | None = coset_reps
+        self._coset_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._transfer_cache: dict[tuple[int, ...], np.ndarray] = {}
         # filled by transfer.transfer_table: the homomorphism-checked table
-        self._transfer_table_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._transfer_table_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._skeleton_cache: dict[tuple[int, ...], CosetSkeleton] = {}
 
     # -- element operations -------------------------------------------------
@@ -270,7 +272,7 @@ class FiniteGroup:
     def _center(self) -> "Subgroup":
         # x is central iff its row of the table equals its column
         t = self.table
-        return Subgroup(self, tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist()))
+        return _subgroup_of_mask(self, (t == t.T).all(axis=1))
 
     def commutator_subgroup(self) -> "Subgroup":
         return self._commutator_subgroup
@@ -288,7 +290,7 @@ class FiniteGroup:
             np.concatenate([self.powers(2), np.asarray(self.commutator_subgroup().members)])
         )
         reps, pos = self.coset_positions(squares)
-        first = np.asarray(reps)[np.asarray(pos)]
+        first = reps[pos]
         first.flags.writeable = False
         return first
 
@@ -337,7 +339,7 @@ class FiniteGroup:
         every abelian group a reference cycle that waits for the collector.
         """
         if self.is_abelian:
-            return self, GroupHom(self, self, tuple(range(self.order)))
+            return self, GroupHom(self, self, np.arange(self.order))
         return self._abelianization
 
     @cached_property
@@ -459,36 +461,35 @@ class FiniteGroup:
             raise NotNormal("subgroup belongs to a different group")
         if not self.is_normal(normal):
             raise NotNormal(f"{normal.members} is not normal in {self.label}")
-        n = self.order
+        qlabel = label if label is not None else f"{self.label}/{{{len(normal)}}}"
         if len(normal) == 1:
             # the same table under a new label: share the validated,
             # read-only data rather than copy and validate it again
-            qlabel = label if label is not None else f"{self.label}/{{1}}"
-            quot = FiniteGroup(self, label=qlabel, coset_reps=tuple(range(n)))
-            return quot, GroupHom(self, quot, tuple(range(n)))
-        reps, coset_of = self.coset_positions(normal)
-        qtable = np.asarray(coset_of)[self.table[np.ix_(reps, reps)]]
-        qlabel = label if label is not None else f"{self.label}/{{{len(normal)}}}"
+            reps = coset_of = np.arange(self.order)
+            reps.flags.writeable = False
+            qtable = self
+        else:
+            reps, coset_of = self.coset_positions(normal)
+            qtable = coset_of[self.table[np.ix_(reps, reps)]]
         quot = FiniteGroup(qtable, label=qlabel, coset_reps=reps)
         return quot, GroupHom(self, quot, coset_of)
 
-    def coset_positions(self, sub: "Subgroup"):
+    def coset_positions(self, sub: "Subgroup") -> tuple[np.ndarray, np.ndarray]:
         """(transversal, pos) with pos[x] = index of the coset x*H."""
-        key = sub.members
-        cached = self._coset_cache.get(key)
-        if cached is not None:
-            return cached
-        members = np.asarray(sub.members, dtype=np.int64)
-        pos = np.full(self.order, -1, dtype=np.int64)
-        reps: list[int] = []
-        for x in range(self.order):
-            if pos[x] < 0:
-                # x is the least id of its coset, which one gather fills
-                pos[self.table[x, members]] = len(reps)
-                reps.append(x)
-        result = (tuple(reps), tuple(pos.tolist()))
-        self._coset_cache[key] = result
-        return result
+        cached = self._coset_cache.get(sub.members)
+        if cached is None:
+            members = np.asarray(sub.members, dtype=np.int64)
+            pos = np.full(self.order, -1, dtype=np.int64)
+            reps: list[int] = []
+            for x in range(self.order):
+                if pos[x] < 0:
+                    # x is the least id of its coset, which one gather fills
+                    pos[self.table[x, members]] = len(reps)
+                    reps.append(x)
+            cached = self._coset_cache[sub.members] = (np.array(reps, dtype=np.int64), pos)
+            for array in cached:
+                array.flags.writeable = False
+        return cached
 
     def _coset_factors(self, sub: "Subgroup", transversals) -> tuple[np.ndarray, np.ndarray]:
         """(cols, factors), both k x n x d for k transversals (rows of
@@ -496,7 +497,6 @@ class FiniteGroup:
         for the r-th transversal t in its listed order; every factor lies
         in H."""
         _, pos = self.coset_positions(sub)
-        pos = np.asarray(pos, dtype=np.int64)
         reps = np.asarray(transversals, dtype=np.int64)
         rows = np.arange(reps.shape[0])[:, None]
         col_of_coset = np.empty_like(reps)
@@ -518,13 +518,13 @@ class FiniteGroup:
             result = self.table[result, factors[:, :, j]]
         return result
 
-    def transfer_products(self, sub: "Subgroup") -> tuple[int, ...]:
+    def transfer_products(self, sub: "Subgroup") -> np.ndarray:
         """The raw transfer product of every g over the canonical transversal."""
-        key = sub.members
-        cached = self._transfer_cache.get(key)
+        cached = self._transfer_cache.get(sub.members)
         if cached is None:
-            cached = tuple(self.transfer_fold(sub, [self.coset_positions(sub)[0]])[0].tolist())
-            self._transfer_cache[key] = cached
+            cached = self.transfer_fold(sub, [self.coset_positions(sub)[0]])[0]
+            cached.flags.writeable = False
+            self._transfer_cache[sub.members] = cached
         return cached
 
     def coset_skeleton(self, sub: "Subgroup") -> "CosetSkeleton":
@@ -539,10 +539,9 @@ class FiniteGroup:
     def _build_skeleton(self, sub: "Subgroup") -> "CosetSkeleton":
         transversal, _ = self.coset_positions(sub)
         perm, factors = (array[0] for array in self._coset_factors(sub, [transversal]))
-        reps = np.asarray(transversal, dtype=np.int64)
         _math_check(
             bool(sub.mask[factors].all())
-            and np.array_equal(self.table[reps[perm], factors], self.table[:, reps]),
+            and np.array_equal(self.table[transversal[perm], factors], self.table[:, transversal]),
             "coset skeleton: g t_j = t_perm[j] f_j with f_j in H fails",
         )
         # a permutation is odd when it has an odd number of inversions
@@ -576,7 +575,7 @@ class CosetSkeleton:
     ``odd[g]`` is the parity of the permutation ``perm[g]``.
     """
 
-    transversal: tuple[int, ...]
+    transversal: np.ndarray
     perm: np.ndarray
     factors: np.ndarray
     odd: np.ndarray
@@ -614,14 +613,11 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, x: int) -> bool:
-        return x in self._member_set
+        # a negative id must not wrap around to the end of the mask
+        return 0 <= x < self.parent.order and self.mask.item(x)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
-
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -658,22 +654,32 @@ class Subgroup:
         return FiniteGroup(table, label=f"{g.label}<{members.size}>"), self.members
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
-        return set(other.members) <= self._member_set
+        return all(map(self.mask.item, other.members))
 
 
-@dataclass(frozen=True)
+def _subgroup_of_mask(parent: FiniteGroup, mask: np.ndarray) -> Subgroup:
+    return Subgroup(parent, tuple(np.flatnonzero(mask).tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class GroupHom:
-    """A homomorphism given by its total value table on source ids."""
+    """A homomorphism given by its total value table on source ids, kept
+    as a read-only int64 copy."""
 
     source: FiniteGroup
     target: FiniteGroup
-    map: tuple[int, ...]
+    map: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.map, dtype=np.int64)
+        values.flags.writeable = False
+        object.__setattr__(self, "map", values)
 
     def __call__(self, x: int) -> int:
-        return self.map[x]
+        return self.map.item(x)
 
     def validate(self) -> None:
-        m = np.asarray(self.map, dtype=np.int64)
+        m = self.map
         lhs = m[self.source.table]
         rhs = self.target.table[np.ix_(m, m)]
         if not np.array_equal(lhs, rhs):
@@ -681,19 +687,15 @@ class GroupHom:
             raise NotAGroup(f"map is not multiplicative at ({int(i)},{int(j)})")
 
     def kernel(self) -> Subgroup:
-        e = self.target.identity_id
-        return Subgroup(
-            self.source, tuple(x for x in self.source.elements() if self.map[x] == e)
-        )
+        return _subgroup_of_mask(self.source, self.map == self.target.identity_id)
 
     def image(self) -> Subgroup:
-        return Subgroup(self.target, tuple(sorted(set(self.map))))
+        return _subgroup_of_mask(self.target, np.bincount(self.map, minlength=self.target.order))
 
     def preimage(self, members) -> Subgroup:
-        wanted = set(members)
-        return Subgroup(
-            self.source, tuple(x for x in self.source.elements() if self.map[x] in wanted)
-        )
+        wanted = np.zeros(self.target.order, dtype=bool)
+        wanted[list(members)] = True
+        return _subgroup_of_mask(self.source, wanted[self.map])
 
 
 # -- constructors --------------------------------------------------------------

@@ -132,7 +132,7 @@ def validate_pair(group: FiniteGroup, scalar: Subgroup, chi: LinearCharacter) ->
     if broken.size:
         raise NotInvariant(f"chi is not invariant on the class of {int(broken.min())}")
 
-    reps = np.asarray(group.coset_positions(scalar)[0])
+    reps, _ = group.coset_positions(scalar)
     # the one representative inside Z is that coset's minimal member
     in_radical = (values[group.commutator_table(reps, reps)] == 0).all(axis=1) & (reps != z[0])
     if in_radical.any():
@@ -190,10 +190,11 @@ def quotient_by_kernel(pair: HeisenbergPair) -> tuple[HeisenbergPair, GroupHom]:
     group = pair.group
     kernel = pair.chi.kernel()
     quot, proj = group.quotient(kernel, label=f"{group.label}~red")
-    scalar = Subgroup(quot, tuple(sorted({proj(z) for z in pair.Z.members})))
+    # K lies in Z, so a coset of K lies in Z iff its representative does
+    scalar = Subgroup(quot, tuple(np.flatnonzero(pair.Z.mask[quot.coset_reps]).tolist()))
     # chi_bar(zK) = chi(z) for K = Ker(chi), read at each coset's minimal
     # representative and rescaled from G's N to that of G/K, which divides it
-    lifted = pair.chi.residues[np.asarray(quot.coset_reps)]
+    lifted = pair.chi.residues[quot.coset_reps]
     step = residue_modulus(group) // residue_modulus(quot)
     _math_check(not (lifted[scalar.mask] % step).any(), "chi_bar must be a residue mod N of G/K")
     chi_bar = LinearCharacter(scalar, np.where(scalar.mask, lifted // step, -1))
@@ -271,17 +272,12 @@ def symplectic_basis(pair: HeisenbergPair) -> SymplecticBasis:
     h_sub = proj.preimage(h_side.members)
     hp_sub = proj.preimage(hp_side.members)
 
-    prod_m = 1
-    for _, _, m in ordered:
-        prod_m *= m
-    _math_check(prod_m == pair.dim, "hyperbolic orders must multiply to dim")
     _math_check(
-        set(h_sub.members) & set(hp_sub.members) == set(pair.Z.members),
-        "transverse isotropics must meet exactly in Z",
+        math.prod(m for _, _, m in ordered) == pair.dim, "hyperbolic orders must multiply to dim"
     )
-    products = {
-        pair.group.mul(a, b) for a in h_sub.members for b in hp_sub.members
-    }
-    _math_check(len(products) == pair.group.order, "G must factor as H * H'")
-    lifted = tuple((reps[t], reps[tp], m) for t, tp, m in ordered)
+    meet = h_sub.mask & hp_sub.mask
+    _math_check(np.array_equal(meet, pair.Z.mask), "transverse isotropics must meet exactly in Z")
+    products = pair.group.table[np.ix_(h_sub.members, hp_sub.members)].ravel()
+    _math_check(np.bincount(products, minlength=len(meet)).all(), "G must factor as H * H'")
+    lifted = tuple((reps.item(t), reps.item(tp), m) for t, tp, m in ordered)
     return SymplecticBasis(lifted, h_sub, hp_sub)

@@ -47,7 +47,6 @@ from .char_theory import (
     QmodZ,
     _exponents,
     extend_character_all,
-    linear_characters,
     multiplicativity_witness,
     residue_modulus,
 )
@@ -212,7 +211,7 @@ def gallagher_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter)
     _require_extension(pair, sub, chi_h)
     group = pair.group
     n = residue_modulus(group)
-    transfers = np.asarray(group.transfer_products(sub))
+    transfers = group.transfer_products(sub)
     return (group.coset_skeleton(sub).odd * (n // 2) + chi_h.residues[transfers]) % n
 
 
@@ -283,14 +282,14 @@ def epsilon_table(pair: HeisenbergPair, sub: Subgroup) -> np.ndarray:
     n = residue_modulus(group)
     chi = pair.chi.residues
     cf = correcting_function(group, sub)
-    table = (group.coset_skeleton(sub).odd * (n // 2) + chi[np.asarray(cf.values)]) % n
+    table = (group.coset_skeleton(sub).odd * (n // 2) + chi[cf.values]) % n
     not_sign = np.flatnonzero((table != 0) & (table != n // 2))
     if not_sign.size:
         raise IdentityFailed(f"eps({not_sign[0]}) is not a sign")
 
     # each coset's first element is its minimal id, its representative
     reps, pos = group.coset_positions(pair.squares_times_z)
-    moved = np.flatnonzero(table != table[np.asarray(reps)[np.asarray(pos)]])
+    moved = np.flatnonzero(table != table[reps[pos]])
     if moved.size:
         raise IdentityFailed(f"eps is not constant on the G^2 Z coset of {moved[0]}")
 
@@ -344,7 +343,7 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
 
         # placement reformulation through the Miller product of G/H
         quot, _ = group.quotient(sub)
-        alpha_lift = quot.coset_reps[abelian.subgroup_product(quot, quot.elements())]
+        alpha_lift = quot.coset_reps.item(abelian.subgroup_product(quot, quot.elements()))
         h = np.asarray(sub.members)
         powers = [group.pow(g, pair.dim) for g in sub.members]
         expected = (chi[powers] + chi[group.commutator_table(h, [alpha_lift])[:, 0]]) % n
@@ -431,33 +430,38 @@ def twist_identity(pair: HeisenbergPair, omegas: list[LinearCharacter]) -> Check
     )
 
 
-def find_trivializing_twist(pair: HeisenbergPair) -> LinearCharacter | None:
-    """Search for omega with det(rho (x) omega) identically trivial.
+def find_trivializing_twist(
+    pair: HeisenbergPair, omegas: list[LinearCharacter]
+) -> LinearCharacter | None:
+    """The first of G's characters ``omegas`` that vanishes on Ker(chi),
+    so is a character of G/Ker(chi), with det(rho (x) omega) identically
+    trivial against the reduced closed form pulled back to G, or None.
 
-    Returns the first such character of G (trivial character first) or
-    None. Outside the rk_2(G/Z) = 2 regime the outcome is checked
-    against the structural criterion: a trivializing twist exists iff
-    chi is trivial on G^d intersect [G,G]. (In the rk2 = 2 regime the
+    Outside the rk_2(G/Z) = 2 regime the outcome is checked against the
+    structural criterion on the reduced pair: a trivializing twist exists
+    iff chi is trivial on G^d intersect [G,G]. (In the rk2 = 2 regime the
     eps sign makes that criterion unreliable in both directions, so the
     search result stands alone.)
     """
-    _require_reduced(pair)
     group = pair.group
     n = residue_modulus(group)
     d = pair.dim
-    det0, _ = _formula_residues(pair, n)
-    omegas = linear_characters(group)
+    reduced, proj = pair.reduction
+    det0 = _formula_residues(reduced, n)[0][proj.map]
+    kernel = pair.chi.residues == 0
     found = None
     for start, chunk in _omega_blocks(omegas, det0.nbytes):
         block = np.stack([omega.residues for omega in chunk])
-        trivial = np.flatnonzero(~((det0 + d * block) % n).any(axis=1))
+        moved = block[:, kernel].any(axis=1) | ((det0 + d * block) % n).any(axis=1)
+        trivial = np.flatnonzero(~moved)
         if trivial.size:
             found = omegas[start + int(trivial[0])]
             break
 
-    z0 = group.power_subgroup(d).mask & group.commutator_subgroup().mask
-    criterion = not pair.chi.residues[z0].any()
-    if pair.two_rank != 2:
+    quot = reduced.group
+    z0 = quot.power_subgroup(d).mask & quot.commutator_subgroup().mask
+    criterion = not reduced.chi.residues[z0].any()
+    if reduced.two_rank != 2:
         _math_check(
             (found is not None) == criterion,
             "trivializing-twist criterion disagrees with the search",
@@ -551,7 +555,7 @@ def oracle_equivalence_report(pair: HeisenbergPair) -> CheckReport:
     n = residue_modulus(group)
     chi = pair.chi.residues
     reduced, proj = pair.reduction
-    formula = _formula_residues(reduced, n)[0][np.asarray(proj.map)]
+    formula = _formula_residues(reduced, n)[0][proj.map]
     report = CheckReport(
         "determinant_oracle_equivalence",
         True,

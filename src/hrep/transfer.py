@@ -1,8 +1,8 @@
 """The transfer homomorphism T_{G/H}: G -> H/[H,H] and the closed forms it
 satisfies on two-step nilpotent groups.
 
-``transfer_table`` is the one way to read T: one homomorphism-checked
-tuple per subgroup, built from the group's cached raw transfer products.
+``transfer_table`` is the one way to read T: one homomorphism-checked,
+read-only int64 array per subgroup, from the group's cached raw products.
 A value modulo [H,H] is encoded as the minimal element id of its
 [H,H]-coset; for abelian H that coset is a single element, so values are
 elements of H itself and the power-map identities below are plain
@@ -104,10 +104,10 @@ def _mod_derived(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     commutators = group.commutator_table(sub.members, sub.members)
     derived = group._generated_by_mask(commutators.ravel())
     reps, pos = group.coset_positions(derived)
-    return np.asarray(reps)[np.asarray(pos)]
+    return reps[pos]
 
 
-def transfer_table(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
+def transfer_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     """T_{G/H}(g) modulo [H,H] for every g, verified to be a homomorphism.
 
     Each value is an element id of H: the raw transfer product when H is
@@ -120,16 +120,17 @@ def transfer_table(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
     return cached
 
 
-def _checked_transfer_table(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
+def _checked_transfer_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     """``transfer_table`` built from the raw products and checked."""
     red = _mod_derived(group, sub)
-    values = red[np.asarray(group.transfer_products(sub))]
+    values = red[group.transfer_products(sub)]
     table = group.table
     _math_check(
         np.array_equal(values[table], red[table[np.ix_(values, values)]]),
         "transfer values do not form a homomorphism",
     )
-    return tuple(values.tolist())
+    values.flags.writeable = False
+    return values
 
 
 def transfer_values_with_transversal(
@@ -146,7 +147,7 @@ def transfer_values_with_transversal(
     if (
         rows.ndim != 2
         or rows.shape[1] != d
-        or not (np.sort(np.asarray(pos)[rows], axis=1) == np.arange(d)).all()
+        or not (np.sort(pos[rows], axis=1) == np.arange(d)).all()
     ):
         raise PreconditionFailed("not a left transversal: one representative per coset required")
     return _mod_derived(group, sub)[group.transfer_fold(sub, rows)]
@@ -161,7 +162,7 @@ def transversal_independence_check(
     are folded at once; failures are reported in (trial, g) order.
     """
     base_t, _ = group.coset_positions(sub)
-    reference = np.asarray(transfer_table(group, sub))
+    reference = transfer_table(group, sub)
     rng = random.Random(seed)
     report = CheckReport(
         "transversal_independence",
@@ -169,7 +170,7 @@ def transversal_independence_check(
         stats={"group": group.label, "subgroup_order": len(sub), "trials": TRANSVERSAL_TRIALS},
     )
     shifts = [[rng.choice(sub.members) for _ in base_t] for _ in range(TRANSVERSAL_TRIALS)]
-    shifted = group.table[np.asarray(base_t)[None, :], np.asarray(shifts)]
+    shifted = group.table[base_t[None, :], np.asarray(shifts)]
     values = transfer_values_with_transversal(group, sub, shifted)
     for trial, g in np.argwhere(values != reference)[:MAX_COUNTEREXAMPLES].tolist():
         report.fail(g=g, lhs=int(values[trial, g]), rhs=int(reference[g]), trial=trial)
@@ -205,7 +206,7 @@ def check_odd_index_transfer(group: FiniteGroup, sub: Subgroup) -> CheckReport:
     )
     # every loop below fails under the same identity key, which keeps at
     # most MAX_COUNTEREXAMPLES witnesses in all, so each passes on no more
-    values = np.asarray(transfer_table(group, sub))
+    values = transfer_table(group, sub)
     powers = group.powers(d)
     for g in np.flatnonzero(values != powers)[:MAX_COUNTEREXAMPLES].tolist():
         report.fail(g=g, lhs=int(values[g]), rhs=int(powers[g]))
@@ -225,12 +226,12 @@ def check_odd_index_transfer(group: FiniteGroup, sub: Subgroup) -> CheckReport:
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectingFunction:
     """phi(g) = T(g) * (g^d)^-1: central involutions constant on
-    cosets of G^2 [G,G]."""
+    cosets of G^2 [G,G], a read-only array indexed by element id."""
 
-    values: tuple[int, ...]
+    values: np.ndarray
     index: int
 
 
@@ -257,7 +258,7 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     element in id order.
     """
     d = _power_rule_preconditions(group, sub, need_odd=False)
-    values = np.asarray(transfer_table(group, sub))
+    values = transfer_table(group, sub)
     table, inv = group.table, group.inverse
     e = group.identity_id
     powers = group.powers(d)
@@ -266,7 +267,7 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     off = np.flatnonzero(~group.central_involution_mask[phi])
     if off.size:
         g = int(off[0])
-        raise IdentityFailed(f"phi({g})={phi[g]} is not a central involution")
+        raise IdentityFailed(f"phi({g})={int(phi[g])} is not a central involution")
 
     moved = np.flatnonzero(phi != phi[group.square_class_reps])
     if moved.size:
@@ -275,16 +276,14 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     quot, proj = group.quotient(sub)
     dec = abelian.decompose(quot)
     reps = quot.coset_reps
-    lifts = tuple(reps[t] for t in dec.generators)
+    lifts = reps[list(dec.generators)].tolist()
 
     # alpha = product over all of G/H; alpha_i = product over the complement of <t_i>
-    alpha_lift = reps[abelian.subgroup_product(quot, quot.elements())]
+    alpha_lift = reps.item(abelian.subgroup_product(quot, quot.elements()))
     alpha_lifts = []
     for i in range(len(dec.factors)):
-        others = [t for j, t in enumerate(dec.generators) if j != i]
-        complement = quot.subgroup_generated(others)
-        alpha_i = abelian.subgroup_product(quot, complement.members)
-        alpha_lifts.append(reps[alpha_i])
+        complement = quot.subgroup_generated(dec.generators[:i] + dec.generators[i + 1 :])
+        alpha_lifts.append(reps.item(abelian.subgroup_product(quot, complement.members)))
 
     for i, (m, t, a_i) in enumerate(zip(dec.factors, lifts, alpha_lifts)):
         want = group.mul(group.pow(t, d), group.commutator(group.pow(t, m), a_i))
@@ -301,9 +300,7 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     # coords[g, i] = a_i in g H = t_1^{a_1} ... t_s^{a_s} H; base is that
     # product of generator powers and acc the same product of their
     # transfer values, each read from a per-generator power row
-    exponents = dec.exponent_coordinates
-    quot_coords = np.array([exponents[q] for q in quot.elements()], dtype=np.int64)
-    coords = quot_coords.reshape(quot.order, len(lifts))[np.asarray(proj.map)]
+    coords = dec.exponent_coordinates[proj.map]
     base = np.full(group.order, e, dtype=np.int64)
     acc = base.copy()
     for i, (m, t) in enumerate(zip(dec.factors, lifts)):
@@ -319,7 +316,8 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
             raise IdentityFailed(f"decomposition of {g} does not land in H")
         raise IdentityFailed(f"transfer does not factor through the decomposition at {g}")
 
-    return CorrectingFunction(tuple(phi.tolist()), d)
+    phi.flags.writeable = False
+    return CorrectingFunction(phi, d)
 
 
 def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
@@ -334,13 +332,12 @@ def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
         True,
         stats={"group": group.label, "index": d, "pairs": group.order**2},
     )
+    table, phi = group.table, cf.values
     if d % 2 == 1:
-        moved = [g for g, v in enumerate(cf.values) if v != e]
+        moved = np.flatnonzero(phi != e).tolist()
         report.stats["phi_trivial"] = not moved
         if moved:
-            report.fail(g=moved[0], lhs=cf.values[moved[0]], rhs=e)
-    table = group.table
-    phi = np.asarray(cf.values)
+            report.fail(g=moved[0], lhs=phi.item(moved[0]), rhs=e)
     # phi values are involutions, so dividing is multiplying
     lhs = table[table[phi[table], phi[:, None]], phi[None, :]]
     everything = group.elements()
@@ -360,7 +357,7 @@ def check_correcting_ratio(
             f"subgroups have different indices {cf1.index} != {cf2.index}"
         )
     table, inv = group.table, group.inverse
-    values = table[np.asarray(cf2.values), inv[np.asarray(cf1.values)]]
+    values = table[cf2.values, inv[cf1.values]]
     report = CheckReport(
         "correcting_function_ratio",
         True,
@@ -390,7 +387,7 @@ def check_transfer_identities(
 
     table, inv = group.table, group.inverse
     members = np.asarray(sub.members)
-    base = np.asarray(transfer_table(group, sub))
+    base = transfer_table(group, sub)
     # conj[g, i] = g h_i g^-1 for the i-th member h_i of H
     conj = table[table[:, members], inv[:, None]]
 
@@ -403,7 +400,7 @@ def check_transfer_identities(
     lhs, rhs = np.empty_like(moved), np.empty_like(moved)
     for key, rows in rows_of.items():
         csub = sub if key == sub.members else Subgroup(group, key)
-        lhs[rows] = base if csub is sub else np.asarray(transfer_table(group, csub))
+        lhs[rows] = transfer_table(group, csub)
         rhs[rows] = _mod_derived(group, csub)[moved[rows]]
     report.compare(lhs, rhs, identity="conjugation")
     report.stats["conjugation_pass"] = bool(np.array_equal(lhs, rhs))
@@ -412,11 +409,10 @@ def check_transfer_identities(
     # only conjugate); the fixed members are the columns of conj that no
     # conjugation moves
     if sub.is_abelian and len(rows_of) == 1:
-        fixed = members[(conj == members).all(axis=0)]
         in_fixed = np.zeros(group.order, dtype=bool)
-        in_fixed[fixed] = True
+        in_fixed[members[(conj == members).all(axis=0)]] = True
         outside = np.flatnonzero(~in_fixed[base])
-        img_ok = set(fixed.tolist()) <= set(group.center().members) and not outside.size
+        img_ok = not (in_fixed & ~group.center().mask).any() and not outside.size
         for g in outside[:MAX_COUNTEREXAMPLES].tolist():
             v = int(base[g])
             movers = np.flatnonzero(table[table[:, v], inv] != v)
@@ -437,7 +433,7 @@ def check_transfer_identities(
         for k_sub in coabelian_subgroups(group):
             n_checked += 1
             exponent = len(k_sub) // derived_order
-            values = np.asarray(transfer_table(group, k_sub))
+            values = transfer_table(group, k_sub)
             # [K,K] is the class of the identity; its minimal id need not be
             # the identity's own id
             red = _mod_derived(group, k_sub)

@@ -8,6 +8,25 @@ from hrep.errors import NotACharacter
 from hrep.group_core import FiniteGroup
 
 
+# The leaf types json.dumps renders; np.int64 and np.bool_ are not among
+# them, and json.dumps raises on both.
+PLAIN_LEAVES = (str, int, float, bool, type(None))
+
+
+def assert_plain_json(value, path="report"):
+    """Assert that every leaf of a report is a plain Python value and every
+    key a str, so that rendering a failed check cannot crash."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert type(key) is str, f"{path}: key {key!r} is a {type(key).__name__}"
+            assert_plain_json(item, f"{path}[{key!r}]")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            assert_plain_json(item, f"{path}[{i}]")
+    else:
+        assert type(value) in PLAIN_LEAVES, f"{path}: {value!r} is a {type(value).__name__}"
+
+
 def relabelled(group: FiniteGroup, sigma) -> FiniteGroup:
     """The same group with element x renamed sigma[x]: its Cayley table
     conjugated by the permutation sigma of the ids."""

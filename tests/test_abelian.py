@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrep import abelian
+from hrep import abelian, transfer
 from hrep.errors import EnumerationBoundExceeded, NotAbelian
 from hrep.group_core import (
     FiniteGroup,
@@ -68,10 +68,13 @@ def test_decompose_generators_realize_the_factors():
         for a, b in zip(dec.factors, dec.factors[1:]):
             assert b % a == 0
         coords = dec.exponent_coordinates
-        assert len(coords) == g.order  # unique expression
-        # the per-element reference: t_1^a_1 ... t_k^a_k in product order
-        assert list(coords.values()) == list(product(*[range(m) for m in dec.factors]))
-        for x, exps in coords.items():
+        assert coords.shape == (g.order, len(dec.factors))  # unique expression
+        # the per-element reference: every exponent tuple once, and row x
+        # holds the tuple whose product of generator powers is x
+        assert sorted(map(tuple, coords.tolist())) == list(
+            product(*[range(m) for m in dec.factors])
+        )
+        for x, exps in enumerate(coords.tolist()):
             y = g.identity_id
             for t, a in zip(dec.generators, exps):
                 y = g.mul(y, g.pow(t, a))
@@ -313,3 +316,23 @@ def test_involution_set_works_on_nonabelian_groups():
     d8 = dihedral(8)
     # identity, a^2, and the four reflections
     assert abelian.involution_set(d8) == {0, 1, 3, 4, 5, 7}
+
+
+# -- closed-form counts ------------------------------------------------------------------
+
+
+def gaussian_binomial(n, k, q):
+    """[n choose k]_q, the number of k-dimensional subspaces of F_q^n."""
+    num = math.prod(q ** (n - i) - 1 for i in range(k))
+    den = math.prod(q ** (i + 1) - 1 for i in range(k))
+    return num // den
+
+
+@pytest.mark.parametrize("n,count", ((4, 67), (5, 374), (6, 2825)))
+def test_elementary_abelian_subgroup_count_is_the_gaussian_sum(n, count):
+    """(Z/2)^n has sum_k [n choose k]_2 subgroups, each listed once as a
+    preimage through the abelianization's projection."""
+    group = abelian_group([2] * n)
+    subgroups = transfer.coabelian_subgroups(group)
+    assert len({sub.members for sub in subgroups}) == len(subgroups)
+    assert len(subgroups) == count == sum(gaussian_binomial(n, k, 2) for k in range(n + 1))

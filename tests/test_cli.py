@@ -8,13 +8,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import assert_plain_json
 
 from hrep.cli import (
     EXIT_BOUND_EXCEEDED,
     EXIT_INPUT_ERROR,
     EXIT_MATH_FAILURE,
     EXIT_OK,
+    RunConfig,
+    cmd_verify,
     main,
 )
 from hrep.errors import IdentityFailed, PreconditionFailed
@@ -105,6 +109,28 @@ def test_verify_corrupted_table_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT_ERROR
     assert "NotAGroup" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "name", ("d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "heis4", "prod:d8,c3", "ab:2,2,2")
+)
+def test_verify_report_is_plain_json(name):
+    """Every leaf of verify's report is a plain Python value, so a failed
+    identity is rendered rather than crashing json.dumps."""
+    report, code = cmd_verify(RunConfig("verify", builtin=name))
+    assert code == EXIT_OK
+    assert_plain_json(report)
+
+
+def test_plain_json_helper_refuses_numpy_scalars():
+    assert_plain_json({"g": [1, 2], "pass": True, "stats": {"x": None, "y": "1/2", "f": 0.5}})
+    for leaf in (np.int64(3), np.bool_(True)):
+        with pytest.raises(TypeError):
+            json.dumps(leaf)
+        with pytest.raises(AssertionError):
+            assert_plain_json({"counterexamples": [{"g": leaf}]})
+    with pytest.raises(AssertionError):
+        assert_plain_json({np.int64(1): 0})
 
 
 def test_verify_bound_exceeded(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import random
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -12,8 +13,15 @@ from hypothesis import strategies as st
 
 import hrep
 from hrep import abelian, transfer
-from hrep.errors import EnumerationBoundExceeded, InvalidSpec, NotAGroup, NotNormal
+from hrep.errors import (
+    EnumerationBoundExceeded,
+    IdentityFailed,
+    InvalidSpec,
+    NotAGroup,
+    NotNormal,
+)
 from hrep.group_core import (
+    GroupHom,
     abelian_group,
     central_product,
     construct,
@@ -749,8 +757,8 @@ def assert_subgroup_arrays_match_references(g):
                 for h in sub.members:
                     pos[g.mul(x, h)] = len(reps) - 1
         got = g.coset_positions(sub)
-        assert got == (tuple(reps), tuple(pos))
-        assert all(type(i) is int for i in got[0] + got[1])
+        assert [array.tolist() for array in got] == [reps, pos]
+        assert all(array.dtype == np.int64 and not array.flags.writeable for array in got)
     rng = np.random.default_rng(g.order)
     for size in (1, 2, 3, g.order):
         ids = rng.integers(0, g.order, size=size)
@@ -908,7 +916,7 @@ def test_trivial_quotient_shares_the_validated_table(monkeypatch):
         assert calls == []
         assert q.table is g.table and not q.table.flags.writeable
         assert q.identity_id == g.identity_id and q.inverse is g.inverse
-        assert q.label == "copy" and q.coset_reps == tuple(range(g.order))
+        assert q.label == "copy" and q.coset_reps.tolist() == list(range(g.order))
         assert q.center().parent is q
     # a non-trivial quotient builds a new table and validates it
     h3 = heisenberg_mod(3)
@@ -1002,3 +1010,123 @@ def test_generated_by_mask_closes_over_at_most_log2_n_ids(monkeypatch):
     assert h5.power_subgroup(2) == h5.full_subgroup()
     assert 1 <= len(closures) <= 6
     assert all(len(gens) == i + 1 for i, gens in enumerate(closures))
+
+
+# -- maps indexed by element id ---------------------------------------------------------
+
+MAP_ZOO = ("d8", "q8", "heis3", "cp:d8,q8", "ab:2,2,2", "prod:d8,c3")
+
+
+def assert_read_only_int64(array, length):
+    assert isinstance(array, np.ndarray) and array.dtype == np.int64
+    assert array.shape[0] == length and not array.flags.writeable
+
+
+def reference_kernel(hom):
+    return tuple(x for x in hom.source.elements() if hom(x) == hom.target.identity_id)
+
+
+def reference_image(hom):
+    return tuple(sorted({hom(x) for x in hom.source.elements()}))
+
+
+def reference_preimage(hom, members):
+    wanted = set(members)
+    return tuple(x for x in hom.source.elements() if hom(x) in wanted)
+
+
+def assert_homomorphism_matches_the_loops(hom):
+    """kernel, image and the preimage of every subgroup of the target
+    against the per-element loops they replaced."""
+    assert_read_only_int64(hom.map, hom.source.order)
+    assert all(type(hom(x)) is int for x in hom.source.elements())
+    assert hom.kernel().members == reference_kernel(hom)
+    assert hom.image().members == reference_image(hom)
+    for sub in hom.target.all_subgroups():
+        assert hom.preimage(sub.members).members == reference_preimage(hom, sub.members)
+
+
+def map_zoo(relabel, name):
+    """The named group and one relabelled copy of it."""
+    group = from_name(name)
+    sigma = list(range(group.order))
+    random.Random(name).shuffle(sigma)
+    return group, relabel(group, sigma)
+
+
+@pytest.mark.parametrize("name", MAP_ZOO)
+def test_every_map_is_a_read_only_int64_array(relabel, name):
+    """The coset representatives and positions, each quotient's coset_reps
+    and projection, the raw and checked transfer tables, the coset
+    skeleton's transversal, the correcting function and the exponent
+    coordinates: one read-only int64 array each, indexed by element id."""
+    for group in map_zoo(relabel, name):
+        n = group.order
+        for sub in group.all_subgroups():
+            reps, pos = group.coset_positions(sub)
+            assert_read_only_int64(reps, sub.index())
+            assert_read_only_int64(pos, n)
+            assert group.coset_skeleton(sub).transversal is reps
+            assert_read_only_int64(group.transfer_products(sub), n)
+            if group.is_normal(sub):
+                quot, proj = group.quotient(sub)
+                assert_read_only_int64(quot.coset_reps, quot.order)
+                assert quot.coset_reps.tolist() == reps.tolist()
+                assert proj.map.tolist() == pos.tolist()
+                assert_homomorphism_matches_the_loops(proj)
+        for sub in transfer.coabelian_subgroups(group):
+            assert_read_only_int64(transfer.transfer_table(group, sub), n)
+        if transfer.is_two_step_nilpotent(group):
+            for sub in transfer.transfer_instances(group):
+                assert_read_only_int64(transfer.correcting_function(group, sub).values, n)
+        ab_group, proj = group.abelianization
+        assert_homomorphism_matches_the_loops(proj)
+        coords = abelian.decompose(ab_group).exponent_coordinates
+        assert_read_only_int64(coords, ab_group.order)
+
+
+@pytest.mark.parametrize("name", MAP_ZOO)
+def test_inclusion_kernel_image_and_preimage_match_the_loops(relabel, name):
+    """A homomorphism that is not onto: each subgroup's inclusion, whose
+    image is the subgroup and whose kernel is trivial."""
+    for group in map_zoo(relabel, name):
+        for sub in group.all_subgroups():
+            local, to_parent = sub.as_group
+            inclusion = GroupHom(local, group, to_parent)
+            inclusion.validate()
+            assert_homomorphism_matches_the_loops(inclusion)
+            assert inclusion.image().members == sub.members
+
+
+def test_homomorphism_keeps_no_alias_of_a_writeable_map():
+    d8 = dihedral(8)
+    values = np.arange(8)
+    hom = GroupHom(d8, d8, values)
+    values[0] = 5
+    assert hom.map.tolist() == list(range(8)) and not hom.map.flags.writeable
+
+
+@pytest.mark.parametrize("name", MAP_ZOO)
+def test_membership_refuses_ids_outside_the_group(relabel, name):
+    """-1 and n are no element ids: a negative id must not wrap around to
+    the end of the membership mask."""
+    for group in map_zoo(relabel, name):
+        n = group.order
+        for sub in group.all_subgroups():
+            assert -1 not in sub and n not in sub
+            assert [x in sub for x in group.elements()] == sub.mask.tolist()
+        assert -1 not in group.full_subgroup() and -n not in group.full_subgroup()
+
+
+def test_decomposition_whose_generators_do_not_span_raises():
+    """Every element must be reached exactly once by the generator powers."""
+    g = abelian_group([2, 2, 2])
+    dec = abelian.decompose(g)
+    assert dec.factors == (2, 2, 2)
+    t1, t2, _ = dec.generators
+    # the third generator repeats the product of the first two
+    with pytest.raises(IdentityFailed, match="not unique"):
+        abelian.AbelianDecomposition(g, (2, 2, 2), (t1, t2, g.mul(t1, t2))).exponent_coordinates
+    # too few generators reach half the group
+    with pytest.raises(IdentityFailed, match="not unique"):
+        abelian.AbelianDecomposition(g, (2, 2), (t1, t2)).exponent_coordinates

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrep import char_theory as ct, group_core, heisenberg as hb, transfer as tr
+from hrep import abelian, char_theory as ct, group_core, heisenberg as hb, transfer as tr
 from hrep.char_theory import HALF, QmodZ
 from hrep.errors import (
     Degenerate,
@@ -642,3 +642,33 @@ def test_two_rank_always_even():
     for g in (dihedral(8), quaternion8(), heisenberg_mod(4), dihedral(16)):
         for pair in hb.enumerate_pairs(g):
             assert pair.two_rank % 2 == 0
+
+
+# -- closed-form counts ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name,count",
+    (
+        ("d8", 3),
+        ("q8", 3),
+        ("heis3", 4),
+        ("es_p3_exp_p2:3", 4),
+        ("heis5", 6),
+        ("cp:d8,q8", 15),
+        ("cp:d8,d8", 15),
+    ),
+)
+def test_top_pair_isotropic_count_is_the_lagrangian_count(name, count):
+    """When G/Z is (Z/p)^(2n), the maximal isotropics of a pair are the
+    Lagrangians of a nondegenerate alternating form on F_p^(2n), and there
+    are prod_{i=1..n} (p^i + 1) of them. Each is found as a preimage
+    through the projection onto G/Z."""
+    pairs = hb.enumerate_pairs(from_name(name))
+    top = max(pair.dim for pair in pairs)
+    for pair in (pair for pair in pairs if pair.dim == top):
+        factors = abelian.decompose(pair.ambient[0]).factors
+        p, n = factors[0], len(factors) // 2
+        assert set(factors) == {p} and len(factors) == 2 * n
+        assert len(pair.maximal_isotropics) == math.prod(p**i + 1 for i in range(1, n + 1))
+        assert len(pair.maximal_isotropics) == count

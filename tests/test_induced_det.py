@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import character
+from conftest import assert_plain_json, character
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -415,6 +415,7 @@ def test_homomorphism_counterexample_records_both_matrices(monkeypatch):
     monkeypatch.setattr(idet, "monomial_mul", lambda a, b: MonomialMatrix.identity(a.dim))
     report = idet.check_homomorphism(pair, sub, chi_h)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     bad = report.counterexamples[0]
     x, y = bad["g"]
     assert bad["lhs"] == "perm=(0,1) exps=(0/1,0/1)"
@@ -571,6 +572,7 @@ def test_oracle_reports_a_planted_d128_determinant_entry(monkeypatch):
     original = plant_determinant(monkeypatch, group, g0)
     report = idet.oracle_equivalence_report(pair)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     routes = [c for c in report.counterexamples if "gallagher" in c]
     assert routes and all(c["g"] == g0 for c in routes)
 
@@ -602,6 +604,7 @@ def test_oracle_names_the_first_dim_one_determinant_off_chi(monkeypatch):
     plant_determinant(monkeypatch, group, g0)
     report = idet.oracle_equivalence_report(pair)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     witness = [c for c in report.counterexamples if c.get("identity") == "character"]
     assert witness == [
         {
@@ -709,8 +712,8 @@ def test_sign_defect_reports_a_planted_eps_sign_with_real_values(monkeypatch):
 
     def planted(grp, s):
         cf = original(grp, s)
-        values = tuple(grp.mul(v, A2) if g in flipped else v for g, v in enumerate(cf.values))
-        return CorrectingFunction(values, cf.index)
+        values = [grp.mul(v, A2) if g in flipped else v for g, v in enumerate(cf.values.tolist())]
+        return CorrectingFunction(np.array(values), cf.index)
 
     monkeypatch.setattr(idet, "correcting_function", planted)
     defect, x, g1, g2 = next(
@@ -757,6 +760,7 @@ def test_epsilon_case_report_fails_on_disagreeing_routes(monkeypatch, dim):
     assert not det.all_agree
     report = idet.epsilon_case_report(det)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     bad = report.counterexamples[-1]
     g, n = det.pair.group.order - 1, det.modulus
     assert bad["identity"] == "det_report" and bad["g"] == g
@@ -777,7 +781,10 @@ def test_epsilon_case_report_names_the_first_disagreeing_element(monkeypatch):
 
     monkeypatch.setattr(idet, "gallagher_table", shifted_table)
     det = idet.build_det_report(pair_of(dihedral(8), 2))
-    bad = idet.epsilon_case_report(det).counterexamples[-1]
+    report = idet.epsilon_case_report(det)
+    assert_plain_json(report.as_dict())
+    assert_plain_json(det.as_dict())
+    bad = report.counterexamples[-1]
     row = det.as_dict()["rows"][3]
     assert bad["g"] == 3 and bad["identity"] == "det_report"
     assert (bad["lhs"], bad["gallagher"], bad["rhs"], bad["epsilon"]) == (
@@ -996,43 +1003,70 @@ def test_twist_rejects_a_character_not_trivial_on_the_derived_subgroup():
         idet.twist(pair, ct.linear_characters(dihedral(8))[0])
 
 
+def reference_twist_search(reduced):
+    """The search over the characters of the reduced group G/Ker(chi),
+    one character at a time: the first omega with a trivial twisted
+    closed form, or None."""
+    g = reduced.group
+    n = ct.residue_modulus(g)
+    det0, _ = idet._formula_residues(reduced, n)
+    return next(
+        (
+            omega
+            for omega in ct.linear_characters(g)
+            if not ((det0 + reduced.dim * omega.residues) % n).any()
+        ),
+        None,
+    )
+
+
 @pytest.mark.parametrize("block_bytes", (1, idet.OMEGA_BLOCK_BYTES))
 def test_trivializing_twist_matches_the_per_character_search(monkeypatch, block_bytes):
-    """The first omega with a trivial twisted closed form, found as one
-    (omega x g) array test, is the one the per-character search finds,
-    also with one omega per block."""
+    """The search over G's characters that vanish on Ker(chi), one
+    (omega x g) array test, finds a twist exactly when the per-character
+    search over the characters of G/Ker(chi) does, also with one omega
+    per block; the omega it returns is the first of G's that vanishes on
+    the kernel and trivializes the pulled-back closed form."""
     monkeypatch.setattr(idet, "OMEGA_BLOCK_BYTES", block_bytes)
     groups = (dihedral(8), quaternion8(), heisenberg_mod(3), extraspecial_p3_exp_p2(3))
-    for group in groups + (from_name("cp:d8,q8"), from_name("prod:d8,c3")):
+    names = ("cp:d8,q8", "prod:d8,c3", "heis4", "prod:q8,c4", "ab:2,2,2")
+    for group in groups + tuple(from_name(name) for name in names):
+        omegas = ct.linear_characters(group)
+        n = ct.residue_modulus(group)
         for pair in hb.enumerate_pairs(group):
-            reduced, _ = pair.reduction
-            g = reduced.group
-            n = ct.residue_modulus(g)
-            det0, _ = idet._formula_residues(reduced, n)
+            reduced, proj = pair.reduction
+            det0 = idet._formula_residues(reduced, n)[0][proj.map]
+            kernel = pair.chi.kernel().members
             want = next(
                 (
                     omega
-                    for omega in ct.linear_characters(g)
-                    if not ((det0 + reduced.dim * omega.residues) % n).any()
+                    for omega in omegas
+                    if all(omega(k).is_zero() for k in kernel)
+                    and not ((det0 + pair.dim * omega.residues) % n).any()
                 ),
                 None,
             )
-            assert idet.find_trivializing_twist(reduced) == want
+            found = idet.find_trivializing_twist(pair, omegas)
+            assert found == want
+            assert (found is None) == (reference_twist_search(reduced) is None)
 
 
 def test_trivializing_twist_exists_iff_expected():
     # quaternion pair: determinant already trivial, trivial twist returned
+    def search(pair):
+        return idet.find_trivializing_twist(pair, ct.linear_characters(pair.group))
+
     pair_q8 = pair_of(quaternion8(), 2)
-    omega = idet.find_trivializing_twist(pair_q8)
+    omega = search(pair_q8)
     assert omega is not None and omega == ct.trivial_character(omega.domain)
     # dihedral pair: no twist can absorb the sign
-    assert idet.find_trivializing_twist(pair_of(dihedral(8), 2)) is None
+    assert search(pair_of(dihedral(8), 2)) is None
     # exponent-p^2 group: chi is faithful on G^p = [G,G], impossible
     pair_es = pair_of(extraspecial_p3_exp_p2(3), 3)
-    assert idet.find_trivializing_twist(pair_es) is None
+    assert search(pair_es) is None
     # exponent-p group: determinant already trivial
     pair_h3 = pair_of(heisenberg_mod(3), 3)
-    omega3 = idet.find_trivializing_twist(pair_h3)
+    omega3 = search(pair_h3)
     assert omega3 is not None and omega3 == ct.trivial_character(omega3.domain)
 
 
@@ -1040,15 +1074,15 @@ def test_trivializing_twist_criterion_on_odd_instances():
     """For odd dim the search outcome must match triviality of chi on
     G^d intersect [G,G] (the guarded structural criterion)."""
     for group in (heisenberg_mod(3), extraspecial_p3_exp_p2(3)):
+        omegas = ct.linear_characters(group)
         for pair in hb.enumerate_pairs(group):
-            if not pair.is_reduced:
-                pair, _ = hb.quotient_by_kernel(pair)
-            g = pair.group
+            reduced, _ = pair.reduction
+            g = reduced.group
             z0 = set(g.power_subgroup(pair.dim).members) & set(
                 g.commutator_subgroup().members
             )
-            criterion = all(pair.chi(x).is_zero() for x in z0)
-            assert (idet.find_trivializing_twist(pair) is not None) == criterion
+            criterion = all(reduced.chi(x).is_zero() for x in z0)
+            assert (idet.find_trivializing_twist(pair, omegas) is not None) == criterion
 
 
 # -- order-p^3 dichotomy --------------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import assert_plain_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,7 +63,7 @@ def _product_loop(group, sub, transversal):
             x = group.mul(g, t)
             result = group.mul(result, group.mul(group.inv(rep_of_coset[pos[x]]), x))
         out.append(result)
-    return tuple(out)
+    return out
 
 
 # d16 and d24 have nonabelian subgroups whose factor product depends on
@@ -76,14 +77,14 @@ def test_cached_transfer_table_matches_the_product_loop(name):
     rng = random.Random(0)
     for sub in group.all_subgroups():
         canonical = list(group.coset_positions(sub)[0])
-        assert group.transfer_products(sub) == _product_loop(group, sub, canonical)
+        assert group.transfer_products(sub).tolist() == _product_loop(group, sub, canonical)
         assert group.transfer_products(sub) is group.transfer_products(sub)
         other = [group.mul(t, rng.choice(sub.members)) for t in canonical]
         rng.shuffle(other)
         batch = group.transfer_fold(sub, [canonical, other])
         assert batch.shape == (2, group.order)
-        assert tuple(batch[0].tolist()) == _product_loop(group, sub, canonical)
-        assert tuple(batch[1].tolist()) == _product_loop(group, sub, other)
+        assert batch[0].tolist() == _product_loop(group, sub, canonical)
+        assert batch[1].tolist() == _product_loop(group, sub, other)
 
 
 def test_transfer_to_whole_group_is_abelianization():
@@ -96,7 +97,7 @@ def test_transfer_to_whole_group_is_abelianization():
         assert values[g] == min(d8.mul(g, c) for c in derived)
     assert len(set(values)) == d8.order // len(derived)
     z6 = cyclic(6)
-    assert tr.transfer_table(z6, z6.full_subgroup()) == tuple(z6.elements())
+    assert tr.transfer_table(z6, z6.full_subgroup()).tolist() == list(z6.elements())
 
 
 def _commutators_of(group, sub):
@@ -160,7 +161,7 @@ def test_transfer_table_matches_the_quotient_group_encoding(name):
         values = tr.transfer_table(group, sub)
         derived = _commutators_of(group, sub).members
         raw = group.transfer_products(sub)
-        assert values == tuple(min(group.mul(r, c) for c in derived) for r in raw)
+        assert values.tolist() == [min(group.mul(r, c) for c in derived) for r in raw]
         quot, to_codomain, expected = _quotient_group_values(group, sub)
         image = [to_codomain[v] for v in values]
         assert image == expected
@@ -180,7 +181,7 @@ def test_transfer_in_abelian_group_is_index_power():
 def test_transfer_to_commutator_subgroup_is_trivial():
     for g in (dihedral(8), quaternion8(), heisenberg_mod(3), dihedral(16)):
         derived = g.commutator_subgroup()
-        assert tr.transfer_table(g, derived) == (g.identity_id,) * g.order
+        assert tr.transfer_table(g, derived).tolist() == [g.identity_id] * g.order
 
 
 def test_transfer_homomorphism_property():
@@ -242,6 +243,7 @@ def test_odd_index_power_rule_names_the_conjugator_of_a_noncentral_power(monkeyp
     monkeypatch.setattr(g, "power_subgroup", lambda d: g.full_subgroup())
     report = tr.check_odd_index_transfer(g, sub)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     noncentral = [x for x in g.elements() if x not in g.center()]
     expected = []
     for x in noncentral[: tr.MAX_COUNTEREXAMPLES]:
@@ -426,9 +428,10 @@ def test_cocycle_identity_heisenberg4_index_four():
 
 def plant(cf, g, value):
     """The correcting function with one entry replaced."""
-    values = list(cf.values)
+    values = cf.values.copy()
     values[g] = value
-    return tr.CorrectingFunction(tuple(values), cf.index)
+    values.flags.writeable = False
+    return tr.CorrectingFunction(values, cf.index)
 
 
 def failing_pairs(group, lhs, rhs):
@@ -450,6 +453,7 @@ def test_cocycle_reports_a_planted_phi_entry_with_real_values(monkeypatch):
     monkeypatch.setattr(tr, "correcting_function", lambda group, s: planted)
     report = tr.check_correcting_cocycle(d8, sub)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     expected = failing_pairs(
         d8,
         lambda g1, g2: d8.mul(d8.mul(phi[d8.mul(g1, g2)], phi[g1]), phi[g2]),
@@ -468,6 +472,7 @@ def test_cocycle_names_the_first_nontrivial_phi_value_for_odd_index(monkeypatch)
     monkeypatch.setattr(tr, "correcting_function", lambda group, s: plant(cf, 5, z))
     report = tr.check_correcting_cocycle(g, sub)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     assert report.stats["phi_trivial"] is False
     assert report.counterexamples[0] == {"g": 5, "lhs": z, "rhs": g.identity_id}
 
@@ -500,6 +505,7 @@ def test_correcting_ratio_reports_a_planted_entry_with_real_values(monkeypatch):
     monkeypatch.setattr(tr, "correcting_function", lambda group, s: cf1 if s is h_rot else cf2)
     report = tr.check_correcting_ratio(d8, h_rot, h1)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     ratio = [d8.mul(v2, d8.inv(v1)) for v1, v2 in zip(cf1.values, cf2.values)]
     expected = failing_pairs(
         d8, lambda g1, g2: ratio[d8.mul(g1, g2)], lambda g1, g2: d8.mul(ratio[g1], ratio[g2])
@@ -517,6 +523,7 @@ def test_correcting_ratio_names_a_value_off_the_central_involutions(monkeypatch)
     report = tr.check_correcting_ratio(d8, h_rot, h1)
     v = d8.mul(B, d8.inv(cf1.values[A]))
     assert not report.passed
+    assert_plain_json(report.as_dict())
     assert report.counterexamples[0] == {"g": A, "lhs": v, "rhs": d8.mul(v, v)}
 
 
@@ -527,7 +534,7 @@ def test_correcting_ratio_heisenberg_trivial():
     assert report.passed
     cf1 = tr.correcting_function(g, insts[0])
     cf2 = tr.correcting_function(g, insts[1])
-    assert cf1.values == cf2.values == tuple([g.identity_id] * g.order)
+    assert cf1.values.tolist() == cf2.values.tolist() == [g.identity_id] * g.order
 
 
 def test_correcting_ratio_index_mismatch():
@@ -628,7 +635,7 @@ def test_furtwangler_reports_planted_failures_like_the_element_loop(monkeypatch,
         monkeypatch.setattr(
             tr,
             "transfer_table",
-            lambda grp, s: (a,) * 16 if s.members == rot.members else original(grp, s),
+            lambda grp, s: np.full(16, a) if s.members == rot.members else original(grp, s),
         )
         report = tr.check_transfer_identities(group, group.full_subgroup())
         furt = [c for c in report.counterexamples if c["identity"] == "furtwangler"]
@@ -636,6 +643,7 @@ def test_furtwangler_reports_planted_failures_like_the_element_loop(monkeypatch,
         assert len(witnesses) == tr.MAX_COUNTEREXAMPLES and not passed
         assert furt == witnesses
         assert report.stats["furtwangler_pass"] is False and not report.passed
+        assert_plain_json(report.as_dict())
         monkeypatch.setattr(tr, "transfer_table", original)
         assert reference_furtwangler(group) == ([], True)
 
@@ -643,16 +651,17 @@ def test_furtwangler_reports_planted_failures_like_the_element_loop(monkeypatch,
 def test_image_statement_names_the_conjugator_of_a_moved_value(monkeypatch):
     d8 = dihedral(8)
     sub = rotations(d8)
-    planted = list(tr.transfer_table(d8, sub))
+    planted = tr.transfer_table(d8, sub).copy()
     planted[B] = A
     original = tr.transfer_table
     monkeypatch.setattr(
         tr,
         "transfer_table",
-        lambda group, s: tuple(planted) if s.members == sub.members else original(group, s),
+        lambda group, s: planted if s.members == sub.members else original(group, s),
     )
     report = tr.check_transfer_identities(d8, sub, include_furtwangler=False)
     assert not report.passed and not report.stats["image_pass"]
+    assert_plain_json(report.as_dict())
     c = next(c for c in d8.elements() if d8.conjugate(c, A) != A)
     image = [x for x in report.counterexamples if x["identity"] == "image"]
     assert image == [
@@ -735,16 +744,17 @@ def test_conjugation_reports_planted_failures_like_the_pairwise_loop(monkeypatch
     original = tr.transfer_table
 
     def planted(group, s):
-        values = list(original(group, s))
+        values = original(group, s).copy()
         if s.members == other:
             for g in range(3, 9):
                 values[g] = other[0] if values[g] == other[1] else other[1]
-        return tuple(values)
+        return values
 
     monkeypatch.setattr(tr, "transfer_table", planted)
     report = assert_matches_reference(d16, sub)
     conj = [c for c in report.counterexamples if c["identity"] == "conjugation"]
     assert len(conj) == 10 and not report.passed
+    assert_plain_json(report.as_dict())
 
 
 def test_image_reports_planted_failures_like_the_pairwise_loop(monkeypatch):
@@ -757,11 +767,12 @@ def test_image_reports_planted_failures_like_the_pairwise_loop(monkeypatch):
     monkeypatch.setattr(
         tr,
         "transfer_table",
-        lambda group, s: (2,) * 16 if s.members == rot.members else original(group, s),
+        lambda group, s: np.full(16, 2) if s.members == rot.members else original(group, s),
     )
     report = assert_matches_reference(d16, rot)
     image = [c for c in report.counterexamples if c["identity"] == "image"]
     assert len(image) == 10 and not report.stats["image_pass"]
+    assert_plain_json(report.as_dict())
 
 
 def test_central_part_of_image_statement():
@@ -833,14 +844,14 @@ def reference_correcting_function(group, sub):
             acc = group.mul(acc, group.pow(values[t], a))
         if values[g] != group.mul(acc, values[h]):
             raise IdentityFailed(f"transfer does not factor through the decomposition at {g}")
-    return tr.CorrectingFunction(phi, d)
+    return tr.CorrectingFunction(np.array(phi), d)
 
 
 def reference_transversal_check(group, sub, seed):
     """transversal_independence_check one trial at a time, each shifted
     transversal's products expanded by _product_loop."""
     base_t, _ = group.coset_positions(sub)
-    reference = tr.transfer_table(group, sub)
+    reference = tr.transfer_table(group, sub).tolist()
     red = tr._mod_derived(group, sub)
     rng = random.Random(seed)
     report = tr.CheckReport(
@@ -865,7 +876,7 @@ def reference_odd_index_transfer(group, sub):
         True,
         stats={"group": group.label, "index": d, "universe": group.order},
     )
-    values = tr.transfer_table(group, sub)
+    values = tr.transfer_table(group, sub).tolist()
     for g in group.elements():
         if values[g] != group.pow(g, d):
             report.fail(g=g, lhs=values[g], rhs=group.pow(g, d))
@@ -884,7 +895,9 @@ def reference_odd_index_transfer(group, sub):
 def reference_correcting_ratio(group, sub1, sub2):
     """check_correcting_ratio with per-element mul and inv."""
     cf1, cf2 = tr.correcting_function(group, sub1), tr.correcting_function(group, sub2)
-    ratio = [group.mul(v2, group.inv(v1)) for v1, v2 in zip(cf1.values, cf2.values)]
+    ratio = [
+        group.mul(v2, group.inv(v1)) for v1, v2 in zip(cf1.values.tolist(), cf2.values.tolist())
+    ]
     z2 = tr.central_involutions(group)
     report = tr.CheckReport(
         "correcting_function_ratio", True, stats={"group": group.label, "index": cf1.index}
@@ -900,12 +913,18 @@ def reference_correcting_ratio(group, sub1, sub2):
 
 
 def outcome(func, *args, **kwargs):
-    """The value, or the IdentityFailed message, of one call."""
+    """The value, or the IdentityFailed message, of one call; a report as
+    its dict and a correcting function as its values and index."""
     try:
         result = func(*args, **kwargs)
     except IdentityFailed as exc:
         return f"IdentityFailed: {exc}"
-    return result.as_dict() if isinstance(result, tr.CheckReport) else result
+    if isinstance(result, tr.CorrectingFunction):
+        return result.values.tolist(), result.index
+    if isinstance(result, tr.CheckReport):
+        assert_plain_json(result.as_dict())
+        return result.as_dict()
+    return result
 
 
 ARRAY_CHECK_ZOO = ("d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "heis4", "prod:d8,c3", "ab:2,2,2", "ab:2,4")
@@ -917,7 +936,8 @@ def assert_array_checks_match_references(group):
         assert outcome(tr.correcting_function, group, sub) == outcome(
             reference_correcting_function, group, sub
         )
-        assert isinstance(tr.correcting_function(group, sub).values[0], int)
+        values = tr.correcting_function(group, sub).values
+        assert values.dtype == np.int64 and not values.flags.writeable
         if sub.index() % 2 == 1:
             assert outcome(tr.check_odd_index_transfer, group, sub) == outcome(
                 reference_odd_index_transfer, group, sub
@@ -959,8 +979,10 @@ def planted_transfer_tables(monkeypatch, group, sub, plants):
     values = list(real(group, sub))
     for g, v in plants.items():
         values[g] = v
+    values = np.array(values)
+    values.flags.writeable = False
     monkeypatch.setattr(
-        tr, "transfer_table", lambda grp, s: tuple(values) if s == sub else real(grp, s)
+        tr, "transfer_table", lambda grp, s: values if s == sub else real(grp, s)
     )
 
 
@@ -1031,6 +1053,7 @@ def test_transversal_independence_reports_planted_failures_like_the_trial_loop(m
     planted_transfer_tables(monkeypatch, g, sub, moved)
     report = tr.transversal_independence_check(g, sub, seed=11)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     assert [(c["trial"], c["g"]) for c in report.counterexamples] == [
         (trial, x) for trial in range(5) for x in (4, 20)
     ]
@@ -1057,6 +1080,7 @@ def test_odd_index_rule_reports_planted_powers_like_the_loop(monkeypatch):
     monkeypatch.setattr(g, "pow", lambda x, k: int(planted_powers(k)[x]) if k >= 0 else None)
     report = tr.check_odd_index_transfer(g, sub)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     assert report.as_dict() == reference_odd_index_transfer(g, sub).as_dict()
     assert {c["g"] for c in report.counterexamples} >= {z, y}
 
@@ -1075,9 +1099,9 @@ def test_correcting_ratio_reports_planted_values_like_the_loop(monkeypatch):
         monkeypatch.setattr(
             tr, "correcting_function", lambda group, s: planted1 if s is h_rot else planted2
         )
-        assert tr.check_correcting_ratio(d8, h_rot, h1).as_dict() == (
-            reference_correcting_ratio(d8, h_rot, h1).as_dict()
-        )
+        got = tr.check_correcting_ratio(d8, h_rot, h1).as_dict()
+        assert got == reference_correcting_ratio(d8, h_rot, h1).as_dict()
+        assert_plain_json(got)
 
 
 def test_correcting_function_reads_the_square_classes_once_per_group(monkeypatch):
@@ -1124,4 +1148,5 @@ def test_transversal_independence_names_the_trial_of_a_wrong_fold(monkeypatch):
     monkeypatch.setattr(g, "transfer_fold", wrong_for_trial_two)
     report = tr.transversal_independence_check(g, sub, seed=11)
     assert not report.passed
+    assert_plain_json(report.as_dict())
     assert [(c["trial"], c["g"]) for c in report.counterexamples] == [(2, 7)]
