@@ -26,13 +26,7 @@ from .group_core import (
     quaternion8,
 )
 from .heisenberg import HeisenbergPair, enumerate_pairs, quotient_by_kernel, validate_pair
-from .induced_det import (
-    det_formula,
-    direct_table,
-    gallagher_table,
-    induced_matrices,
-    monomial_det,
-)
+from .induced_det import build_det_report, direct_table, gallagher_table
 
 __version__ = "0.1.0"
 
@@ -44,10 +38,10 @@ __all__ = [
     "QmodZ",
     "Subgroup",
     "abelian_group",
+    "build_det_report",
     "central_product",
     "construct",
     "cyclic",
-    "det_formula",
     "dihedral",
     "direct_product",
     "direct_table",
@@ -57,8 +51,6 @@ __all__ = [
     "from_name",
     "gallagher_table",
     "heisenberg_mod",
-    "induced_matrices",
-    "monomial_det",
     "quaternion8",
     "quotient_by_kernel",
     "validate_pair",

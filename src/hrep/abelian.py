@@ -16,8 +16,9 @@ import numpy as np
 from .errors import EnumerationBoundExceeded, NotAbelian, math_check as _math_check
 from .group_core import FiniteGroup
 
-# decompose refuses larger groups; up to this order it checks that every
-# element is a unique product of generator powers.
+# The decomposition bound: decompose refuses larger groups, and up to it
+# decomposes and checks that every element is a unique product of
+# generator powers.
 DECOMPOSE_VERIFY_BOUND = 4096
 
 
@@ -75,7 +76,7 @@ def decompose(group: FiniteGroup) -> AbelianDecomposition:
     _require_abelian(group)
     if group.order > DECOMPOSE_VERIFY_BOUND:
         raise EnumerationBoundExceeded(
-            f"|G|={group.order} exceeds subgroup enumeration bound {DECOMPOSE_VERIFY_BOUND}"
+            f"|G|={group.order} exceeds decomposition bound {DECOMPOSE_VERIFY_BOUND}"
         )
     factors_desc: list[int] = []
     generators_desc: list[int] = []
@@ -131,11 +132,6 @@ def _least_complement(group: FiniteGroup, current: np.ndarray, t: int, want: int
 def two_rank(group: FiniteGroup) -> int:
     """Number of even invariant factors."""
     return sum(1 for m in decompose(group).factors if m % 2 == 0)
-
-
-def involution_set(group: FiniteGroup) -> set[int]:
-    """All x with x^2 = e, identity included (any group)."""
-    return set(np.flatnonzero(group.powers(2) == group.identity_id).tolist())
 
 
 def subgroup_product(group: FiniteGroup, members) -> int:

@@ -68,20 +68,8 @@ class QmodZ:
         """Multiplicative order of the root of unity."""
         return self.den
 
-    def is_zero(self) -> bool:
-        return self.num == 0
-
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
-
-    @classmethod
-    def parse(cls, text: str) -> "QmodZ":
-        num, den = text.split("/")
-        return cls(int(num), int(den))
-
-
-ZERO = QmodZ(0, 1)
-HALF = QmodZ(1, 2)
 
 
 def residue_modulus(group: FiniteGroup) -> int:
@@ -183,12 +171,6 @@ class LinearCharacter:
     def kernel(self) -> Subgroup:
         return Subgroup(self.domain.parent, tuple(np.flatnonzero(self.residues == 0).tolist()))
 
-    def restrict(self, sub: Subgroup) -> "LinearCharacter":
-        on_parent = np.where(sub.mask, self.residues, -1)
-        if on_parent[sub.mask].min() < 0:
-            raise NotACharacter("can only restrict to a subgroup of the domain")
-        return LinearCharacter(sub, on_parent)
-
     def __mul__(self, other: "LinearCharacter") -> "LinearCharacter":
         """Pointwise product of two characters on the same domain."""
         if other.domain.members != self.domain.members:
@@ -204,10 +186,6 @@ class LinearCharacter:
             "domain": list(self.domain.members),
             "values": {str(m): str(table[r]) for m, r in zip(self.domain.members, values)},
         }
-
-
-def trivial_character(domain: Subgroup) -> LinearCharacter:
-    return LinearCharacter(domain, np.where(domain.mask, 0, -1))
 
 
 def characters_of_abelian(group: FiniteGroup) -> list[LinearCharacter]:

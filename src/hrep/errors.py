@@ -79,10 +79,6 @@ class NotAnExtension(HrepError):
     """The supplied character does not restrict to the scalar character."""
 
 
-class DimMismatch(HrepError):
-    """Monomial matrices of different sizes cannot be combined."""
-
-
 class KernelNotReduced(HrepError):
     """The operation requires a pair whose scalar character is faithful."""
 

@@ -358,12 +358,6 @@ class FiniteGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, tuple(range(self.order)))
 
-    def subgroup(self, members) -> "Subgroup":
-        """Build a subgroup from an explicit member set, validating closure."""
-        sub = Subgroup(self, tuple(sorted(set(int(m) for m in members))))
-        sub.validate()
-        return sub
-
     def subgroup_generated(self, gens) -> "Subgroup":
         """Closure of the generating set under multiplication (breadth-first)."""
         # column g holds x g for every x
@@ -552,20 +546,6 @@ class FiniteGroup:
         return CosetSkeleton(transversal, perm, factors, odd)
 
 
-def _perm_is_odd(perm: tuple[int, ...]) -> bool:
-    """Parity of a permutation of 0..d-1, from its cycle count."""
-    seen = [False] * len(perm)
-    cycles = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return (len(perm) - cycles) % 2 == 1
-
-
 @dataclass(frozen=True, eq=False)
 class CosetSkeleton:
     """G acting on the left cosets of H, over the canonical transversal t.
@@ -593,21 +573,6 @@ class Subgroup:
             raise InvalidSpec("subgroup members must be sorted and duplicate-free")
         if self.members and not (0 <= self.members[0] and self.members[-1] < self.parent.order):
             raise InvalidSpec("subgroup members out of range")
-
-    def validate(self) -> None:
-        g = self.parent
-        if not self.mask[g.identity_id]:
-            raise NotAGroup("subgroup must contain the identity")
-        members = np.asarray(self.members)
-        # row x: x^-1, then x y for each member y; the first witness in
-        # row-major order is the one a loop over x, then y, would meet
-        inside = self.mask[np.column_stack([g.inverse[members], g.table[np.ix_(members, members)]])]
-        if not inside.all():
-            row, col = np.argwhere(~inside)[0].tolist()
-            x = self.members[row]
-            if col == 0:
-                raise NotAGroup(f"subgroup not closed under inverse at {x}")
-            raise NotAGroup(f"subgroup not closed under product at ({x},{self.members[col - 1]})")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -688,9 +653,6 @@ class GroupHom:
 
     def kernel(self) -> Subgroup:
         return _subgroup_of_mask(self.source, self.map == self.target.identity_id)
-
-    def image(self) -> Subgroup:
-        return _subgroup_of_mask(self.target, np.bincount(self.map, minlength=self.target.order))
 
     def preimage(self, members) -> Subgroup:
         wanted = np.zeros(self.target.order, dtype=bool)

@@ -1,14 +1,14 @@
-"""Heisenberg pairs (Z, chi): validation, enumeration, kernel reduction,
-maximal isotropic subgroups, and symplectic bases.
+"""Heisenberg pairs (Z, chi): validation, enumeration, kernel reduction
+and maximal isotropic subgroups.
 
 A pair consists of a coabelian normal subgroup Z and an invariant linear
 character chi of Z whose commutator pairing X(g1, g2) = chi([g1, g2]) is
 nondegenerate on G/Z. Linear characters of G appear as the degenerate
 dim-1 case Z = G and flow through the same pipeline.
 
-The pairing has one implementation: ``HeisenbergPair.x_value`` and its
-residue matrix ``x_on_quotient`` on G/Z; ``validate_pair`` screens the invariance
-of chi and the nondegeneracy of X. The maximal isotropic subgroups are
+The pairing has one implementation: ``HeisenbergPair.x_on_quotient``, its
+residue matrix on G/Z. ``validate_pair`` screens the invariance of chi
+and the nondegeneracy of X. The maximal isotropic subgroups are
 enumerated once per pair (``maximal_isotropics``), and every caller that
 needs an isotropic, or one containing a given element, reads that list.
 """
@@ -24,7 +24,6 @@ import numpy as np
 from . import abelian
 from .char_theory import (
     LinearCharacter,
-    QmodZ,
     characters_of_subgroup,
     extend_character,
     residue_modulus,
@@ -58,10 +57,6 @@ class HeisenbergPair:
     def ambient(self) -> tuple[FiniteGroup, GroupHom]:
         """The abelian quotient A = G/Z with its projection."""
         return self.group.quotient(self.Z)
-
-    def x_value(self, g1: int, g2: int) -> QmodZ:
-        """The commutator pairing X(g1, g2) = chi([g1, g2])."""
-        return self.chi(self.group.commutator(g1, g2))
 
     @cached_property
     def x_on_quotient(self) -> np.ndarray:
@@ -222,62 +217,3 @@ def all_maximal_isotropics(pair: HeisenbergPair) -> list[Subgroup]:
             found.append(proj.preimage(sub.members))
     found.sort(key=lambda s: s.members)
     return found
-
-
-@dataclass(frozen=True)
-class SymplecticBasis:
-    """Hyperbolic pairs (t_i, t_i', m_i) with m_1 | ... | m_s splitting G/Z,
-    plus the two transverse maximal isotropics they span."""
-
-    pairs: tuple[tuple[int, int, int], ...]
-    H: Subgroup
-    H_prime: Subgroup
-
-
-def symplectic_basis(pair: HeisenbergPair) -> SymplecticBasis:
-    """Split A = G/Z into hyperbolic planes.
-
-    Picks the smallest element of maximal order m, pairs it with the
-    smallest partner where X has exact order m, and recurses on the
-    orthogonal complement of the plane they span.
-    """
-    quot, proj = pair.ambient
-    x = pair.x_on_quotient
-    n = residue_modulus(pair.group)
-    # ascending ids, so the first of a kind is the smallest
-    current = np.arange(quot.order)
-    pairs_desc: list[tuple[int, int, int]] = []
-    while current.size > 1:
-        orders = quot.element_orders[current]
-        m = int(orders.max())
-        t = int(current[np.argmax(orders)])
-        partners = current[n // np.gcd(x[t, current], n) == m]
-        if not partners.size:
-            raise Degenerate(f"no hyperbolic partner of exact order {m} for {t}")
-        tp = int(partners[0])
-        plane = quot.subgroup_generated([t, tp])
-        _math_check(len(plane) == m * m, "hyperbolic plane must have order m^2")
-        remaining = current[(x[current, t] == 0) & (x[current, tp] == 0)]
-        _math_check(
-            remaining.size * m * m == current.size,
-            "orthogonal complement of a hyperbolic plane has complementary order",
-        )
-        pairs_desc.append((t, tp, m))
-        current = remaining
-
-    ordered = tuple(reversed(pairs_desc))
-    reps = quot.coset_reps
-    h_side = quot.subgroup_generated([t for t, _, _ in ordered])
-    hp_side = quot.subgroup_generated([tp for _, tp, _ in ordered])
-    h_sub = proj.preimage(h_side.members)
-    hp_sub = proj.preimage(hp_side.members)
-
-    _math_check(
-        math.prod(m for _, _, m in ordered) == pair.dim, "hyperbolic orders must multiply to dim"
-    )
-    meet = h_sub.mask & hp_sub.mask
-    _math_check(np.array_equal(meet, pair.Z.mask), "transverse isotropics must meet exactly in Z")
-    products = pair.group.table[np.ix_(h_sub.members, hp_sub.members)].ravel()
-    _math_check(np.bincount(products, minlength=len(meet)).all(), "G must factor as H * H'")
-    lifted = tuple((reps.item(t), reps.item(tp), m) for t, tp, m in ordered)
-    return SymplecticBasis(lifted, h_sub, hp_sub)

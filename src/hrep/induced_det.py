@@ -13,24 +13,19 @@ Three independent routes to det(rho)(g) are implemented and cross-checked:
 
 Every determinant is an N-th root of unity for N = lcm(exp(G), 2), so
 each route's table is an int64 array of residues mod N over the group's
-elements, and the sign -1 is N/2. The direct and Gallagher routes exist
-only as whole-group gathers on chi_H's residues: ``direct_table`` sums
-chi_H over the coset skeleton's factors, ``gallagher_table`` reads chi_H
-at the transfer products. Each call checks the character extension once,
-and neither reads the other's table. The closed form is one gather of
-chi's residues at the d-th powers of every element; ``det_formula``
-evaluates it for one element, as the reference. ``induced_matrices``
-builds the monomial matrices themselves, for the homomorphism certificate
-and as a reference.
+elements, and the sign -1 is N/2. Each route has one implementation, a
+whole-group gather on residues: ``direct_table`` sums chi_H over the coset
+skeleton's factors, ``gallagher_table`` reads chi_H at the transfer
+products, and the closed form gathers chi's residues at the d-th powers
+of every element. Each call checks the character extension once, and no
+route reads another's table.
 
 Twists, the sign table, the sign defect, the determinant's
 multiplicativity, every route comparison and the determinant report
 (``DetReport``, its five residue tables) run on these residue arrays. A
 report prints a residue as its exponent, read from one shared table per
-N; ``QmodZ`` values are built only by the references, ``det_formula`` and
-the monomial matrices. The closed
-form requires a kernel-reduced pair and refuses anything else, making
-the reduction step explicit in the API.
+N. The closed form requires a kernel-reduced pair and refuses anything
+else, making the reduction step explicit in the API.
 """
 
 from __future__ import annotations
@@ -39,19 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import abelian
 from .char_theory import (
-    HALF,
-    ZERO,
     LinearCharacter,
-    QmodZ,
     _exponents,
     extend_character_all,
     multiplicativity_witness,
     residue_modulus,
 )
 from .errors import (
-    DimMismatch,
     IdentityFailed,
     InvalidPrime,
     KernelNotReduced,
@@ -64,55 +54,11 @@ from .group_core import (
     CosetSkeleton,
     Subgroup,
     _is_prime,
-    _perm_is_odd,
     extraspecial_p3_exp_p2,
     heisenberg_mod,
 )
 from .heisenberg import HeisenbergPair, enumerate_pairs, quotient_by_kernel
-from .transfer import CheckReport, correcting_function
-
-
-@dataclass(frozen=True)
-class MonomialMatrix:
-    """A d x d matrix with one root-of-unity entry per row and column.
-
-    ``perm[j]`` is the row of the nonzero entry in column j and
-    ``exps[j]`` its exponent, so the matrix is P * diag(exps) for the
-    permutation matrix P.
-    """
-
-    dim: int
-    perm: tuple[int, ...]
-    exps: tuple[QmodZ, ...]
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(self.dim)) or len(self.exps) != self.dim:
-            raise DimMismatch("perm must be a permutation of 0..d-1 with one exponent per column")
-
-    @classmethod
-    def identity(cls, dim: int) -> "MonomialMatrix":
-        return cls(dim, tuple(range(dim)), tuple(ZERO for _ in range(dim)))
-
-    def __str__(self) -> str:
-        perm = ",".join(str(i) for i in self.perm)
-        exps = ",".join(str(q) for q in self.exps)
-        return f"perm=({perm}) exps=({exps})"
-
-
-def monomial_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimension mismatch {a.dim} != {b.dim}")
-    perm = tuple(a.perm[b.perm[j]] for j in range(b.dim))
-    exps = tuple(a.exps[b.perm[j]] + b.exps[j] for j in range(b.dim))
-    return MonomialMatrix(a.dim, perm, exps)
-
-
-def monomial_det(matrix: MonomialMatrix) -> QmodZ:
-    """Permutation sign (as 0 or 1/2) plus the sum of the exponents."""
-    total = HALF if _perm_is_odd(matrix.perm) else ZERO
-    for q in matrix.exps:
-        total = total + q
-    return total
+from .transfer import CheckReport, correcting_function, miller_lift
 
 
 # -- induced representations ----------------------------------------------------
@@ -136,23 +82,6 @@ def _require_isotropic(pair: HeisenbergPair, sub: Subgroup) -> None:
     if bad.size:
         i, j = bad[0].tolist()
         raise PreconditionFailed(f"H is not isotropic at ({sub.members[i]},{sub.members[j]})")
-
-
-def induced_matrices(
-    pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter
-) -> list[MonomialMatrix]:
-    """The monomial matrix of every g in the representation induced from chi_H.
-
-    Columns are indexed by the canonical left transversal; the column of
-    t carries chi_H(s^-1 g t) in the row of s, where g t lands in s H.
-    """
-    _require_extension(pair, sub, chi_h)
-    skeleton = pair.group.coset_skeleton(sub)
-    dim = len(skeleton.transversal)
-    return [
-        MonomialMatrix(dim, tuple(perm), tuple(chi_h(f) for f in factors))
-        for perm, factors in zip(skeleton.perm.tolist(), skeleton.factors.tolist())
-    ]
 
 
 def _direct_residues(
@@ -181,26 +110,6 @@ def direct_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) ->
     )
 
 
-def check_homomorphism(
-    pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter
-) -> CheckReport:
-    """Certify Ind(g1) Ind(g2) = Ind(g1 g2) on every pair of elements."""
-    group = pair.group
-    matrices = induced_matrices(pair, sub, chi_h)
-    report = CheckReport(
-        "induced_representation_homomorphism",
-        True,
-        stats={"group": group.label, "pairs": group.order**2},
-    )
-    for x in group.elements():
-        for y in group.elements():
-            product = monomial_mul(matrices[x], matrices[y])
-            image = matrices[group.mul(x, y)]
-            if product != image:
-                report.fail(g=[x, y], lhs=str(product), rhs=str(image))
-    return report
-
-
 def gallagher_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> np.ndarray:
     """Gallagher's route: Delta_H(g) + chi_H(T_{G/H}(g)) for every g, as
     residues mod N, with Delta_H the sign of g's coset permutation.
@@ -226,26 +135,11 @@ def _require_reduced(pair: HeisenbergPair) -> None:
         )
 
 
-def det_formula(pair: HeisenbergPair, g: int) -> tuple[QmodZ, QmodZ]:
-    """(det(rho)(g), eps(g)) from the closed form eps(g) * chi(g^d).
-
-    eps is trivial when rk_2(G/Z) is 0 or at least 4; when it is 2, eps
-    is - exactly off the subgroup G^2 Z.
-    """
-    _require_reduced(pair)
-    group = pair.group
-    gd = group.pow(g, pair.dim)
-    _math_check(gd in pair.Z, f"g^d must be central, failed at g={g}")
-    if pair.two_rank == 2 and g not in pair.squares_times_z:
-        eps = HALF
-    else:
-        eps = ZERO
-    return eps + pair.chi(gd), eps
-
-
 def _formula_residues(pair: HeisenbergPair, modulus: int) -> tuple[np.ndarray, np.ndarray]:
-    """``det_formula``'s (det, eps) for every g, as residues mod ``modulus``
-    (a multiple of the group's N), from one array of d-th powers."""
+    """The closed form's (det, eps) for every g, as residues mod ``modulus``
+    (a multiple of the group's N), from one array of d-th powers: det(g)
+    = eps(g) + chi(g^d), where eps is trivial when rk_2(G/Z) is 0 or at
+    least 4, and - exactly off the subgroup G^2 Z when it is 2."""
     _require_reduced(pair)
     group = pair.group
     powers = group.powers(pair.dim)
@@ -322,6 +216,7 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
     group = pair.group
     n = residue_modulus(group)
     chi = pair.chi.residues
+    powers = group.powers(pair.dim)
     reference: np.ndarray | None = None
     n_tables = 0
     report = CheckReport(
@@ -342,11 +237,9 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
                 report.fail(g=g, lhs=_text(table[g], n), rhs=_text(reference[g], n))
 
         # placement reformulation through the Miller product of G/H
-        quot, _ = group.quotient(sub)
-        alpha_lift = quot.coset_reps.item(abelian.subgroup_product(quot, quot.elements()))
+        alpha_lift = miller_lift(group, sub)
         h = np.asarray(sub.members)
-        powers = [group.pow(g, pair.dim) for g in sub.members]
-        expected = (chi[powers] + chi[group.commutator_table(h, [alpha_lift])[:, 0]]) % n
+        expected = (chi[powers[h]] + chi[group.commutator_table(h, [alpha_lift])[:, 0]]) % n
         for g, want in zip(h.tolist(), expected.tolist()):
             if reference[g] != want:
                 report.fail(

@@ -71,12 +71,6 @@ def is_two_step_nilpotent(group: FiniteGroup) -> bool:
     return group.center().contains_subgroup(group.commutator_subgroup())
 
 
-def central_involutions(group: FiniteGroup) -> set[int]:
-    """Central elements of order at most 2, as a set; the checks read the
-    same elements from ``FiniteGroup.central_involution_mask``."""
-    return abelian.involution_set(group) & set(group.center().members)
-
-
 def squares_times(group: FiniteGroup, normal: Subgroup) -> Subgroup:
     """The subgroup G^2 N generated by all squares and a normal subgroup N."""
     return group._generated_by_mask(np.concatenate([group.powers(2), np.asarray(normal.members)]))
@@ -243,6 +237,23 @@ def _power_row(group: FiniteGroup, x: int, m: int) -> np.ndarray:
     return row
 
 
+def miller_lift(group: FiniteGroup, sub: Subgroup) -> int:
+    """The minimal id of the coset that is the product of all elements of
+    G/H, for H containing [G,G].
+
+    G/H is abelian, so that product is the coset of the product in G of
+    the coset representatives, taken in any order; no quotient table is
+    built.
+    """
+    if not sub.contains_subgroup(group.commutator_subgroup()):
+        raise PreconditionFailed("G/H is not abelian: [G,G] is not inside H")
+    reps, pos = group.coset_positions(sub)
+    product = group.identity_id
+    for r in reps.tolist():
+        product = group.mul(product, r)
+    return reps.item(pos[product])
+
+
 def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction:
     """Compute phi for an abelian normal H with abelian quotient in a
     two-step nilpotent group, verifying every structural property:
@@ -279,7 +290,7 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     lifts = reps[list(dec.generators)].tolist()
 
     # alpha = product over all of G/H; alpha_i = product over the complement of <t_i>
-    alpha_lift = reps.item(abelian.subgroup_product(quot, quot.elements()))
+    alpha_lift = miller_lift(group, sub)
     alpha_lifts = []
     for i in range(len(dec.factors)):
         complement = quot.subgroup_generated(dec.generators[:i] + dec.generators[i + 1 :])
@@ -343,33 +354,6 @@ def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
     everything = group.elements()
     report.compare(lhs, group.powers(exponent)[group.commutator_table(everything, everything)])
     report.stats["phi_is_homomorphism"] = bool((lhs == e).all())
-    return report
-
-
-def check_correcting_ratio(
-    group: FiniteGroup, sub1: Subgroup, sub2: Subgroup
-) -> CheckReport:
-    """phi_{G/H'} / phi_{G/H} is a homomorphism into the central involutions."""
-    cf1 = correcting_function(group, sub1)
-    cf2 = correcting_function(group, sub2)
-    if cf1.index != cf2.index:
-        raise PreconditionFailed(
-            f"subgroups have different indices {cf1.index} != {cf2.index}"
-        )
-    table, inv = group.table, group.inverse
-    values = table[cf2.values, inv[cf1.values]]
-    report = CheckReport(
-        "correcting_function_ratio",
-        True,
-        stats={"group": group.label, "index": cf1.index},
-    )
-    # the loop and the comparison share one identity key, which keeps at
-    # most MAX_COUNTEREXAMPLES witnesses in all
-    off = np.flatnonzero(~group.central_involution_mask[values])
-    for g in off[:MAX_COUNTEREXAMPLES].tolist():
-        v = int(values[g])
-        report.fail(g=g, lhs=v, rhs=int(table[v, v]))
-    report.compare(values[table], table[np.ix_(values, values)])
     return report
 
 

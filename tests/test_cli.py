@@ -268,22 +268,21 @@ def test_library_has_no_assert_statements():
         assert not found, f"{path.name} uses assert at lines {found}"
 
 
-# The definitions of src/hrep that may call QmodZ(...): the class itself, the
-# shared residue-to-exponent table, and the references that work in exponents.
-QMODZ_BUILDERS = {"QmodZ", "_exponents", "det_formula", "MonomialMatrix", "monomial_det"}
+# The definitions of src/hrep that may call QmodZ(...): the class itself and
+# the shared residue-to-exponent table.
+QMODZ_BUILDERS = {"QmodZ", "_exponents"}
 
 
 def test_qmodz_is_built_only_at_the_report_boundary():
-    """Everywhere else a value is a residue mod N; module constants such as
-    ZERO and HALF are allowed too."""
+    """Everywhere else a value is a residue mod N, module constants
+    included."""
     found = {}
     for path in sorted((SRC / "hrep").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = {
             id(node)
             for top in tree.body
-            if isinstance(top, (ast.Assign, ast.AnnAssign))
-            or (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in QMODZ_BUILDERS)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in QMODZ_BUILDERS
             for node in ast.walk(top)
         }
         lines = [
@@ -325,38 +324,16 @@ def test_groups_are_not_mutated_after_construction():
 
 
 # Public definitions that nothing in src/ references but that stay, with the
-# reason each one is kept; methods are named Class.method.
-UNREFERENCED_ALLOWED = {
-    "symplectic_basis": "the paper's splitting of G/Z into hyperbolic planes",
-    "check_correcting_ratio": "the paper's ratio formula for the correcting function",
-    "check_homomorphism": "the tests' reference check that Ind(x) Ind(y) = Ind(xy)",
-    "trivial_character": "the tests build trivial characters of subgroups with it",
-    "FiniteGroup.subgroup": "validated construction of a subgroup from an explicit member list",
-    "QmodZ.parse": "the inverse of the report format, which the tests parse",
-    "central_involutions": (
-        "the central involutions as a set, the tests' reference for "
-        "FiniteGroup.central_involution_mask"
-    ),
-    "LinearCharacter.restrict": (
-        "omega|_Z and omega|_H of the paper's twist chi * omega|_Z, which the tests' "
-        "per-twist reference builds"
-    ),
-    "HeisenbergPair.x_value": (
-        "the paper's pairing X(g1, g2) = chi([g1, g2]) at one pair of elements, the "
-        "tests' reference for the residue matrix x_on_quotient"
-    ),
-    "QmodZ.is_zero": "the tests' check that a pairing or character value is trivial",
-}
+# reason each one is kept; methods are named Class.method. The tests'
+# references live in tests/reference.py, not here.
+UNREFERENCED_ALLOWED: dict[str, str] = {}
 
 
-def test_every_public_definition_is_referenced_in_src():
-    """Each public top-level function or class of src/hrep, and each public
-    method of those classes, is referenced somewhere in src/ outside its own
-    definition (imports count)."""
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted((SRC / "hrep").glob("*.py"))
-    }
+def unreferenced_definitions(sources: dict[str, str]) -> set[str]:
+    """The public top-level functions and classes, and the public methods of
+    those classes, of the modules in ``sources`` ({module: source}) that no
+    module references outside the definition itself (imports count)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
 
     def referenced(tree, skip=frozenset()):
         names = set()
@@ -392,7 +369,30 @@ def test_every_public_definition_is_referenced_in_src():
                 inside = {id(n) for n in ast.walk(item)}
                 if item.name not in elsewhere[module] | referenced(tree, inside):
                     unreferenced.add(name)
-    assert unreferenced == set(UNREFERENCED_ALLOWED)
+    return unreferenced
+
+
+def src_sources() -> dict[str, str]:
+    return {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted((SRC / "hrep").glob("*.py"))
+    }
+
+
+def test_every_public_definition_is_referenced_in_src():
+    """Each public top-level function or class of src/hrep, and each public
+    method of those classes, is referenced somewhere in src/ outside its own
+    definition (imports count)."""
+    assert unreferenced_definitions(src_sources()) == set(UNREFERENCED_ALLOWED)
+
+
+@pytest.mark.parametrize("module", ["transfer", "orphan_module"])
+def test_the_reference_scan_reports_an_injected_orphan(module):
+    """A public function that nothing calls is reported, whether it is added
+    to an existing module or arrives in a new one."""
+    sources = src_sources()
+    sources[module] = sources.get(module, "") + "\n\ndef orphan():\n    ...\n"
+    assert unreferenced_definitions(sources) == {"orphan"} | set(UNREFERENCED_ALLOWED)
 
 
 # -- file input --------------------------------------------------------------------

@@ -22,12 +22,13 @@ from hrep.group_core import (
     heisenberg_mod,
     quaternion8,
 )
+from reference import central_involutions, check_correcting_ratio, subgroup
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
 
 
 def rotations(d8):
-    return d8.subgroup([E, A, A2, A3])
+    return subgroup(d8, [E, A, A2, A3])
 
 
 # -- the definition -----------------------------------------------------------------
@@ -321,7 +322,7 @@ def test_correcting_function_d8():
     cf = tr.correcting_function(d8, rotations(d8))
     assert cf.values[A] == A2  # T(a) = e = a^2 * a^2
     assert cf.index == 2
-    z2 = tr.central_involutions(d8)
+    z2 = central_involutions(d8)
     assert set(cf.values) <= z2
     # trivial on squares
     for g in d8.elements():
@@ -330,7 +331,7 @@ def test_correcting_function_d8():
 
 def test_correcting_function_is_recomputable_from_definition():
     d8 = dihedral(8)
-    sub = d8.subgroup([E, B, A2, A2B])
+    sub = subgroup(d8, [E, B, A2, A2B])
     cf = tr.correcting_function(d8, sub)
     d = sub.index()
     values = tr.transfer_table(d8, sub)
@@ -365,7 +366,7 @@ def test_generator_formula_complement_independence():
         (heisenberg_mod(2), None),
     ]:
         sub = (
-            g.subgroup(sub_members)
+            subgroup(g, sub_members)
             if sub_members is not None
             else g.center()
         )
@@ -480,15 +481,15 @@ def test_cocycle_names_the_first_nontrivial_phi_value_for_odd_index(monkeypatch)
 def test_correcting_ratio_same_subgroup_trivial():
     d8 = dihedral(8)
     sub = rotations(d8)
-    report = tr.check_correcting_ratio(d8, sub, sub)
+    report = check_correcting_ratio(d8, sub, sub)
     assert report.passed
 
 
 def test_correcting_ratio_d8_two_isotropics():
     d8 = dihedral(8)
     h_rot = rotations(d8)
-    h1 = d8.subgroup([E, B, A2, A2B])
-    report = tr.check_correcting_ratio(d8, h_rot, h1)
+    h1 = subgroup(d8, [E, B, A2, A2B])
+    report = check_correcting_ratio(d8, h_rot, h1)
     assert report.passed
     cf1 = tr.correcting_function(d8, h_rot)
     cf2 = tr.correcting_function(d8, h1)
@@ -499,11 +500,11 @@ def test_correcting_ratio_d8_two_isotropics():
 
 def test_correcting_ratio_reports_a_planted_entry_with_real_values(monkeypatch):
     d8 = dihedral(8)
-    h_rot, h1 = rotations(d8), d8.subgroup([E, B, A2, A2B])
+    h_rot, h1 = rotations(d8), subgroup(d8, [E, B, A2, A2B])
     cf1, cf2 = tr.correcting_function(d8, h_rot), tr.correcting_function(d8, h1)
     cf2 = plant(cf2, A, d8.mul(cf2.values[A], A2))
     monkeypatch.setattr(tr, "correcting_function", lambda group, s: cf1 if s is h_rot else cf2)
-    report = tr.check_correcting_ratio(d8, h_rot, h1)
+    report = check_correcting_ratio(d8, h_rot, h1)
     assert not report.passed
     assert_plain_json(report.as_dict())
     ratio = [d8.mul(v2, d8.inv(v1)) for v1, v2 in zip(cf1.values, cf2.values)]
@@ -516,11 +517,11 @@ def test_correcting_ratio_reports_a_planted_entry_with_real_values(monkeypatch):
 
 def test_correcting_ratio_names_a_value_off_the_central_involutions(monkeypatch):
     d8 = dihedral(8)
-    h_rot, h1 = rotations(d8), d8.subgroup([E, B, A2, A2B])
+    h_rot, h1 = rotations(d8), subgroup(d8, [E, B, A2, A2B])
     cf1, cf2 = tr.correcting_function(d8, h_rot), tr.correcting_function(d8, h1)
     cf2 = plant(cf2, A, B)
     monkeypatch.setattr(tr, "correcting_function", lambda group, s: cf1 if s is h_rot else cf2)
-    report = tr.check_correcting_ratio(d8, h_rot, h1)
+    report = check_correcting_ratio(d8, h_rot, h1)
     v = d8.mul(B, d8.inv(cf1.values[A]))
     assert not report.passed
     assert_plain_json(report.as_dict())
@@ -530,7 +531,7 @@ def test_correcting_ratio_names_a_value_off_the_central_involutions(monkeypatch)
 def test_correcting_ratio_heisenberg_trivial():
     g = heisenberg_mod(3)
     insts = [h for h in tr.transfer_instances(g) if h.index() == 3]
-    report = tr.check_correcting_ratio(g, insts[0], insts[1])
+    report = check_correcting_ratio(g, insts[0], insts[1])
     assert report.passed
     cf1 = tr.correcting_function(g, insts[0])
     cf2 = tr.correcting_function(g, insts[1])
@@ -541,7 +542,7 @@ def test_correcting_ratio_index_mismatch():
     g = heisenberg_mod(3)
     insts = tr.transfer_instances(g)
     with pytest.raises(PreconditionFailed):
-        tr.check_correcting_ratio(g, insts[0], insts[1])
+        check_correcting_ratio(g, insts[0], insts[1])
 
 
 # -- classical identities ---------------------------------------------------------------
@@ -735,7 +736,7 @@ def test_conjugation_reports_planted_failures_like_the_pairwise_loop(monkeypatch
     """A wrong transfer table on one conjugate of a non-normal H gives the
     loop's counterexamples: row-major, at most 10."""
     d16 = dihedral(16)
-    sub = d16.subgroup([0, 1])  # <b>, not normal
+    sub = subgroup(d16, [0, 1])  # <b>, not normal
     assert not d16.is_normal(sub)
     other = next(
         m for m in {tuple(sorted(d16.conjugate(g, h) for h in sub)) for g in d16.elements()}
@@ -808,7 +809,7 @@ def reference_correcting_function(group, sub):
     values = tr.transfer_table(group, sub)
     e = group.identity_id
     phi = tuple(group.mul(values[g], group.inv(group.pow(g, d))) for g in group.elements())
-    z2 = tr.central_involutions(group)
+    z2 = central_involutions(group)
     for g, v in enumerate(phi):
         if v not in z2:
             raise IdentityFailed(f"phi({g})={v} is not a central involution")
@@ -898,7 +899,7 @@ def reference_correcting_ratio(group, sub1, sub2):
     ratio = [
         group.mul(v2, group.inv(v1)) for v1, v2 in zip(cf1.values.tolist(), cf2.values.tolist())
     ]
-    z2 = tr.central_involutions(group)
+    z2 = central_involutions(group)
     report = tr.CheckReport(
         "correcting_function_ratio", True, stats={"group": group.label, "index": cf1.index}
     )
@@ -944,7 +945,7 @@ def assert_array_checks_match_references(group):
             )
         for other in instances:
             if other.index() == sub.index():
-                assert outcome(tr.check_correcting_ratio, group, sub, other) == outcome(
+                assert outcome(check_correcting_ratio, group, sub, other) == outcome(
                     reference_correcting_ratio, group, sub, other
                 )
     for sub in group.all_subgroups():
@@ -970,6 +971,46 @@ def test_array_transfer_checks_survive_relabelling(relabel, name, data):
     group = from_name(name)
     sigma = data.draw(st.permutations(range(group.order)))
     assert_array_checks_match_references(relabel(group, sigma))
+
+
+MILLER_ZOO = (
+    "d8", "q8", "d16", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "heis4", "prod:d8,c3",
+    "ab:2,2,2,2", "ab:2,4", "ab:3,9", "ab:2,6",
+)
+
+
+def quotient_miller_lift(group, sub):
+    """The product of all elements of G/H read from the quotient table,
+    lifted to the minimal id of its coset."""
+    quot, _ = group.quotient(sub)
+    return quot.coset_reps.item(abelian.subgroup_product(quot, quot.elements()))
+
+
+def assert_miller_lift_matches_the_quotient(group):
+    subs = tr.coabelian_subgroups(group)
+    assert subs
+    for sub in subs:
+        assert tr.miller_lift(group, sub) == quotient_miller_lift(group, sub)
+
+
+@pytest.mark.parametrize("name", MILLER_ZOO)
+def test_miller_lift_matches_the_quotient_product(name):
+    """On every subgroup between [G,G] and G, the product of the coset
+    representatives names the same coset as the Miller product of G/H."""
+    assert_miller_lift_matches_the_quotient(from_name(name))
+
+
+def test_miller_lift_survives_relabelling(relabel):
+    group = from_name("prod:d8,c3")
+    sigma = list(range(group.order))
+    random.Random(7).shuffle(sigma)
+    assert_miller_lift_matches_the_quotient(relabel(group, sigma))
+
+
+def test_miller_lift_refuses_a_subgroup_without_the_commutators():
+    d8 = dihedral(8)
+    with pytest.raises(PreconditionFailed):
+        tr.miller_lift(d8, subgroup(d8, [E, B]))
 
 
 def planted_transfer_tables(monkeypatch, group, sub, plants):
@@ -1090,7 +1131,7 @@ def test_correcting_ratio_reports_planted_values_like_the_loop(monkeypatch):
     and the same entry of both moved off the centre: the array ratio
     check reports what the per-element loop reports."""
     d8 = dihedral(8)
-    h_rot, h1 = rotations(d8), d8.subgroup([E, B, A2, A2B])
+    h_rot, h1 = rotations(d8), subgroup(d8, [E, B, A2, A2B])
     cf1, cf2 = tr.correcting_function(d8, h_rot), tr.correcting_function(d8, h1)
     plants = [(plant(cf1, g, v), cf2) for g in d8.elements() for v in d8.elements()]
     plants += [(cf1, plant(cf2, g, v)) for g in d8.elements() for v in d8.elements()]
@@ -1099,7 +1140,7 @@ def test_correcting_ratio_reports_planted_values_like_the_loop(monkeypatch):
         monkeypatch.setattr(
             tr, "correcting_function", lambda group, s: planted1 if s is h_rot else planted2
         )
-        got = tr.check_correcting_ratio(d8, h_rot, h1).as_dict()
+        got = check_correcting_ratio(d8, h_rot, h1).as_dict()
         assert got == reference_correcting_ratio(d8, h_rot, h1).as_dict()
         assert_plain_json(got)
 
