@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from . import abelian, transfer
-from .errors import EnumerationBoundExceeded, HrepError, IdentityFailed, InvalidSpec
+from .errors import EnumerationBoundExceeded, HrepError, IdentityFailed, InvalidSpec, unwrap
 from .group_core import FiniteGroup, construct_spec, from_cayley_table, from_name
 from .heisenberg import PAIR_ENUM_BOUND, enumerate_pairs
 from .induced_det import (
@@ -137,11 +137,12 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
     pairs = enumerate_pairs(group, max_order=config.max_order)
     instances = transfer.transfer_instances(group)
     two_step = transfer.is_two_step_nilpotent(group)
+    cocycles = transfer.check_correcting_cocycles(group, instances) if two_step else []
     for i, sub in enumerate(instances):
         if two_step and sub.index() % 2 == 1:
             run(f"odd_index_transfer[{i}]", lambda s=sub: transfer.check_odd_index_transfer(group, s))
         if two_step:
-            run(f"correcting_cocycle[{i}]", lambda s=sub: transfer.check_correcting_cocycle(group, s))
+            run(f"correcting_cocycle[{i}]", lambda c=cocycles[i]: unwrap(c))
         run(
             f"transfer_identities[{i}]",
             lambda s=sub, first=(i == 0): transfer.check_transfer_identities(

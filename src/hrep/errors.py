@@ -10,6 +10,14 @@ def math_check(condition: bool, message: str) -> None:
         raise IdentityFailed(message)
 
 
+def unwrap(outcome):
+    """The value a batched computation gave for one input: raise it if it
+    is the HrepError that input raised, else return it."""
+    if isinstance(outcome, HrepError):
+        raise outcome
+    return outcome
+
+
 class HrepError(Exception):
     """Base class for all errors raised by this package."""
 

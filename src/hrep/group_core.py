@@ -16,7 +16,8 @@ Conventions used throughout the package:
   Structural data (center, commutator subgroup, lower central series,
   conjugacy classes, central involutions, the coabelian subgroups, and
   per subgroup the coset action, the raw transfer products and the
-  checked transfer table) is computed lazily and cached. The caches are
+  checked transfer table, and the coordinates of G^ab that
+  ``abelian.coordinates`` keeps) is computed lazily and cached. The caches are
   memos of pure functions of the immutable table, so two threads that
   fill one race only to store equal values;
 * [G,G] and each term of the lower central series are read from one
@@ -174,6 +175,8 @@ class FiniteGroup:
         self._transfer_cache: dict[tuple[int, ...], np.ndarray] = {}
         # filled by transfer.transfer_table: the homomorphism-checked table
         self._transfer_table_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # filled by abelian.coordinates: G^ab read on the elements of G
+        self._abelian_coordinates = None
         self._skeleton_cache: dict[tuple[int, ...], CosetSkeleton] = {}
 
     # -- element operations -------------------------------------------------

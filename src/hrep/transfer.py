@@ -18,11 +18,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import abelian
-from .errors import IdentityFailed, PreconditionFailed, math_check as _math_check
+from .errors import (
+    HrepError,
+    IdentityFailed,
+    PreconditionFailed,
+    math_check as _math_check,
+    unwrap,
+)
 from .group_core import FiniteGroup, Subgroup
 
 # Randomly shifted transversals tried by transversal_independence_check.
@@ -30,6 +37,12 @@ TRANSVERSAL_TRIALS = 10
 
 # A report keeps this many witnesses of each failed identity.
 MAX_COUNTEREXAMPLES = 10
+
+# The correcting functions and cocycle identities of equal-index instances
+# are checked in blocks whose stacked arrays, (k, n) rows and (k, n, n)
+# tables, each stay under this many bytes, so a block adds little to the
+# peak memory of one instance.
+BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -229,14 +242,6 @@ class CorrectingFunction:
     index: int
 
 
-def _power_row(group: FiniteGroup, x: int, m: int) -> np.ndarray:
-    """x^a for a = 0, ..., m-1."""
-    row = np.full(m, group.identity_id, dtype=np.int64)
-    for a in range(1, m):
-        row[a] = group.table[row[a - 1], x]
-    return row
-
-
 def miller_lift(group: FiniteGroup, sub: Subgroup) -> int:
     """The minimal id of the coset that is the product of all elements of
     G/H, for H containing [G,G].
@@ -259,6 +264,9 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
     two-step nilpotent group, verifying every structural property:
 
     * values are central of order at most 2 and constant on G^2[G,G]-cosets;
+    * G/H, read from the coordinates of G^ab (``abelian.coordinates``), is
+      Z/m_1 x ... x Z/m_s with lifts t_i: the m_i multiply to [G:H] and
+      each t_i^{m_i} lies in H;
     * the generator formulas T(t_i) = t_i^d [t_i^{m_i}, alpha_i] and
       T(h) = h^d [h, alpha] hold, where alpha_i and alpha are the products
       over the complement of <t_i> in G/H and over all of G/H;
@@ -266,95 +274,238 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
       the transfer values accordingly.
 
     Every property is one array test over G, raising at its first failing
-    element in id order.
+    element in id order. This is ``correcting_functions`` on one subgroup.
     """
-    d = _power_rule_preconditions(group, sub, need_odd=False)
-    values = transfer_table(group, sub)
-    table, inv = group.table, group.inverse
-    e = group.identity_id
+    (outcome,) = correcting_functions(group, [sub])
+    return unwrap(outcome)
+
+
+def correcting_functions(
+    group: FiniteGroup, subs: Sequence[Subgroup]
+) -> list[CorrectingFunction | HrepError]:
+    """``correcting_function`` on each subgroup: its value, or the HrepError
+    it raises, in order. Instances of one index are checked together, in
+    blocks of stacked (k, n) arrays; each row fails at its own first
+    witness, and a failure fails only its own row."""
+    outcomes: list = [None] * len(subs)
+    for positions, results in _correcting_blocks(group, subs):
+        for pos, result in zip(positions, results):
+            outcomes[pos] = result
+    return outcomes
+
+
+def _correcting_blocks(group: FiniteGroup, subs: Sequence[Subgroup]):
+    """(positions, outcomes) of ``correcting_function`` on the subgroups:
+    each one that fails the preconditions alone, then blocks of one index."""
+    pending: dict[int, list[int]] = {}
+    for pos, sub in enumerate(subs):
+        try:
+            d = _power_rule_preconditions(group, sub, need_odd=False)
+        except HrepError as exc:
+            yield [pos], [exc]
+            continue
+        pending.setdefault(d, []).append(pos)
+    # G/H has at most log2 n invariant factors, one (n, s) coordinate
+    # array per row of a block
+    s_bound = max(1, group.order.bit_length() - 1)
+    for d, block in _blocks(pending, group.order * s_bound):
+        try:
+            results = _correcting_block(group, [subs[p] for p in block], d)
+        except HrepError as exc:
+            results = [exc] * len(block)
+        yield block, results
+
+
+def _blocks(pending: dict[int, list[int]], row_size: int):
+    """(d, positions) for each block of the positions listed under index
+    d, cut so that a stack of one row of ``row_size`` int64 values per
+    position fits in BLOCK_BYTES."""
+    size = max(1, BLOCK_BYTES // (8 * row_size))
+    for d, positions in pending.items():
+        for start in range(0, len(positions), size):
+            yield d, positions[start : start + size]
+
+
+def _correcting_block(
+    group: FiniteGroup, subs: list[Subgroup], d: int
+) -> list[CorrectingFunction | HrepError]:
+    """The correcting functions of instances of one index d, as stacked
+    (k, n) arrays: row i of every array belongs to ``subs[i]``, and each
+    check below fails a live row at its first witness, in the order in
+    which ``correcting_function`` lists the checks."""
+    k, n = len(subs), group.order
+    table, inv, e = group.table, group.inverse, group.identity_id
+    errors: list[HrepError | None] = [None] * k
+    alive = np.ones(k, dtype=bool)
+    rows = np.arange(k)[:, None]
+
+    def fail(bad: np.ndarray, message) -> None:
+        for i in np.flatnonzero(alive & bad.any(axis=1)).tolist():
+            errors[i] = IdentityFailed(message(i, int(np.argmax(bad[i]))))
+            alive[i] = False
+
+    stacked = []
+    for i, sub in enumerate(subs):
+        try:
+            stacked.append(transfer_table(group, sub))
+        except HrepError as exc:
+            errors[i], alive[i] = exc, False
+            stacked.append(np.full(n, e, dtype=np.int64))
+    values = np.stack(stacked)
     powers = group.powers(d)
 
     phi = table[values, inv[powers]]
-    off = np.flatnonzero(~group.central_involution_mask[phi])
-    if off.size:
-        g = int(off[0])
-        raise IdentityFailed(f"phi({g})={int(phi[g])} is not a central involution")
+    fail(
+        ~group.central_involution_mask[phi],
+        lambda i, g: f"phi({g})={phi.item(i, g)} is not a central involution",
+    )
+    fail(
+        phi != phi[:, group.square_class_reps],
+        lambda i, g: f"phi is not constant on the G^2[G,G]-coset of {g}",
+    )
 
-    moved = np.flatnonzero(phi != phi[group.square_class_reps])
-    if moved.size:
-        raise IdentityFailed(f"phi is not constant on the G^2[G,G]-coset of {moved[0]}")
+    # G/H read from G^ab's coordinates, padded to s columns with factor 1,
+    # lift e and coordinate 0, which every product below ignores
+    ab = abelian.coordinates(group)
+    bases = [ab.quotient_basis(sub.members, d) for sub in subs]
+    s = max(len(basis.factors) for basis in bases)
+    factors = np.ones((k, s), dtype=np.int64)
+    lifts = np.full((k, s), e, dtype=np.int64)
+    coords = np.zeros((k, n, s), dtype=np.int64)
+    for i, basis in enumerate(bases):
+        width = len(basis.factors)
+        factors[i, :width] = basis.factors
+        lifts[i, :width] = basis.lifts
+        coords[i, :, :width] = basis.coords
+    fail(
+        factors.prod(axis=1, keepdims=True) != d,
+        lambda i, _: f"G/H has invariant factors {list(bases[i].factors)}, "
+        f"whose product is not {d}",
+    )
+    # power[a, x] = x^a for every exponent a up to the largest factor
+    power = np.empty((int(factors.max(initial=1)) + 1, n), dtype=np.int64)
+    power[0] = e
+    for a in range(1, power.shape[0]):
+        power[a] = table[power[a - 1], np.arange(n)]
+    masks = np.stack([sub.mask for sub in subs])
+    lifted = power[factors, lifts]
+    fail(
+        ~masks[rows, lifted],
+        lambda i, j: f"t_{j} (element {lifts.item(i, j)}) to the power "
+        f"{factors.item(i, j)} is not in H",
+    )
 
-    quot, proj = group.quotient(sub)
-    dec = abelian.decompose(quot)
-    reps = quot.coset_reps
-    lifts = reps[list(dec.generators)].tolist()
+    # alpha_j (row j, over the factors other than j) and alpha (row s, over
+    # all of them) in coordinates: the product of all elements of a product
+    # of cyclic groups of order N has coordinate (N/m) * m(m-1)/2 mod m in
+    # each factor Z/m
+    order = factors.prod(axis=1)[:, None, None]
+    outer = np.concatenate([order // factors[:, :, None], order], axis=1)
+    alpha_coords = outer * (factors[:, None, :] - 1) // 2 % factors[:, None, :]
+    alpha_coords[:, np.arange(s), np.arange(s)] = 0
+    alphas = np.full((k, s + 1), e, dtype=np.int64)
+    for j in range(s):
+        alphas = table[alphas, power[alpha_coords[:, :, j], lifts[:, j, None]]]
 
-    # alpha = product over all of G/H; alpha_i = product over the complement of <t_i>
-    alpha_lift = miller_lift(group, sub)
-    alpha_lifts = []
-    for i in range(len(dec.factors)):
-        complement = quot.subgroup_generated(dec.generators[:i] + dec.generators[i + 1 :])
-        alpha_lifts.append(reps.item(abelian.subgroup_product(quot, complement.members)))
+    def commutator(x, y):
+        return table[table[table[x, y], inv[x]], inv[y]]
 
-    for i, (m, t, a_i) in enumerate(zip(dec.factors, lifts, alpha_lifts)):
-        want = group.mul(group.pow(t, d), group.commutator(group.pow(t, m), a_i))
-        _math_check(
-            values[t] == want,
-            f"generator formula fails at t_{i} (element {t})",
-        )
-    h = np.asarray(sub.members)
-    want = table[powers[h], group.commutator_table(h, [alpha_lift])[:, 0]]
-    off = h[values[h] != want]
-    if off.size:
-        raise IdentityFailed(f"subgroup formula fails at h={off[0]}")
+    want = table[powers[lifts], commutator(lifted, alphas[:, :s])]
+    fail(
+        (values[rows, lifts] != want) & (factors > 1),
+        lambda i, j: f"generator formula fails at t_{j} (element {lifts.item(i, j)})",
+    )
+    want = table[powers, commutator(np.arange(n), alphas[:, s:])]
+    fail(masks & (values != want), lambda i, g: f"subgroup formula fails at h={g}")
 
-    # coords[g, i] = a_i in g H = t_1^{a_1} ... t_s^{a_s} H; base is that
-    # product of generator powers and acc the same product of their
-    # transfer values, each read from a per-generator power row
-    coords = dec.exponent_coordinates[proj.map]
-    base = np.full(group.order, e, dtype=np.int64)
+    # base and acc: the products of generator powers and of their transfer
+    # values over each element's coordinates; h = base^-1 g
+    base = np.full((k, n), e, dtype=np.int64)
     acc = base.copy()
-    for i, (m, t) in enumerate(zip(dec.factors, lifts)):
-        base = table[base, _power_row(group, t, m)[coords[:, i]]]
-        acc = table[acc, _power_row(group, int(values[t]), m)[coords[:, i]]]
-    h_of = table[inv[base], np.arange(group.order)]
-    acc = table[acc, values[h_of]]
-    outside = ~sub.mask[h_of]
-    bad = np.flatnonzero(outside | (values != acc))
-    if bad.size:
-        g = int(bad[0])
-        if outside[g]:
-            raise IdentityFailed(f"decomposition of {g} does not land in H")
-        raise IdentityFailed(f"transfer does not factor through the decomposition at {g}")
+    generator_values = values[rows, lifts]
+    for j in range(s):
+        base = table[base, power[coords[:, :, j], lifts[:, j, None]]]
+        acc = table[acc, power[coords[:, :, j], generator_values[:, j, None]]]
+    h_of = table[inv[base], np.arange(n)]
+    acc = table[acc, values[rows, h_of]]
+    outside = ~masks[rows, h_of]
+    fail(
+        outside | (values != acc),
+        lambda i, g: f"decomposition of {g} does not land in H"
+        if outside[i, g]
+        else f"transfer does not factor through the decomposition at {g}",
+    )
 
     phi.flags.writeable = False
-    return CorrectingFunction(phi, d)
+    return [
+        CorrectingFunction(phi[i], d) if error is None else error
+        for i, error in enumerate(errors)
+    ]
 
 
-def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
-    """phi(g1 g2) / (phi(g1) phi(g2)) = [g1, g2]^(d(d-1)/2) for all pairs;
-    for odd d, phi is identically trivial."""
-    cf = correcting_function(group, sub)
-    d = cf.index
-    exponent = d * (d - 1) // 2
+def check_correcting_cocycles(
+    group: FiniteGroup, subs: Sequence[Subgroup]
+) -> list[CheckReport | HrepError]:
+    """phi(g1 g2) / (phi(g1) phi(g2)) = [g1, g2]^(d(d-1)/2) for all pairs,
+    and for odd d phi identically trivial, on the correcting function of
+    each subgroup: its report, or the HrepError ``correcting_function``
+    raises on it, in order.
+
+    Each block of correcting functions is compared as soon as it is made,
+    in blocks of stacked (k, n, n) tables against one right-hand side per
+    index, read from one commutator table, so that one block of phi
+    values is held at a time.
+    """
+    outcomes: list = [None] * len(subs)
+    commutators = rhs = rhs_index = None
+    for positions, results in _correcting_blocks(group, subs):
+        pending: dict[int, list[int]] = {}
+        for pos, result in zip(positions, results):
+            outcomes[pos] = result
+            if isinstance(result, CorrectingFunction):
+                pending.setdefault(result.index, []).append(pos)
+        for d, block in _blocks(pending, group.order**2):
+            if commutators is None:
+                everything = group.elements()
+                commutators = group.commutator_table(everything, everything)
+            if d != rhs_index:
+                rhs, rhs_index = group.powers(d * (d - 1) // 2)[commutators], d
+            reports = _cocycle_reports(group, [outcomes[p] for p in block], rhs)
+            for pos, report in zip(block, reports):
+                outcomes[pos] = report
+    return outcomes
+
+
+def _cocycle_reports(
+    group: FiniteGroup, cfs: list[CorrectingFunction], rhs: np.ndarray
+) -> list[CheckReport]:
+    """The cocycle reports of correcting functions of one index d, whose
+    right-hand side [g1, g2]^(d(d-1)/2) is the table ``rhs``."""
+    d = cfs[0].index
     e = group.identity_id
-    report = CheckReport(
-        "correcting_function_cocycle",
-        True,
-        stats={"group": group.label, "index": d, "pairs": group.order**2},
-    )
-    table, phi = group.table, cf.values
-    if d % 2 == 1:
-        moved = np.flatnonzero(phi != e).tolist()
-        report.stats["phi_trivial"] = not moved
-        if moved:
-            report.fail(g=moved[0], lhs=phi.item(moved[0]), rhs=e)
+    table = group.table
+    phi = np.stack([cf.values for cf in cfs])
     # phi values are involutions, so dividing is multiplying
-    lhs = table[table[phi[table], phi[:, None]], phi[None, :]]
-    everything = group.elements()
-    report.compare(lhs, group.powers(exponent)[group.commutator_table(everything, everything)])
-    report.stats["phi_is_homomorphism"] = bool((lhs == e).all())
-    return report
+    lhs = table[table[phi[:, table], phi[:, :, None]], phi[:, None, :]]
+    differs = (lhs != rhs).any(axis=(1, 2))
+    homomorphism = (lhs == e).all(axis=(1, 2))
+    reports = []
+    for i in range(len(cfs)):
+        report = CheckReport(
+            "correcting_function_cocycle",
+            True,
+            stats={"group": group.label, "index": d, "pairs": group.order**2},
+        )
+        if d % 2 == 1:
+            moved = np.flatnonzero(phi[i] != e).tolist()
+            report.stats["phi_trivial"] = not moved
+            if moved:
+                report.fail(g=moved[0], lhs=phi.item(i, moved[0]), rhs=e)
+        if differs[i]:
+            report.compare(lhs[i], rhs)
+        report.stats["phi_is_homomorphism"] = bool(homomorphism[i])
+        reports.append(report)
+    return reports
 
 
 def check_transfer_identities(
@@ -376,23 +527,28 @@ def check_transfer_identities(
     conj = table[table[:, members], inv[:, None]]
 
     # conjugation covariance, row g against the conjugate gHg^-1: one
-    # gather per distinct conjugate, a single one when H is normal
+    # gather per distinct conjugate; a normal H is its own only conjugate,
+    # so every row reads its one table
     moved = table[table[:, base], inv[:, None]]
-    rows_of: dict[tuple[int, ...], list[int]] = {}
-    for g, row in enumerate(np.sort(conj, axis=1).tolist()):
-        rows_of.setdefault(tuple(row), []).append(g)
-    lhs, rhs = np.empty_like(moved), np.empty_like(moved)
-    for key, rows in rows_of.items():
-        csub = sub if key == sub.members else Subgroup(group, key)
-        lhs[rows] = transfer_table(group, csub)
-        rhs[rows] = _mod_derived(group, csub)[moved[rows]]
+    normal = bool(sub.mask[conj].all())
+    if normal:
+        lhs = np.broadcast_to(base, moved.shape)
+        rhs = _mod_derived(group, sub)[moved]
+    else:
+        rows_of: dict[tuple[int, ...], list[int]] = {}
+        for g, row in enumerate(np.sort(conj, axis=1).tolist()):
+            rows_of.setdefault(tuple(row), []).append(g)
+        lhs, rhs = np.empty_like(moved), np.empty_like(moved)
+        for key, rows in rows_of.items():
+            csub = sub if key == sub.members else Subgroup(group, key)
+            lhs[rows] = transfer_table(group, csub)
+            rhs[rows] = _mod_derived(group, csub)[moved[rows]]
     report.compare(lhs, rhs, identity="conjugation")
     report.stats["conjugation_pass"] = bool(np.array_equal(lhs, rhs))
 
-    # image in the fixed central part, for abelian normal H (H is its own
-    # only conjugate); the fixed members are the columns of conj that no
-    # conjugation moves
-    if sub.is_abelian and len(rows_of) == 1:
+    # image in the fixed central part, for abelian normal H; the fixed
+    # members are the columns of conj that no conjugation moves
+    if sub.is_abelian and normal:
         in_fixed = np.zeros(group.order, dtype=bool)
         in_fixed[members[(conj == members).all(axis=0)]] = True
         outside = np.flatnonzero(~in_fixed[base])

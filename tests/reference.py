@@ -23,6 +23,7 @@ from hrep.errors import (
     Degenerate,
     HrepError,
     NotACharacter,
+    NotAbelian,
     NotAGroup,
     PreconditionFailed,
     math_check as _math_check,
@@ -70,6 +71,20 @@ def subgroup(group: FiniteGroup, members) -> Subgroup:
     sub = Subgroup(group, tuple(sorted(set(int(m) for m in members))))
     validate_subgroup(sub)
     return sub
+
+
+def subgroup_product(group: FiniteGroup, members) -> int:
+    """Product over an explicit subset of an abelian group (order irrelevant).
+
+    Over the whole group this is the Miller product: the unique involution
+    when there is exactly one, and the identity otherwise.
+    """
+    if not group.is_abelian:
+        raise NotAbelian(f"{group.label} is not abelian")
+    result = group.identity_id
+    for x in members:
+        result = group.mul(result, x)
+    return result
 
 
 def involution_set(group: FiniteGroup) -> set[int]:
@@ -248,6 +263,17 @@ def check_correcting_ratio(
         v = int(values[g])
         report.fail(g=g, lhs=v, rhs=int(table[v, v]))
     report.compare(values[table], table[np.ix_(values, values)])
+    return report
+
+
+def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
+    """``check_correcting_cocycles`` on one subgroup, with phi read through
+    ``tr.correcting_function``, which a test may replace."""
+    cf = tr.correcting_function(group, sub)
+    d = cf.index
+    everything = group.elements()
+    rhs = group.powers(d * (d - 1) // 2)[group.commutator_table(everything, everything)]
+    (report,) = tr._cocycle_reports(group, [cf], rhs)
     return report
 
 

@@ -18,7 +18,7 @@ from hrep.group_core import (
     from_name,
     heisenberg_mod,
 )
-from reference import involution_set
+from reference import involution_set, subgroup_product
 
 
 def order_census(group):
@@ -244,7 +244,7 @@ def test_decompose_factor_chain_property(factors):
 
 def _miller(group):
     """The Miller product: the product of all elements of the group."""
-    return abelian.subgroup_product(group, group.elements())
+    return subgroup_product(group, group.elements())
 
 
 def test_miller_product_examples():

@@ -563,6 +563,8 @@ VERIFY_STDOUT_SHA256 = {
     ("d16", "json"): "104db6853d7cb44f562c8b927a94fd05611af0ba721e6fa36d65b811a6dc5bb1",
     ("d128", "json"): "4f1c7e93b2b15f4cf15e6bb63d78d084dcd78a9e87a0e27445c5c691dd61de6d",
     ("heis3", "tsv"): "21b17cc2eb932c8a24d0e0ab4b122bfc732779e5be0435cd4a560fde0c2e2b11",
+    ("ab:2,6,12", "json"): "e1b5ac48169f9d3de3015efe3334ea087b7b2cc31d40ba5a1ee5a38712761469",
+    ("prod:d8,d8", "json"): "36201f7661b15727dd6eecb9aa96b2d9649a6df3ed109a16dacb6a400f469463",
 }
 
 

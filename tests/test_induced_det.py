@@ -12,7 +12,7 @@ from conftest import assert_plain_json, character
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrep import char_theory as ct, cli, heisenberg as hb, induced_det as idet, transfer as tr
+from hrep import abelian, char_theory as ct, cli, heisenberg as hb, induced_det as idet, transfer as tr
 from hrep.char_theory import QmodZ, extend_character, extend_character_all
 from hrep.errors import (
     IdentityFailed,
@@ -401,6 +401,49 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     instances = {sub.members for sub in tr.transfer_instances(group)}
     assert instances and instances <= {members for g, members in transfer_checks if g is group}
     assert set(transfer_checks.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ("ab:2,2,2,2", "heis3"))
+def test_verify_transfer_checks_build_no_quotient_per_instance(monkeypatch, capsys, name):
+    """While verify's transfer checks run, no quotient group is built, and
+    abelian.decompose runs at most once, for G^ab: each G/H is read from
+    G^ab's coordinates. The checks still cover every transfer instance."""
+    inside = [0]
+    counts = Counter()
+
+    def checking(real):
+        def wrapper(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += inside[0] > 0
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for check in (
+        "check_correcting_cocycles",
+        "check_odd_index_transfer",
+        "check_transfer_identities",
+        "transversal_independence_check",
+    ):
+        monkeypatch.setattr(tr, check, checking(getattr(tr, check)))
+    monkeypatch.setattr(FiniteGroup, "quotient", counting("quotient", FiniteGroup.quotient))
+    monkeypatch.setattr(abelian, "decompose", counting("decompose", abelian.decompose))
+    assert cli.main(["verify", "--builtin", name]) == 0
+    report = json.loads(capsys.readouterr().out)
+    n_instances = len(tr.transfer_instances(from_name(name)))
+    cocycles = [c for c in report["checks"] if c["check"] == "correcting_function_cocycle"]
+    assert len(cocycles) == n_instances > 0
+    assert counts["quotient"] == 0
+    assert counts["decompose"] <= 1
 
 
 def test_rejects_non_extension():

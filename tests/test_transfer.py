@@ -1,6 +1,8 @@
 """Transfer maps: definition, closed forms, correcting functions, and the
 classical identities."""
 
+import itertools
+import math
 import random
 import re
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrep import abelian, transfer as tr
-from hrep.errors import IdentityFailed, PreconditionFailed
+from hrep.errors import IdentityFailed, PreconditionFailed, unwrap
 from hrep.group_core import (
     Subgroup,
     abelian_group,
@@ -22,7 +24,13 @@ from hrep.group_core import (
     heisenberg_mod,
     quaternion8,
 )
-from reference import central_involutions, check_correcting_ratio, subgroup
+from reference import (
+    central_involutions,
+    check_correcting_cocycle,
+    check_correcting_ratio,
+    subgroup,
+    subgroup_product,
+)
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
 
@@ -380,7 +388,7 @@ def test_generator_formula_complement_independence():
             results = set()
             for cand in quot.all_subgroups():
                 if len(cand) == want and len(cyc & set(cand.members)) == 1:
-                    alpha = abelian.subgroup_product(quot, cand.members)
+                    alpha = subgroup_product(quot, cand.members)
                     results.add(g.commutator(g.pow(t, m), reps[alpha]))
             assert len(results) == 1
 
@@ -388,7 +396,7 @@ def test_generator_formula_complement_independence():
 def test_cocycle_identity_abelian_trivial():
     g = abelian_group([2, 6])
     for sub in g.all_subgroups():
-        report = tr.check_correcting_cocycle(g, sub)
+        report = check_correcting_cocycle(g, sub)
         assert report.passed
         assert report.stats["phi_is_homomorphism"]
 
@@ -396,7 +404,7 @@ def test_cocycle_identity_abelian_trivial():
 def test_cocycle_identity_heisenberg_odd():
     g = heisenberg_mod(3)
     sub = tr.transfer_instances(g)[1]
-    report = tr.check_correcting_cocycle(g, sub)
+    report = check_correcting_cocycle(g, sub)
     assert report.passed
     assert report.stats["phi_trivial"]
 
@@ -408,7 +416,7 @@ def test_cocycle_identity_d8_pair_value():
     # phi(ab)/(phi(a)phi(b)) must equal [a,b]^1 = a^2
     lhs = d8.mul(d8.mul(cf.values[d8.mul(A, B)], cf.values[A]), cf.values[B])
     assert lhs == d8.commutator(A, B) == A2
-    report = tr.check_correcting_cocycle(d8, sub)
+    report = check_correcting_cocycle(d8, sub)
     assert report.passed
     assert not report.stats["phi_is_homomorphism"]
 
@@ -422,7 +430,7 @@ def test_cocycle_identity_heisenberg4_index_four():
     sixth = {g.pow(g.commutator(x, y), 6) for x in g.elements() for y in g.elements()}
     assert sixth != {g.identity_id}
     for sub in instances:
-        report = tr.check_correcting_cocycle(g, sub)
+        report = check_correcting_cocycle(g, sub)
         assert report.passed, report.counterexamples
         assert not report.stats["phi_is_homomorphism"]
 
@@ -452,7 +460,7 @@ def test_cocycle_reports_a_planted_phi_entry_with_real_values(monkeypatch):
     planted = plant(cf, B, d8.mul(cf.values[B], A2))
     phi = planted.values
     monkeypatch.setattr(tr, "correcting_function", lambda group, s: planted)
-    report = tr.check_correcting_cocycle(d8, sub)
+    report = check_correcting_cocycle(d8, sub)
     assert not report.passed
     assert_plain_json(report.as_dict())
     expected = failing_pairs(
@@ -471,7 +479,7 @@ def test_cocycle_names_the_first_nontrivial_phi_value_for_odd_index(monkeypatch)
     cf = tr.correcting_function(g, sub)
     assert cf.index % 2 == 1
     monkeypatch.setattr(tr, "correcting_function", lambda group, s: plant(cf, 5, z))
-    report = tr.check_correcting_cocycle(g, sub)
+    report = check_correcting_cocycle(g, sub)
     assert not report.passed
     assert_plain_json(report.as_dict())
     assert report.stats["phi_trivial"] is False
@@ -803,8 +811,27 @@ def test_power_image_iff_central_correcting_values():
 # -- the array checks against the per-element loops they replaced ---------------------
 
 
+def coordinate_basis(group, sub):
+    """The basis of G/H read from G^ab's coordinates, checked by loops
+    against the quotient group: the invariant factors of
+    decompose(G/H), each lift of order m_i modulo H, and every element
+    rebuilt modulo H from its coordinates."""
+    basis = abelian.coordinates(group).quotient_basis(sub.members, sub.index())
+    quot, _ = group.quotient(sub)
+    assert basis.factors == abelian.decompose(quot).factors
+    for t, m in zip(basis.lifts, basis.factors):
+        assert [k for k in range(1, m + 1) if group.pow(t, k) in sub] == [m]
+    for g in group.elements():
+        base = group.identity_id
+        for t, a in zip(basis.lifts, basis.coords[g].tolist()):
+            base = group.mul(base, group.pow(t, a))
+        assert group.mul(group.inv(base), g) in sub
+    return basis
+
+
 def reference_correcting_function(group, sub):
-    """correcting_function as per-element loops over pow, mul and sets."""
+    """correcting_function as per-element loops over pow, mul and sets, on
+    the generators of the coordinate basis."""
     d = tr._power_rule_preconditions(group, sub, need_odd=False)
     values = tr.transfer_table(group, sub)
     e = group.identity_id
@@ -818,22 +845,24 @@ def reference_correcting_function(group, sub):
     for g, v in enumerate(phi):
         if by_coset.setdefault(pos[g], v) != v:
             raise IdentityFailed(f"phi is not constant on the G^2[G,G]-coset of {g}")
-    quot, proj = group.quotient(sub)
-    dec = abelian.decompose(quot)
-    reps = quot.coset_reps
-    lifts = tuple(reps[t] for t in dec.generators)
-    alpha_lift = reps[abelian.subgroup_product(quot, quot.elements())]
-    for i, (m, t) in enumerate(zip(dec.factors, lifts)):
-        others = [u for j, u in enumerate(dec.generators) if j != i]
-        alpha_i = reps[abelian.subgroup_product(quot, quot.subgroup_generated(others).members)]
+    basis = coordinate_basis(group, sub)
+    factors, lifts = basis.factors, basis.lifts
+    quot, _ = group.quotient(sub)
+    alpha_lift = quot.coset_reps[subgroup_product(quot, quot.elements())]
+    for i, (m, t) in enumerate(zip(factors, lifts)):
+        # alpha_i: every product of powers of the other lifts, multiplied in G
+        others = [j for j in range(len(factors)) if j != i]
+        alpha_i = e
+        for exps in itertools.product(*(range(factors[j]) for j in others)):
+            for j, a in zip(others, exps):
+                alpha_i = group.mul(alpha_i, group.pow(lifts[j], a))
         if values[t] != group.mul(group.pow(t, d), group.commutator(group.pow(t, m), alpha_i)):
             raise IdentityFailed(f"generator formula fails at t_{i} (element {t})")
     for h in sub.members:
         if values[h] != group.mul(group.pow(h, d), group.commutator(h, alpha_lift)):
             raise IdentityFailed(f"subgroup formula fails at h={h}")
-    coords = dec.exponent_coordinates
     for g in group.elements():
-        tup = coords[proj(g)]
+        tup = basis.coords[g].tolist()
         base = e
         for t, a in zip(lifts, tup):
             base = group.mul(base, group.pow(t, a))
@@ -983,7 +1012,7 @@ def quotient_miller_lift(group, sub):
     """The product of all elements of G/H read from the quotient table,
     lifted to the minimal id of its coset."""
     quot, _ = group.quotient(sub)
-    return quot.coset_reps.item(abelian.subgroup_product(quot, quot.elements()))
+    return quot.coset_reps.item(subgroup_product(quot, quot.elements()))
 
 
 def assert_miller_lift_matches_the_quotient(group):
@@ -1191,3 +1220,151 @@ def test_transversal_independence_names_the_trial_of_a_wrong_fold(monkeypatch):
     assert not report.passed
     assert_plain_json(report.as_dict())
     assert [(c["trial"], c["g"]) for c in report.counterexamples] == [(2, 7)]
+
+
+# -- G/H from the coordinates of G^ab, and blocks of equal-index instances ----------
+
+
+BASIS_ZOO = ARRAY_CHECK_ZOO + ("ab:2,6,12", "ab:4,4", "ab:3,3,3", "prod:d8,d8")
+
+
+def basis_zoo(relabel, name):
+    """The named group and one seeded relabelling of it."""
+    group = from_name(name)
+    sigma = list(range(group.order))
+    random.Random(f"{name}:basis").shuffle(sigma)
+    return group, relabel(group, sigma)
+
+
+@pytest.mark.parametrize("name", BASIS_ZOO)
+def test_coordinate_basis_matches_the_quotient_group(relabel, name):
+    """Every transfer instance: the basis read from G^ab's coordinates has
+    the invariant factors of decompose(G/H), each lift has order m_i in
+    G/H, and every element is rebuilt modulo H from its coordinates."""
+    for group in basis_zoo(relabel, name):
+        instances = tr.transfer_instances(group)
+        assert instances
+        for sub in instances:
+            basis = coordinate_basis(group, sub)
+            assert basis.coords.dtype == np.int64 and not basis.coords.flags.writeable
+            assert basis.coords.shape == (group.order, len(basis.factors))
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=4))
+def test_coordinate_basis_of_every_subgroup_of_an_abelian_group(factors):
+    """Random products of cyclic groups, so that Smith forms mix primes and
+    exponents: the basis of G/H for every subgroup H passes the loops."""
+    while math.prod(factors) > 96:
+        factors = factors[:-1]
+    group = abelian_group(factors)
+    for sub in group.all_subgroups():
+        coordinate_basis(group, sub)
+
+
+def block_outcomes(outcomes):
+    """Each outcome of a block entry as ``outcome`` renders a single call."""
+    return [outcome(unwrap, result) for result in outcomes]
+
+
+@pytest.mark.parametrize("name", BASIS_ZOO)
+@pytest.mark.parametrize("blocks", ("default", "pairs"))
+def test_block_entries_match_one_instance_at_a_time(monkeypatch, relabel, name, blocks):
+    """The block entries give, for each instance, what the instance gives
+    alone: the correcting function's values and the cocycle report, at the
+    default block size and with blocks cut to two rows."""
+    for group in basis_zoo(relabel, name):
+        instances = tr.transfer_instances(group)
+        singles = [outcome(tr.correcting_function, group, s) for s in instances]
+        cocycles = [outcome(check_correcting_cocycle, group, s) for s in instances]
+        with monkeypatch.context() as patch:
+            if blocks == "pairs":
+                patch.setattr(tr, "BLOCK_BYTES", 2 * 8 * group.order**2)
+            assert block_outcomes(tr.correcting_functions(group, instances)) == singles
+            assert block_outcomes(tr.check_correcting_cocycles(group, instances)) == cocycles
+
+
+def equal_index_block(group):
+    """The transfer instances of the index with the most of them."""
+    instances = tr.transfer_instances(group)
+    index = max({s.index() for s in instances}, key=lambda d: sum(s.index() == d for s in instances))
+    return [s for s in instances if s.index() == index]
+
+
+@pytest.mark.parametrize("name", ("d8", "ab:2,2,2", "heis4", "prod:d8,c3"))
+def test_a_table_planted_in_one_instance_fails_only_that_instance(monkeypatch, name):
+    """A transfer value planted in one instance of a block changes that
+    instance's outcome, to what it gives alone, and no other."""
+    group = from_name(name)
+    block = equal_index_block(group)
+    assert len(block) > 2
+    clean = block_outcomes(tr.check_correcting_cocycles(group, block))
+    clean_phi = block_outcomes(tr.correcting_functions(group, block))
+    for i in (0, len(block) // 2, len(block) - 1):
+        sub = block[i]
+        x = next(x for x in group.elements() if x != group.identity_id)
+        wrong = next(h for h in sub.members if h != tr.transfer_table(group, sub)[x])
+        with monkeypatch.context() as patch:
+            planted_transfer_tables(patch, group, sub, {x: wrong})
+            alone = outcome(check_correcting_cocycle, group, sub)
+            alone_phi = outcome(tr.correcting_function, group, sub)
+            got = block_outcomes(tr.check_correcting_cocycles(group, block))
+            got_phi = block_outcomes(tr.correcting_functions(group, block))
+        assert isinstance(alone, str) and alone != clean[i]
+        assert got == clean[:i] + [alone] + clean[i + 1 :]
+        assert got_phi == clean_phi[:i] + [alone_phi] + clean_phi[i + 1 :]
+
+
+@pytest.mark.parametrize("name", ("d8", "ab:2,2,2", "heis4"))
+def test_a_phi_planted_in_one_instance_fails_only_its_cocycle(monkeypatch, name):
+    """One correcting function of a block with a value moved by a central
+    involution: its cocycle report fails as it does alone, and the other
+    reports are unchanged."""
+    group = from_name(name)
+    block = equal_index_block(group)
+    clean = block_outcomes(tr.check_correcting_cocycles(group, block))
+    z = next(x for x in group.elements() if x != group.identity_id and group.central_involution_mask[x])
+    real_block = tr._correcting_block
+    for i in (0, len(block) - 1):
+        cf = tr.correcting_function(group, block[i])
+        planted = plant(cf, 1, group.mul(cf.values[1], z))
+
+        def planting(grp, subs, d):
+            results = real_block(grp, subs, d)
+            return [planted if s is block[i] else r for s, r in zip(subs, results)]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tr, "_correcting_block", planting)
+            got = block_outcomes(tr.check_correcting_cocycles(group, block))
+            patch.setattr(tr, "correcting_function", lambda grp, s: planted)
+            alone = outcome(check_correcting_cocycle, group, block[i])
+        assert alone != clean[i] and not alone["pass"]
+        assert got == clean[:i] + [alone] + clean[i + 1 :]
+
+
+def plant_basis(monkeypatch, basis):
+    """Make every quotient basis read from G^ab's coordinates ``basis``."""
+    monkeypatch.setattr(abelian.AbelianCoordinates, "quotient_basis", lambda self, m, d: basis)
+
+
+def test_a_non_split_basis_fails_the_lift_order_check(monkeypatch):
+    """On Z/4 with H trivial, factors (2, 2) with lifts 1 and 2 reach every
+    element exactly once and satisfy every transfer formula, but the lift
+    1 has order 4, so the basis is not a direct decomposition of G/H."""
+    c4 = cyclic(4)
+    trivial = c4.subgroup_generated([])
+    coords = np.array([[g % 2, g // 2] for g in c4.elements()])
+    plant_basis(monkeypatch, abelian.QuotientBasis((2, 2), (1, 2), coords))
+    with pytest.raises(IdentityFailed, match=r"^t_0 \(element 1\) to the power 2 is not in H$"):
+        tr.correcting_function(c4, trivial)
+    (result,) = tr.check_correcting_cocycles(c4, [trivial])
+    assert isinstance(result, IdentityFailed)
+
+
+def test_a_basis_of_the_wrong_order_fails_the_index_check(monkeypatch):
+    c4 = cyclic(4)
+    trivial = c4.subgroup_generated([])
+    coords = np.array([[g % 2] for g in c4.elements()])
+    plant_basis(monkeypatch, abelian.QuotientBasis((2,), (1,), coords))
+    with pytest.raises(IdentityFailed, match=r"^G/H has invariant factors \[2\], whose product is not 4$"):
+        tr.correcting_function(c4, trivial)
