@@ -95,6 +95,21 @@ def multiplicativity_witness(values: np.ndarray, products: np.ndarray, modulus: 
     return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
 
+def whole_group_witness(group: FiniteGroup, values: np.ndarray):
+    """``multiplicativity_witness`` of residues mod G's N over all of G,
+    with values[e] = 0, against G's table: the first failing (x, y) in
+    row-major order, or None.
+
+    The identity is certified on G x S, S = ``group.generators``, which
+    by the lemma on ``FiniteGroup`` proves it on G x G; only when that
+    certificate fails does the full n^2 scan run, to name the first
+    witness, which then exists."""
+    modulus, gens = residue_modulus(group), group.generators
+    if np.array_equal((values[:, None] + values[gens]) % modulus, values[group.table[:, gens]]):
+        return None
+    return multiplicativity_witness(values, values[group.table], modulus)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearCharacter:
     """A multiplicative map from a subgroup's elements into the N-th roots
@@ -139,10 +154,11 @@ class LinearCharacter:
         """Exhaustive multiplicativity check over the whole domain.
 
         Runs on the residues mod the parent's N, against the parent's
-        table restricted to the domain, so the n^2 comparisons stay in
-        integer arrays. A multiplicativity failure carries its first
-        witness (x, y) in row-major order. The character is immutable, so
-        a check that passed is not run again.
+        table restricted to the domain, so the comparisons stay in integer
+        arrays: n |S| of them on all of G (``whole_group_witness``), and
+        m^2 on a subgroup of order m. A multiplicativity failure carries
+        its first witness (x, y) in row-major order. The character is
+        immutable, so a check that passed is not run again.
         """
         self._multiplicative
 
@@ -154,15 +170,15 @@ class LinearCharacter:
         if on_parent[e] != 0:
             raise NotACharacter("character must send the identity to 0/1", witness=(e, e))
         members = np.asarray(self.domain.members)
-        # a full domain reads the parent's table as is, without an n^2 copy,
-        # and is closed under the product
+        # a full domain is closed under the product, and its ids are its
+        # positions
         if len(members) == g.order:
-            products = on_parent[g.table]
+            witness = whole_group_witness(g, on_parent)
         else:
             products = on_parent[g.table[np.ix_(members, members)]]
             if products.min() < 0:
                 raise NotACharacter("domain is not closed under the product")
-        witness = multiplicativity_witness(on_parent[members], products, residue_modulus(g))
+            witness = multiplicativity_witness(on_parent[members], products, residue_modulus(g))
         if witness is not None:
             x, y = (self.domain.members[i] for i in witness)
             raise NotACharacter(f"multiplicativity fails at ({x},{y})", witness=(x, y))

@@ -16,29 +16,37 @@ Conventions used throughout the package:
   Structural data (center, commutator subgroup, lower central series,
   conjugacy classes, central involutions, the coabelian subgroups, and
   per subgroup the coset action, the raw transfer products and the
-  checked transfer table, and the coordinates of G^ab that
-  ``abelian.coordinates`` keeps) is computed lazily and cached. The caches are
+  checked transfer table, the coordinates of G^ab that
+  ``abelian.coordinates`` keeps, and the positions of the random
+  transversal shifts) is computed lazily and cached. The caches are
   memos of pure functions of the immutable table, so two threads that
   fill one race only to store equal values;
-* [G,G] and each term of the lower central series are read from one
+* [G,G] is the normal closure of the commutators of the generators,
+  each later term of the lower central series is read from one
   ``commutator_table`` gather, and power subgroups from one vectorised
   power of every element;
 * the quotient by the trivial subgroup, which ``quotient_by_kernel``
   takes for every faithful pair, shares the parent's validated arrays
-  under a new label, with its own caches; every other table is
-  validated when it is built;
+  (table, inverse and generators) and the parent's table-only memos
+  (element orders, exponent, conjugacy class names, commutativity)
+  under a new label; the caches that hold a ``Subgroup`` are its own,
+  as a subgroup names its parent. Every other table is validated when
+  it is built;
 * validation proves associativity at every order by Light's test, n^2
   lookups for each of at most floor(log2 n) generators; a table that
   fails it is scanned row by row, so the error names the
   lexicographically first failing triple. The zoo constructors build
-  their tables as whole arrays.
+  their tables as whole arrays;
+* the generators Light's test proved are kept (``FiniteGroup.generators``)
+  and certify every check whose domain is all of G on G x S instead of
+  G x G: homomorphism checks, normality and the commutator subgroup.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -60,7 +68,8 @@ SUBGROUP_ENUM_BOUND = 256
 
 
 def _validate_table(table: np.ndarray):
-    """Check the group axioms, returning (identity, inverse)."""
+    """Check the group axioms, returning (identity, inverse, generators),
+    where the generators are the ones Light's test proved."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup(f"table has shape {table.shape}, expected square")
     n = table.shape[0]
@@ -90,9 +99,12 @@ def _validate_table(table: np.ndarray):
     if one_sided.size:
         raise NotAGroup(f"element {int(one_sided[0])} has no two-sided inverse")
 
-    if _light_generators(table, identity) is None:
+    generators = _light_generators(table, identity)
+    if generators is None:
         _associativity_scan(table)
-    return identity, inverse
+        # every element of an associative table passes Light's test
+        _math_check(False, "Light's test failed on a table the scan found associative")
+    return identity, inverse, generators
 
 
 def _light_generators(table: np.ndarray, identity: int) -> list[int] | None:
@@ -145,30 +157,63 @@ def _associativity_scan(table: np.ndarray) -> None:
             )
 
 
+def _table_only(func):
+    """A cached property that reads nothing but the table: a group that
+    shares another group's table reads the other group's value, computed
+    once for both."""
+
+    @wraps(func)
+    def get(self):
+        source = self._table_source
+        return func(self) if source is None else getattr(source, func.__name__)
+
+    return cached_property(get)
+
+
 class FiniteGroup:
-    """A finite group given by its Cayley table, ``table[i, j] = g_i * g_j``."""
+    """A finite group given by its Cayley table, ``table[i, j] = g_i * g_j``.
+
+    ``generators`` is S, the read-only int64 array of the elements that
+    Light's test proved associative: they generate G, and there are at
+    most floor(log2 n) of them (none for the trivial group). S certifies
+    every identity whose domain is all of G, by this lemma:
+
+        a map f from G to a group K with f(e) = e and f(x s) = f(x) f(s)
+        for every x in G and s in S is a homomorphism.
+
+    Proof: G is finite, so every y in G is a word s_1 ... s_k in S with no
+    inverses. By induction on k, f(x y) = f(x) f(y) for every x: k = 0 is
+    f(x) = f(x) f(e), and f(x y' s) = f(x y') f(s) = f(x) f(y') f(s) =
+    f(x) f(y' s). So a homomorphism check reads n |S| pairs, not n^2.
+    """
 
     def __init__(self, table, label="G", *, coset_reps=None):
         """``table`` is a Cayley table, validated here, or a FiniteGroup
         whose validated, read-only data the new group shares without
         validating it again. ``coset_reps``, set by ``quotient``, holds the
         minimal id of each quotient element's coset in the parent group."""
+        # the validated group whose table this one shares, if any
+        self._table_source: FiniteGroup | None = None
         if isinstance(table, FiniteGroup):
+            self._table_source = table if table._table_source is None else table._table_source
             arr, inverse, identity = table.table, table.inverse, table.identity_id
+            generators = table.generators
         else:
             try:
                 # a copy: the caller keeps no handle on the validated table
                 arr = np.array(table)
             except ValueError as exc:
                 raise NotAGroup("table rows must all have the same length") from exc
-            identity, inverse = _validate_table(arr)
+            identity, inverse, generators = _validate_table(arr)
             arr = arr.astype(np.int64, copy=False)
-            for array in (arr, inverse):
+            generators = np.array(generators, dtype=np.int64)
+            for array in (arr, inverse, generators):
                 array.flags.writeable = False
         self.order: int = int(arr.shape[0])
         self.table: np.ndarray = arr
         self.identity_id: int = identity
         self.inverse: np.ndarray = inverse
+        self.generators: np.ndarray = generators
         self.label: str = label
         self.coset_reps: np.ndarray | None = coset_reps
         self._coset_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
@@ -178,6 +223,9 @@ class FiniteGroup:
         # filled by abelian.coordinates: G^ab read on the elements of G
         self._abelian_coordinates = None
         self._skeleton_cache: dict[tuple[int, ...], CosetSkeleton] = {}
+        # filled by transfer.transversal_independence_check: the positions
+        # of the random shifts, per (seed, |H|)
+        self._shift_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # -- element operations -------------------------------------------------
 
@@ -244,11 +292,11 @@ class FiniteGroup:
 
     # -- cached structure ----------------------------------------------------
 
-    @cached_property
+    @_table_only
     def is_abelian(self) -> bool:
         return np.array_equal(self.table, self.table.T)
 
-    @cached_property
+    @_table_only
     def element_orders(self) -> np.ndarray:
         """Read-only: the order of every element x, the least k with x^k = e.
         Each x walks its own powers: verify builds hundreds of small
@@ -264,7 +312,7 @@ class FiniteGroup:
         orders.flags.writeable = False
         return orders
 
-    @cached_property
+    @_table_only
     def exponent(self) -> int:
         return math.lcm(*self.element_orders.tolist())
 
@@ -282,8 +330,22 @@ class FiniteGroup:
 
     @cached_property
     def _commutator_subgroup(self) -> "Subgroup":
-        everything = range(self.order)
-        return self._generated_by_mask(self.commutator_table(everything, everything))
+        """[G,G] as the normal closure of the [s, t] for s, t in S, grown
+        until conjugation by S maps it into itself.
+
+        Proof: the closure N lies in [G,G]. G/N is generated by the images
+        of S, which commute, so G/N is abelian and [G,G] lies in N. A
+        subgroup that conjugation by S maps into itself is normal (see
+        ``is_normal``), and each round that is not closed at least
+        doubles the subgroup, so there are at most log2 n rounds."""
+        gens = self.generators
+        closure = self._generated_by_mask(self.commutator_table(gens, gens))
+        while True:
+            members = np.asarray(closure.members)
+            conjugates = self._conjugates_by_generators(members)
+            if closure.mask[conjugates].all():
+                return closure
+            closure = self._generated_by_mask(np.concatenate([members, conjugates.ravel()]))
 
     @cached_property
     def square_class_reps(self) -> np.ndarray:
@@ -322,7 +384,7 @@ class FiniteGroup:
                 inside[list(sub.members)] = True
         return sub
 
-    @cached_property
+    @_table_only
     def class_reps(self) -> np.ndarray:
         """Read-only: the minimal member of each element's conjugacy class,
         which names the class."""
@@ -403,11 +465,20 @@ class FiniteGroup:
         return self._generated_by_mask(self.powers(d))
 
     def is_normal(self, sub: "Subgroup") -> bool:
+        """True iff s h s^-1 lies in H for every h in H and s in S.
+
+        Proof: conjugation by s maps H into H, hence onto H, as it is
+        injective and H is finite; so conjugation by s^-1 maps H onto H
+        too. Conjugation by a product is the composite of conjugations,
+        and every g in G is a word in S, so g H g^-1 = H."""
         if self.is_abelian or len(sub) in (1, self.order):
             return True
-        table = self.table
-        conj = table[table[:, list(sub.members)], self.inverse[:, None]]
-        return bool(sub.mask[conj].all())
+        return bool(sub.mask[self._conjugates_by_generators(np.asarray(sub.members))].all())
+
+    def _conjugates_by_generators(self, members: np.ndarray) -> np.ndarray:
+        """``s x s^-1`` for every s in S (rows) and x in members (columns)."""
+        gens = self.generators
+        return self.table[self.table[np.ix_(gens, members)], self.inverse[gens][:, None]]
 
     def all_subgroups(self, max_order: int = SUBGROUP_ENUM_BOUND) -> list["Subgroup"]:
         """Every subgroup, deterministically ordered by (size, member tuple).

@@ -38,8 +38,8 @@ from .char_theory import (
     LinearCharacter,
     _exponents,
     extend_character_all,
-    multiplicativity_witness,
     residue_modulus,
+    whole_group_witness,
 )
 from .errors import (
     IdentityFailed,
@@ -440,9 +440,9 @@ def oracle_equivalence_report(pair: HeisenbergPair) -> CheckReport:
 
     The direct and Gallagher determinants are computed on the original
     pair; the closed form on the kernel reduction, pulled back through
-    the projection. Also certifies, on every pair of elements, that the
-    common determinant is a character, and that the scalar subgroup acts
-    by scalar matrices.
+    the projection. Also certifies that the common determinant is a
+    character, on G x S by ``whole_group_witness``, and that the scalar
+    subgroup acts by scalar matrices.
     """
     group = pair.group
     n = residue_modulus(group)
@@ -494,7 +494,7 @@ def oracle_equivalence_report(pair: HeisenbergPair) -> CheckReport:
             report.fail(g=g, lhs=_text(common[g], n), rhs=_text(chi[g], n), identity="character")
         return report
     e = group.identity_id
-    witness = (e, e) if common[e] else multiplicativity_witness(common, common[group.table], n)
+    witness = (e, e) if common[e] else whole_group_witness(group, common)
     if witness is not None:
         x, y = witness
         report.fail(

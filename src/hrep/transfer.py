@@ -128,12 +128,19 @@ def transfer_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
 
 
 def _checked_transfer_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
-    """``transfer_table`` built from the raw products and checked."""
+    """``transfer_table`` built from the raw products and checked to be a
+    homomorphism G -> H/[H,H] at e and on G x S, S = ``group.generators``.
+
+    Values are the minimal ids of their [H,H]-cosets, so equal ids are
+    equal classes. By the lemma on ``FiniteGroup`` the check on G x S is
+    the check on G x G; its message names no witness, so no full scan
+    follows a failure."""
     red = _mod_derived(group, sub)
     values = red[group.transfer_products(sub)]
-    table = group.table
+    table, gens, e = group.table, group.generators, group.identity_id
     _math_check(
-        np.array_equal(values[table], red[table[np.ix_(values, values)]]),
+        values.item(e) == red.item(e)
+        and np.array_equal(values[table[:, gens]], red[table[values[:, None], values[gens]]]),
         "transfer values do not form a homomorphism",
     )
     values.flags.writeable = False
@@ -165,23 +172,42 @@ def transversal_independence_check(
 ) -> CheckReport:
     """Recompute transfer with randomly H-shifted transversals; values must agree.
 
-    The shifts are drawn trial by trial, coset by coset, and all trials
-    are folded at once; failures are reported in (trial, g) order.
+    The shifts are drawn trial by trial, coset by coset, as positions in
+    H's member list that depend only on (seed, |H|), so each group draws
+    them once per subgroup order. All trials are folded at once; failures
+    are reported in (trial, g) order.
     """
     base_t, _ = group.coset_positions(sub)
     reference = transfer_table(group, sub)
-    rng = random.Random(seed)
     report = CheckReport(
         "transversal_independence",
         True,
         stats={"group": group.label, "subgroup_order": len(sub), "trials": TRANSVERSAL_TRIALS},
     )
-    shifts = [[rng.choice(sub.members) for _ in base_t] for _ in range(TRANSVERSAL_TRIALS)]
-    shifted = group.table[base_t[None, :], np.asarray(shifts)]
+    shifts = np.asarray(sub.members)[_shift_positions(group, len(sub), seed)]
+    shifted = group.table[base_t[None, :], shifts]
     values = transfer_values_with_transversal(group, sub, shifted)
     for trial, g in np.argwhere(values != reference)[:MAX_COUNTEREXAMPLES].tolist():
         report.fail(g=g, lhs=int(values[trial, g]), rhs=int(reference[g]), trial=trial)
     return report
+
+
+def _shift_positions(group: FiniteGroup, size: int, seed: int) -> np.ndarray:
+    """Read-only TRANSVERSAL_TRIALS x [G:H] positions into the members of
+    a subgroup H of order ``size``, kept on the group per (seed, |H|).
+    ``randrange(size)`` draws from the stream ``choice`` reads for a
+    sequence of that length, so the shifts equal one ``choice`` of H's
+    members per coset per trial."""
+    key = (seed, size)
+    cached = group._shift_cache.get(key)
+    if cached is None:
+        rng = random.Random(seed)
+        draws = [rng.randrange(size) for _ in range(TRANSVERSAL_TRIALS * group.order // size)]
+        cached = group._shift_cache[key] = np.array(draws, dtype=np.int64).reshape(
+            TRANSVERSAL_TRIALS, -1
+        )
+        cached.flags.writeable = False
+    return cached
 
 
 # -- closed forms on two-step nilpotent groups ---------------------------------

@@ -573,3 +573,19 @@ def test_verify_golden_sha256(capsys, name, fmt):
     code, out, _ = run_cli(capsys, "verify", "--builtin", name, "--format", fmt)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[(name, fmt)]
+
+
+# sha256 of the stdout of pair enumeration and of the p^3 classification,
+# pinned before character, normality and [G,G] checks moved to generator
+# certificates
+STDOUT_SHA256 = {
+    ("heisenberg", "--builtin", "heis3"): "c2c122f70ea0d1202c4f0cc296d6f4c3a775cb945f97e5e1b98461cce379ca87",
+    ("p3", "5"): "4f1dbf47b1963553ece8020718fd60b8ee432a1ead32c5859063ea540d01b1f2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+def test_command_golden_sha256(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]

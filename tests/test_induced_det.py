@@ -286,12 +286,14 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         quotients_per_independence.append((quotients[0] - before, len(isotropics)))
         return result
 
-    witnesses = [0]
-    real_witness = ct.multiplicativity_witness
+    # each multiplicativity check of a character of all of G, whether the
+    # generator certificate settles it or the full scan runs
+    multiplicativity_runs = [0]
+    real_whole_group_witness = ct.whole_group_witness
 
-    def counting_witness(*args):
-        witnesses[0] += 1
-        return real_witness(*args)
+    def counting_whole_group_witness(*args):
+        multiplicativity_runs[0] += 1
+        return real_whole_group_witness(*args)
 
     validations = [0]
     real_validate = hb.validate_pair
@@ -304,9 +306,9 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     real_twist = idet.twist
 
     def counting_twist(*args):
-        before = (extension_checks[0], validations[0], witnesses[0])
+        before = (extension_checks[0], validations[0], multiplicativity_runs[0])
         result = real_twist(*args)
-        after = (extension_checks[0], validations[0], witnesses[0])
+        after = (extension_checks[0], validations[0], multiplicativity_runs[0])
         work_per_twist.append(tuple(b - a for a, b in zip(before, after)))
         return result
 
@@ -347,7 +349,7 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     monkeypatch.setattr(idet, "quotient_by_kernel", counting_reduce)
     monkeypatch.setattr(idet, "epsilon_table", counting_epsilon)
     monkeypatch.setattr(idet, "twist", counting_twist)
-    monkeypatch.setattr(ct, "multiplicativity_witness", counting_witness)
+    monkeypatch.setattr(ct, "whole_group_witness", counting_whole_group_witness)
     monkeypatch.setattr(hb, "validate_pair", counting_validate)
     monkeypatch.setattr(
         cli, "twist_identity", counting(idet.twist_identity, checks_per_identity)
@@ -375,7 +377,7 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     assert {(checks, validated) for checks, validated, _ in work_per_twist} == {(0, 0)}
     # omega.validate() is cached per character: the first pair's twists
     # check each omega once, and no later twist checks one again
-    assert [witnessed for _, _, witnessed in work_per_twist] == [1] * n_characters[0] + [0] * (
+    assert [checked for _, _, checked in work_per_twist] == [1] * n_characters[0] + [0] * (
         sum(n_characters) - n_characters[0]
     )
     assert epsilon_tables[0] == report["n_pairs"]

@@ -225,6 +225,32 @@ def test_transversal_independence_seed_determinism():
     assert r1.passed
 
 
+def test_transversal_shifts_are_drawn_once_per_subgroup_order(monkeypatch):
+    """Every subgroup of one order on one group reads the same read-only
+    positions, drawn by one Random(seed) per (seed, |H|), and the shifts
+    are the members that rng.choice picks coset by coset, trial by trial."""
+    group = from_name("ab:2,2,2,2")
+    draws = []
+    real_random = random.Random
+    monkeypatch.setattr(tr.random, "Random", lambda seed: draws.append(seed) or real_random(seed))
+    subs = group.all_subgroups()
+    for seed in (0, 5):
+        for sub in subs:
+            assert tr.transversal_independence_check(group, sub, seed=seed).passed
+    orders = {len(sub) for sub in subs}
+    assert sorted(draws) == sorted([0] * len(orders) + [5] * len(orders))
+    for sub in subs:
+        positions = tr._shift_positions(group, len(sub), 5)
+        assert positions is tr._shift_positions(group, len(sub), 5)
+        assert positions.dtype == np.int64 and not positions.flags.writeable
+        rng = real_random(5)
+        want = [
+            [rng.choice(sub.members) for _ in range(sub.index())]
+            for _ in range(tr.TRANSVERSAL_TRIALS)
+        ]
+        assert np.asarray(sub.members)[positions].tolist() == want
+
+
 def test_bad_transversal_rejected():
     d8 = dihedral(8)
     for transversals in ([E, A], [[E, A]], [[E, B], [E, A]], [[E]]):
