@@ -8,7 +8,8 @@ N = lcm(exp(G), 2) (``residue_modulus``), so inside the pipeline a value is
 the integer residue r = q*N mod N, and -1 is N/2. A ``LinearCharacter`` is
 its domain and one read-only residue array, and extension grows that array
 layer by layer. ``QmodZ`` values appear only where a report prints one,
-read from one shared table per N (``_exponents``).
+read from one shared table per N (``_exponents``), and their printed
+strings from one more (``_exponent_texts``).
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ def _exponents(modulus: int) -> tuple[QmodZ, ...]:
     """QmodZ(r, modulus) for every residue r, built once per modulus: the
     one lookup from residues to the exponents a report prints."""
     return tuple(QmodZ(r, modulus) for r in range(modulus))
+
+
+@cache
+def _exponent_texts(modulus: int) -> tuple[str, ...]:
+    """The printed form of ``_exponents(modulus)``, one string per residue."""
+    return tuple(map(str, _exponents(modulus)))
 
 
 def multiplicativity_witness(values: np.ndarray, products: np.ndarray, modulus: int):
@@ -196,11 +203,11 @@ class LinearCharacter:
         return LinearCharacter(self.domain, on_parent)
 
     def as_dict(self) -> dict:
-        table = _exponents(residue_modulus(self.domain.parent))
+        texts = _exponent_texts(residue_modulus(self.domain.parent))
         values = self.residues[self.domain.mask].tolist()
         return {
             "domain": list(self.domain.members),
-            "values": {str(m): str(table[r]) for m, r in zip(self.domain.members, values)},
+            "values": dict(zip(map(str, self.domain.members), map(texts.__getitem__, values))),
         }
 
 

@@ -202,7 +202,65 @@ def cmd_p3(config: RunConfig) -> tuple[dict, int]:
 
 
 def _render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for
+    byte. With an indent, ``json`` runs its pure-Python encoder; here a
+    container whose items are all scalars is one call of the C encoder,
+    whose item separator carries the indent of its depth
+    (``_flat_encoder``), and only the other containers are joined in
+    Python."""
+    return _json_text(report, 0) + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = {str, int, bool, float, type(None)}
+_quote = json.encoder.encode_basestring_ascii
+_flat_encoders: dict[int, object] = {}
+
+
+def _flat_encoder(depth: int):
+    """The C encoder of a container of scalars whose items sit at
+    ``depth``: one item per line, but the first on the opening line and
+    the last on the closing one."""
+    encode = _flat_encoders.get(depth)
+    if encode is None:
+        separators = (",\n" + "  " * depth, ": ")
+        encode = _flat_encoders[depth] = json.JSONEncoder(sort_keys=True, separators=separators).encode
+    return encode
+
+
+def _json_text(value, depth: int) -> str:
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if not isinstance(value, _CONTAINERS):
+        return _flat_encoder(0)(value)
+    is_dict = isinstance(value, dict)
+    brackets = "{}" if is_dict else "[]"
+    if not value:
+        return brackets
+    items = value.values() if is_dict else value
+    inner, outer = "  " * (depth + 1), "  " * depth
+    if set(map(type, items)) <= _SCALARS:
+        text = _flat_encoder(depth + 1)(value)[1:-1]
+    elif is_dict:
+        text = (",\n" + inner).join(
+            f"{_quote(key) if isinstance(key, str) else _key_text(key)}: "
+            f"{_json_text(value[key], depth + 1)}"
+            for key in sorted(value)
+        )
+    else:
+        text = (",\n" + inner).join(_json_text(item, depth + 1) for item in value)
+    return f"{brackets[0]}\n{inner}{text}\n{outer}{brackets[1]}"
+
+
+def _key_text(key) -> str:
+    """json's text for an int, float, bool or None key; TypeError for any
+    other key."""
+    return _flat_encoder(0)({key: 0})[1:-4]
 
 
 def _flatten(value) -> str:

@@ -223,6 +223,9 @@ class FiniteGroup:
         # filled by abelian.coordinates: G^ab read on the elements of G
         self._abelian_coordinates = None
         self._skeleton_cache: dict[tuple[int, ...], CosetSkeleton] = {}
+        # filled by heisenberg.scalar_quotient: G/Z and what is read from
+        # it, per scalar subgroup Z
+        self._scalar_cache: dict[tuple[int, ...], object] = {}
         # filled by transfer.transversal_independence_check: the positions
         # of the random shifts, per (seed, |H|)
         self._shift_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -716,14 +719,6 @@ class GroupHom:
 
     def __call__(self, x: int) -> int:
         return self.map.item(x)
-
-    def validate(self) -> None:
-        m = self.map
-        lhs = m[self.source.table]
-        rhs = self.target.table[np.ix_(m, m)]
-        if not np.array_equal(lhs, rhs):
-            i, j = np.argwhere(lhs != rhs)[0]
-            raise NotAGroup(f"map is not multiplicative at ({int(i)},{int(j)})")
 
     def kernel(self) -> Subgroup:
         return _subgroup_of_mask(self.source, self.map == self.target.identity_id)

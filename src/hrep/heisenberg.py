@@ -8,9 +8,15 @@ dim-1 case Z = G and flow through the same pipeline.
 
 The pairing has one implementation: ``HeisenbergPair.x_on_quotient``, its
 residue matrix on G/Z. ``validate_pair`` screens the invariance of chi
-and the nondegeneracy of X. The maximal isotropic subgroups are
-enumerated once per pair (``maximal_isotropics``), and every caller that
-needs an isotropic, or one containing a given element, reads that list.
+and the nondegeneracy of X.
+
+What a pair reads that chi does not enter (G/Z with its projection, the
+subgroups of G/Z of order dim, rk2(G/Z) and G^2 Z) is computed once per
+scalar subgroup (``scalar_quotient``) and shared by every pair on the
+same Z, twisted ones included. Only the isotropy test on X and the
+preimages in G are per pair: the maximal isotropic subgroups are listed
+once per pair (``maximal_isotropics``), and every caller that needs an
+isotropic, or one containing a given element, reads that list.
 """
 
 from __future__ import annotations
@@ -44,6 +50,56 @@ PAIR_ENUM_BOUND = 256
 ISOTROPIC_ENUM_BOUND = 4096
 
 
+@dataclass(frozen=True, eq=False)
+class ScalarQuotient:
+    """What every pair on the scalar subgroup Z of G reads and chi does
+    not enter, each part computed on first use. ``scalar_quotient`` keeps
+    one per (G, Z)."""
+
+    group: FiniteGroup
+    Z: Subgroup
+
+    @cached_property
+    def ambient(self) -> tuple[FiniteGroup, GroupHom]:
+        """The abelian quotient A = G/Z with its projection."""
+        return self.group.quotient(self.Z)
+
+    @cached_property
+    def isotropic_layer(self) -> tuple[tuple[int, ...], ...]:
+        """The members of each subgroup of A of order dim = sqrt|A|, the
+        one layer of A's lattice that holds the images of the maximal
+        isotropics."""
+        index = self.group.order // len(self.Z)
+        if index > ISOTROPIC_ENUM_BOUND:
+            raise EnumerationBoundExceeded(
+                f"[G:Z]={index} exceeds isotropic enumeration bound {ISOTROPIC_ENUM_BOUND}"
+            )
+        quot, _ = self.ambient
+        dim = math.isqrt(index)
+        subgroups = quot.all_subgroups(max_order=ISOTROPIC_ENUM_BOUND)
+        return tuple(sub.members for sub in subgroups if len(sub) == dim)
+
+    @cached_property
+    def two_rank(self) -> int:
+        """rk_2(G/Z); always even because the quotient splits as B x B."""
+        rank = abelian.two_rank(self.ambient[0])
+        _math_check(rank % 2 == 0, "two-rank of a symplectic quotient must be even")
+        return rank
+
+    @cached_property
+    def squares_times_z(self) -> Subgroup:
+        """The subgroup G^2 Z controlling the sign character's cosets."""
+        return squares_times(self.group, self.Z)
+
+
+def scalar_quotient(group: FiniteGroup, scalar: Subgroup) -> ScalarQuotient:
+    """The one ``ScalarQuotient`` of (G, Z), kept on the group per Z."""
+    record = group._scalar_cache.get(scalar.members)
+    if record is None:
+        record = group._scalar_cache[scalar.members] = ScalarQuotient(group, scalar)
+    return record
+
+
 @dataclass(frozen=True)
 class HeisenbergPair:
     """A validated pair (Z, chi) with dim^2 = [G:Z]."""
@@ -54,9 +110,14 @@ class HeisenbergPair:
     dim: int
 
     @cached_property
+    def scalar(self) -> ScalarQuotient:
+        """The record of (G, Z), shared by every pair on Z."""
+        return scalar_quotient(self.group, self.Z)
+
+    @property
     def ambient(self) -> tuple[FiniteGroup, GroupHom]:
         """The abelian quotient A = G/Z with its projection."""
-        return self.group.quotient(self.Z)
+        return self.scalar.ambient
 
     @cached_property
     def x_on_quotient(self) -> np.ndarray:
@@ -72,10 +133,10 @@ class HeisenbergPair:
         """True iff chi is faithful on Z (the pair equals its kernel reduction)."""
         return len(self.chi.kernel()) == 1
 
-    @cached_property
+    @property
     def squares_times_z(self) -> Subgroup:
         """The subgroup G^2 Z controlling the sign character's cosets."""
-        return squares_times(self.group, self.Z)
+        return self.scalar.squares_times_z
 
     @cached_property
     def maximal_isotropics(self) -> list[Subgroup]:
@@ -92,13 +153,10 @@ class HeisenbergPair:
         the reduced group's caches are shared by every check."""
         return quotient_by_kernel(self)
 
-    @cached_property
+    @property
     def two_rank(self) -> int:
         """rk_2(G/Z); always even because the quotient splits as B x B."""
-        quot, _ = self.ambient
-        rank = abelian.two_rank(quot)
-        _math_check(rank % 2 == 0, "two-rank of a symplectic quotient must be even")
-        return rank
+        return self.scalar.two_rank
 
 
 def validate_pair(group: FiniteGroup, scalar: Subgroup, chi: LinearCharacter) -> HeisenbergPair:
@@ -201,19 +259,11 @@ def quotient_by_kernel(pair: HeisenbergPair) -> tuple[HeisenbergPair, GroupHom]:
 
 
 def all_maximal_isotropics(pair: HeisenbergPair) -> list[Subgroup]:
-    """All subgroups H between Z and G with X trivial on H and [G:H] = dim."""
-    index = pair.group.order // len(pair.Z)
-    if index > ISOTROPIC_ENUM_BOUND:
-        raise EnumerationBoundExceeded(
-            f"[G:Z]={index} exceeds isotropic enumeration bound {ISOTROPIC_ENUM_BOUND}"
-        )
-    quot, proj = pair.ambient
+    """All subgroups H between Z and G with X trivial on H and [G:H] = dim:
+    the preimages of the subgroups of G/Z of order dim on which X vanishes."""
+    layer = pair.scalar.isotropic_layer
+    _, proj = pair.ambient
     x = pair.x_on_quotient
-    found = []
-    for sub in quot.all_subgroups(max_order=ISOTROPIC_ENUM_BOUND):
-        if len(sub) != pair.dim:
-            continue
-        if not x[np.ix_(sub.members, sub.members)].any():
-            found.append(proj.preimage(sub.members))
+    found = [proj.preimage(m) for m in layer if not x[np.ix_(m, m)].any()]
     found.sort(key=lambda s: s.members)
     return found

@@ -36,7 +36,7 @@ import numpy as np
 
 from .char_theory import (
     LinearCharacter,
-    _exponents,
+    _exponent_texts,
     extend_character_all,
     residue_modulus,
     whole_group_witness,
@@ -158,7 +158,7 @@ def _formula_residues(pair: HeisenbergPair, modulus: int) -> tuple[np.ndarray, n
 
 def _text(residue, modulus: int) -> str:
     """The report form of a residue: its reduced exponent."""
-    return str(_exponents(modulus)[int(residue) % modulus])
+    return _exponent_texts(modulus)[int(residue) % modulus]
 
 
 def epsilon_table(pair: HeisenbergPair, sub: Subgroup) -> np.ndarray:

@@ -98,6 +98,17 @@ def central_involutions(group: FiniteGroup) -> set[int]:
     return involution_set(group) & set(group.center().members)
 
 
+def validate_hom(hom: GroupHom) -> None:
+    """The homomorphism test on all |G|^2 pairs, naming the first failing
+    pair in row-major order."""
+    m = hom.map
+    lhs = m[hom.source.table]
+    rhs = hom.target.table[np.ix_(m, m)]
+    if not np.array_equal(lhs, rhs):
+        i, j = np.argwhere(lhs != rhs)[0]
+        raise NotAGroup(f"map is not multiplicative at ({int(i)},{int(j)})")
+
+
 def image(hom: GroupHom) -> Subgroup:
     return _subgroup_of_mask(hom.target, np.bincount(hom.map, minlength=hom.target.order))
 

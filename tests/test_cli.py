@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import assert_plain_json
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hrep.cli import (
     EXIT_BOUND_EXCEEDED,
@@ -18,6 +20,7 @@ from hrep.cli import (
     EXIT_MATH_FAILURE,
     EXIT_OK,
     RunConfig,
+    _render_json,
     cmd_verify,
     main,
 )
@@ -510,6 +513,60 @@ def test_tsv_p3(capsys):
     assert len(lines) == 3
 
 
+# -- JSON rendering ------------------------------------------------------------------
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# escapes, non-ASCII and astral characters; keys of every kind json coerces
+json_text = st.text() | st.sampled_from(['"', "\\", "\n\t", "\x00", "caf\u00e9", "\u2028", "\U0001f600"])
+json_keys = json_text | st.integers() | st.floats() | st.booleans() | st.none()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=3),
+    max_leaves=30,
+)
+
+
+def ladder(depth):
+    """Flat containers of two items at every depth from 2 to ``depth``."""
+    return [1, "x"] if depth == 1 else [{"a": 1, "b": None}, ladder(depth - 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example(ladder(8))
+@example([])
+@example({"a": [{}, [[]], {"b": []}], "c": {"d": {"e": [1, -2, None, True]}}})
+@example([[[[["deep", {"k": "\u00e9\n"}]]]], []])
+@example({1: [2], 2.5: {True: [None]}, -3: {False: {}}})
+@example({1: [2], None: 3.5, "x": {False: {}}})
+def test_render_json_is_json_dumps(value):
+    """Byte for byte what the pure-Python encoder writes, or the same
+    TypeError when json refuses the keys (a dict mixing key types that
+    do not sort)."""
+    try:
+        expected = dumps(value)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _render_json(value)
+        return
+    assert _render_json(value) == expected
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 0}, {(1, 2): [0]}, [{"a": {(1, 2): [0]}}]])
+def test_render_json_refuses_the_keys_json_refuses(value):
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps(value)
+    with pytest.raises(TypeError, match="keys must be str"):
+        _render_json(value)
+
+
 # -- golden bytes --------------------------------------------------------------------
 
 
@@ -577,9 +634,15 @@ def test_verify_golden_sha256(capsys, name, fmt):
 
 # sha256 of the stdout of pair enumeration and of the p^3 classification,
 # pinned before character, normality and [G,G] checks moved to generator
-# certificates
+# certificates; the order-343, product and TSV enumerations were pinned
+# before G/Z became one record per scalar subgroup and before the JSON
+# renderer stopped running every value through the pure-Python encoder
 STDOUT_SHA256 = {
     ("heisenberg", "--builtin", "heis3"): "c2c122f70ea0d1202c4f0cc296d6f4c3a775cb945f97e5e1b98461cce379ca87",
+    ("heisenberg", "--builtin", "heis3", "--format", "tsv"): "c86af1108ef07a291976d209d2d76890ebdf79735947313f4233b46680c56213",
+    ("heisenberg", "--builtin", "heis7", "--max-order", "512"): "8acf9011b20d425ab2a679795428c28ce3e8fd9815f49bc23cee8d6f5b0188e6",
+    ("heisenberg", "--builtin", "es_p3_exp_p2:7", "--max-order", "512"): "130911b9fc5eac025c099e383a629e0e8baccb08d411d9476a84b3bab28f4894",
+    ("heisenberg", "--builtin", "prod:q8,c16"): "37511d6154800df266e8628e3ba90fa13ec7d900d2dc778080a5686b6434e14f",
     ("p3", "5"): "4f1dbf47b1963553ece8020718fd60b8ee432a1ead32c5859063ea540d01b1f2",
 }
 

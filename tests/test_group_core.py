@@ -35,7 +35,14 @@ from hrep.group_core import (
     heisenberg_mod,
     quaternion8,
 )
-from reference import central_involutions, image, involution_set, subgroup, validate_subgroup
+from reference import (
+    central_involutions,
+    image,
+    involution_set,
+    subgroup,
+    validate_hom,
+    validate_subgroup,
+)
 
 # D8 ids under the a^i b^j -> 2i + j convention
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
@@ -421,7 +428,7 @@ def test_quotient_records_coset_representatives():
         q, proj = d8.quotient(normal)
         assert list(q.coset_reps) == list(d8.coset_positions(normal)[0])
         assert [proj(r) for r in q.coset_reps] == list(q.elements())
-        proj.validate()
+        validate_hom(proj)
     assert d8.coset_reps is None
 
 
@@ -901,7 +908,7 @@ def test_quotient_by_trivial_is_isomorphic_copy():
     q, proj = d8.quotient(subgroup(d8, [d8.identity_id]))
     assert q.order == 8
     assert list(proj.map) == list(d8.elements())
-    proj.validate()
+    validate_hom(proj)
 
 
 def test_trivial_quotient_shares_the_validated_table(monkeypatch):
@@ -937,7 +944,7 @@ def test_d8_mod_center_is_klein_four():
     q, proj = d8.quotient(subgroup(d8, [E, A2]))
     assert q.order == 4
     assert sorted(q.element_order(x) for x in q.elements()) == [1, 2, 2, 2]
-    proj.validate()
+    validate_hom(proj)
     assert proj.kernel().members == (E, A2)
     assert len(image(proj)) == 4
 
@@ -988,10 +995,26 @@ def test_two_step_power_identities(build):
                 assert lhs == rhs
 
 
+def test_validate_hom_names_the_first_failing_pair():
+    d8 = dihedral(8)
+    q, proj = d8.quotient(d8.center())
+    values = proj.map.copy()
+    values[1] = q.identity_id
+    broken = GroupHom(d8, q, values)
+    first = next(
+        (x, y)
+        for x in d8.elements()
+        for y in d8.elements()
+        if values[d8.mul(x, y)] != q.mul(values[x], values[y])
+    )
+    with pytest.raises(NotAGroup, match=rf"not multiplicative at \({first[0]},{first[1]}\)"):
+        validate_hom(broken)
+
+
 def test_hom_kernel_and_surjectivity():
     h3 = heisenberg_mod(3)
     q, proj = h3.quotient(h3.center())
-    proj.validate()
+    validate_hom(proj)
     assert proj.kernel().members == h3.center().members
     assert len(image(proj)) == q.order
     # preimage of the trivial subgroup is the kernel
@@ -1094,7 +1117,7 @@ def test_inclusion_kernel_image_and_preimage_match_the_loops(relabel, name):
         for sub in group.all_subgroups():
             local, to_parent = sub.as_group
             inclusion = GroupHom(local, group, to_parent)
-            inclusion.validate()
+            validate_hom(inclusion)
             assert_homomorphism_matches_the_loops(inclusion)
             assert image(inclusion).members == sub.members
 

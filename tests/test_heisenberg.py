@@ -30,6 +30,7 @@ from hrep.group_core import (
     heisenberg_mod,
     quaternion8,
 )
+from hrep.induced_det import twist
 from reference import HALF, is_zero, subgroup, symplectic_basis, trivial_character, x_value
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
@@ -569,6 +570,59 @@ def test_greedy_isotropic_covers_every_element():
         isotropics = hb.all_maximal_isotropics(pair)
         for g in pair.group.elements():
             assert any(g in h for h in isotropics)
+
+
+def test_one_quotient_and_one_lattice_per_scalar_subgroup(monkeypatch):
+    """heis7 has 55 pairs on 2 scalar subgroups: each Z's G/Z is built and
+    its lattice enumerated once, for every pair on Z, whether it comes
+    from enumerate_pairs, validate_pair or twist."""
+    quotients, lattices = [], []
+    quotient, all_subgroups = group_core.FiniteGroup.quotient, group_core.FiniteGroup.all_subgroups
+
+    def counted_quotient(self, normal, label=None):
+        quotients.append(normal.members)
+        return quotient(self, normal, label)
+
+    def counted_all_subgroups(self, *args, **kwargs):
+        lattices.append(self)
+        return all_subgroups(self, *args, **kwargs)
+
+    group = heisenberg_mod(7)
+    pairs = hb.enumerate_pairs(group, max_order=512)
+    monkeypatch.setattr(group_core.FiniteGroup, "quotient", counted_quotient)
+    monkeypatch.setattr(group_core.FiniteGroup, "all_subgroups", counted_all_subgroups)
+    for pair in pairs:
+        pair.two_rank, pair.maximal_isotropics, pair.squares_times_z
+    scalars = sorted({pair.Z.members for pair in pairs})
+    assert (len(pairs), len(scalars)) == (55, 2)
+    assert sorted(quotients) == scalars
+    assert len(lattices) == 2
+
+    pair = next(p for p in pairs if p.dim == 7)
+    omega = ct.linear_characters(group)[1]
+    for other in (twist(pair, omega), hb.validate_pair(group, pair.Z, pair.chi)):
+        assert other.scalar is pair.scalar
+        assert other.maximal_isotropics == pair.maximal_isotropics
+        assert other.two_rank == pair.two_rank
+    assert (len(quotients), len(lattices)) == (2, 2)
+
+
+def test_isotropics_from_the_layer_match_a_scan_of_every_subgroup():
+    """The order-dim layer of G/Z, filtered per pair, gives exactly the
+    subgroups H of G over Z of index dim on which chi([h, h']) vanishes."""
+    for pair in (d8_pair(), heis3_pair(), hb.enumerate_pairs(heisenberg_mod(7), max_order=512)[-1]):
+        group, chi = pair.group, pair.chi.residues
+        quot, _ = pair.ambient
+        layer = tuple(s.members for s in quot.all_subgroups() if len(s) == pair.dim)
+        assert pair.scalar.isotropic_layer == layer
+        scan = [
+            h
+            for h in group.all_subgroups(max_order=group.order)
+            if h.index() == pair.dim
+            and h.contains_subgroup(pair.Z)
+            and not chi[group.commutator_table(h.members, h.members)].any()
+        ]
+        assert pair.maximal_isotropics == scan
 
 
 # -- symplectic bases ---------------------------------------------------------------
