@@ -7,9 +7,12 @@ character value and every determinant of a group G has an order dividing
 N = lcm(exp(G), 2) (``residue_modulus``), so inside the pipeline a value is
 the integer residue r = q*N mod N, and -1 is N/2. A ``LinearCharacter`` is
 its domain and one read-only residue array, and extension grows that array
-layer by layer. ``QmodZ`` values appear only where a report prints one,
-read from one shared table per N (``_exponents``), and their printed
-strings from one more (``_exponent_texts``).
+layer by layer. The characters of a subgroup H are those of H/[H,H],
+built by ``FiniteGroup.abelianize`` from the least-id encoding of
+H/[H,H] that the transfer reads too, one expression mod N per character.
+``QmodZ`` values appear only where a report prints one, read from one
+shared table per N (``_exponents``), and their printed strings from one
+more (``_exponent_texts``).
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import (
-    EnumerationBoundExceeded,
-    NoExtension,
-    NotAbelian,
-    NotACharacter,
-)
+from .errors import EnumerationBoundExceeded, NoExtension, NotACharacter
 from .group_core import FiniteGroup, Subgroup
 
 CHARACTER_ENUM_BOUND = 4096
@@ -59,10 +57,6 @@ class QmodZ:
 
     def __sub__(self, other: "QmodZ") -> "QmodZ":
         return self + (-other)
-
-    def scale(self, k: int) -> "QmodZ":
-        """k-th power of the root of unity: q -> k*q mod 1."""
-        return QmodZ(k * self.num, self.den)
 
     @property
     def order(self) -> int:
@@ -211,49 +205,38 @@ class LinearCharacter:
         }
 
 
-def characters_of_abelian(group: FiniteGroup) -> list[LinearCharacter]:
-    """All |A| characters of an abelian group, ordered by index tuple.
+def characters_of_subgroup(sub: Subgroup) -> list[LinearCharacter]:
+    """All linear characters of a subgroup H, ordered by index tuple.
 
-    The character indexed by (c_1, ..., c_s) sends the i-th invariant
-    generator t_i to c_i/m_i.
+    They are the characters of A = H/[H,H] (``FiniteGroup.abelianize``;
+    G's own ``abelianization`` when H = G): the one indexed by (c_1, ...,
+    c_s) sends the i-th invariant generator t_i of A to c_i/m_i. Row x of
+    the coordinates of x's image in A, each scaled by N/m_i for the
+    parent's N (exp(A) divides exp(G)), gives chi_c(x) as the residue
+    (scaled @ c) mod N, one expression per character.
     """
     from .abelian import decompose
 
-    if not group.is_abelian:
-        raise NotAbelian(f"{group.label} is not abelian")
-    if group.order > CHARACTER_ENUM_BOUND:
+    group = sub.parent
+    if len(sub) == group.order:
+        quot, proj = group.abelianization
+        image = proj.map
+    else:
+        quot, image = group.abelianize(sub)
+    if quot.order > CHARACTER_ENUM_BOUND:
         raise EnumerationBoundExceeded(
-            f"|A|={group.order} exceeds character enumeration bound {CHARACTER_ENUM_BOUND}"
+            f"|A|={quot.order} exceeds character enumeration bound {CHARACTER_ENUM_BOUND}"
         )
-    dec = decompose(group)
+    dec = decompose(quot)
     modulus = residue_modulus(group)
-    # row x: the coordinates (a_i) of x, each scaled by N/m_i, so that
-    # chi_c(x) = sum_i c_i a_i / m_i is the residue (scaled @ c) mod N
-    scaled = dec.exponent_coordinates * np.array(
+    scaled = dec.exponent_coordinates[image] * np.array(
         [modulus // m for m in dec.factors], dtype=np.int64
     )
-    domain = group.full_subgroup()
-    return [
-        LinearCharacter(domain, scaled @ np.array(idx, dtype=np.int64) % modulus)
-        for idx in product(*[range(m) for m in dec.factors])
-    ]
-
-
-def characters_of_subgroup(sub: Subgroup) -> list[LinearCharacter]:
-    """All linear characters of a subgroup (through its abelianization).
-
-    Each is one gather of a character of H/[H,H] through the projection,
-    its residues scaled from that quotient's modulus to the parent's N
-    (a multiple of it, as exp(H/[H,H]) divides exp(G)).
-    """
-    grp, _ = sub.as_group
-    quot, proj = grp.abelianization
-    scale = residue_modulus(sub.parent) // residue_modulus(quot)
-    members, local = list(sub.members), proj.map
+    members = list(sub.members)
     characters = []
-    for chi in characters_of_abelian(quot):
-        on_parent = np.full(sub.parent.order, -1, dtype=np.int64)
-        on_parent[members] = chi.residues[local] * scale
+    for idx in product(*[range(m) for m in dec.factors]):
+        on_parent = np.full(group.order, -1, dtype=np.int64)
+        on_parent[members] = scaled @ np.array(idx, dtype=np.int64) % modulus
         characters.append(LinearCharacter(sub, on_parent))
     return characters
 

@@ -15,8 +15,9 @@ Conventions used throughout the package:
   element operations read them with ``.item`` and return Python ints.
   Structural data (center, commutator subgroup, lower central series,
   conjugacy classes, central involutions, the coabelian subgroups, and
-  per subgroup the coset action, the raw transfer products and the
-  checked transfer table, the coordinates of G^ab that
+  per subgroup the coset action, the least id of each [H,H]-coset (the
+  one encoding of H/[H,H]), the raw transfer products and the checked
+  transfer table, the coordinates of G^ab that
   ``abelian.coordinates`` keeps, and the positions of the random
   transversal shifts) is computed lazily and cached. The caches are
   memos of pure functions of the immutable table, so two threads that
@@ -218,6 +219,8 @@ class FiniteGroup:
         self.coset_reps: np.ndarray | None = coset_reps
         self._coset_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._transfer_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # filled by derived_classes, per nonabelian subgroup
+        self._derived_cache: dict[tuple[int, ...], np.ndarray] = {}
         # filled by transfer.transfer_table: the homomorphism-checked table
         self._transfer_table_cache: dict[tuple[int, ...], np.ndarray] = {}
         # filled by abelian.coordinates: G^ab read on the elements of G
@@ -401,7 +404,8 @@ class FiniteGroup:
 
     @property
     def abelianization(self) -> tuple["FiniteGroup", "GroupHom"]:
-        """G/[G,G] and its projection; an abelian group is its own.
+        """G/[G,G] and its projection: ``abelianize`` on G; an abelian
+        group is its own.
 
         Only the quotient is cached: caching (self, identity) would make
         every abelian group a reference cycle that waits for the collector.
@@ -412,7 +416,55 @@ class FiniteGroup:
 
     @cached_property
     def _abelianization(self) -> tuple["FiniteGroup", "GroupHom"]:
-        return self.quotient(self.commutator_subgroup())
+        quot, image = self.abelianize(self.full_subgroup())
+        return quot, GroupHom(self, quot, image)
+
+    def derived_classes(self, sub: "Subgroup") -> np.ndarray:
+        """Read-only: the least id of each coset x [H,H], which encodes x
+        modulo [H,H] for x in H; the identity map when H is abelian. Kept
+        per subgroup; for H = G, [G,G] is ``commutator_subgroup``, so no
+        |G|^2 commutator table is built."""
+        if self.is_abelian or (len(sub) < self.order and sub.is_abelian):
+            return self._identity_map
+        cached = self._derived_cache.get(sub.members)
+        if cached is None:
+            if len(sub) == self.order:
+                derived = self.commutator_subgroup()
+            else:
+                derived = self._generated_by_mask(
+                    self.commutator_table(sub.members, sub.members).ravel()
+                )
+            reps, pos = self.coset_positions(derived)
+            cached = self._derived_cache[sub.members] = reps[pos]
+            cached.flags.writeable = False
+        return cached
+
+    @cached_property
+    def _identity_map(self) -> np.ndarray:
+        ids = np.arange(self.order)
+        ids.flags.writeable = False
+        return ids
+
+    def abelianize(self, sub: "Subgroup") -> tuple["FiniteGroup", np.ndarray]:
+        """H/[H,H] as a validated group, read from ``derived_classes``, and
+        the image of each member of H, in member order.
+
+        Its elements are the [H,H]-cosets in H ordered by least id, which
+        ``coset_reps`` holds, as ``quotient`` orders the cosets of a
+        normal subgroup of G."""
+        red = self.derived_classes(sub)
+        members = np.asarray(sub.members, dtype=np.int64)
+        # a member is its coset's least id exactly when red fixes it
+        reps = members[red[members] == members]
+        reps.flags.writeable = False
+        local = np.full(self.order, -1, dtype=np.int64)
+        local[reps] = np.arange(reps.size)
+        table = local[red[self.table[np.ix_(reps, reps)]]]
+        label = self.label if members.size == self.order else f"{self.label}<{members.size}>"
+        quot = FiniteGroup(
+            table, label=f"{label}/{{{members.size // reps.size}}}", coset_reps=reps
+        )
+        return quot, local[red[members]]
 
     @cached_property
     def _coabelian_subgroups(self) -> tuple["Subgroup", ...]:
@@ -676,24 +728,6 @@ class Subgroup:
 
     def index(self) -> int:
         return self.parent.order // len(self.members)
-
-    @cached_property
-    def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
-        """Relabel the subgroup as a standalone group.
-
-        Returns (group, to_parent) where to_parent[i] is the parent id of
-        local element i; local ids follow ascending parent ids. The full
-        subgroup returns the parent itself.
-        """
-        g = self.parent
-        if len(self.members) == g.order:
-            return g, self.members
-        members = np.asarray(self.members)
-        # local id of each member; -1 elsewhere, which validation refuses
-        local = np.full(g.order, -1, dtype=np.int64)
-        local[members] = np.arange(members.size)
-        table = local[g.table[np.ix_(members, members)]]
-        return FiniteGroup(table, label=f"{g.label}<{members.size}>"), self.members
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return all(map(self.mask.item, other.members))

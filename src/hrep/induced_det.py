@@ -57,7 +57,7 @@ from .group_core import (
     extraspecial_p3_exp_p2,
     heisenberg_mod,
 )
-from .heisenberg import HeisenbergPair, enumerate_pairs, quotient_by_kernel
+from .heisenberg import HeisenbergPair, enumerate_pairs
 from .transfer import CheckReport, correcting_function, miller_lift
 
 
@@ -572,7 +572,7 @@ def p3_classification(p: int) -> dict:
         dets_trivial = []
         for q in pairs:
             # the projection is onto, so the reduced group's table decides
-            reduced, _ = quotient_by_kernel(q)
+            reduced, _ = q.reduction
             det, _ = _formula_residues(reduced, residue_modulus(reduced.group))
             dets_trivial.append(not det.any())
         if kind == "exponent_p":

@@ -4,13 +4,16 @@ satisfies on two-step nilpotent groups.
 ``transfer_table`` is the one way to read T: one homomorphism-checked,
 read-only int64 array per subgroup, from the group's cached raw products.
 A value modulo [H,H] is encoded as the minimal element id of its
-[H,H]-coset; for abelian H that coset is a single element, so values are
-elements of H itself and the power-map identities below are plain
-element equalities. The correcting function phi records the central
-order-<=2 defect between T(g) and g^d.
+[H,H]-coset, read from ``FiniteGroup.derived_classes``, the encoding of
+H/[H,H] that characters and G^ab share; for abelian H that coset is a
+single element, so values are elements of H itself and the power-map
+identities below are plain element equalities. The correcting function
+phi records the central order-<=2 defect between T(g) and g^d.
 
-Pairwise identities are compared as whole |G| x |G| tables, and every
-check keeps the first witnesses of each failed identity through
+Each transfer table is checked to be a homomorphism on G x S, S the
+generators of G, which proves it on G x G; conjugation covariance and
+the cocycle identity are compared as whole |G| x |G| tables. Every check
+keeps the first witnesses of each failed identity through
 ``CheckReport.fail``.
 """
 
@@ -103,17 +106,6 @@ def transfer_instances(group: FiniteGroup) -> list[Subgroup]:
 # -- the transfer map itself ---------------------------------------------------
 
 
-def _mod_derived(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
-    """red[x]: the minimal id of the coset x [H,H], which encodes x modulo
-    [H,H] for x in H; the identity map when H is abelian."""
-    if sub.is_abelian:
-        return np.arange(group.order)
-    commutators = group.commutator_table(sub.members, sub.members)
-    derived = group._generated_by_mask(commutators.ravel())
-    reps, pos = group.coset_positions(derived)
-    return reps[pos]
-
-
 def transfer_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     """T_{G/H}(g) modulo [H,H] for every g, verified to be a homomorphism.
 
@@ -135,7 +127,7 @@ def _checked_transfer_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     equal classes. By the lemma on ``FiniteGroup`` the check on G x S is
     the check on G x G; its message names no witness, so no full scan
     follows a failure."""
-    red = _mod_derived(group, sub)
+    red = group.derived_classes(sub)
     values = red[group.transfer_products(sub)]
     table, gens, e = group.table, group.generators, group.identity_id
     _math_check(
@@ -164,7 +156,7 @@ def transfer_values_with_transversal(
         or not (np.sort(pos[rows], axis=1) == np.arange(d)).all()
     ):
         raise PreconditionFailed("not a left transversal: one representative per coset required")
-    return _mod_derived(group, sub)[group.transfer_fold(sub, rows)]
+    return group.derived_classes(sub)[group.transfer_fold(sub, rows)]
 
 
 def transversal_independence_check(
@@ -300,29 +292,18 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
       the transfer values accordingly.
 
     Every property is one array test over G, raising at its first failing
-    element in id order. This is ``correcting_functions`` on one subgroup.
+    element in id order. This is ``_correcting_blocks`` on one subgroup.
     """
-    (outcome,) = correcting_functions(group, [sub])
+    ((_, (outcome,)),) = _correcting_blocks(group, [sub])
     return unwrap(outcome)
 
 
-def correcting_functions(
-    group: FiniteGroup, subs: Sequence[Subgroup]
-) -> list[CorrectingFunction | HrepError]:
-    """``correcting_function`` on each subgroup: its value, or the HrepError
-    it raises, in order. Instances of one index are checked together, in
-    blocks of stacked (k, n) arrays; each row fails at its own first
-    witness, and a failure fails only its own row."""
-    outcomes: list = [None] * len(subs)
-    for positions, results in _correcting_blocks(group, subs):
-        for pos, result in zip(positions, results):
-            outcomes[pos] = result
-    return outcomes
-
-
 def _correcting_blocks(group: FiniteGroup, subs: Sequence[Subgroup]):
-    """(positions, outcomes) of ``correcting_function`` on the subgroups:
-    each one that fails the preconditions alone, then blocks of one index."""
+    """(positions, outcomes) of ``correcting_function`` on the subgroups,
+    each outcome its value or the HrepError it raises: each subgroup that
+    fails the preconditions alone, then blocks of one index, checked
+    together as stacked (k, n) arrays; each row fails at its own first
+    witness, and a failure fails only its own row."""
     pending: dict[int, list[int]] = {}
     for pos, sub in enumerate(subs):
         try:
@@ -559,7 +540,7 @@ def check_transfer_identities(
     normal = bool(sub.mask[conj].all())
     if normal:
         lhs = np.broadcast_to(base, moved.shape)
-        rhs = _mod_derived(group, sub)[moved]
+        rhs = group.derived_classes(sub)[moved]
     else:
         rows_of: dict[tuple[int, ...], list[int]] = {}
         for g, row in enumerate(np.sort(conj, axis=1).tolist()):
@@ -568,7 +549,7 @@ def check_transfer_identities(
         for key, rows in rows_of.items():
             csub = sub if key == sub.members else Subgroup(group, key)
             lhs[rows] = transfer_table(group, csub)
-            rhs[rows] = _mod_derived(group, csub)[moved[rows]]
+            rhs[rows] = group.derived_classes(csub)[moved[rows]]
     report.compare(lhs, rhs, identity="conjugation")
     report.stats["conjugation_pass"] = bool(np.array_equal(lhs, rhs))
 
@@ -602,7 +583,7 @@ def check_transfer_identities(
             values = transfer_table(group, k_sub)
             # [K,K] is the class of the identity; its minimal id need not be
             # the identity's own id
-            red = _mod_derived(group, k_sub)
+            red = group.derived_classes(k_sub)
             e = int(red[group.identity_id])
             powers = red[group.powers(exponent)[values]]
             failed = np.flatnonzero(powers != e).tolist()

@@ -46,6 +46,11 @@ def parse(text: str) -> QmodZ:
     return QmodZ(int(num), int(den))
 
 
+def scale(q: QmodZ, k: int) -> QmodZ:
+    """The k-th power of the root of unity: q -> k*q mod 1."""
+    return QmodZ(k * q.num, q.den)
+
+
 def is_zero(q: QmodZ) -> bool:
     return q.num == 0
 
@@ -107,6 +112,21 @@ def validate_hom(hom: GroupHom) -> None:
     if not np.array_equal(lhs, rhs):
         i, j = np.argwhere(lhs != rhs)[0]
         raise NotAGroup(f"map is not multiplicative at ({int(i)},{int(j)})")
+
+
+def as_group(sub: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """The subgroup relabelled as a standalone group: (group, to_parent)
+    where to_parent[i] is the parent id of local element i; local ids
+    follow ascending parent ids. The full subgroup returns the parent."""
+    g = sub.parent
+    if len(sub) == g.order:
+        return g, sub.members
+    members = np.asarray(sub.members)
+    # local id of each member; -1 elsewhere, which validation refuses
+    local = np.full(g.order, -1, dtype=np.int64)
+    local[members] = np.arange(members.size)
+    table = local[g.table[np.ix_(members, members)]]
+    return FiniteGroup(table, label=f"{g.label}<{members.size}>"), sub.members
 
 
 def image(hom: GroupHom) -> Subgroup:

@@ -18,7 +18,7 @@ from hrep.group_core import (
     from_name,
     heisenberg_mod,
 )
-from reference import involution_set, subgroup_product
+from reference import as_group, involution_set, subgroup_product
 
 
 def order_census(group):
@@ -98,7 +98,7 @@ def complement_search_decompose(group):
         for sub in group.all_subgroups(max_order=abelian.DECOMPOSE_VERIFY_BOUND)
         if len(sub) == group.order // m and cyc & set(sub.members) == {group.identity_id}
     )
-    local, to_parent = complement.as_group
+    local, to_parent = as_group(complement)
     factors, generators = complement_search_decompose(local)
     return factors + (m,), tuple(to_parent[x] for x in generators) + (t,)
 

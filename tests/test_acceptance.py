@@ -20,7 +20,7 @@ from hrep.group_core import (
     heisenberg_mod,
     quaternion8,
 )
-from reference import HALF, ZERO, det_formula, x_value
+from reference import HALF, ZERO, det_formula, scale, x_value
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
 
@@ -340,7 +340,7 @@ def test_acceptance_08b_sign_defect_identity():
             for g1 in grp.elements():
                 for g2 in grp.elements():
                     defect = eps[g1] + eps[g2] - eps[grp.mul(g1, g2)]
-                    assert defect == x_value(reduced, g1, g2).scale(half_d)
+                    assert defect == scale(x_value(reduced, g1, g2), half_d)
             checked += 1
     assert checked >= 10
     report_line("8b", f"sign defect identity, {checked} pairs", started)

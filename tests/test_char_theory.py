@@ -1,5 +1,6 @@
 """Exact exponent arithmetic, characters, and extensions."""
 
+import math
 import random
 
 import numpy as np
@@ -8,9 +9,9 @@ from conftest import character
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrep import char_theory as ct, heisenberg as hb
-from hrep.char_theory import QmodZ
-from hrep.errors import NoExtension, NotAbelian, NotACharacter
+from hrep import char_theory as ct, heisenberg as hb, transfer as tr
+from hrep.char_theory import LinearCharacter, QmodZ
+from hrep.errors import EnumerationBoundExceeded, NoExtension, NotACharacter
 from hrep.group_core import (
     FiniteGroup,
     Subgroup,
@@ -21,7 +22,17 @@ from hrep.group_core import (
     heisenberg_mod,
     quaternion8,
 )
-from reference import HALF, ZERO, is_zero, parse, restrict, subgroup, trivial_character
+from reference import (
+    HALF,
+    ZERO,
+    as_group,
+    is_zero,
+    parse,
+    restrict,
+    scale,
+    subgroup,
+    trivial_character,
+)
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
 
@@ -41,8 +52,8 @@ def test_qmz_canonical_form():
 
 def test_qmz_examples():
     assert QmodZ(1, 3) + QmodZ(2, 3) == ZERO
-    assert HALF.scale(2) == ZERO
-    assert QmodZ(1, 6).scale(4) == QmodZ(2, 3)
+    assert scale(HALF, 2) == ZERO
+    assert scale(QmodZ(1, 6), 4) == QmodZ(2, 3)
     assert -QmodZ(1, 3) == QmodZ(2, 3)
     assert parse("5/8") == QmodZ(5, 8)
     assert QmodZ(5, 8).order == 8
@@ -60,7 +71,7 @@ def test_qmz_abelian_group_laws(a, b, c):
 @settings(deadline=None)
 @given(qmz, st.integers(-20, 20), st.integers(-20, 20))
 def test_qmz_scale_is_additive(a, j, k):
-    assert a.scale(j) + a.scale(k) == a.scale(j + k)
+    assert scale(a, j) + scale(a, k) == scale(a, j + k)
 
 
 @settings(deadline=None)
@@ -81,14 +92,14 @@ def test_qmz_string_roundtrip(a):
 
 
 def test_characters_of_z2():
-    chars = ct.characters_of_abelian(cyclic(2))
+    chars = ct.linear_characters(cyclic(2))
     assert len(chars) == 2
     assert chars[0] == trivial_character(chars[0].domain)
     assert chars[1](1) == HALF
 
 
 def test_characters_of_klein_four():
-    chars = ct.characters_of_abelian(abelian_group([2, 2]))
+    chars = ct.linear_characters(abelian_group([2, 2]))
     assert len(chars) == 4
     for chi in chars:
         assert {chi(x) for x in chi.domain} <= {ZERO, HALF}
@@ -97,7 +108,7 @@ def test_characters_of_klein_four():
 
 def test_characters_of_z6():
     z6 = cyclic(6)
-    chars = ct.characters_of_abelian(z6)
+    chars = ct.linear_characters(z6)
     assert len(chars) == 6
     assert sorted(str(chi(1)) for chi in chars) == sorted(
         f"{k}/6" if QmodZ(k, 6).den == 6 else str(QmodZ(k, 6)) for k in range(6)
@@ -107,7 +118,8 @@ def test_characters_of_z6():
 
 
 def reference_characters_of_abelian(group):
-    """The per-element QmodZ sums characters_of_abelian replaced."""
+    """The characters of an abelian group as per-element QmodZ sums over
+    its decomposition's coordinates."""
     from itertools import product
 
     from hrep.abelian import decompose
@@ -132,7 +144,7 @@ ABELIAN_SPECS = ([1], [2], [6], [2, 2], [2, 4], [3, 9], [2, 2, 2, 2], [2, 6, 12]
 @pytest.mark.parametrize("factors", ABELIAN_SPECS)
 def test_characters_of_abelian_match_the_per_element_sums(factors):
     group = abelian_group(factors)
-    chars = ct.characters_of_abelian(group)
+    chars = ct.linear_characters(group)
     want = reference_characters_of_abelian(group)
     assert [[chi(x) for x in group.elements()] for chi in chars] == want
     for chi, values in zip(chars, want):
@@ -147,7 +159,7 @@ def test_characters_of_abelian_match_the_per_element_sums(factors):
 def test_characters_of_abelian_survive_relabelling(relabel, factors, data):
     group = abelian_group(factors)
     group = relabel(group, data.draw(st.permutations(range(group.order))))
-    chars = ct.characters_of_abelian(group)
+    chars = ct.linear_characters(group)
     want = reference_characters_of_abelian(group)
     assert [[chi(x) for x in group.elements()] for chi in chars] == want
 
@@ -159,13 +171,8 @@ def test_characters_of_abelian_build_no_qmodz(monkeypatch):
     built = []
     real = QmodZ.__post_init__
     monkeypatch.setattr(QmodZ, "__post_init__", lambda self: built.append(1) or real(self))
-    assert len(ct.characters_of_abelian(group)) == 144
+    assert len(ct.linear_characters(group)) == 144
     assert built == []
-
-
-def test_characters_of_abelian_rejects_nonabelian():
-    with pytest.raises(NotAbelian):
-        ct.characters_of_abelian(dihedral(8))
 
 
 def test_characters_of_nonabelian_subgroup_kill_commutators():
@@ -178,39 +185,85 @@ def test_characters_of_nonabelian_subgroup_kill_commutators():
         assert all(is_zero(chi(x)) for x in derived.members)
 
 
+def reference_abelianization(sub):
+    """H/[H,H] as the quotient of H relabelled as a group by its own
+    commutator subgroup, with the map from H's local ids into it."""
+    grp, _ = as_group(sub)
+    return grp, grp.quotient(grp.commutator_subgroup())
+
+
 def reference_characters_of_subgroup(sub):
     """Each character of H/[H,H] evaluated through the projection at every
     member, one QmodZ value at a time."""
-    grp, _ = sub.as_group
-    quot, proj = grp.abelianization
+    grp, (quot, proj) = reference_abelianization(sub)
     return [
         character(sub, tuple(chi(proj(x)) for x in grp.elements()))
-        for chi in ct.characters_of_abelian(quot)
+        for chi in ct.linear_characters(quot)
     ]
 
 
-@pytest.mark.parametrize("name", ("heis7", "prod:q8,c16", "cp:d8,q8", "ab:2,6,12", "d128"))
+def scalar_candidates(group):
+    """The scalar subgroups ``enumerate_pairs`` tries: square index, between
+    Z(G)[G,G] and G."""
+    center = group.center()
+    return [
+        sub
+        for sub in tr.coabelian_subgroups(group)
+        if math.isqrt(sub.index()) ** 2 == sub.index() and sub.contains_subgroup(center)
+    ]
+
+
+# how many nonabelian candidate scalar subgroups two groups have
+NONABELIAN_CANDIDATES = {"cp:d8,q8": 21, "prod:d8,d8": 27}
+
+
+@pytest.mark.parametrize(
+    "name", ("heis7", "prod:q8,c16", "cp:d8,q8", "ab:2,6,12", "d128", "prod:d8,d8")
+)
 def test_characters_of_subgroup_match_the_per_element_values(name):
     """The gathered characters equal the per-element ones, residues too, on
-    the whole group, its center, [G,G], the cyclic subgroup of element 1
-    and the trivial subgroup; on each group some of these have a residue
-    modulus that is a proper divisor of the group's."""
+    the whole group, its center, [G,G], the cyclic subgroup of element 1,
+    the trivial subgroup and every nonabelian candidate scalar subgroup; on
+    each group some of these have a residue modulus that is a proper
+    divisor of the group's, and on cp:d8,q8 and prod:d8,d8 many candidates
+    are proper nonabelian subgroups, whose H/[H,H] is a quotient."""
     group = from_name(name)
+    nonabelian = [sub for sub in scalar_candidates(group) if not sub.is_abelian]
+    assert len(nonabelian) == NONABELIAN_CANDIDATES.get(name, len(nonabelian))
     scaled = 0
-    subgroups = (
+    subgroups = [
         group.full_subgroup(),
         group.center(),
         group.commutator_subgroup(),
         group.subgroup_generated([1]),
         group.subgroup_generated([]),
-    )
+        *nonabelian,
+    ]
     for sub in subgroups:
         got, want = ct.characters_of_subgroup(sub), reference_characters_of_subgroup(sub)
         assert got == want
         assert [c.residues.tolist() for c in got] == [c.residues.tolist() for c in want]
-        quot = sub.as_group[0].abelianization[0]
+        _, (quot, _) = reference_abelianization(sub)
         scaled += ct.residue_modulus(quot) < ct.residue_modulus(group)
     assert scaled
+
+
+def test_character_bound_refuses_before_building_a_character(monkeypatch):
+    """An H/[H,H] larger than CHARACTER_ENUM_BOUND is refused before any
+    character is built, on G (cp:d8,q8, |G^ab| = 16) and on a proper
+    nonabelian subgroup (D8 x C2 in prod:d8,d8, |H^ab| = 8)."""
+    cp, prod = from_name("cp:d8,q8"), from_name("prod:d8,d8")
+    sub = next(s for s in scalar_candidates(prod) if not s.is_abelian)
+    built = []
+    real = LinearCharacter.__post_init__
+    monkeypatch.setattr(LinearCharacter, "__post_init__", lambda self: built.append(1) or real(self))
+    monkeypatch.setattr(ct, "CHARACTER_ENUM_BOUND", 7)
+    for domain in (cp.full_subgroup(), sub):
+        with pytest.raises(EnumerationBoundExceeded, match="character enumeration bound 7"):
+            ct.characters_of_subgroup(domain)
+    assert built == []
+    monkeypatch.setattr(ct, "CHARACTER_ENUM_BOUND", 8)
+    assert len(ct.characters_of_subgroup(sub)) == 8
 
 
 def test_character_validate_catches_bad_map():
@@ -277,7 +330,7 @@ def test_character_validate_builds_no_group(monkeypatch):
 
 def test_kernel_examples():
     z4 = cyclic(4)
-    chars = ct.characters_of_abelian(z4)
+    chars = ct.linear_characters(z4)
     trivial = chars[0]
     assert trivial.kernel().members == (0, 1, 2, 3)
     faithful = [c for c in chars if c(1) == QmodZ(1, 4)][0]
@@ -400,7 +453,7 @@ def reference_extend_all(group, chi, over):
             for k in range(1, m):
                 power = group.mul(power, t)
                 for c, vc in values.items():
-                    extended[group.mul(c, power)] = vc + w.scale(k)
+                    extended[group.mul(c, power)] = vc + scale(w, k)
             results.extend(grow(extended))
         return results
 

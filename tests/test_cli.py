@@ -636,7 +636,10 @@ def test_verify_golden_sha256(capsys, name, fmt):
 # pinned before character, normality and [G,G] checks moved to generator
 # certificates; the order-343, product and TSV enumerations were pinned
 # before G/Z became one record per scalar subgroup and before the JSON
-# renderer stopped running every value through the pure-Python encoder
+# renderer stopped running every value through the pure-Python encoder;
+# the enumerations of cp:d8,q8 and prod:d8,d8, which print the characters
+# of every candidate scalar subgroup, nonabelian ones included, were pinned
+# before H/[H,H] was read from one least-id array
 STDOUT_SHA256 = {
     ("heisenberg", "--builtin", "heis3"): "c2c122f70ea0d1202c4f0cc296d6f4c3a775cb945f97e5e1b98461cce379ca87",
     ("heisenberg", "--builtin", "heis3", "--format", "tsv"): "c86af1108ef07a291976d209d2d76890ebdf79735947313f4233b46680c56213",
@@ -644,6 +647,8 @@ STDOUT_SHA256 = {
     ("heisenberg", "--builtin", "es_p3_exp_p2:7", "--max-order", "512"): "130911b9fc5eac025c099e383a629e0e8baccb08d411d9476a84b3bab28f4894",
     ("heisenberg", "--builtin", "prod:q8,c16"): "37511d6154800df266e8628e3ba90fa13ec7d900d2dc778080a5686b6434e14f",
     ("p3", "5"): "4f1dbf47b1963553ece8020718fd60b8ee432a1ead32c5859063ea540d01b1f2",
+    ("heisenberg", "--builtin", "cp:d8,q8"): "f3bd84446d7b3f55826b5e7dd92cdea841b1debb024942f7bff21f1c1fc12db2",
+    ("heisenberg", "--builtin", "prod:d8,d8"): "542534aa7ede19ad8a678932b74fe279015b2456d285146986319d4778c59c45",
 }
 
 

@@ -123,7 +123,7 @@ def assert_certificates_match_full_scans(group, seed=0):
     e = group.identity_id
     k_mask = group.subgroup_generated(group.generators[:-1].tolist()).mask
     for sub in subgroups:
-        red = tr._mod_derived(group, sub)
+        red = group.derived_classes(sub)
         values = tr.transfer_table(group, sub)
         assert full_scan_is_homomorphism(group, values, red)
         members = np.asarray(sub.members)

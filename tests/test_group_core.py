@@ -21,6 +21,7 @@ from hrep.errors import (
     NotNormal,
 )
 from hrep.group_core import (
+    FiniteGroup,
     GroupHom,
     abelian_group,
     central_product,
@@ -36,6 +37,7 @@ from hrep.group_core import (
     quaternion8,
 )
 from reference import (
+    as_group,
     central_involutions,
     image,
     involution_set,
@@ -570,8 +572,8 @@ def test_tables_are_read_only_and_operations_return_ints():
     and return Python ints."""
     h3 = heisenberg_mod(3)
     trivial_quotient, _ = h3.quotient(subgroup(h3, [h3.identity_id]))
-    as_group, _ = h3.subgroup_generated([1, 3]).as_group
-    for g in (h3, trivial_quotient, as_group):
+    relabelled, _ = as_group(h3.subgroup_generated([1, 3]))
+    for g in (h3, trivial_quotient, relabelled):
         for array in (g.table, g.inverse):
             assert isinstance(array, np.ndarray) and array.dtype == np.int64
         with pytest.raises(ValueError):
@@ -683,6 +685,65 @@ def test_commutator_table_matches_the_scalar_commutator(name):
     table = g.commutator_table(xs, ys)
     assert table.shape == (len(xs), len(ys))
     assert table.tolist() == [[g.commutator(x, y) for y in ys] for x in xs]
+
+
+def loop_derived_classes(group, sub):
+    """The least id of each coset x [H,H], one element at a time, with
+    [H,H] generated by every commutator of two members."""
+    derived = group.subgroup_generated(
+        {group.commutator(x, y) for x in sub.members for y in sub.members}
+    ).members
+    return [min(group.mul(x, c) for c in derived) for x in group.elements()]
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "cp:d8,q8", "prod:d8,d8"))
+def test_derived_classes_match_the_coset_minimum_loop(monkeypatch, name):
+    """On every coabelian subgroup, G included, the read-only array equals
+    the loop; for H = G it reads [G,G] from ``commutator_subgroup`` and
+    builds no |G| x |G| commutator table."""
+    group = from_name(name)
+    whole_tables = []
+    real = FiniteGroup.commutator_table
+
+    def recording(self, xs, ys):
+        whole_tables.append(len(xs) == len(ys) == self.order)
+        return real(self, xs, ys)
+
+    monkeypatch.setattr(FiniteGroup, "commutator_table", recording)
+    red = group.derived_classes(group.full_subgroup())
+    assert whole_tables and not any(whole_tables)
+    assert red.tolist() == loop_derived_classes(group, group.full_subgroup())
+    subs = transfer.coabelian_subgroups(group)
+    assert subs[-1].members == tuple(group.elements())
+    for sub in subs:
+        red = group.derived_classes(sub)
+        assert red.tolist() == loop_derived_classes(group, sub)
+        assert red.dtype == np.int64 and not red.flags.writeable
+    assert not any(whole_tables)
+
+
+@pytest.mark.parametrize("name", ("d8", "q8", "heis3", "cp:d8,q8", "c6"))
+def test_abelianize_is_the_quotient_of_the_relabelled_subgroup(name):
+    """Every subgroup H: H/[H,H] read from the array has the table, coset
+    representatives and projection of H relabelled as a group and divided
+    by its own commutator subgroup; on G it is ``abelianization``, cached,
+    and an abelian G is its own."""
+    group = from_name(name)
+    for sub in group.all_subgroups():
+        quot, image = group.abelianize(sub)
+        local, to_parent = as_group(sub)
+        want, proj = local.quotient(local.commutator_subgroup())
+        assert quot.table.tolist() == want.table.tolist()
+        assert quot.coset_reps.tolist() == [to_parent[r] for r in want.coset_reps.tolist()]
+        assert image.tolist() == proj.map.tolist()
+    ab_group, proj = group.abelianization
+    if group.is_abelian:
+        assert ab_group is group and proj.map.tolist() == list(group.elements())
+    else:
+        assert ab_group is group.abelianization[0]
+        quot, image = group.abelianize(group.full_subgroup())
+        assert ab_group.table.tolist() == quot.table.tolist()
+        assert proj.map.tolist() == image.tolist()
 
 
 # -- subgroup machinery -----------------------------------------------------------
@@ -890,7 +951,7 @@ def test_subgroup_validation_names_the_loops_first_witness(name, data):
     want = first_closure_failure(group, sub.members)
     if want is None:
         validate_subgroup(sub)
-        local, to_parent = sub.as_group
+        local, to_parent = as_group(sub)
         position = {m: i for i, m in enumerate(to_parent)}
         want_table = [[position[group.mul(x, y)] for y in to_parent] for x in to_parent]
         assert local.table.tolist() == want_table
@@ -1115,7 +1176,7 @@ def test_inclusion_kernel_image_and_preimage_match_the_loops(relabel, name):
     image is the subgroup and whose kernel is trivial."""
     for group in map_zoo(relabel, name):
         for sub in group.all_subgroups():
-            local, to_parent = sub.as_group
+            local, to_parent = as_group(sub)
             inclusion = GroupHom(local, group, to_parent)
             validate_hom(inclusion)
             assert_homomorphism_matches_the_loops(inclusion)

@@ -81,7 +81,7 @@ def d8_quarter_character_on_rotations():
 
 def test_abelian_pair_is_dim_one():
     g = abelian_group([2, 3])
-    chi = ct.characters_of_abelian(g)[1]
+    chi = ct.linear_characters(g)[1]
     pair = hb.validate_pair(g, g.full_subgroup(), chi)
     assert pair.dim == 1
 
@@ -196,7 +196,7 @@ def test_array_screens_match_the_per_element_loops(relabel, name, data):
 
 def test_pairing_vanishes_on_abelian_groups():
     g = abelian_group([2, 4])
-    chi = ct.characters_of_abelian(g)[3]
+    chi = ct.linear_characters(g)[3]
     pair = hb.validate_pair(g, g.full_subgroup(), chi)
     assert all(is_zero(x_value(pair, a, b)) for a in g.elements() for b in g.elements())
     assert not pair.x_on_quotient.any()
@@ -467,6 +467,26 @@ def test_census_catches_a_dropped_pair(monkeypatch):
     monkeypatch.setattr(hb, "validate_pair", dropping_validate)
     with pytest.raises(IdentityFailed, match="census"):
         hb.enumerate_pairs(d8)
+
+
+@pytest.mark.parametrize(
+    "name,tables", (("cp:d8,q8", 37), ("prod:d8,d8", 37), ("heis4", 9), ("d16", 2))
+)
+def test_enumerate_pairs_validates_one_table_per_candidate(monkeypatch, name, tables):
+    """Work count: one validated table per candidate scalar subgroup, H/[H,H]
+    for each proper one and G^ab for G, which the coabelian list builds;
+    a nonabelian H is not first relabelled as a group of its own."""
+    group = from_name(name)
+    validated = [0]
+    real = group_core._validate_table
+
+    def counting(table):
+        validated[0] += 1
+        return real(table)
+
+    monkeypatch.setattr(group_core, "_validate_table", counting)
+    hb.enumerate_pairs(group)
+    assert validated[0] == tables
 
 
 # -- kernel reduction ---------------------------------------------------------------

@@ -346,7 +346,6 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
 
     monkeypatch.setattr(idet, "_require_extension", counting_require)
     monkeypatch.setattr(hb, "quotient_by_kernel", counting_reduce)
-    monkeypatch.setattr(idet, "quotient_by_kernel", counting_reduce)
     monkeypatch.setattr(idet, "epsilon_table", counting_epsilon)
     monkeypatch.setattr(idet, "twist", counting_twist)
     monkeypatch.setattr(ct, "whole_group_witness", counting_whole_group_witness)
@@ -1156,6 +1155,23 @@ def test_p3_classification_for_p3():
     assert by_kind["exponent_p"]["det_trivial"] is True
     assert by_kind["exponent_p2"]["power_subgroup"] == by_kind["exponent_p2"]["center"]
     assert by_kind["exponent_p2"]["det_trivial"] is False
+
+
+def test_p3_classification_reads_each_pairs_reduction(monkeypatch):
+    """Each dim-p pair is reduced once, through ``HeisenbergPair.reduction``,
+    the path every other command takes: p - 1 pairs in each of the two
+    groups."""
+    reductions = []
+    real_reduce = hb.quotient_by_kernel
+
+    def counting_reduce(pair):
+        reductions.append(pair)
+        return real_reduce(pair)
+
+    monkeypatch.setattr(hb, "quotient_by_kernel", counting_reduce)
+    idet.p3_classification(5)
+    assert len(reductions) == 2 * 4
+    assert all(pair.__dict__["reduction"] for pair in reductions)
 
 
 def test_p3_classification_for_p11():

@@ -25,6 +25,7 @@ from hrep.group_core import (
     quaternion8,
 )
 from reference import (
+    as_group,
     central_involutions,
     check_correcting_cocycle,
     check_correcting_ratio,
@@ -116,7 +117,7 @@ def _commutators_of(group, sub):
 
 
 def reference_mod_derived(group, sub):
-    """_mod_derived with [H,H] generated by the whole list of |H|^2
+    """``derived_classes`` with [H,H] generated by the whole list of |H|^2
     commutators in one subgroup_generated call."""
     if sub.is_abelian:
         return np.arange(group.order)
@@ -144,7 +145,7 @@ def test_mod_derived_closes_at_most_log2_generators(monkeypatch, name):
 
     monkeypatch.setattr(type(group), "subgroup_generated", counting)
     for sub, expected in zip(subs, want):
-        assert np.array_equal(tr._mod_derived(group, sub), expected)
+        assert np.array_equal(group.derived_classes(sub), expected)
     assert calls and 2 ** max(calls) <= group.order
 
 
@@ -153,7 +154,7 @@ def _quotient_group_values(group, sub):
     quotient group of H, an encoding independent of the library's
     coset-minimum ids.  Returns the quotient group, the map from ids of H
     into it and the values."""
-    hgrp, to_parent = sub.as_group
+    hgrp, to_parent = as_group(sub)
     local = {m: i for i, m in enumerate(to_parent)}
     quot, proj = hgrp.quotient(hgrp.commutator_subgroup())
     to_codomain = {m: proj(local[m]) for m in sub.members}
@@ -644,7 +645,7 @@ def reference_furtwangler(group):
     for k_sub in tr.coabelian_subgroups(group):
         exponent = len(k_sub) // derived_order
         values = tr.transfer_table(group, k_sub)
-        red = tr._mod_derived(group, k_sub)
+        red = group.derived_classes(k_sub)
         e = int(red[group.identity_id])
         for g in group.elements():
             power = int(red[group.pow(values[g], exponent)])
@@ -710,12 +711,12 @@ def reference_conjugation_and_image(group, sub):
     image counterexamples, image_pass), at most 10 witnesses each."""
     base_values = tr.transfer_table(group, sub)
     conj, conj_pass = [], True
-    seen = {sub.members: (tr._mod_derived(group, sub), base_values)}
+    seen = {sub.members: (group.derived_classes(sub), base_values)}
     for g in group.elements():
         members = tuple(sorted(group.conjugate(g, h) for h in sub.members))
         if members not in seen:
             csub = Subgroup(group, members)
-            seen[members] = (tr._mod_derived(group, csub), tr.transfer_table(group, csub))
+            seen[members] = (group.derived_classes(csub), tr.transfer_table(group, csub))
         red, conj_values = seen[members]
         for gp in group.elements():
             lhs, rhs = conj_values[gp], int(red[group.conjugate(g, base_values[gp])])
@@ -908,7 +909,7 @@ def reference_transversal_check(group, sub, seed):
     transversal's products expanded by _product_loop."""
     base_t, _ = group.coset_positions(sub)
     reference = tr.transfer_table(group, sub).tolist()
-    red = tr._mod_derived(group, sub)
+    red = group.derived_classes(sub)
     rng = random.Random(seed)
     report = tr.CheckReport(
         "transversal_independence",
@@ -1288,6 +1289,16 @@ def test_coordinate_basis_of_every_subgroup_of_an_abelian_group(factors):
         coordinate_basis(group, sub)
 
 
+def correcting_functions(group, subs):
+    """Each instance's outcome in the blocks of ``tr._correcting_blocks``,
+    the batched core of ``correcting_function``, in the order of ``subs``."""
+    outcomes = [None] * len(subs)
+    for positions, results in tr._correcting_blocks(group, subs):
+        for pos, result in zip(positions, results):
+            outcomes[pos] = result
+    return outcomes
+
+
 def block_outcomes(outcomes):
     """Each outcome of a block entry as ``outcome`` renders a single call."""
     return [outcome(unwrap, result) for result in outcomes]
@@ -1306,7 +1317,7 @@ def test_block_entries_match_one_instance_at_a_time(monkeypatch, relabel, name, 
         with monkeypatch.context() as patch:
             if blocks == "pairs":
                 patch.setattr(tr, "BLOCK_BYTES", 2 * 8 * group.order**2)
-            assert block_outcomes(tr.correcting_functions(group, instances)) == singles
+            assert block_outcomes(correcting_functions(group, instances)) == singles
             assert block_outcomes(tr.check_correcting_cocycles(group, instances)) == cocycles
 
 
@@ -1325,7 +1336,7 @@ def test_a_table_planted_in_one_instance_fails_only_that_instance(monkeypatch, n
     block = equal_index_block(group)
     assert len(block) > 2
     clean = block_outcomes(tr.check_correcting_cocycles(group, block))
-    clean_phi = block_outcomes(tr.correcting_functions(group, block))
+    clean_phi = block_outcomes(correcting_functions(group, block))
     for i in (0, len(block) // 2, len(block) - 1):
         sub = block[i]
         x = next(x for x in group.elements() if x != group.identity_id)
@@ -1335,7 +1346,7 @@ def test_a_table_planted_in_one_instance_fails_only_that_instance(monkeypatch, n
             alone = outcome(check_correcting_cocycle, group, sub)
             alone_phi = outcome(tr.correcting_function, group, sub)
             got = block_outcomes(tr.check_correcting_cocycles(group, block))
-            got_phi = block_outcomes(tr.correcting_functions(group, block))
+            got_phi = block_outcomes(correcting_functions(group, block))
         assert isinstance(alone, str) and alone != clean[i]
         assert got == clean[:i] + [alone] + clean[i + 1 :]
         assert got_phi == clean_phi[:i] + [alone_phi] + clean_phi[i + 1 :]
