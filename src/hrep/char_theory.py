@@ -185,6 +185,14 @@ class LinearCharacter:
             raise NotACharacter(f"multiplicativity fails at ({x},{y})", witness=(x, y))
         return True
 
+    @cached_property
+    def _commutator_witness(self) -> int | None:
+        """For a character of all of G: the least id in [G,G] at which it is
+        not trivial, or None. It depends on the character alone, so it is
+        found once per character, however many pairs it twists."""
+        moved = np.flatnonzero(self.domain.parent.commutator_subgroup().mask & (self.residues != 0))
+        return int(moved[0]) if moved.size else None
+
     def kernel(self) -> Subgroup:
         return Subgroup(self.domain.parent, tuple(np.flatnonzero(self.residues == 0).tolist()))
 

@@ -137,22 +137,16 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
     pairs = enumerate_pairs(group, max_order=config.max_order)
     instances = transfer.transfer_instances(group)
     two_step = transfer.is_two_step_nilpotent(group)
+    # the block pass caches the checked tables that the correcting block reads
+    outcomes = transfer.transfer_checks(group, instances, seed=config.seed)
     cocycles = transfer.check_correcting_cocycles(group, instances) if two_step else []
     for i, sub in enumerate(instances):
         if two_step and sub.index() % 2 == 1:
-            run(f"odd_index_transfer[{i}]", lambda s=sub: transfer.check_odd_index_transfer(group, s))
+            run(f"odd_index_transfer[{i}]", lambda o=outcomes.odd_index[i]: unwrap(o))
         if two_step:
             run(f"correcting_cocycle[{i}]", lambda c=cocycles[i]: unwrap(c))
-        run(
-            f"transfer_identities[{i}]",
-            lambda s=sub, first=(i == 0): transfer.check_transfer_identities(
-                group, s, include_furtwangler=first
-            ),
-        )
-        run(
-            f"transversal_independence[{i}]",
-            lambda s=sub: transfer.transversal_independence_check(group, s, seed=config.seed),
-        )
+        run(f"transfer_identities[{i}]", lambda o=outcomes.identities[i]: unwrap(o))
+        run(f"transversal_independence[{i}]", lambda o=outcomes.independence[i]: unwrap(o))
 
     omegas = linear_characters(group)
     det_reports = []

@@ -40,7 +40,8 @@ Conventions used throughout the package:
   their tables as whole arrays;
 * the generators Light's test proved are kept (``FiniteGroup.generators``)
   and certify every check whose domain is all of G on G x S instead of
-  G x G: homomorphism checks, normality and the commutator subgroup.
+  G x G: homomorphism checks, normality and the commutator subgroup; G is
+  abelian iff they commute pairwise.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ class FiniteGroup:
         # filled by heisenberg.scalar_quotient: G/Z and what is read from
         # it, per scalar subgroup Z
         self._scalar_cache: dict[tuple[int, ...], object] = {}
-        # filled by transfer.transversal_independence_check: the positions
+        # filled by transfer's transversal independence check: the positions
         # of the random shifts, per (seed, |H|)
         self._shift_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -300,7 +301,12 @@ class FiniteGroup:
 
     @_table_only
     def is_abelian(self) -> bool:
-        return np.array_equal(self.table, self.table.T)
+        """True iff the generators commute pairwise: then each generator's
+        centralizer holds S, so it is all of G, and S lies in the centre,
+        which is then all of G. |S|^2 lookups, with no copy of the table."""
+        gens = self.generators
+        block = self.table[np.ix_(gens, gens)]
+        return np.array_equal(block, block.T)
 
     @_table_only
     def element_orders(self) -> np.ndarray:
@@ -614,31 +620,52 @@ class FiniteGroup:
                 array.flags.writeable = False
         return cached
 
-    def _coset_factors(self, sub: "Subgroup", transversals) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, factors), both k x n x d for k transversals (rows of
-        ``transversals``), with g t_j = t_{cols[r, g, j]} factors[r, g, j]
-        for the r-th transversal t in its listed order; every factor lies
-        in H."""
-        _, pos = self.coset_positions(sub)
-        reps = np.asarray(transversals, dtype=np.int64)
-        rows = np.arange(reps.shape[0])[:, None]
-        col_of_coset = np.empty_like(reps)
-        col_of_coset[rows, pos[reps]] = np.arange(reps.shape[1])
-        # moved[r, g, j] = g t_j
-        moved = self.table[np.arange(self.order)[None, :, None], reps[:, None, :]]
-        cols = col_of_coset[rows[:, :, None], pos[moved]]
-        factors = self.table[self.inverse[reps[rows[:, :, None], cols]], moved]
-        return cols, factors
+    def _coset_factors(self, subs, transversals) -> np.ndarray:
+        """The factors, k x d x n for k transversals (rows of
+        ``transversals``, each listing one representative t_j per coset of
+        its subgroup H in any order): ``factors[r, j, g] = u^-1 g t_j``,
+        for u the representative in row r of the coset of g t_j, lies in H.
 
-    def transfer_fold(self, sub: "Subgroup", transversals) -> np.ndarray:
+        ``subs`` is one subgroup owning every row, or a sequence of
+        subgroups owning consecutive runs of rows of one length, all of
+        one index d; each reads its cached ``coset_positions`` once. Every
+        gather is a ``take`` from a raveled array at a flat index."""
+        reps = np.asarray(transversals, dtype=np.int64)
+        if isinstance(subs, Subgroup):
+            subs = [subs]
+        n, count = self.order, reps.shape[0]
+        rows = np.arange(count)[:, None]
+        # each row's coset positions, pos[r, x] = coset of x
+        pos = np.stack([self.coset_positions(sub)[1] for sub in subs])
+        pos = pos[rows[:, 0] // max(1, count // len(subs))]
+        # n u^-1 for the representative u in row r of the coset of each x
+        inverse_reps = np.empty_like(reps)
+        inverse_reps[rows, pos[rows, reps]] = self.inverse[reps] * n
+        inverse_of = inverse_reps[rows, pos].ravel()
+        flat = self.table.ravel()
+        # moved[r, j, g] = g t_j, read at g n + t_j; the arithmetic runs in
+        # place, so that at most two k x d x n arrays are held at once
+        moved = flat.take(np.arange(0, n * n, n) + reps[:, :, None])
+        offsets = (rows * n)[:, :, None]
+        moved += offsets
+        looked = inverse_of.take(moved)
+        moved -= offsets
+        looked += moved
+        del moved
+        return flat.take(looked)
+
+    def transfer_fold(self, subs, transversals) -> np.ndarray:
         """The raw transfer products of every g against each row of
         ``transversals``, a k x d batch of left transversals (one
         representative per coset, in any order), as a k x n array: the
-        product of t_{cols[j]}^-1 g t_j over j in the listed order."""
-        _, factors = self._coset_factors(sub, transversals)
-        result = np.full(factors.shape[:2], self.identity_id, dtype=np.int64)
-        for j in range(factors.shape[2]):
-            result = self.table[result, factors[:, :, j]]
+        product of u_j^-1 g t_j over j in the listed order, u_j the
+        representative of the coset of g t_j. ``subs`` is as for
+        ``_coset_factors``."""
+        factors = self._coset_factors(subs, transversals)
+        n, flat = self.order, self.table.ravel()
+        result = np.full((factors.shape[0], n), self.identity_id, dtype=np.int64)
+        for j in range(factors.shape[1]):
+            result = flat.take(result * n + factors[:, j])
         return result
 
     def transfer_products(self, sub: "Subgroup") -> np.ndarray:
@@ -660,8 +687,10 @@ class FiniteGroup:
         return cached
 
     def _build_skeleton(self, sub: "Subgroup") -> "CosetSkeleton":
-        transversal, _ = self.coset_positions(sub)
-        perm, factors = (array[0] for array in self._coset_factors(sub, [transversal]))
+        transversal, pos = self.coset_positions(sub)
+        # the canonical transversal lists coset c in column c
+        perm = pos[self.table[:, transversal]]
+        factors = np.ascontiguousarray(self._coset_factors(sub, [transversal])[0].T)
         _math_check(
             bool(sub.mask[factors].all())
             and np.array_equal(self.table[transversal[perm], factors], self.table[:, transversal]),
@@ -723,7 +752,12 @@ class Subgroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        block = self.parent.table[np.ix_(self.members, self.members)]
+        """The parent's commutativity when the parent is abelian or H = G,
+        which gathers no |H|^2 block; else the block against its transpose."""
+        parent = self.parent
+        if parent.is_abelian or len(self.members) == parent.order:
+            return parent.is_abelian
+        block = parent.table[np.ix_(self.members, self.members)]
         return bool(np.array_equal(block, block.T))
 
     def index(self) -> int:

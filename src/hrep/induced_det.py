@@ -263,19 +263,20 @@ def twist(pair: HeisenbergPair, omega: LinearCharacter) -> HeisenbergPair:
     """Tensor the pair with a linear character of G: same Z, chi * omega|_Z.
 
     The twisted pair is valid without running ``validate_pair`` again:
-    chi * omega|_Z is a character once omega is one (``omega.validate()``,
-    cached per character), and omega vanishes on [G,G], checked here as
-    one array test. So the pairing (chi * omega)([g, h]) = chi([g, h]) is
-    unchanged, and with it invariance and nondegeneracy. The determinant
-    picks up the factor omega^d (see twist_identity).
+    chi * omega|_Z is a character once omega is one (``omega.validate()``),
+    and omega vanishes on [G,G] (one array test); both are cached per
+    character, so each omega is tested once however many pairs it twists.
+    So the pairing (chi * omega)([g, h]) = chi([g, h]) is unchanged, and
+    with it invariance and nondegeneracy. The determinant picks up the
+    factor omega^d (see twist_identity).
     """
     group = pair.group
     if omega.domain.parent is not group or len(omega.domain) != group.order:
         raise NotACharacter("twisting character must be defined on all of G")
     omega.validate()
-    moved = np.flatnonzero(group.commutator_subgroup().mask & (omega.residues != 0))
-    if moved.size:
-        raise NotACharacter(f"twisting character is not trivial on [G,G] at {moved[0]}")
+    moved = omega._commutator_witness
+    if moved is not None:
+        raise NotACharacter(f"twisting character is not trivial on [G,G] at {moved}")
     twisted = (pair.chi.residues + omega.residues) % residue_modulus(group)
     chi = LinearCharacter(pair.Z, np.where(pair.Z.mask, twisted, -1))
     return HeisenbergPair(group, pair.Z, chi, pair.dim)

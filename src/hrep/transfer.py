@@ -2,7 +2,7 @@
 satisfies on two-step nilpotent groups.
 
 ``transfer_table`` is the one way to read T: one homomorphism-checked,
-read-only int64 array per subgroup, from the group's cached raw products.
+read-only int64 array per subgroup, folded from the coset factors.
 A value modulo [H,H] is encoded as the minimal element id of its
 [H,H]-coset, read from ``FiniteGroup.derived_classes``, the encoding of
 H/[H,H] that characters and G^ab share; for abelian H that coset is a
@@ -11,17 +11,25 @@ identities below are plain element equalities. The correcting function
 phi records the central order-<=2 defect between T(g) and g^d.
 
 Each transfer table is checked to be a homomorphism on G x S, S the
-generators of G, which proves it on G x G; conjugation covariance and
-the cocycle identity are compared as whole |G| x |G| tables. Every check
-keeps the first witnesses of each failed identity through
-``CheckReport.fail``.
+generators of G, which proves it on G x G; conjugation covariance for
+normal H is certified on S x G, and compared as a whole |G| x |G| table
+only where that fails or H is not normal; the cocycle identity is
+compared as whole tables. Every check keeps the first witnesses of each
+failed identity through ``CheckReport.fail``.
+
+The checks run on many subgroups in blocks of one index, as stacked
+arrays under BLOCK_BYTES: ``transfer_checks`` (the odd-index rule, the
+identities and transversal independence, from one fold per block) and
+``check_correcting_cocycles``. Each one-subgroup function is its block
+of one, and every outcome in a block is the one its subgroup gives
+alone.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +38,6 @@ from .errors import (
     HrepError,
     IdentityFailed,
     PreconditionFailed,
-    math_check as _math_check,
     unwrap,
 )
 from .group_core import FiniteGroup, Subgroup
@@ -41,8 +48,8 @@ TRANSVERSAL_TRIALS = 10
 # A report keeps this many witnesses of each failed identity.
 MAX_COUNTEREXAMPLES = 10
 
-# The correcting functions and cocycle identities of equal-index instances
-# are checked in blocks whose stacked arrays, (k, n) rows and (k, n, n)
+# Equal-index instances are checked in blocks whose stacked arrays, the
+# (rows, n, d) coset factors of a fold, (k, n) rows and (k, n, n) cocycle
 # tables, each stay under this many bytes, so a block adds little to the
 # peak memory of one instance.
 BLOCK_BYTES = 1 << 18
@@ -111,77 +118,154 @@ def transfer_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
 
     Each value is an element id of H: the raw transfer product when H is
     abelian, otherwise the minimal id of the product's [H,H]-coset. The
-    table is built and checked once per (G, H) and kept on the group.
+    table is built and checked once per (G, H), by a block pass
+    (``_fold``) or here from the group's cached raw products, and kept on
+    the group.
     """
     cached = group._transfer_table_cache.get(sub.members)
     if cached is None:
-        cached = group._transfer_table_cache[sub.members] = _checked_transfer_table(group, sub)
+        values = group.derived_classes(sub)[group.transfer_products(sub)]
+        (outcome,) = _checked_tables(group, [sub], values[None])
+        cached = group._transfer_table_cache[sub.members] = unwrap(outcome)
     return cached
 
 
-def _checked_transfer_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
-    """``transfer_table`` built from the raw products and checked to be a
-    homomorphism G -> H/[H,H] at e and on G x S, S = ``group.generators``.
+def _fold(group: FiniteGroup, subs: Sequence[Subgroup], shifts: np.ndarray) -> np.ndarray:
+    """The (k, t, n) transfer values of the transversals ``t_j shifts[i, r, j]``
+    of each subgroup, for ``shifts`` (k, t, d) members of H, all subgroups
+    of one index d.
+
+    They are folded as one stack with the canonical transversal of every
+    subgroup, and each canonical table not cached yet is checked by
+    ``_checked_tables`` and cached if it passes; a table that fails is
+    left for ``transfer_table`` to raise on."""
+    cache = group._transfer_table_cache
+    base = np.array([group.coset_positions(sub)[0] for sub in subs])
+    k, t, d = shifts.shape
+    rows = np.concatenate([base[:, None, :], group.table[base[:, None, :], shifts]], axis=1)
+    values = transfer_values_with_transversal(group, subs, rows.reshape(k * (t + 1), d))
+    values = values.reshape(k, t + 1, group.order)
+    fresh = [i for i, sub in enumerate(subs) if sub.members not in cache]
+    if fresh:
+        checked = _checked_tables(group, [subs[i] for i in fresh], values[fresh, 0])
+        for i, outcome in zip(fresh, checked):
+            if not isinstance(outcome, HrepError):
+                cache[subs[i].members] = outcome
+    return values[:, 1:]
+
+
+def _checked_tables(
+    group: FiniteGroup, subs: Sequence[Subgroup], values: np.ndarray
+) -> list[np.ndarray | IdentityFailed]:
+    """Row i of ``values``, the transfer values of ``subs[i]`` modulo
+    [H,H], as a read-only table if it is a homomorphism G -> H/[H,H] at e
+    and on G x S, S = ``group.generators``, else IdentityFailed. The rows
+    are made read-only in place, so ``values`` is an array of their own.
 
     Values are the minimal ids of their [H,H]-cosets, so equal ids are
     equal classes. By the lemma on ``FiniteGroup`` the check on G x S is
     the check on G x G; its message names no witness, so no full scan
     follows a failure."""
-    red = group.derived_classes(sub)
-    values = red[group.transfer_products(sub)]
+    red = np.stack([group.derived_classes(sub) for sub in subs])
     table, gens, e = group.table, group.generators, group.identity_id
-    _math_check(
-        values.item(e) == red.item(e)
-        and np.array_equal(values[table[:, gens]], red[table[values[:, None], values[gens]]]),
-        "transfer values do not form a homomorphism",
-    )
+    rows = np.arange(len(subs))[:, None, None]
+    values = np.asarray(values, dtype=np.int64)
+    products = red[rows, table[values[:, :, None], values[:, None, gens]]]
+    good = (values[:, e] == red[:, e]) & (values[:, table[:, gens]] == products).all(axis=(1, 2))
     values.flags.writeable = False
-    return values
+    return [
+        row if ok else IdentityFailed("transfer values do not form a homomorphism")
+        for row, ok in zip(values, good.tolist())
+    ]
 
 
-def transfer_values_with_transversal(
-    group: FiniteGroup, sub: Subgroup, transversals
-) -> np.ndarray:
+def transfer_values_with_transversal(group: FiniteGroup, subs, transversals) -> np.ndarray:
     """Transfer values (canonicalized) against each row of a k x d batch of
-    explicit left transversals, as a k x n array from one fold.
+    explicit left transversals, as a k x n array. ``subs`` is the subgroup
+    H of every row, or a sequence of subgroups of index d owning
+    consecutive runs of rows of one length.
 
-    Used to confirm independence of the transversal choice.
+    Whole runs are folded together, as many as keep the (rows, n, d)
+    stacks of one fold under BLOCK_BYTES. Used to confirm independence of
+    the transversal choice.
     """
-    _, pos = group.coset_positions(sub)
     rows = np.asarray(transversals, dtype=np.int64)
-    d = sub.index()
-    if (
-        rows.ndim != 2
-        or rows.shape[1] != d
-        or not (np.sort(pos[rows], axis=1) == np.arange(d)).all()
-    ):
+    owners = [subs] if isinstance(subs, Subgroup) else list(subs)
+    valid = rows.ndim == 2 and len(rows) % len(owners) == 0
+    if valid:
+        d, run = rows.shape[1], len(rows) // len(owners)
+        owner = np.arange(len(rows)) // max(1, run)
+        pos = np.stack([group.coset_positions(sub)[1] for sub in owners])
+        valid = all(sub.index() == d for sub in owners) and bool(
+            (np.sort(pos[owner[:, None], rows], axis=1) == np.arange(d)).all()
+        )
+    if not valid:
         raise PreconditionFailed("not a left transversal: one representative per coset required")
-    return group.derived_classes(sub)[group.transfer_fold(sub, rows)]
+    size = max(1, BLOCK_BYTES // (8 * group.order * d * max(1, run)))
+    raw = np.concatenate(
+        [
+            group.transfer_fold(owners[start : start + size], rows[start * run : (start + size) * run])
+            for start in range(0, len(owners), size)
+        ]
+    )
+    red = np.stack([group.derived_classes(sub) for sub in owners])
+    return red[owner[:, None], raw]
 
 
 def transversal_independence_check(
     group: FiniteGroup, sub: Subgroup, *, seed: int = 0
 ) -> CheckReport:
-    """Recompute transfer with randomly H-shifted transversals; values must agree.
+    """Recompute transfer with randomly H-shifted transversals; values must
+    agree. This is ``_independence_reports`` on one subgroup."""
+    return unwrap(_independence_reports(group, [sub], seed)[0])
+
+
+def _independence_reports(
+    group: FiniteGroup, subs: Sequence[Subgroup], seed: int
+) -> list[CheckReport | HrepError]:
+    """``transversal_independence_check`` on subgroups of one index, each
+    outcome its report or the HrepError its transfer table raises.
 
     The shifts are drawn trial by trial, coset by coset, as positions in
     H's member list that depend only on (seed, |H|), so each group draws
-    them once per subgroup order. All trials are folded at once; failures
-    are reported in (trial, g) order.
+    them once per subgroup order and a block of one index shares them.
+    Every trial of every subgroup is folded in one stack with the
+    canonical transversals; failures are reported in (trial, g) order.
     """
-    base_t, _ = group.coset_positions(sub)
-    reference = transfer_table(group, sub)
-    report = CheckReport(
-        "transversal_independence",
-        True,
-        stats={"group": group.label, "subgroup_order": len(sub), "trials": TRANSVERSAL_TRIALS},
-    )
-    shifts = np.asarray(sub.members)[_shift_positions(group, len(sub), seed)]
-    shifted = group.table[base_t[None, :], shifts]
-    values = transfer_values_with_transversal(group, sub, shifted)
-    for trial, g in np.argwhere(values != reference)[:MAX_COUNTEREXAMPLES].tolist():
-        report.fail(g=g, lhs=int(values[trial, g]), rhs=int(reference[g]), trial=trial)
-    return report
+    size = len(subs[0])
+    members = np.array([sub.members for sub in subs], dtype=np.int64)
+    trials = _fold(group, subs, members[:, _shift_positions(group, size, seed)])
+    references, outcomes = _stacked_tables(group, subs)
+    differs = (trials != references[:, None, :]).any(axis=(1, 2))
+    for i, sub in enumerate(subs):
+        if outcomes[i] is not None:
+            continue
+        report = outcomes[i] = CheckReport(
+            "transversal_independence",
+            True,
+            stats={"group": group.label, "subgroup_order": size, "trials": TRANSVERSAL_TRIALS},
+        )
+        if differs[i]:
+            values, reference = trials[i], references[i]
+            for trial, g in np.argwhere(values != reference)[:MAX_COUNTEREXAMPLES].tolist():
+                report.fail(g=g, lhs=int(values[trial, g]), rhs=int(reference[g]), trial=trial)
+    return outcomes
+
+
+def _stacked_tables(group: FiniteGroup, subs: Sequence[Subgroup]):
+    """(values, outcomes): the (k, n) stack of ``transfer_table`` of each
+    subgroup, and a list that holds the HrepError of each subgroup whose
+    table raised (its row of values is then the identity) and None
+    elsewhere."""
+    tables: list[np.ndarray] = []
+    outcomes: list = [None] * len(subs)
+    for i, sub in enumerate(subs):
+        try:
+            tables.append(transfer_table(group, sub))
+        except HrepError as exc:
+            outcomes[i] = exc
+            tables.append(np.full(group.order, group.identity_id, dtype=np.int64))
+    return np.stack(tables), outcomes
 
 
 def _shift_positions(group: FiniteGroup, size: int, seed: int) -> np.ndarray:
@@ -222,23 +306,62 @@ def _power_rule_preconditions(group: FiniteGroup, sub: Subgroup, *, need_odd: bo
 def check_odd_index_transfer(group: FiniteGroup, sub: Subgroup) -> CheckReport:
     """For abelian normal H of odd index d in a two-step nilpotent group,
     the transfer is the d-th power map; consequently [G,G]^d = {e} and
-    G^d is central."""
-    d = _power_rule_preconditions(group, sub, need_odd=True)
-    report = CheckReport(
-        "odd_index_transfer_power_rule",
-        True,
-        stats={"group": group.label, "index": d, "universe": group.order},
-    )
-    # every loop below fails under the same identity key, which keeps at
-    # most MAX_COUNTEREXAMPLES witnesses in all, so each passes on no more
-    values = transfer_table(group, sub)
+    G^d is central. This is ``_odd_index_reports`` on one subgroup."""
+    return unwrap(_odd_index_reports(group, [sub])[0])
+
+
+def _odd_index_reports(
+    group: FiniteGroup, subs: Sequence[Subgroup]
+) -> list[CheckReport | HrepError]:
+    """``check_odd_index_transfer`` on subgroups of one index d, each
+    outcome its report or the HrepError it raises: a failed precondition
+    first, then a failed transfer table. The witnesses against [G,G]^d =
+    {e} and G^d <= Z(G) depend on G and d alone, so a block finds them
+    once and every report lists them after its own power witnesses."""
+    outcomes: list = [None] * len(subs)
+    live = []
+    for i, sub in enumerate(subs):
+        try:
+            _power_rule_preconditions(group, sub, need_odd=True)
+        except HrepError as exc:
+            outcomes[i] = exc
+            continue
+        live.append(i)
+    if not live:
+        return outcomes
+    d = subs[live[0]].index()
+    values, errors = _stacked_tables(group, [subs[i] for i in live])
     powers = group.powers(d)
-    for g in np.flatnonzero(values != powers)[:MAX_COUNTEREXAMPLES].tolist():
-        report.fail(g=g, lhs=int(values[g]), rhs=int(powers[g]))
+    shared = _power_witnesses(group, d, powers)
+    differs = (values != powers).any(axis=1)
+    for row, i in enumerate(live):
+        if errors[row] is not None:
+            outcomes[i] = errors[row]
+            continue
+        report = outcomes[i] = CheckReport(
+            "odd_index_transfer_power_rule",
+            True,
+            stats={"group": group.label, "index": d, "universe": group.order},
+        )
+        # every witness fails under the same identity key, which keeps at
+        # most MAX_COUNTEREXAMPLES in all
+        if differs[row]:
+            for g in np.flatnonzero(values[row] != powers)[:MAX_COUNTEREXAMPLES].tolist():
+                report.fail(g=g, lhs=int(values[row, g]), rhs=int(powers[g]))
+        for witness in shared:
+            report.fail(**witness)
+    return outcomes
+
+
+def _power_witnesses(group: FiniteGroup, d: int, powers: np.ndarray) -> list[dict]:
+    """The first MAX_COUNTEREXAMPLES witnesses against [G,G]^d = {e}, then
+    those against G^d <= Z(G), for ``powers`` the d-th power map."""
     e = group.identity_id
     derived = np.asarray(group.commutator_subgroup().members)
-    for x in derived[powers[derived] != e][:MAX_COUNTEREXAMPLES].tolist():
-        report.fail(g=x, lhs=int(powers[x]), rhs=e)
+    witnesses = [
+        {"g": x, "lhs": int(powers[x]), "rhs": e}
+        for x in derived[powers[derived] != e][:MAX_COUNTEREXAMPLES].tolist()
+    ]
     power_members = np.asarray(group.power_subgroup(d).members)
     outside = power_members[~group.center().mask[power_members]][:MAX_COUNTEREXAMPLES]
     # conj[c, i] = c x_i c^-1 for the i-th noncentral x_i; a noncentral
@@ -247,8 +370,8 @@ def check_odd_index_transfer(group: FiniteGroup, sub: Subgroup) -> CheckReport:
     conj = table[table[:, outside], inv[:, None]]
     for x, column in zip(outside.tolist(), conj.T):
         c = int(np.argmax(column != x))
-        report.fail(g=x, lhs=int(column[c]), rhs=x, conjugator=c)
-    return report
+        witnesses.append({"g": x, "lhs": int(column[c]), "rhs": x, "conjugator": c})
+    return witnesses
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,8 +465,8 @@ def _correcting_block(
     which ``correcting_function`` lists the checks."""
     k, n = len(subs), group.order
     table, inv, e = group.table, group.inverse, group.identity_id
-    errors: list[HrepError | None] = [None] * k
-    alive = np.ones(k, dtype=bool)
+    values, errors = _stacked_tables(group, subs)
+    alive = np.array([error is None for error in errors])
     rows = np.arange(k)[:, None]
 
     def fail(bad: np.ndarray, message) -> None:
@@ -351,14 +474,6 @@ def _correcting_block(
             errors[i] = IdentityFailed(message(i, int(np.argmax(bad[i]))))
             alive[i] = False
 
-    stacked = []
-    for i, sub in enumerate(subs):
-        try:
-            stacked.append(transfer_table(group, sub))
-        except HrepError as exc:
-            errors[i], alive[i] = exc, False
-            stacked.append(np.full(n, e, dtype=np.int64))
-    values = np.stack(stacked)
     powers = group.powers(d)
 
     phi = table[values, inv[powers]]
@@ -522,26 +637,94 @@ def check_transfer_identities(
     T_{G/gHg^-1}(g') = g T_{G/H}(g') g^-1 holds for every subgroup; the
     image statement Im(T) <= H^{G/H} <= Z(G) needs H abelian normal;
     Furtwangler's bound T_{G/K}(g)^{[K:[G,G]]} = 1 runs over every K
-    between [G,G] and G."""
-    report = CheckReport(
-        "transfer_identities", True, stats={"group": group.label, "subgroup_order": len(sub)}
-    )
+    between [G,G] and G. This is ``_identity_reports`` on one subgroup,
+    with ``_furtwangler`` when asked."""
+    report = unwrap(_identity_reports(group, [sub])[0])
+    if include_furtwangler:
+        _furtwangler(group, report)
+    return report
 
+
+def _identity_reports(
+    group: FiniteGroup, subs: Sequence[Subgroup]
+) -> list[CheckReport | HrepError]:
+    """Conjugation covariance and the image statement on subgroups of one
+    index, each outcome its report or the HrepError a transfer table
+    raises.
+
+    For normal H, T_{G/gHg^-1} = T_{G/H}, so covariance says that
+    conjugation by every g fixes each T(g') modulo [H,H]. Conjugation by
+    g preserves H, and [H,H] with it, so it acts on H/[H,H]; the action of
+    a product is the composite of the actions, and every g is a word in
+    the generators S. So the identity on S x G implies it on G x G: this
+    certificate reads (k, |S|, n) arrays, and only a row that fails it is
+    compared as a whole |G| x |G| table, which names the row-major first
+    witnesses. A non-normal H is compared as that table, row g against
+    the conjugate gHg^-1, with one gather per distinct conjugate.
+
+    Likewise an element is fixed by every conjugation iff it is fixed by
+    conjugation by S, so the fixed part H^{G/H} of an abelian normal H is
+    read from the conjugates of every element by S, once for the block.
+    """
+    table, inv, gens = group.table, group.inverse, group.generators
+    values, outcomes = _stacked_tables(group, subs)
+    k, n = values.shape
+    red = np.stack([group.derived_classes(sub) for sub in subs])
+    rows = np.arange(k)[:, None]
+    # s T(g') s^-1 for every s in S, in (k, |S|, n)
+    moved = table[table[gens[:, None], values[:, None, :]], inv[gens][:, None]]
+    covariant = (red[rows[:, :, None], moved] == values[:, None, :]).all(axis=(1, 2))
+    everything = np.arange(n)
+    fixed = (table[table[gens[:, None], everything], inv[gens][:, None]] == everything).all(axis=0)
+    masks = np.stack([sub.mask for sub in subs])
+    in_fixed = masks & fixed
+    outside = ~in_fixed[rows, values]
+    image_ok = ~(in_fixed & ~group.center().mask).any(axis=1) & ~outside.any(axis=1)
+    for i, sub in enumerate(subs):
+        if outcomes[i] is not None:
+            continue
+        report = CheckReport(
+            "transfer_identities", True, stats={"group": group.label, "subgroup_order": len(sub)}
+        )
+        normal = group.is_normal(sub)
+        try:
+            if not (normal and covariant[i]):
+                _compare_conjugates(group, sub, values[i], normal, report)
+        except HrepError as exc:
+            outcomes[i] = exc
+            continue
+        report.stats["conjugation_pass"] = report.passed
+        if sub.is_abelian and normal:
+            report.stats["image_pass"] = bool(image_ok[i])
+            if not image_ok[i]:
+                report.passed = False
+                for g in np.flatnonzero(outside[i])[:MAX_COUNTEREXAMPLES].tolist():
+                    v = int(values[i, g])
+                    movers = np.flatnonzero(table[table[:, v], inv] != v)
+                    c = int(movers[0]) if movers.size else group.identity_id
+                    report.fail(
+                        g=g, lhs=group.conjugate(c, v), rhs=v, conjugator=c, identity="image"
+                    )
+        else:
+            report.stats["image_pass"] = None
+        outcomes[i] = report
+    return outcomes
+
+
+def _compare_conjugates(
+    group: FiniteGroup, sub: Subgroup, base: np.ndarray, normal: bool, report: CheckReport
+) -> None:
+    """Conjugation covariance as one |G| x |G| table, row g against the
+    conjugate gHg^-1: one gather per distinct conjugate; a normal H is its
+    own only conjugate, so every row reads its one table."""
     table, inv = group.table, group.inverse
-    members = np.asarray(sub.members)
-    base = transfer_table(group, sub)
-    # conj[g, i] = g h_i g^-1 for the i-th member h_i of H
-    conj = table[table[:, members], inv[:, None]]
-
-    # conjugation covariance, row g against the conjugate gHg^-1: one
-    # gather per distinct conjugate; a normal H is its own only conjugate,
-    # so every row reads its one table
     moved = table[table[:, base], inv[:, None]]
-    normal = bool(sub.mask[conj].all())
     if normal:
         lhs = np.broadcast_to(base, moved.shape)
         rhs = group.derived_classes(sub)[moved]
     else:
+        # conj[g, i] = g h_i g^-1 for the i-th member h_i of H
+        conj = table[table[:, np.asarray(sub.members)], inv[:, None]]
         rows_of: dict[tuple[int, ...], list[int]] = {}
         for g, row in enumerate(np.sort(conj, axis=1).tolist()):
             rows_of.setdefault(tuple(row), []).append(g)
@@ -551,47 +734,86 @@ def check_transfer_identities(
             lhs[rows] = transfer_table(group, csub)
             rhs[rows] = group.derived_classes(csub)[moved[rows]]
     report.compare(lhs, rhs, identity="conjugation")
-    report.stats["conjugation_pass"] = bool(np.array_equal(lhs, rhs))
 
-    # image in the fixed central part, for abelian normal H; the fixed
-    # members are the columns of conj that no conjugation moves
-    if sub.is_abelian and normal:
-        in_fixed = np.zeros(group.order, dtype=bool)
-        in_fixed[members[(conj == members).all(axis=0)]] = True
-        outside = np.flatnonzero(~in_fixed[base])
-        img_ok = not (in_fixed & ~group.center().mask).any() and not outside.size
-        for g in outside[:MAX_COUNTEREXAMPLES].tolist():
-            v = int(base[g])
-            movers = np.flatnonzero(table[table[:, v], inv] != v)
-            c = int(movers[0]) if movers.size else group.identity_id
+
+def _furtwangler(group: FiniteGroup, report: CheckReport) -> None:
+    """Furtwangler's bound on every K between [G,G] and G, added to
+    ``report``: T_{G/K}(g)^{[K:[G,G]]} lies in [K,K]. The subgroups are
+    compared in stacks of at most BLOCK_BYTES, with one power map per
+    exponent; the witnesses are kept in (K, g) order."""
+    subs = coabelian_subgroups(group)
+    derived_order = len(group.commutator_subgroup())
+    exponents = [len(k_sub) // derived_order for k_sub in subs]
+    power_maps = {exponent: group.powers(exponent) for exponent in set(exponents)}
+    size = max(1, BLOCK_BYTES // (8 * group.order))
+    passed = True
+    for start in range(0, len(subs), size):
+        chunk = subs[start : start + size]
+        values = np.stack([transfer_table(group, k_sub) for k_sub in chunk])
+        # [K,K] is the class of the identity; its minimal id need not be
+        # the identity's own id
+        red = np.stack([group.derived_classes(k_sub) for k_sub in chunk])
+        e = red[:, group.identity_id, None]
+        power = np.stack([power_maps[x] for x in exponents[start : start + size]])
+        rows = np.arange(len(chunk))[:, None]
+        powers = red[rows, power[rows, values]]
+        failed = np.argwhere(powers != e)
+        if failed.size:
+            passed = False
+        for i, g in failed[:MAX_COUNTEREXAMPLES].tolist():
             report.fail(
-                g=g, lhs=group.conjugate(c, v), rhs=v, conjugator=c, identity="image"
+                g=g,
+                lhs=int(powers[i, g]),
+                rhs=int(e[i, 0]),
+                identity="furtwangler",
+                K=list(chunk[i].members),
             )
-        report.stats["image_pass"] = img_ok
-        if not img_ok:
-            report.passed = False
-    else:
-        report.stats["image_pass"] = None
+    report.stats["furtwangler_pass"] = passed
+    report.stats["furtwangler_subgroups"] = len(subs)
 
-    if include_furtwangler:
-        furt_failures = 0
-        derived_order = len(group.commutator_subgroup())
-        n_checked = 0
-        for k_sub in coabelian_subgroups(group):
-            n_checked += 1
-            exponent = len(k_sub) // derived_order
-            values = transfer_table(group, k_sub)
-            # [K,K] is the class of the identity; its minimal id need not be
-            # the identity's own id
-            red = group.derived_classes(k_sub)
-            e = int(red[group.identity_id])
-            powers = red[group.powers(exponent)[values]]
-            failed = np.flatnonzero(powers != e).tolist()
-            furt_failures += len(failed)
-            for g in failed:
-                report.fail(
-                    g=g, lhs=int(powers[g]), rhs=e, identity="furtwangler", K=list(k_sub.members)
-                )
-        report.stats["furtwangler_pass"] = furt_failures == 0
-        report.stats["furtwangler_subgroups"] = n_checked
-    return report
+
+class TransferChecks(NamedTuple):
+    """The outcomes of ``transfer_checks``, one list per check, in the
+    order of the subgroups: each a report or the HrepError it raised."""
+
+    odd_index: list
+    identities: list
+    independence: list
+
+
+def transfer_checks(group: FiniteGroup, subs: Sequence[Subgroup], *, seed: int = 0) -> TransferChecks:
+    """The odd-index power rule, the transfer identities and transversal
+    independence on every subgroup, in blocks of one index.
+
+    Each block's stacks stay under BLOCK_BYTES: its canonical transversals
+    and the TRANSVERSAL_TRIALS shifted ones of each subgroup are folded as
+    one stack, and the three checks read the checked tables and the
+    trial values from it; a failure fails only its own subgroup. The
+    odd-index outcome of an even index is None.
+    Furtwangler's bound, a statement about every K between [G,G] and G,
+    is checked once, with the first subgroup's identities."""
+    checks = TransferChecks([None] * len(subs), [None] * len(subs), [None] * len(subs))
+    pending: dict[int, list[int]] = {}
+    for pos, sub in enumerate(subs):
+        pending.setdefault(sub.index(), []).append(pos)
+    for d, positions in pending.items():
+        row_size = (TRANSVERSAL_TRIALS + 1) * group.order * d
+        for _, block in _blocks({d: positions}, row_size):
+            block_subs = [subs[p] for p in block]
+            # the fold fills the table cache that the other two checks read
+            results = (
+                _independence_reports(group, block_subs, seed),
+                _odd_index_reports(group, block_subs) if d % 2 else [None] * len(block),
+                _identity_reports(group, block_subs),
+            )
+            for outcomes, found in zip(
+                (checks.independence, checks.odd_index, checks.identities), results
+            ):
+                for pos, outcome in zip(block, found):
+                    outcomes[pos] = outcome
+    if subs and isinstance(checks.identities[0], CheckReport):
+        try:
+            _furtwangler(group, checks.identities[0])
+        except HrepError as exc:
+            checks.identities[0] = exc
+    return checks

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import random
+import tracemalloc
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -809,6 +810,48 @@ def test_structure_gathers_survive_relabelling(relabel, name, data):
     group = from_name(name)
     sigma = data.draw(st.permutations(range(group.order)))
     assert_structure_matches_references(relabel(group, sigma))
+
+
+IS_ABELIAN_ZOO = (
+    "c1", "c6", "d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "ab:2,2,2,2",
+    "d16", "heis4", "prod:d8,c3", "ab:3,9", "prod:d8,d8",
+)
+
+
+@pytest.mark.parametrize("name", IS_ABELIAN_ZOO)
+def test_is_abelian_matches_the_block_against_its_transpose(relabel, name):
+    """Every subgroup, G included, of the zoo groups up to order 64 and of
+    a relabelling of each: Subgroup.is_abelian, which reads the parent's
+    generator test when the parent is abelian or H = G, and
+    FiniteGroup.is_abelian agree with the member block of the table
+    against its transpose."""
+    group = from_name(name)
+    sigma = list(range(group.order))
+    random.Random(f"{name}:abelian").shuffle(sigma)
+    for g in (group, relabel(group, sigma)):
+        assert g.is_abelian == bool(np.array_equal(g.table, g.table.T))
+        subs = g.all_subgroups()
+        assert subs[-1].members == g.full_subgroup().members
+        for sub in subs:
+            block = g.table[np.ix_(sub.members, sub.members)]
+            assert sub.is_abelian == bool(np.array_equal(block, block.T))
+
+
+def test_is_abelian_of_the_whole_group_gathers_no_table():
+    """On heis7 (order 343), the commutativity test of H = G allocates less
+    than n^2 bytes under tracemalloc: it gathers no copy of the table (a
+    gathered block is 8 n^2 bytes), and the parent compares its
+    generators only."""
+    group = from_name("heis7")
+    full = group.full_subgroup()
+    tracemalloc.start()
+    try:
+        abelian_flag = full.is_abelian
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abelian_flag is False
+    assert peak < group.order**2
 
 
 def assert_subgroup_arrays_match_references(g):

@@ -2,6 +2,7 @@
 and the order-p^3 dichotomy."""
 
 import dataclasses
+import functools
 import json
 import random
 from collections import Counter
@@ -338,11 +339,12 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         return real_all_subgroups(group, *args, **kwargs)
 
     transfer_checks = Counter()
-    real_checked_table = tr._checked_transfer_table
+    real_checked_tables = tr._checked_tables
 
-    def counting_checked_table(group, sub):
-        transfer_checks[(group, sub.members)] += 1
-        return real_checked_table(group, sub)
+    def counting_checked_tables(group, subs, values):
+        for sub in subs:
+            transfer_checks[(group, sub.members)] += 1
+        return real_checked_tables(group, subs, values)
 
     monkeypatch.setattr(idet, "_require_extension", counting_require)
     monkeypatch.setattr(hb, "quotient_by_kernel", counting_reduce)
@@ -356,7 +358,7 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     monkeypatch.setattr(FiniteGroup, "_build_skeleton", counting_build)
     monkeypatch.setattr(cli, "load_group", recording_load)
     monkeypatch.setattr(FiniteGroup, "all_subgroups", recording_all_subgroups)
-    monkeypatch.setattr(tr, "_checked_transfer_table", counting_checked_table)
+    monkeypatch.setattr(tr, "_checked_tables", counting_checked_tables)
     monkeypatch.setattr(FiniteGroup, "quotient", counting_quotient)
     monkeypatch.setattr(cli, "isotropic_independence", counting_independence)
     for name, log in checks_per_table.items():
@@ -430,6 +432,7 @@ def test_verify_transfer_checks_build_no_quotient_per_instance(monkeypatch, caps
         return wrapper
 
     for check in (
+        "transfer_checks",
         "check_correcting_cocycles",
         "check_odd_index_transfer",
         "check_transfer_identities",
@@ -943,6 +946,52 @@ def test_twist_rejects_non_characters():
     )
     with pytest.raises(NotACharacter):
         idet.twist(pair, not_multiplicative)
+
+
+def test_a_character_moved_on_the_commutators_fails_every_twist():
+    """A residue map of d8 that is 1/2 at a commutator, planted as already
+    validated (no character of G can be nontrivial on [G,G]): every pair
+    it twists raises NotACharacter at the least such commutator, each
+    time, though the [G,G] test is made once for the character."""
+    group = dihedral(8)
+    derived = group.commutator_subgroup().members
+    z = next(x for x in derived if x != group.identity_id)
+    residues = np.zeros(group.order, dtype=np.int64)
+    residues[z] = ct.residue_modulus(group) // 2
+    planted = ct.LinearCharacter(group.full_subgroup(), residues)
+    planted.__dict__["_multiplicative"] = True
+    pairs = hb.enumerate_pairs(group)
+    assert len(pairs) > 1
+    for pair in pairs:
+        with pytest.raises(NotACharacter, match=rf"^twisting character is not trivial on \[G,G\] at {z}$"):
+            idet.twist(pair, planted)
+
+
+def test_twist_tests_each_omega_on_the_commutators_once(monkeypatch):
+    """Every pair of heis3 twisted by every character of G: twist runs once
+    per (pair, omega), but the test that omega vanishes on [G,G], counted
+    by wrapping it, runs once per omega."""
+    group = heisenberg_mod(3)
+    omegas = ct.linear_characters(group)
+    real = ct.LinearCharacter._commutator_witness.func
+    tested = []
+
+    def counting(omega):
+        tested.append(omega)
+        return real(omega)
+
+    wrapped = functools.cached_property(counting)
+    wrapped.__set_name__(ct.LinearCharacter, "_commutator_witness")
+    monkeypatch.setattr(ct.LinearCharacter, "_commutator_witness", wrapped)
+    twists = []
+    real_twist = idet.twist
+    monkeypatch.setattr(idet, "twist", lambda pair, omega: twists.append(1) or real_twist(pair, omega))
+    pairs = hb.enumerate_pairs(group)
+    for pair in pairs:
+        assert idet.twist_identity(pair, omegas).passed
+    assert len(pairs) > 1 and len(twists) == len(pairs) * len(omegas)
+    assert len(tested) == len(omegas)
+    assert {id(omega) for omega in tested} == {id(omega) for omega in omegas}
 
 
 def reference_twisted_tables(pair, omegas):

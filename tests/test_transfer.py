@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrep import abelian, transfer as tr
-from hrep.errors import IdentityFailed, PreconditionFailed, unwrap
+from hrep.errors import HrepError, IdentityFailed, PreconditionFailed, unwrap
 from hrep.group_core import (
     Subgroup,
     abelian_group,
@@ -186,6 +186,27 @@ def test_transfer_in_abelian_group_is_index_power():
             values = tr.transfer_table(g, sub)
             for x in g.elements():
                 assert values[x] == g.pow(x, sub.index())
+
+
+VERIFY_ABELIAN_ZOO = ("ab:2,2,2,2", "ab:4,4", "ab:3,3,3", "ab:2,2,2,2,2")
+
+
+@pytest.mark.parametrize("name", VERIFY_ABELIAN_ZOO)
+def test_block_pass_tables_are_index_powers(relabel, name):
+    """The verify-abelian benchmark groups and a relabelling of each: the
+    table that transfer_checks folds, checks and caches for every transfer
+    instance is g -> g^[G:H], the transfer of an abelian group, which is
+    only a test oracle here."""
+    group = from_name(name)
+    sigma = list(range(group.order))
+    random.Random(f"{name}:power").shuffle(sigma)
+    for g in (group, relabel(group, sigma)):
+        instances = tr.transfer_instances(g)
+        assert instances and not g._transfer_table_cache
+        tr.transfer_checks(g, instances)
+        for sub in instances:
+            table = g._transfer_table_cache[sub.members]
+            assert table.tolist() == [g.pow(x, sub.index()) for x in g.elements()]
 
 
 def test_transfer_to_commutator_subgroup_is_trivial():
@@ -1377,6 +1398,170 @@ def test_a_phi_planted_in_one_instance_fails_only_its_cocycle(monkeypatch, name)
             alone = outcome(check_correcting_cocycle, group, block[i])
         assert alone != clean[i] and not alone["pass"]
         assert got == clean[:i] + [alone] + clean[i + 1 :]
+
+
+# -- the block pass of transfer_checks ------------------------------------------------
+
+
+def rendered(func, *args, **kwargs):
+    """``outcome`` of one call, with any HrepError as its type and message."""
+    try:
+        return outcome(func, *args, **kwargs)
+    except HrepError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def block_check_outcomes(group, subs, seed):
+    """The odd-index, identities and independence outcomes of every
+    instance from one transfer_checks call, as ``rendered`` shows a call."""
+    checks = tr.transfer_checks(group, subs, seed=seed)
+    return {
+        check: [rendered(unwrap, result) for result in getattr(checks, check)]
+        for check in ("odd_index", "identities", "independence")
+    }
+
+
+def alone_check_outcomes(group, subs, seed):
+    """The same outcomes from the one-subgroup functions, Furtwangler's
+    bound with the first instance's identities; None for the odd-index rule
+    at an even index."""
+    return {
+        "odd_index": [
+            rendered(tr.check_odd_index_transfer, group, sub) if sub.index() % 2 else None
+            for sub in subs
+        ],
+        "identities": [
+            rendered(tr.check_transfer_identities, group, sub, include_furtwangler=i == 0)
+            for i, sub in enumerate(subs)
+        ],
+        "independence": [
+            rendered(tr.transversal_independence_check, group, sub, seed=seed) for sub in subs
+        ],
+    }
+
+
+def blocks_of_two(pending, row_size):
+    """``tr._blocks`` cut to two positions per block."""
+    for d, positions in pending.items():
+        for start in range(0, len(positions), 2):
+            yield d, positions[start : start + 2]
+
+
+@pytest.mark.parametrize("name", BASIS_ZOO)
+@pytest.mark.parametrize("blocks", ("default", "pairs", "one_subgroup_per_fold"))
+def test_transfer_checks_match_one_instance_at_a_time(monkeypatch, relabel, name, blocks):
+    """Each instance's outcomes in the block pass are its outcomes alone,
+    on each group and a relabelling, at the default block size, with
+    blocks of two instances, and with every fold cut to one subgroup's
+    transversals. The pass and the single calls run on twin groups, so
+    neither reads the other's cached tables."""
+    seed = 3
+    for alone_group, block_group in zip(basis_zoo(relabel, name), basis_zoo(relabel, name)):
+        want = alone_check_outcomes(alone_group, tr.transfer_instances(alone_group), seed)
+        with monkeypatch.context() as patch:
+            if blocks == "pairs":
+                patch.setattr(tr, "_blocks", blocks_of_two)
+            if blocks == "one_subgroup_per_fold":
+                patch.setattr(tr, "BLOCK_BYTES", 1)
+            got = block_check_outcomes(block_group, tr.transfer_instances(block_group), seed)
+        assert got == want
+
+
+def noncentral_plant(group, sub, x):
+    """A member of H other than T(x), off the centre where H allows it, so
+    that covariance and the image statement fail with it when G is not
+    abelian."""
+    value = tr.transfer_table(group, sub)[x]
+    others = [h for h in sub.members if h != value]
+    return next((h for h in others if h not in group.center()), others[0])
+
+
+@pytest.mark.parametrize("name", ("d8", "ab:2,2,2", "heis4", "prod:d8,c3", "ab:3,3,3"))
+def test_a_table_planted_in_one_instance_of_the_pass_fails_only_that_instance(monkeypatch, name):
+    """A transfer value planted in one instance of a block changes that
+    instance's outcomes, to what it gives alone, with the same first
+    (trial, g) and (g, g') witnesses. No other instance changes, but for
+    Furtwangler's bound on the first one, which reads every coabelian
+    subgroup's table, the planted one included."""
+    group = from_name(name)
+    block = equal_index_block(group)
+    assert len(block) > 2
+    clean = block_check_outcomes(group, block, 0)
+    x = next(x for x in group.elements() if x != group.identity_id)
+    for i in (0, len(block) // 2, len(block) - 1):
+        sub = block[i]
+        with monkeypatch.context() as patch:
+            planted_transfer_tables(patch, group, sub, {x: noncentral_plant(group, sub, x)})
+            alone = alone_check_outcomes(group, block, 0)
+            got = block_check_outcomes(group, block, 0)
+        assert got == alone
+        assert not got["independence"][i]["pass"]
+        if not group.is_abelian:
+            assert not got["identities"][i]["stats"]["conjugation_pass"]
+        for check, outcomes in got.items():
+            for j, (planted, unplanted) in enumerate(zip(outcomes, clean[check])):
+                if j != i and (check, j) != ("identities", 0):
+                    assert planted == unplanted
+
+
+def wrong_in_trial(group, sub, trial, x, z):
+    """A transfer_fold for ``group`` that multiplies the value at x by z in
+    the given trial of ``sub``: the fold lists each subgroup's canonical
+    transversal and then its TRANSVERSAL_TRIALS shifted ones, in runs."""
+    real_fold = group.transfer_fold
+
+    def fold(subs, transversals):
+        out = real_fold(subs, transversals)
+        owners = [subs] if isinstance(subs, Subgroup) else list(subs)
+        run = len(out) // len(owners)
+        if run == tr.TRANSVERSAL_TRIALS + 1:
+            for k, owner in enumerate(owners):
+                if owner == sub:
+                    row = k * run + 1 + trial
+                    out[row, x] = group.mul(out[row, x], z)
+        return out
+
+    return fold
+
+
+@pytest.mark.parametrize("name", ("ab:2,2,2", "heis4", "prod:d8,c3"))
+def test_a_value_planted_in_one_trial_fails_only_that_instance(monkeypatch, name):
+    """A fold made wrong in one trial of one instance of a block: that
+    instance fails in that trial alone, as it does alone, and the others
+    keep their outcomes."""
+    group = from_name(name)
+    block = equal_index_block(group)
+    clean = block_check_outcomes(group, block, 0)["independence"]
+    x = next(x for x in group.elements() if x != group.identity_id)
+    for i in (0, len(block) - 1):
+        z = next(h for h in block[i].members if h != group.identity_id)
+        for trial in (0, tr.TRANSVERSAL_TRIALS - 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(group, "transfer_fold", wrong_in_trial(group, block[i], trial, x, z))
+                got = block_check_outcomes(group, block, 0)["independence"]
+                alone = rendered(tr.transversal_independence_check, group, block[i])
+            assert [(c["trial"], c["g"]) for c in alone["counterexamples"]] == [(trial, x)]
+            assert got == clean[:i] + [alone] + clean[i + 1 :]
+
+
+def test_the_covariance_certificate_reads_every_generator(monkeypatch):
+    """A transfer value planted to be fixed by conjugation by every
+    generator but the last, and moved by the last: covariance fails with
+    the pairwise loop's witnesses, so a certificate that dropped a
+    generator of S would pass it."""
+    group = dihedral(8)
+    gens = group.generators.tolist()
+    sub, v = next(
+        (sub, v)
+        for sub in tr.transfer_instances(group)
+        for v in sub.members
+        if all(group.conjugate(s, v) == v for s in gens[:-1]) and group.conjugate(gens[-1], v) != v
+    )
+    x = next(x for x in group.elements() if tr.transfer_table(group, sub)[x] != v)
+    planted_transfer_tables(monkeypatch, group, sub, {x: v})
+    report = assert_matches_reference(group, sub)
+    assert report.stats["conjugation_pass"] is False
+    assert [c for c in report.counterexamples if c["identity"] == "conjugation"]
 
 
 def plant_basis(monkeypatch, basis):
