@@ -51,9 +51,6 @@ class AbelianDecomposition:
         coords.flags.writeable = False
         return coords
 
-    def as_dict(self) -> dict:
-        return {"factors": list(self.factors), "generators": list(self.generators)}
-
 
 def _require_abelian(group: FiniteGroup) -> None:
     if not group.is_abelian:

@@ -136,17 +136,17 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
     # the pair bound is checked before any transfer work starts
     pairs = enumerate_pairs(group, max_order=config.max_order)
     instances = transfer.transfer_instances(group)
-    two_step = transfer.is_two_step_nilpotent(group)
-    # the block pass caches the checked tables that the correcting block reads
     outcomes = transfer.transfer_checks(group, instances, seed=config.seed)
-    cocycles = transfer.check_correcting_cocycles(group, instances) if two_step else []
-    for i, sub in enumerate(instances):
-        if two_step and sub.index() % 2 == 1:
-            run(f"odd_index_transfer[{i}]", lambda o=outcomes.odd_index[i]: unwrap(o))
-        if two_step:
-            run(f"correcting_cocycle[{i}]", lambda c=cocycles[i]: unwrap(c))
-        run(f"transfer_identities[{i}]", lambda o=outcomes.identities[i]: unwrap(o))
-        run(f"transversal_independence[{i}]", lambda o=outcomes.independence[i]: unwrap(o))
+    names = (
+        "odd_index_transfer",
+        "correcting_cocycle",
+        "transfer_identities",
+        "transversal_independence",
+    )
+    for i in range(len(instances)):
+        for name, found in zip(names, outcomes):
+            if found[i] is not None:
+                run(f"{name}[{i}]", lambda o=found[i]: unwrap(o))
 
     omegas = linear_characters(group)
     det_reports = []

@@ -17,12 +17,13 @@ only where that fails or H is not normal; the cocycle identity is
 compared as whole tables. Every check keeps the first witnesses of each
 failed identity through ``CheckReport.fail``.
 
-The checks run on many subgroups in blocks of one index, as stacked
-arrays under BLOCK_BYTES: ``transfer_checks`` (the odd-index rule, the
-identities and transversal independence, from one fold per block) and
-``check_correcting_cocycles``. Each one-subgroup function is its block
-of one, and every outcome in a block is the one its subgroup gives
-alone.
+``transfer_checks`` runs the per-subgroup checks (transversal
+independence, the odd-index rule, the identities and the cocycle of the
+correcting function) on many subgroups in one pass, cut into blocks of
+one index whose stacked arrays stay under BLOCK_BYTES. One fold per block
+gives its checked tables and its trial values, and every check of the
+block reads them; every outcome in a block is the one its subgroup gives
+alone, in a block of one.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .group_core import FiniteGroup, Subgroup
 
-# Randomly shifted transversals tried by transversal_independence_check.
+# Randomly shifted transversals tried by the transversal independence check.
 TRANSVERSAL_TRIALS = 10
 
 # A report keeps this many witnesses of each failed identity.
@@ -124,16 +125,18 @@ def transfer_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     """
     cached = group._transfer_table_cache.get(sub.members)
     if cached is None:
-        values = group.derived_classes(sub)[group.transfer_products(sub)]
-        (outcome,) = _checked_tables(group, [sub], values[None])
+        red = group.derived_classes(sub)[None]
+        (outcome,) = _checked_tables(group, [sub], red[:, group.transfer_products(sub)], red)
         cached = group._transfer_table_cache[sub.members] = unwrap(outcome)
     return cached
 
 
-def _fold(group: FiniteGroup, subs: Sequence[Subgroup], shifts: np.ndarray) -> np.ndarray:
+def _fold(
+    group: FiniteGroup, subs: Sequence[Subgroup], shifts: np.ndarray, red: np.ndarray
+) -> np.ndarray:
     """The (k, t, n) transfer values of the transversals ``t_j shifts[i, r, j]``
     of each subgroup, for ``shifts`` (k, t, d) members of H, all subgroups
-    of one index d.
+    of one index d, and ``red`` the (k, n) stack of their [H,H]-classes.
 
     They are folded as one stack with the canonical transversal of every
     subgroup, and each canonical table not cached yet is checked by
@@ -147,7 +150,7 @@ def _fold(group: FiniteGroup, subs: Sequence[Subgroup], shifts: np.ndarray) -> n
     values = values.reshape(k, t + 1, group.order)
     fresh = [i for i, sub in enumerate(subs) if sub.members not in cache]
     if fresh:
-        checked = _checked_tables(group, [subs[i] for i in fresh], values[fresh, 0])
+        checked = _checked_tables(group, [subs[i] for i in fresh], values[fresh, 0], red[fresh])
         for i, outcome in zip(fresh, checked):
             if not isinstance(outcome, HrepError):
                 cache[subs[i].members] = outcome
@@ -155,18 +158,18 @@ def _fold(group: FiniteGroup, subs: Sequence[Subgroup], shifts: np.ndarray) -> n
 
 
 def _checked_tables(
-    group: FiniteGroup, subs: Sequence[Subgroup], values: np.ndarray
+    group: FiniteGroup, subs: Sequence[Subgroup], values: np.ndarray, red: np.ndarray
 ) -> list[np.ndarray | IdentityFailed]:
     """Row i of ``values``, the transfer values of ``subs[i]`` modulo
-    [H,H], as a read-only table if it is a homomorphism G -> H/[H,H] at e
-    and on G x S, S = ``group.generators``, else IdentityFailed. The rows
-    are made read-only in place, so ``values`` is an array of their own.
+    [H,H] as row i of ``red`` encodes them, as a read-only table if it is
+    a homomorphism G -> H/[H,H] at e and on G x S, S = ``group.generators``,
+    else IdentityFailed. The rows are made read-only in place, so
+    ``values`` is an array of their own.
 
     Values are the minimal ids of their [H,H]-cosets, so equal ids are
     equal classes. By the lemma on ``FiniteGroup`` the check on G x S is
     the check on G x G; its message names no witness, so no full scan
     follows a failure."""
-    red = np.stack([group.derived_classes(sub) for sub in subs])
     table, gens, e = group.table, group.generators, group.identity_id
     rows = np.arange(len(subs))[:, None, None]
     values = np.asarray(values, dtype=np.int64)
@@ -179,65 +182,75 @@ def _checked_tables(
     ]
 
 
-def transfer_values_with_transversal(group: FiniteGroup, subs, transversals) -> np.ndarray:
+def transfer_values_with_transversal(
+    group: FiniteGroup, subs: Sequence[Subgroup], transversals
+) -> np.ndarray:
     """Transfer values (canonicalized) against each row of a k x d batch of
-    explicit left transversals, as a k x n array. ``subs`` is the subgroup
-    H of every row, or a sequence of subgroups of index d owning
-    consecutive runs of rows of one length.
+    explicit left transversals, as a k x n array. ``subs`` are subgroups
+    of index d that own consecutive runs of rows of one length.
 
     Whole runs are folded together, as many as keep the (rows, n, d)
     stacks of one fold under BLOCK_BYTES. Used to confirm independence of
     the transversal choice.
     """
     rows = np.asarray(transversals, dtype=np.int64)
-    owners = [subs] if isinstance(subs, Subgroup) else list(subs)
-    valid = rows.ndim == 2 and len(rows) % len(owners) == 0
+    valid = rows.ndim == 2 and len(rows) % len(subs) == 0
     if valid:
-        d, run = rows.shape[1], len(rows) // len(owners)
+        d, run = rows.shape[1], len(rows) // len(subs)
         owner = np.arange(len(rows)) // max(1, run)
-        pos = np.stack([group.coset_positions(sub)[1] for sub in owners])
-        valid = all(sub.index() == d for sub in owners) and bool(
+        pos = np.stack([group.coset_positions(sub)[1] for sub in subs])
+        valid = all(sub.index() == d for sub in subs) and bool(
             (np.sort(pos[owner[:, None], rows], axis=1) == np.arange(d)).all()
         )
     if not valid:
         raise PreconditionFailed("not a left transversal: one representative per coset required")
-    size = max(1, BLOCK_BYTES // (8 * group.order * d * max(1, run)))
+    chunks = _blocks(range(len(subs)), group.order * d * max(1, run))
     raw = np.concatenate(
         [
-            group.transfer_fold(owners[start : start + size], rows[start * run : (start + size) * run])
-            for start in range(0, len(owners), size)
+            group.transfer_fold(subs[c.start : c.stop], rows[c.start * run : c.stop * run])
+            for c in chunks
         ]
     )
-    red = np.stack([group.derived_classes(sub) for sub in owners])
+    red = np.stack([group.derived_classes(sub) for sub in subs])
     return red[owner[:, None], raw]
 
 
-def transversal_independence_check(
-    group: FiniteGroup, sub: Subgroup, *, seed: int = 0
-) -> CheckReport:
-    """Recompute transfer with randomly H-shifted transversals; values must
-    agree. This is ``_independence_reports`` on one subgroup."""
-    return unwrap(_independence_reports(group, [sub], seed)[0])
+def _blocks(items, row_size: int):
+    """Consecutive slices of ``items``, each as long as a stack of one row
+    of ``row_size`` int64 values per item keeps under BLOCK_BYTES, and at
+    least one item long."""
+    size = max(1, BLOCK_BYTES // (8 * row_size))
+    for start in range(0, len(items), size):
+        yield items[start : start + size]
+
+
+def _stacked_tables(group: FiniteGroup, subs: Sequence[Subgroup]):
+    """(values, errors): the (k, n) stack of ``transfer_table`` of each
+    subgroup, and a list that holds the HrepError of each subgroup whose
+    table raised (its row of values is then the identity) and None
+    elsewhere."""
+    tables: list[np.ndarray] = []
+    errors: list = [None] * len(subs)
+    for i, sub in enumerate(subs):
+        try:
+            tables.append(transfer_table(group, sub))
+        except HrepError as exc:
+            errors[i] = exc
+            tables.append(np.full(group.order, group.identity_id, dtype=np.int64))
+    return np.stack(tables), errors
 
 
 def _independence_reports(
-    group: FiniteGroup, subs: Sequence[Subgroup], seed: int
+    group: FiniteGroup, subs: Sequence[Subgroup], trials: np.ndarray, values, errors
 ) -> list[CheckReport | HrepError]:
-    """``transversal_independence_check`` on subgroups of one index, each
-    outcome its report or the HrepError its transfer table raises.
-
-    The shifts are drawn trial by trial, coset by coset, as positions in
-    H's member list that depend only on (seed, |H|), so each group draws
-    them once per subgroup order and a block of one index shares them.
-    Every trial of every subgroup is folded in one stack with the
-    canonical transversals; failures are reported in (trial, g) order.
-    """
+    """Transversal independence on subgroups of one index: the (k, t, n)
+    ``trials``, folded from randomly H-shifted transversals, must agree
+    with the tables ``values``. Each outcome is its report, or its entry
+    of ``errors``; failures are reported in (trial, g) order."""
     size = len(subs[0])
-    members = np.array([sub.members for sub in subs], dtype=np.int64)
-    trials = _fold(group, subs, members[:, _shift_positions(group, size, seed)])
-    references, outcomes = _stacked_tables(group, subs)
-    differs = (trials != references[:, None, :]).any(axis=(1, 2))
-    for i, sub in enumerate(subs):
+    outcomes = list(errors)
+    differs = (trials != values[:, None, :]).any(axis=(1, 2))
+    for i in range(len(subs)):
         if outcomes[i] is not None:
             continue
         report = outcomes[i] = CheckReport(
@@ -246,26 +259,9 @@ def _independence_reports(
             stats={"group": group.label, "subgroup_order": size, "trials": TRANSVERSAL_TRIALS},
         )
         if differs[i]:
-            values, reference = trials[i], references[i]
-            for trial, g in np.argwhere(values != reference)[:MAX_COUNTEREXAMPLES].tolist():
-                report.fail(g=g, lhs=int(values[trial, g]), rhs=int(reference[g]), trial=trial)
+            for trial, g in np.argwhere(trials[i] != values[i])[:MAX_COUNTEREXAMPLES].tolist():
+                report.fail(g=g, lhs=int(trials[i, trial, g]), rhs=int(values[i, g]), trial=trial)
     return outcomes
-
-
-def _stacked_tables(group: FiniteGroup, subs: Sequence[Subgroup]):
-    """(values, outcomes): the (k, n) stack of ``transfer_table`` of each
-    subgroup, and a list that holds the HrepError of each subgroup whose
-    table raised (its row of values is then the identity) and None
-    elsewhere."""
-    tables: list[np.ndarray] = []
-    outcomes: list = [None] * len(subs)
-    for i, sub in enumerate(subs):
-        try:
-            tables.append(transfer_table(group, sub))
-        except HrepError as exc:
-            outcomes[i] = exc
-            tables.append(np.full(group.order, group.identity_id, dtype=np.int64))
-    return np.stack(tables), outcomes
 
 
 def _shift_positions(group: FiniteGroup, size: int, seed: int) -> np.ndarray:
@@ -273,7 +269,9 @@ def _shift_positions(group: FiniteGroup, size: int, seed: int) -> np.ndarray:
     a subgroup H of order ``size``, kept on the group per (seed, |H|).
     ``randrange(size)`` draws from the stream ``choice`` reads for a
     sequence of that length, so the shifts equal one ``choice`` of H's
-    members per coset per trial."""
+    members per coset per trial. They depend only on (seed, |H|), so each
+    group draws them once per subgroup order and a block of one index
+    shares them."""
     key = (seed, size)
     cached = group._shift_cache.get(key)
     if cached is None:
@@ -289,55 +287,64 @@ def _shift_positions(group: FiniteGroup, size: int, seed: int) -> np.ndarray:
 # -- closed forms on two-step nilpotent groups ---------------------------------
 
 
-def _power_rule_preconditions(group: FiniteGroup, sub: Subgroup, *, need_odd: bool) -> int:
+def _power_rule_preconditions(group: FiniteGroup, sub: Subgroup) -> int:
     """Validate the shared hypotheses, returning the index d."""
     if not sub.is_abelian:
         raise PreconditionFailed("(1) H is not abelian")
     if not sub.contains_subgroup(group.commutator_subgroup()):
         raise PreconditionFailed("(2) G/H is not a group: [G,G] is not inside H")
-    d = sub.index()
-    if need_odd and d % 2 == 0:
-        raise PreconditionFailed(f"(2) G/H must have odd order, got d={d}")
     if not is_two_step_nilpotent(group):
         raise PreconditionFailed("(3) [G,[G,G]] is not trivial")
-    return d
+    return sub.index()
 
 
-def check_odd_index_transfer(group: FiniteGroup, sub: Subgroup) -> CheckReport:
-    """For abelian normal H of odd index d in a two-step nilpotent group,
-    the transfer is the d-th power map; consequently [G,G]^d = {e} and
-    G^d is central. This is ``_odd_index_reports`` on one subgroup."""
-    return unwrap(_odd_index_reports(group, [sub])[0])
+def _power_rule_block(
+    group: FiniteGroup, subs: Sequence[Subgroup], d: int, values: np.ndarray, errors
+) -> tuple[list, list]:
+    """(odd-index outcomes, correcting functions) of subgroups of one index
+    d in a two-step nilpotent group, each its report or value, or the
+    HrepError it raises: a failed precondition first, then its entry of
+    ``errors``. The odd-index outcomes are None at an even index."""
+    outcomes, live = list(errors), []
+    for i, sub in enumerate(subs):
+        try:
+            _power_rule_preconditions(group, sub)
+        except HrepError as exc:
+            outcomes[i] = exc
+        else:
+            live.append(i)
+    odd = _odd_index_reports(group, d, values, outcomes) if d % 2 else [None] * len(subs)
+    cfs = list(outcomes)
+    if live:
+        try:
+            found = _correcting_block(
+                group, [subs[i] for i in live], d, values[live], [errors[i] for i in live]
+            )
+        except HrepError as exc:
+            found = [exc] * len(live)
+        for i, cf in zip(live, found):
+            cfs[i] = cf
+    return odd, cfs
 
 
 def _odd_index_reports(
-    group: FiniteGroup, subs: Sequence[Subgroup]
+    group: FiniteGroup, d: int, values: np.ndarray, errors
 ) -> list[CheckReport | HrepError]:
-    """``check_odd_index_transfer`` on subgroups of one index d, each
-    outcome its report or the HrepError it raises: a failed precondition
-    first, then a failed transfer table. The witnesses against [G,G]^d =
-    {e} and G^d <= Z(G) depend on G and d alone, so a block finds them
-    once and every report lists them after its own power witnesses."""
-    outcomes: list = [None] * len(subs)
-    live = []
-    for i, sub in enumerate(subs):
-        try:
-            _power_rule_preconditions(group, sub, need_odd=True)
-        except HrepError as exc:
-            outcomes[i] = exc
-            continue
-        live.append(i)
+    """For abelian normal H of odd index d in a two-step nilpotent group,
+    the transfer is the d-th power map; consequently [G,G]^d = {e} and G^d
+    is central. Checked on the tables ``values`` of subgroups of index d,
+    each outcome its report or its entry of ``errors``. The witnesses
+    against [G,G]^d = {e} and G^d <= Z(G) depend on G and d alone, so a
+    block finds them once and every report lists them after its own power
+    witnesses."""
+    outcomes = list(errors)
+    live = [i for i, error in enumerate(errors) if error is None]
     if not live:
         return outcomes
-    d = subs[live[0]].index()
-    values, errors = _stacked_tables(group, [subs[i] for i in live])
     powers = group.powers(d)
     shared = _power_witnesses(group, d, powers)
     differs = (values != powers).any(axis=1)
-    for row, i in enumerate(live):
-        if errors[row] is not None:
-            outcomes[i] = errors[row]
-            continue
+    for i in live:
         report = outcomes[i] = CheckReport(
             "odd_index_transfer_power_rule",
             True,
@@ -345,9 +352,9 @@ def _odd_index_reports(
         )
         # every witness fails under the same identity key, which keeps at
         # most MAX_COUNTEREXAMPLES in all
-        if differs[row]:
-            for g in np.flatnonzero(values[row] != powers)[:MAX_COUNTEREXAMPLES].tolist():
-                report.fail(g=g, lhs=int(values[row, g]), rhs=int(powers[g]))
+        if differs[i]:
+            for g in np.flatnonzero(values[i] != powers)[:MAX_COUNTEREXAMPLES].tolist():
+                report.fail(g=g, lhs=int(values[i, g]), rhs=int(powers[g]))
         for witness in shared:
             report.fail(**witness)
     return outcomes
@@ -415,57 +422,24 @@ def correcting_function(group: FiniteGroup, sub: Subgroup) -> CorrectingFunction
       the transfer values accordingly.
 
     Every property is one array test over G, raising at its first failing
-    element in id order. This is ``_correcting_blocks`` on one subgroup.
+    element in id order. This is ``_correcting_block`` on one subgroup.
     """
-    ((_, (outcome,)),) = _correcting_blocks(group, [sub])
+    d = _power_rule_preconditions(group, sub)
+    (outcome,) = _correcting_block(group, [sub], d, *_stacked_tables(group, [sub]))
     return unwrap(outcome)
 
 
-def _correcting_blocks(group: FiniteGroup, subs: Sequence[Subgroup]):
-    """(positions, outcomes) of ``correcting_function`` on the subgroups,
-    each outcome its value or the HrepError it raises: each subgroup that
-    fails the preconditions alone, then blocks of one index, checked
-    together as stacked (k, n) arrays; each row fails at its own first
-    witness, and a failure fails only its own row."""
-    pending: dict[int, list[int]] = {}
-    for pos, sub in enumerate(subs):
-        try:
-            d = _power_rule_preconditions(group, sub, need_odd=False)
-        except HrepError as exc:
-            yield [pos], [exc]
-            continue
-        pending.setdefault(d, []).append(pos)
-    # G/H has at most log2 n invariant factors, one (n, s) coordinate
-    # array per row of a block
-    s_bound = max(1, group.order.bit_length() - 1)
-    for d, block in _blocks(pending, group.order * s_bound):
-        try:
-            results = _correcting_block(group, [subs[p] for p in block], d)
-        except HrepError as exc:
-            results = [exc] * len(block)
-        yield block, results
-
-
-def _blocks(pending: dict[int, list[int]], row_size: int):
-    """(d, positions) for each block of the positions listed under index
-    d, cut so that a stack of one row of ``row_size`` int64 values per
-    position fits in BLOCK_BYTES."""
-    size = max(1, BLOCK_BYTES // (8 * row_size))
-    for d, positions in pending.items():
-        for start in range(0, len(positions), size):
-            yield d, positions[start : start + size]
-
-
 def _correcting_block(
-    group: FiniteGroup, subs: list[Subgroup], d: int
+    group: FiniteGroup, subs: list[Subgroup], d: int, values: np.ndarray, errors
 ) -> list[CorrectingFunction | HrepError]:
-    """The correcting functions of instances of one index d, as stacked
-    (k, n) arrays: row i of every array belongs to ``subs[i]``, and each
-    check below fails a live row at its first witness, in the order in
-    which ``correcting_function`` lists the checks."""
+    """The correcting functions of instances of one index d, from their
+    tables ``values``, as stacked (k, n) arrays: row i of every array
+    belongs to ``subs[i]``, a row with an entry in ``errors`` keeps it,
+    and each check below fails a live row at its first witness, in the
+    order in which ``correcting_function`` lists the checks."""
     k, n = len(subs), group.order
     table, inv, e = group.table, group.inverse, group.identity_id
-    values, errors = _stacked_tables(group, subs)
+    errors = list(errors)
     alive = np.array([error is None for error in errors])
     rows = np.arange(k)[:, None]
 
@@ -565,39 +539,6 @@ def _correcting_block(
     ]
 
 
-def check_correcting_cocycles(
-    group: FiniteGroup, subs: Sequence[Subgroup]
-) -> list[CheckReport | HrepError]:
-    """phi(g1 g2) / (phi(g1) phi(g2)) = [g1, g2]^(d(d-1)/2) for all pairs,
-    and for odd d phi identically trivial, on the correcting function of
-    each subgroup: its report, or the HrepError ``correcting_function``
-    raises on it, in order.
-
-    Each block of correcting functions is compared as soon as it is made,
-    in blocks of stacked (k, n, n) tables against one right-hand side per
-    index, read from one commutator table, so that one block of phi
-    values is held at a time.
-    """
-    outcomes: list = [None] * len(subs)
-    commutators = rhs = rhs_index = None
-    for positions, results in _correcting_blocks(group, subs):
-        pending: dict[int, list[int]] = {}
-        for pos, result in zip(positions, results):
-            outcomes[pos] = result
-            if isinstance(result, CorrectingFunction):
-                pending.setdefault(result.index, []).append(pos)
-        for d, block in _blocks(pending, group.order**2):
-            if commutators is None:
-                everything = group.elements()
-                commutators = group.commutator_table(everything, everything)
-            if d != rhs_index:
-                rhs, rhs_index = group.powers(d * (d - 1) // 2)[commutators], d
-            reports = _cocycle_reports(group, [outcomes[p] for p in block], rhs)
-            for pos, report in zip(block, reports):
-                outcomes[pos] = report
-    return outcomes
-
-
 def _cocycle_reports(
     group: FiniteGroup, cfs: list[CorrectingFunction], rhs: np.ndarray
 ) -> list[CheckReport]:
@@ -630,27 +571,13 @@ def _cocycle_reports(
     return reports
 
 
-def check_transfer_identities(
-    group: FiniteGroup, sub: Subgroup, *, include_furtwangler: bool = True
-) -> CheckReport:
-    """Three classical identities. Conjugation covariance
-    T_{G/gHg^-1}(g') = g T_{G/H}(g') g^-1 holds for every subgroup; the
-    image statement Im(T) <= H^{G/H} <= Z(G) needs H abelian normal;
-    Furtwangler's bound T_{G/K}(g)^{[K:[G,G]]} = 1 runs over every K
-    between [G,G] and G. This is ``_identity_reports`` on one subgroup,
-    with ``_furtwangler`` when asked."""
-    report = unwrap(_identity_reports(group, [sub])[0])
-    if include_furtwangler:
-        _furtwangler(group, report)
-    return report
-
-
 def _identity_reports(
-    group: FiniteGroup, subs: Sequence[Subgroup]
+    group: FiniteGroup, subs: Sequence[Subgroup], values: np.ndarray, errors, red: np.ndarray
 ) -> list[CheckReport | HrepError]:
     """Conjugation covariance and the image statement on subgroups of one
-    index, each outcome its report or the HrepError a transfer table
-    raises.
+    index, from their tables ``values`` and [H,H]-classes ``red``, each
+    outcome its report, its entry of ``errors`` or the HrepError a
+    conjugate's table raises.
 
     For normal H, T_{G/gHg^-1} = T_{G/H}, so covariance says that
     conjugation by every g fixes each T(g') modulo [H,H]. Conjugation by
@@ -667,9 +594,8 @@ def _identity_reports(
     read from the conjugates of every element by S, once for the block.
     """
     table, inv, gens = group.table, group.inverse, group.generators
-    values, outcomes = _stacked_tables(group, subs)
+    outcomes = list(errors)
     k, n = values.shape
-    red = np.stack([group.derived_classes(sub) for sub in subs])
     rows = np.arange(k)[:, None]
     # s T(g') s^-1 for every s in S, in (k, |S|, n)
     moved = table[table[gens[:, None], values[:, None, :]], inv[gens][:, None]]
@@ -743,18 +669,16 @@ def _furtwangler(group: FiniteGroup, report: CheckReport) -> None:
     exponent; the witnesses are kept in (K, g) order."""
     subs = coabelian_subgroups(group)
     derived_order = len(group.commutator_subgroup())
-    exponents = [len(k_sub) // derived_order for k_sub in subs]
-    power_maps = {exponent: group.powers(exponent) for exponent in set(exponents)}
-    size = max(1, BLOCK_BYTES // (8 * group.order))
+    exponents = {len(k_sub) // derived_order for k_sub in subs}
+    power_maps = {exponent: group.powers(exponent) for exponent in exponents}
     passed = True
-    for start in range(0, len(subs), size):
-        chunk = subs[start : start + size]
+    for chunk in _blocks(subs, group.order):
         values = np.stack([transfer_table(group, k_sub) for k_sub in chunk])
         # [K,K] is the class of the identity; its minimal id need not be
         # the identity's own id
         red = np.stack([group.derived_classes(k_sub) for k_sub in chunk])
         e = red[:, group.identity_id, None]
-        power = np.stack([power_maps[x] for x in exponents[start : start + size]])
+        power = np.stack([power_maps[len(k_sub) // derived_order] for k_sub in chunk])
         rows = np.arange(len(chunk))[:, None]
         powers = red[rows, power[rows, values]]
         failed = np.argwhere(powers != e)
@@ -774,42 +698,64 @@ def _furtwangler(group: FiniteGroup, report: CheckReport) -> None:
 
 class TransferChecks(NamedTuple):
     """The outcomes of ``transfer_checks``, one list per check, in the
-    order of the subgroups: each a report or the HrepError it raised."""
+    order of the subgroups: each a report, the HrepError it raised, or
+    None where the check does not apply. The odd-index rule applies at an
+    odd index, and it and the cocycle only on a two-step nilpotent group."""
 
     odd_index: list
+    cocycle: list
     identities: list
     independence: list
 
 
 def transfer_checks(group: FiniteGroup, subs: Sequence[Subgroup], *, seed: int = 0) -> TransferChecks:
-    """The odd-index power rule, the transfer identities and transversal
-    independence on every subgroup, in blocks of one index.
+    """The odd-index power rule, the cocycle of the correcting function,
+    the transfer identities and transversal independence on every
+    subgroup.
 
-    Each block's stacks stay under BLOCK_BYTES: its canonical transversals
+    The subgroups are grouped by index, and each index is cut into blocks
+    whose fold stacks stay under BLOCK_BYTES: the canonical transversals
     and the TRANSVERSAL_TRIALS shifted ones of each subgroup are folded as
-    one stack, and the three checks read the checked tables and the
-    trial values from it; a failure fails only its own subgroup. The
-    odd-index outcome of an even index is None.
-    Furtwangler's bound, a statement about every K between [G,G] and G,
-    is checked once, with the first subgroup's identities."""
-    checks = TransferChecks([None] * len(subs), [None] * len(subs), [None] * len(subs))
+    one stack. Every check of a block reads one stack of its checked
+    tables and one of its [H,H]-classes, and a failure fails only its own
+    subgroup. The cocycle tables are compared in blocks of stacked
+    (k, n, n) tables, against one right-hand side per index, read from one
+    commutator table. Furtwangler's bound, a statement about every K
+    between [G,G] and G, is checked once, with the first subgroup's
+    identities."""
+    n = group.order
+    checks = TransferChecks(*([None] * len(subs) for _ in TransferChecks._fields))
+    two_step = is_two_step_nilpotent(group)
     pending: dict[int, list[int]] = {}
     for pos, sub in enumerate(subs):
         pending.setdefault(sub.index(), []).append(pos)
+    commutators = None
     for d, positions in pending.items():
-        row_size = (TRANSVERSAL_TRIALS + 1) * group.order * d
-        for _, block in _blocks({d: positions}, row_size):
+        rhs = None
+        for block in _blocks(positions, (TRANSVERSAL_TRIALS + 1) * n * d):
             block_subs = [subs[p] for p in block]
-            # the fold fills the table cache that the other two checks read
-            results = (
-                _independence_reports(group, block_subs, seed),
-                _odd_index_reports(group, block_subs) if d % 2 else [None] * len(block),
-                _identity_reports(group, block_subs),
-            )
-            for outcomes, found in zip(
-                (checks.independence, checks.odd_index, checks.identities), results
-            ):
-                for pos, outcome in zip(block, found):
+            red = np.stack([group.derived_classes(sub) for sub in block_subs])
+            members = np.array([sub.members for sub in block_subs], dtype=np.int64)
+            shifts = members[:, _shift_positions(group, n // d, seed)]
+            trials = _fold(group, block_subs, shifts, red)
+            values, errors = _stacked_tables(group, block_subs)
+            independence = _independence_reports(group, block_subs, trials, values, errors)
+            odd = cfs = [None] * len(block)
+            if two_step:
+                odd, cfs = _power_rule_block(group, block_subs, d, values, errors)
+                live = [i for i, cf in enumerate(cfs) if isinstance(cf, CorrectingFunction)]
+                if live and rhs is None:
+                    if commutators is None:
+                        everything = group.elements()
+                        commutators = group.commutator_table(everything, everything)
+                    rhs = group.powers(d * (d - 1) // 2)[commutators]
+                for chunk in _blocks(live, n * n):
+                    reports = _cocycle_reports(group, [cfs[i] for i in chunk], rhs)
+                    for i, report in zip(chunk, reports):
+                        cfs[i] = report
+            identities = _identity_reports(group, block_subs, values, errors, red)
+            for outcomes, results in zip(checks, (odd, cfs, identities, independence)):
+                for pos, outcome in zip(block, results):
                     outcomes[pos] = outcome
     if subs and isinstance(checks.identities[0], CheckReport):
         try:

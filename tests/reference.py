@@ -298,8 +298,8 @@ def check_correcting_ratio(
 
 
 def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
-    """``check_correcting_cocycles`` on one subgroup, with phi read through
-    ``tr.correcting_function``, which a test may replace."""
+    """The cocycle report of ``tr.transfer_checks`` on one subgroup, with
+    phi read through ``tr.correcting_function``, which a test may replace."""
     cf = tr.correcting_function(group, sub)
     d = cf.index
     everything = group.elements()

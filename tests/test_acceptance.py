@@ -11,6 +11,7 @@ from functools import cache
 from hrep import char_theory as ct, heisenberg as hb, induced_det as idet
 from hrep import transfer as tr
 from hrep.char_theory import QmodZ
+from hrep.errors import unwrap
 from hrep.group_core import (
     central_product,
     cyclic,
@@ -155,10 +156,9 @@ def test_acceptance_03_odd_index_power_rule():
     for group in full_zoo():
         if not tr.is_two_step_nilpotent(group):
             continue
-        for sub in tr.transfer_instances(group):
-            if sub.index() % 2 == 0:
-                continue
-            report = tr.check_odd_index_transfer(group, sub)
+        odd = [sub for sub in tr.transfer_instances(group) if sub.index() % 2]
+        for outcome in tr.transfer_checks(group, odd).odd_index:
+            report = unwrap(outcome)
             assert report.passed, (group.label, report.counterexamples[:3])
             instances += 1
     elapsed = time.monotonic() - started
@@ -309,14 +309,14 @@ def test_acceptance_08a_transversal_independence():
     for group in full_zoo():
         if group.order > 64 or group.is_abelian:
             continue
-        for sub in tr.transfer_instances(group):
-            report = tr.transversal_independence_check(group, sub, seed=2024)
+        checks = tr.transfer_checks(group, tr.transfer_instances(group), seed=2024)
+        for outcome in checks.independence:
+            report = unwrap(outcome)
             assert report.passed, (group.label, report.counterexamples[:3])
             instances += 1
     for group in (cyclic(12), cyclic(64), direct_product(cyclic(4), cyclic(6))):
-        for sub in group.all_subgroups():
-            report = tr.transversal_independence_check(group, sub, seed=2024)
-            assert report.passed
+        for outcome in tr.transfer_checks(group, group.all_subgroups(), seed=2024).independence:
+            assert unwrap(outcome).passed
             instances += 1
     assert instances > 50
     report_line("8a", f"transversal independence, {instances} instances", started)

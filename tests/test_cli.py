@@ -329,15 +329,7 @@ def test_groups_are_not_mutated_after_construction():
 # Public definitions that nothing in src/ references but that stay, with the
 # reason each one is kept; methods are named Class.method. The tests'
 # references live in tests/reference.py, not here.
-UNREFERENCED_ALLOWED: dict[str, str] = {
-    name: "the one-subgroup form of a check that verify runs in blocks through "
-    "transfer.transfer_checks; library API, named in README's transfer row"
-    for name in (
-        "check_odd_index_transfer",
-        "check_transfer_identities",
-        "transversal_independence_check",
-    )
-}
+UNREFERENCED_ALLOWED: dict[str, str] = {}
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> set[str]:
@@ -403,7 +395,7 @@ def test_the_reference_scan_reports_an_injected_orphan(module):
     to an existing module or arrives in a new one."""
     sources = src_sources()
     sources[module] = sources.get(module, "") + "\n\ndef orphan():\n    ...\n"
-    assert unreferenced_definitions(sources) == {"orphan"} | set(UNREFERENCED_ALLOWED)
+    assert unreferenced_definitions(sources) == {"orphan"}
 
 
 # -- file input --------------------------------------------------------------------

@@ -136,7 +136,7 @@ def assert_certificates_match_full_scans(group, seed=0):
         plants.append(np.where(k_mask, e, members[-1]))
         for planted in plants:
             ok = full_scan_is_homomorphism(group, red[planted], red)
-            (checked,) = tr._checked_tables(group, [sub], red[planted][None])
+            (checked,) = tr._checked_tables(group, [sub], red[planted][None], red[None])
             if ok:
                 assert checked.tolist() == red[planted].tolist()
             else:

@@ -40,6 +40,12 @@ def rotations(d8):
     return subgroup(d8, [E, A, A2, A3])
 
 
+def single_check(group, sub, check, seed=0):
+    """One list of ``tr.transfer_checks`` on the subgroup alone: its
+    outcome, raised if it is an HrepError."""
+    return unwrap(getattr(tr.transfer_checks(group, [sub], seed=seed), check)[0])
+
+
 # -- the definition -----------------------------------------------------------------
 
 
@@ -232,17 +238,17 @@ def test_transversal_independence_rotated_and_shifted():
     rotated = list(reversed(d8.coset_positions(sub)[0]))
     # shifted by subgroup elements
     shifted = [d8.mul(t, h) for t, h in zip(d8.coset_positions(sub)[0], [A2, A])]
-    values = tr.transfer_values_with_transversal(d8, sub, [rotated, shifted])
+    values = tr.transfer_values_with_transversal(d8, [sub], [rotated, shifted])
     assert values.tolist() == [base, base]
-    report = tr.transversal_independence_check(d8, sub, seed=3)
+    report = single_check(d8, sub, "independence", seed=3)
     assert report.passed
 
 
 def test_transversal_independence_seed_determinism():
     h3 = heisenberg_mod(3)
     sub = h3.center()
-    r1 = tr.transversal_independence_check(h3, sub, seed=11)
-    r2 = tr.transversal_independence_check(h3, sub, seed=11)
+    r1 = single_check(h3, sub, "independence", seed=11)
+    r2 = single_check(h3, sub, "independence", seed=11)
     assert r1.as_dict() == r2.as_dict()
     assert r1.passed
 
@@ -258,7 +264,7 @@ def test_transversal_shifts_are_drawn_once_per_subgroup_order(monkeypatch):
     subs = group.all_subgroups()
     for seed in (0, 5):
         for sub in subs:
-            assert tr.transversal_independence_check(group, sub, seed=seed).passed
+            assert single_check(group, sub, "independence", seed=seed).passed
     orders = {len(sub) for sub in subs}
     assert sorted(draws) == sorted([0] * len(orders) + [5] * len(orders))
     for sub in subs:
@@ -277,7 +283,7 @@ def test_bad_transversal_rejected():
     d8 = dihedral(8)
     for transversals in ([E, A], [[E, A]], [[E, B], [E, A]], [[E]]):
         with pytest.raises(PreconditionFailed):
-            tr.transfer_values_with_transversal(d8, rotations(d8), transversals)
+            tr.transfer_values_with_transversal(d8, [rotations(d8)], transversals)
 
 
 # -- odd-index power rule ----------------------------------------------------------
@@ -289,7 +295,7 @@ def test_odd_index_power_rule_heisenberg():
         for sub in tr.transfer_instances(g):
             if sub.index() % 2 == 0 or sub.index() == 1:
                 continue
-            report = tr.check_odd_index_transfer(g, sub)
+            report = single_check(g, sub, "odd_index")
             assert report.passed, report.counterexamples
             assert report.stats["index"] in (n, n * n)
 
@@ -298,7 +304,7 @@ def test_odd_index_power_rule_names_the_conjugator_of_a_noncentral_power(monkeyp
     g = heisenberg_mod(3)
     sub = [h for h in tr.transfer_instances(g) if h.index() == 3][0]
     monkeypatch.setattr(g, "power_subgroup", lambda d: g.full_subgroup())
-    report = tr.check_odd_index_transfer(g, sub)
+    report = single_check(g, sub, "odd_index")
     assert not report.passed
     assert_plain_json(report.as_dict())
     noncentral = [x for x in g.elements() if x not in g.center()]
@@ -310,9 +316,12 @@ def test_odd_index_power_rule_names_the_conjugator_of_a_noncentral_power(monkeyp
 
 
 def test_odd_index_power_rule_rejects_even_index():
+    """An even index gets no odd-index outcome, so verify prints no row,
+    while the other checks still run on it."""
     d8 = dihedral(8)
-    with pytest.raises(PreconditionFailed, match="odd"):
-        tr.check_odd_index_transfer(d8, rotations(d8))
+    checks = tr.transfer_checks(d8, [rotations(d8)])
+    assert checks.odd_index == [None]
+    assert all(unwrap(outcomes[0]).passed for outcomes in checks[1:])
 
 
 def test_odd_index_power_rule_rejects_nonabelian_subgroup():
@@ -321,7 +330,7 @@ def test_odd_index_power_rule_rejects_nonabelian_subgroup():
     big = g.subgroup_generated([3 * x for x in range(27)])
     assert len(big) == 27 and not big.is_abelian
     with pytest.raises(PreconditionFailed, match=r"\(1\)"):
-        tr.check_odd_index_transfer(g, big)
+        single_check(g, big, "odd_index")
 
 
 def test_odd_index_power_rule_rejects_higher_nilpotency():
@@ -607,13 +616,13 @@ def test_correcting_ratio_index_mismatch():
 def test_identities_abelian_trivial():
     g = abelian_group([4, 2])
     for sub in g.all_subgroups():
-        report = tr.check_transfer_identities(g, sub)
+        report = single_check(g, sub, "identities")
         assert report.passed
 
 
 def test_identities_d8():
     d8 = dihedral(8)
-    report = tr.check_transfer_identities(d8, rotations(d8))
+    report = single_check(d8, rotations(d8), "identities")
     assert report.passed
     assert report.stats["conjugation_pass"]
     assert report.stats["image_pass"]
@@ -624,8 +633,8 @@ def test_identities_nonabelian_subgroup():
     d16 = dihedral(16)
     sub = d16.subgroup_generated([4, 1])  # <a^2, b>: nonabelian dihedral copy
     assert not sub.is_abelian
-    report = tr.check_transfer_identities(d16, sub, include_furtwangler=False)
-    assert report.passed
+    report = single_check(d16, sub, "identities")
+    assert report.stats["conjugation_pass"]
     assert report.stats["image_pass"] is None
 
 
@@ -653,7 +662,7 @@ def test_furtwangler_when_the_identity_is_not_the_minimal_id(relabel):
     full = group.full_subgroup()
     derived = _commutators_of(group, full)
     assert min(derived.members) != group.identity_id
-    report = tr.check_transfer_identities(group, full)
+    report = single_check(group, full, "identities")
     assert report.passed, report.counterexamples
     assert report.stats["furtwangler_pass"]
 
@@ -694,7 +703,7 @@ def test_furtwangler_reports_planted_failures_like_the_element_loop(monkeypatch,
             "transfer_table",
             lambda grp, s: np.full(16, a) if s.members == rot.members else original(grp, s),
         )
-        report = tr.check_transfer_identities(group, group.full_subgroup())
+        report = single_check(group, group.full_subgroup(), "identities")
         furt = [c for c in report.counterexamples if c["identity"] == "furtwangler"]
         witnesses, passed = reference_furtwangler(group)
         assert len(witnesses) == tr.MAX_COUNTEREXAMPLES and not passed
@@ -716,7 +725,7 @@ def test_image_statement_names_the_conjugator_of_a_moved_value(monkeypatch):
         "transfer_table",
         lambda group, s: planted if s.members == sub.members else original(group, s),
     )
-    report = tr.check_transfer_identities(d8, sub, include_furtwangler=False)
+    report = single_check(d8, sub, "identities")
     assert not report.passed and not report.stats["image_pass"]
     assert_plain_json(report.as_dict())
     c = next(c for c in d8.elements() if d8.conjugate(c, A) != A)
@@ -766,14 +775,15 @@ def reference_conjugation_and_image(group, sub):
 
 
 def assert_matches_reference(group, sub):
-    report = tr.check_transfer_identities(group, sub, include_furtwangler=False)
+    report = single_check(group, sub, "identities")
     conj, conj_pass, image, image_pass = reference_conjugation_and_image(group, sub)
     by_identity = lambda name: [c for c in report.counterexamples if c["identity"] == name]
     assert by_identity("conjugation") == conj
     assert by_identity("image") == image
     assert report.stats["conjugation_pass"] == conj_pass
     assert report.stats["image_pass"] == image_pass
-    assert report.passed == (conj_pass and image_pass is not False)
+    furtwangler_pass = report.stats["furtwangler_pass"]
+    assert report.passed == (conj_pass and image_pass is not False and furtwangler_pass)
     return report
 
 
@@ -880,7 +890,7 @@ def coordinate_basis(group, sub):
 def reference_correcting_function(group, sub):
     """correcting_function as per-element loops over pow, mul and sets, on
     the generators of the coordinate basis."""
-    d = tr._power_rule_preconditions(group, sub, need_odd=False)
+    d = tr._power_rule_preconditions(group, sub)
     values = tr.transfer_table(group, sub)
     e = group.identity_id
     phi = tuple(group.mul(values[g], group.inv(group.pow(g, d))) for g in group.elements())
@@ -926,7 +936,7 @@ def reference_correcting_function(group, sub):
 
 
 def reference_transversal_check(group, sub, seed):
-    """transversal_independence_check one trial at a time, each shifted
+    """Transversal independence one trial at a time, each shifted
     transversal's products expanded by _product_loop."""
     base_t, _ = group.coset_positions(sub)
     reference = tr.transfer_table(group, sub).tolist()
@@ -947,8 +957,9 @@ def reference_transversal_check(group, sub, seed):
 
 
 def reference_odd_index_transfer(group, sub):
-    """check_odd_index_transfer with per-element pow and conjugate."""
-    d = tr._power_rule_preconditions(group, sub, need_odd=True)
+    """The odd-index power rule of transfer_checks with per-element pow and
+    conjugate."""
+    d = tr._power_rule_preconditions(group, sub)
     report = tr.CheckReport(
         "odd_index_transfer_power_rule",
         True,
@@ -1010,26 +1021,25 @@ ARRAY_CHECK_ZOO = ("d8", "q8", "heis3", "es_p3_exp_p2:3", "cp:d8,q8", "heis4", "
 
 def assert_array_checks_match_references(group):
     instances = tr.transfer_instances(group)
-    for sub in instances:
+    odd_index = tr.transfer_checks(group, instances).odd_index
+    for sub, odd in zip(instances, odd_index):
         assert outcome(tr.correcting_function, group, sub) == outcome(
             reference_correcting_function, group, sub
         )
         values = tr.correcting_function(group, sub).values
         assert values.dtype == np.int64 and not values.flags.writeable
         if sub.index() % 2 == 1:
-            assert outcome(tr.check_odd_index_transfer, group, sub) == outcome(
-                reference_odd_index_transfer, group, sub
-            )
+            assert outcome(unwrap, odd) == outcome(reference_odd_index_transfer, group, sub)
         for other in instances:
             if other.index() == sub.index():
                 assert outcome(check_correcting_ratio, group, sub, other) == outcome(
                     reference_correcting_ratio, group, sub, other
                 )
-    for sub in group.all_subgroups():
-        for seed in (0, 5):
-            assert outcome(
-                tr.transversal_independence_check, group, sub, seed=seed
-            ) == outcome(reference_transversal_check, group, sub, seed)
+    subs = group.all_subgroups()
+    for seed in (0, 5):
+        independence = tr.transfer_checks(group, subs, seed=seed).independence
+        for sub, got in zip(subs, independence):
+            assert outcome(unwrap, got) == outcome(reference_transversal_check, group, sub, seed)
     assert instances
 
 
@@ -1130,7 +1140,7 @@ def test_correcting_function_fails_where_the_loop_fails(monkeypatch, name):
                 assert outcome(tr.correcting_function, group, sub) == want
                 failed = failed or isinstance(want, str)
                 if sub.index() % 2 == 1:
-                    assert outcome(tr.check_odd_index_transfer, group, sub) == outcome(
+                    assert outcome(single_check, group, sub, "odd_index") == outcome(
                         reference_odd_index_transfer, group, sub
                     )
     assert failed
@@ -1169,7 +1179,7 @@ def test_transversal_independence_reports_planted_failures_like_the_trial_loop(m
     true = tr.transfer_table(g, sub)
     moved = {x: next(h for h in sub.members if h != true[x]) for x in (4, 20)}
     planted_transfer_tables(monkeypatch, g, sub, moved)
-    report = tr.transversal_independence_check(g, sub, seed=11)
+    report = single_check(g, sub, "independence", seed=11)
     assert not report.passed
     assert_plain_json(report.as_dict())
     assert [(c["trial"], c["g"]) for c in report.counterexamples] == [
@@ -1196,7 +1206,7 @@ def test_odd_index_rule_reports_planted_powers_like_the_loop(monkeypatch):
 
     monkeypatch.setattr(g, "powers", planted_powers)
     monkeypatch.setattr(g, "pow", lambda x, k: int(planted_powers(k)[x]) if k >= 0 else None)
-    report = tr.check_odd_index_transfer(g, sub)
+    report = single_check(g, sub, "odd_index")
     assert not report.passed
     assert_plain_json(report.as_dict())
     assert report.as_dict() == reference_odd_index_transfer(g, sub).as_dict()
@@ -1264,7 +1274,7 @@ def test_transversal_independence_names_the_trial_of_a_wrong_fold(monkeypatch):
         return out
 
     monkeypatch.setattr(g, "transfer_fold", wrong_for_trial_two)
-    report = tr.transversal_independence_check(g, sub, seed=11)
+    report = single_check(g, sub, "independence", seed=11)
     assert not report.passed
     assert_plain_json(report.as_dict())
     assert [(c["trial"], c["g"]) for c in report.counterexamples] == [(2, 7)]
@@ -1310,14 +1320,28 @@ def test_coordinate_basis_of_every_subgroup_of_an_abelian_group(factors):
         coordinate_basis(group, sub)
 
 
-def correcting_functions(group, subs):
-    """Each instance's outcome in the blocks of ``tr._correcting_blocks``,
-    the batched core of ``correcting_function``, in the order of ``subs``."""
-    outcomes = [None] * len(subs)
-    for positions, results in tr._correcting_blocks(group, subs):
-        for pos, result in zip(positions, results):
-            outcomes[pos] = result
-    return outcomes
+def blocks_of_two(items, row_size):
+    """``tr._blocks`` cut to two items per block."""
+    for start in range(0, len(items), 2):
+        yield items[start : start + 2]
+
+
+def pass_with_correcting_functions(group, subs):
+    """(checks, phis): one ``transfer_checks`` pass on ``subs``, and each
+    instance's correcting function from the blocks of that pass, as
+    ``outcome`` renders a single call, in the order of ``subs``."""
+    found = {}
+    real = tr._correcting_block
+
+    def recording(grp, block, d, values, errors):
+        results = real(grp, block, d, values, errors)
+        found.update((sub.members, result) for sub, result in zip(block, results))
+        return results
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tr, "_correcting_block", recording)
+        checks = tr.transfer_checks(group, subs)
+    return checks, [outcome(unwrap, found[sub.members]) for sub in subs]
 
 
 def block_outcomes(outcomes):
@@ -1328,18 +1352,20 @@ def block_outcomes(outcomes):
 @pytest.mark.parametrize("name", BASIS_ZOO)
 @pytest.mark.parametrize("blocks", ("default", "pairs"))
 def test_block_entries_match_one_instance_at_a_time(monkeypatch, relabel, name, blocks):
-    """The block entries give, for each instance, what the instance gives
-    alone: the correcting function's values and the cocycle report, at the
-    default block size and with blocks cut to two rows."""
+    """The correcting functions and cocycle reports of one transfer_checks
+    pass give, for each instance, what correcting_function and the
+    one-subgroup cocycle give alone, at the default block size and with
+    blocks cut to two instances."""
     for group in basis_zoo(relabel, name):
         instances = tr.transfer_instances(group)
         singles = [outcome(tr.correcting_function, group, s) for s in instances]
         cocycles = [outcome(check_correcting_cocycle, group, s) for s in instances]
         with monkeypatch.context() as patch:
             if blocks == "pairs":
-                patch.setattr(tr, "BLOCK_BYTES", 2 * 8 * group.order**2)
-            assert block_outcomes(correcting_functions(group, instances)) == singles
-            assert block_outcomes(tr.check_correcting_cocycles(group, instances)) == cocycles
+                patch.setattr(tr, "_blocks", blocks_of_two)
+            checks, phis = pass_with_correcting_functions(group, instances)
+        assert phis == singles
+        assert block_outcomes(checks.cocycle) == cocycles
 
 
 def equal_index_block(group):
@@ -1352,12 +1378,13 @@ def equal_index_block(group):
 @pytest.mark.parametrize("name", ("d8", "ab:2,2,2", "heis4", "prod:d8,c3"))
 def test_a_table_planted_in_one_instance_fails_only_that_instance(monkeypatch, name):
     """A transfer value planted in one instance of a block changes that
-    instance's outcome, to what it gives alone, and no other."""
+    instance's correcting function and cocycle report, to what it gives
+    alone, and no other."""
     group = from_name(name)
     block = equal_index_block(group)
     assert len(block) > 2
-    clean = block_outcomes(tr.check_correcting_cocycles(group, block))
-    clean_phi = block_outcomes(correcting_functions(group, block))
+    clean_checks, clean_phi = pass_with_correcting_functions(group, block)
+    clean = block_outcomes(clean_checks.cocycle)
     for i in (0, len(block) // 2, len(block) - 1):
         sub = block[i]
         x = next(x for x in group.elements() if x != group.identity_id)
@@ -1366,8 +1393,8 @@ def test_a_table_planted_in_one_instance_fails_only_that_instance(monkeypatch, n
             planted_transfer_tables(patch, group, sub, {x: wrong})
             alone = outcome(check_correcting_cocycle, group, sub)
             alone_phi = outcome(tr.correcting_function, group, sub)
-            got = block_outcomes(tr.check_correcting_cocycles(group, block))
-            got_phi = block_outcomes(correcting_functions(group, block))
+            checks, got_phi = pass_with_correcting_functions(group, block)
+        got = block_outcomes(checks.cocycle)
         assert isinstance(alone, str) and alone != clean[i]
         assert got == clean[:i] + [alone] + clean[i + 1 :]
         assert got_phi == clean_phi[:i] + [alone_phi] + clean_phi[i + 1 :]
@@ -1380,20 +1407,20 @@ def test_a_phi_planted_in_one_instance_fails_only_its_cocycle(monkeypatch, name)
     reports are unchanged."""
     group = from_name(name)
     block = equal_index_block(group)
-    clean = block_outcomes(tr.check_correcting_cocycles(group, block))
+    clean = block_outcomes(tr.transfer_checks(group, block).cocycle)
     z = next(x for x in group.elements() if x != group.identity_id and group.central_involution_mask[x])
     real_block = tr._correcting_block
     for i in (0, len(block) - 1):
         cf = tr.correcting_function(group, block[i])
         planted = plant(cf, 1, group.mul(cf.values[1], z))
 
-        def planting(grp, subs, d):
-            results = real_block(grp, subs, d)
+        def planting(grp, subs, d, values, errors):
+            results = real_block(grp, subs, d, values, errors)
             return [planted if s is block[i] else r for s, r in zip(subs, results)]
 
         with monkeypatch.context() as patch:
             patch.setattr(tr, "_correcting_block", planting)
-            got = block_outcomes(tr.check_correcting_cocycles(group, block))
+            got = block_outcomes(tr.transfer_checks(group, block).cocycle)
             patch.setattr(tr, "correcting_function", lambda grp, s: planted)
             alone = outcome(check_correcting_cocycle, group, block[i])
         assert alone != clean[i] and not alone["pass"]
@@ -1412,49 +1439,45 @@ def rendered(func, *args, **kwargs):
 
 
 def block_check_outcomes(group, subs, seed):
-    """The odd-index, identities and independence outcomes of every
-    instance from one transfer_checks call, as ``rendered`` shows a call."""
+    """Every outcome of one transfer_checks call, check by check, as
+    ``rendered`` shows a call."""
     checks = tr.transfer_checks(group, subs, seed=seed)
     return {
-        check: [rendered(unwrap, result) for result in getattr(checks, check)]
-        for check in ("odd_index", "identities", "independence")
+        check: [rendered(unwrap, result) for result in outcomes]
+        for check, outcomes in checks._asdict().items()
     }
+
+
+def without_furtwangler(report):
+    """A rendered identities report as it reads without Furtwangler's bound:
+    its witnesses and stats dropped, and passed iff covariance and the
+    image statement pass."""
+    if not isinstance(report, dict):
+        return report
+    stats = {k: v for k, v in report["stats"].items() if not k.startswith("furtwangler")}
+    witnesses = [c for c in report["counterexamples"] if c["identity"] != "furtwangler"]
+    passed = stats["conjugation_pass"] and stats["image_pass"] is not False
+    return {**report, "pass": passed, "counterexamples": witnesses, "stats": stats}
 
 
 def alone_check_outcomes(group, subs, seed):
-    """The same outcomes from the one-subgroup functions, Furtwangler's
-    bound with the first instance's identities; None for the odd-index rule
-    at an even index."""
-    return {
-        "odd_index": [
-            rendered(tr.check_odd_index_transfer, group, sub) if sub.index() % 2 else None
-            for sub in subs
-        ],
-        "identities": [
-            rendered(tr.check_transfer_identities, group, sub, include_furtwangler=i == 0)
-            for i, sub in enumerate(subs)
-        ],
-        "independence": [
-            rendered(tr.transversal_independence_check, group, sub, seed=seed) for sub in subs
-        ],
-    }
-
-
-def blocks_of_two(pending, row_size):
-    """``tr._blocks`` cut to two positions per block."""
-    for d, positions in pending.items():
-        for start in range(0, len(positions), 2):
-            yield d, positions[start : start + 2]
+    """The same outcomes from transfer_checks on each subgroup alone, with
+    Furtwangler's bound kept only in the first subgroup's identities, as
+    one pass checks it."""
+    alone = [block_check_outcomes(group, [sub], seed) for sub in subs]
+    outcomes = {check: [single[check][0] for single in alone] for check in tr.TransferChecks._fields}
+    outcomes["identities"][1:] = map(without_furtwangler, outcomes["identities"][1:])
+    return outcomes
 
 
 @pytest.mark.parametrize("name", BASIS_ZOO)
 @pytest.mark.parametrize("blocks", ("default", "pairs", "one_subgroup_per_fold"))
 def test_transfer_checks_match_one_instance_at_a_time(monkeypatch, relabel, name, blocks):
-    """Each instance's outcomes in the block pass are its outcomes alone,
-    on each group and a relabelling, at the default block size, with
-    blocks of two instances, and with every fold cut to one subgroup's
-    transversals. The pass and the single calls run on twin groups, so
-    neither reads the other's cached tables."""
+    """Each instance's four outcomes in the block pass are its outcomes
+    alone, on each group and a relabelling, at the default block size,
+    with blocks of two instances, and with every fold cut to one
+    subgroup's transversals. The pass and the single calls run on twin
+    groups, so neither reads the other's cached tables."""
     seed = 3
     for alone_group, block_group in zip(basis_zoo(relabel, name), basis_zoo(relabel, name)):
         want = alone_check_outcomes(alone_group, tr.transfer_instances(alone_group), seed)
@@ -1465,6 +1488,25 @@ def test_transfer_checks_match_one_instance_at_a_time(monkeypatch, relabel, name
                 patch.setattr(tr, "BLOCK_BYTES", 1)
             got = block_check_outcomes(block_group, tr.transfer_instances(block_group), seed)
         assert got == want
+        assert all(result is not None for result in got["cocycle"])
+
+
+@pytest.mark.parametrize("name", ("d24", "d128"))
+def test_the_pass_on_a_group_that_is_not_two_step_nilpotent_has_no_power_rule(monkeypatch, name):
+    """On d24 and d128, where [G,[G,G]] is not trivial, the pass builds no
+    correcting function, and the odd-index and cocycle outcomes are all
+    None, so verify prints neither row; the other two checks still run."""
+    group = from_name(name)
+    assert not tr.is_two_step_nilpotent(group)
+    calls = []
+    real = tr._correcting_block
+    monkeypatch.setattr(tr, "_correcting_block", lambda *args: calls.append(1) or real(*args))
+    instances = tr.transfer_instances(group)
+    checks = tr.transfer_checks(group, instances)
+    assert instances and calls == []
+    assert checks.odd_index == checks.cocycle == [None] * len(instances)
+    for outcomes in (checks.identities, checks.independence):
+        assert all(unwrap(result).passed for result in outcomes)
 
 
 def noncentral_plant(group, sub, x):
@@ -1479,10 +1521,10 @@ def noncentral_plant(group, sub, x):
 @pytest.mark.parametrize("name", ("d8", "ab:2,2,2", "heis4", "prod:d8,c3", "ab:3,3,3"))
 def test_a_table_planted_in_one_instance_of_the_pass_fails_only_that_instance(monkeypatch, name):
     """A transfer value planted in one instance of a block changes that
-    instance's outcomes, to what it gives alone, with the same first
-    (trial, g) and (g, g') witnesses. No other instance changes, but for
-    Furtwangler's bound on the first one, which reads every coabelian
-    subgroup's table, the planted one included."""
+    instance's outcomes, the cocycle's among them, to what it gives alone,
+    with the same first (trial, g) and (g, g') witnesses. No other instance
+    changes, but for Furtwangler's bound on the first one, which reads
+    every coabelian subgroup's table, the planted one included."""
     group = from_name(name)
     block = equal_index_block(group)
     assert len(block) > 2
@@ -1496,6 +1538,7 @@ def test_a_table_planted_in_one_instance_of_the_pass_fails_only_that_instance(mo
             got = block_check_outcomes(group, block, 0)
         assert got == alone
         assert not got["independence"][i]["pass"]
+        assert got["cocycle"][i] != clean["cocycle"][i]
         if not group.is_abelian:
             assert not got["identities"][i]["stats"]["conjugation_pass"]
         for check, outcomes in got.items():
@@ -1539,7 +1582,7 @@ def test_a_value_planted_in_one_trial_fails_only_that_instance(monkeypatch, name
             with monkeypatch.context() as patch:
                 patch.setattr(group, "transfer_fold", wrong_in_trial(group, block[i], trial, x, z))
                 got = block_check_outcomes(group, block, 0)["independence"]
-                alone = rendered(tr.transversal_independence_check, group, block[i])
+                alone = rendered(single_check, group, block[i], "independence")
             assert [(c["trial"], c["g"]) for c in alone["counterexamples"]] == [(trial, x)]
             assert got == clean[:i] + [alone] + clean[i + 1 :]
 
@@ -1579,7 +1622,7 @@ def test_a_non_split_basis_fails_the_lift_order_check(monkeypatch):
     plant_basis(monkeypatch, abelian.QuotientBasis((2, 2), (1, 2), coords))
     with pytest.raises(IdentityFailed, match=r"^t_0 \(element 1\) to the power 2 is not in H$"):
         tr.correcting_function(c4, trivial)
-    (result,) = tr.check_correcting_cocycles(c4, [trivial])
+    (result,) = tr.transfer_checks(c4, [trivial]).cocycle
     assert isinstance(result, IdentityFailed)
 
 
