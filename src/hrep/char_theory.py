@@ -7,7 +7,8 @@ character value and every determinant of a group G has an order dividing
 N = lcm(exp(G), 2) (``residue_modulus``), so inside the pipeline a value is
 the integer residue r = q*N mod N, and -1 is N/2. A ``LinearCharacter`` is
 its domain and one read-only residue array, and extension grows that array
-layer by layer. The characters of a subgroup H are those of H/[H,H],
+layer by layer; on a maximal isotropic, its conjugates are the other
+extensions. The characters of a subgroup H are those of H/[H,H],
 built by ``FiniteGroup.abelianize`` from the least-id encoding of
 H/[H,H] that the transfer reads too, one expression mod N per character.
 ``QmodZ`` values appear only where a report prints one, read from one
@@ -24,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import EnumerationBoundExceeded, NoExtension, NotACharacter
+from .errors import EnumerationBoundExceeded, NoExtension, NotACharacter, PreconditionFailed
 from .group_core import FiniteGroup, Subgroup
 
 CHARACTER_ENUM_BOUND = 4096
@@ -196,14 +197,6 @@ class LinearCharacter:
     def kernel(self) -> Subgroup:
         return Subgroup(self.domain.parent, tuple(np.flatnonzero(self.residues == 0).tolist()))
 
-    def __mul__(self, other: "LinearCharacter") -> "LinearCharacter":
-        """Pointwise product of two characters on the same domain."""
-        if other.domain.members != self.domain.members:
-            raise NotACharacter("can only multiply characters on the same domain")
-        modulus = residue_modulus(self.domain.parent)
-        on_parent = np.where(self.domain.mask, (self.residues + other.residues) % modulus, -1)
-        return LinearCharacter(self.domain, on_parent)
-
     def as_dict(self) -> dict:
         texts = _exponent_texts(residue_modulus(self.domain.parent))
         values = self.residues[self.domain.mask].tolist()
@@ -262,21 +255,11 @@ def extend_character(
     Repeatedly adjoins the smallest-id element t of H not yet covered;
     with m minimal such that t^m lands in the covered part, the residue
     r of chi(t^m) is lifted to r/m, the smallest of the m branch choices
-    (r + j*N)/m. ``extend_character_all`` enumerates every branch.
+    (r + j*N)/m, and the result is validated once. ``extend_character_all``
+    conjugates it into every extension to a maximal isotropic.
     """
-    return _extend(group, chi, over, all_branches=False)[0]
-
-
-def extend_character_all(
-    group: FiniteGroup, chi: LinearCharacter, over: Subgroup
-) -> list[LinearCharacter]:
-    """Every extension of chi to the overgroup, in branch-lexicographic order."""
-    return _extend(group, chi, over, all_branches=True)
-
-
-def _extend(group, chi, over, *, all_branches):
     if over.members == chi.domain.members:
-        return [chi]
+        return chi
     if not over.contains_subgroup(chi.domain):
         raise NoExtension("overgroup does not contain the character's domain")
     # commutators of the overgroup must die in chi (first witness in
@@ -290,7 +273,7 @@ def _extend(group, chi, over, *, all_branches):
 
     n = residue_modulus(group)
     covered = chi.domain.mask.copy()
-    tables = [chi.residues]
+    values = chi.residues.copy()
     while (missing := np.flatnonzero(over.mask & ~covered)).size:
         t = int(missing[0])
         # the covered part contains [H,H], hence is normal with cyclic
@@ -298,32 +281,58 @@ def _extend(group, chi, over, *, all_branches):
         powers = [t]
         while not covered[powers[-1]]:
             powers.append(group.mul(powers[-1], t))
-        m, inside = len(powers), np.flatnonzero(covered)
-        layers = [group.table[inside, p] for p in powers[:-1]]
-        grown = []
-        for values in tables:
-            base = int(values[powers[-1]])
-            for j in range(m) if all_branches else range(1):
-                # the branch (base/N + j)/m of chi(t), scaled by N
-                w, rest = divmod(base + j * n, m)
-                if rest:
-                    raise NoExtension(
-                        f"branch assignment is inconsistent: branch {j} at {t} is no residue"
-                    )
-                extended = values.copy()
-                for k, layer in enumerate(layers, 1):
-                    extended[layer] = (values[inside] + k * w) % n
-                grown.append(extended)
-        tables = grown
-        for layer in layers:
+        inside = np.flatnonzero(covered)
+        # the branch r/m of chi(t), scaled by N
+        w, rest = divmod(int(values[powers[-1]]), len(powers))
+        if rest:
+            raise NoExtension(f"branch assignment is inconsistent: branch 0 at {t} is no residue")
+        for k, p in enumerate(powers[:-1], 1):
+            layer = group.table[inside, p]
+            values[layer] = (values[inside] + k * w) % n
             covered[layer] = True
 
-    out = []
-    for values in tables:
-        result = LinearCharacter(over, values)
-        try:
-            result.validate()
-        except NotACharacter as exc:
-            raise NoExtension(f"branch assignment is inconsistent: {exc}") from exc
-        out.append(result)
-    return out
+    result = LinearCharacter(over, values)
+    try:
+        result.validate()
+    except NotACharacter as exc:
+        raise NoExtension(f"branch assignment is inconsistent: {exc}") from exc
+    return result
+
+
+def extend_character_all(group: FiniteGroup, chi: LinearCharacter, over: Subgroup) -> np.ndarray:
+    """Every extension of a pair's chi from Z to a maximal isotropic H: a
+    read-only (d, n) int64 stack of residues by parent id, -1 off H.
+
+    Row i is chi_H^t(h) = chi_H(t h t^-1) for ``extend_character``'s chi_H
+    and the i-th representative t of G/H, in ``coset_positions`` order
+    rotated to start at H, so row 0 is chi_H. These are all the extensions
+    (Clifford theory, fully ramified case). H contains Z, which contains
+    [G,G], so H is normal and chi_H^t is a character of H. As t h t^-1 =
+    [t, h] h, chi_H^t = chi_H + X(t, .) on H, which agrees with the
+    G-invariant chi on Z. t -> X(t, .)|_H is a homomorphism with kernel
+    H^perp = H, so the d = [G:H] conjugates are distinct; and two
+    extensions differ by one of the [H:Z] = d characters of H/Z.
+
+    Elsewhere the stack could miss extensions, so ``PreconditionFailed``
+    refuses it when conjugation leaves H, a row differs from chi on Z,
+    [G:H] != [H:Z] or two rows coincide. Only chi_H is validated.
+    """
+    first = extend_character(group, chi, over).residues
+    reps, pos = group.coset_positions(over)
+    if len(reps) * len(chi.domain) != len(over):
+        raise PreconditionFailed(f"[G:H] = {len(reps)} is not [H:Z] = {len(over) // len(chi.domain)}")
+    k = pos[group.identity_id]
+    t = np.concatenate((reps[k:], reps[:k]))
+    h = np.flatnonzero(over.mask)
+    conjugates = group.table[group.table[t[:, None], h], group.inverse[t][:, None]]
+    if not over.mask[conjugates].all():
+        raise PreconditionFailed("H is not normal")
+    rows = np.full((len(t), group.order), -1, dtype=np.int64)
+    rows[:, h] = first[conjugates]
+    if ((rows != chi.residues) & chi.domain.mask).any():
+        raise PreconditionFailed("chi is not G-invariant")
+    # conjugation is an action of G: a repeated row means a later row is chi_H
+    if (rows[1:] == first).all(axis=1).any():
+        raise PreconditionFailed("two conjugates coincide: H is not maximal isotropic")
+    rows.flags.writeable = False
+    return rows

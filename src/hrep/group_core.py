@@ -785,12 +785,6 @@ class GroupHom:
         values.flags.writeable = False
         object.__setattr__(self, "map", values)
 
-    def __call__(self, x: int) -> int:
-        return self.map.item(x)
-
-    def kernel(self) -> Subgroup:
-        return _subgroup_of_mask(self.source, self.map == self.target.identity_id)
-
     def preimage(self, members) -> Subgroup:
         wanted = np.zeros(self.target.order, dtype=bool)
         wanted[list(members)] = True

@@ -17,8 +17,9 @@ elements, and the sign -1 is N/2. Each route has one implementation, a
 whole-group gather on residues: ``direct_table`` sums chi_H over the coset
 skeleton's factors, ``gallagher_table`` reads chi_H at the transfer
 products, and the closed form gathers chi's residues at the d-th powers
-of every element. Each call checks the character extension once, and no
-route reads another's table.
+of every element. The first two take one extension chi_H or the stack of
+all of them, one gather per call. Each call checks the extensions once,
+and no route reads another's table.
 
 Twists, the sign table, the sign defect, the determinant's
 multiplicativity, every route comparison and the determinant report
@@ -64,13 +65,12 @@ from .transfer import CheckReport, correcting_function, miller_lift
 # -- induced representations ----------------------------------------------------
 
 
-def _require_extension(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> None:
-    if chi_h.domain.members != sub.members:
+def _require_extension(pair: HeisenbergPair, sub: Subgroup, rows: np.ndarray) -> None:
+    if rows.shape[-1] != pair.group.order or ((rows < 0) == sub.mask).any():
         raise NotAnExtension("character is not defined exactly on H")
-    z = np.asarray(pair.Z.members)
-    off = z[chi_h.residues[z] != pair.chi.residues[z]]
+    off = np.flatnonzero((rows != pair.chi.residues) & pair.Z.mask)
     if off.size:
-        raise NotAnExtension(f"character disagrees with chi at {off[0]}")
+        raise NotAnExtension(f"character disagrees with chi at {off[0] % pair.group.order}")
 
 
 def _require_isotropic(pair: HeisenbergPair, sub: Subgroup) -> None:
@@ -84,44 +84,38 @@ def _require_isotropic(pair: HeisenbergPair, sub: Subgroup) -> None:
         raise PreconditionFailed(f"H is not isotropic at ({sub.members[i]},{sub.members[j]})")
 
 
-def _direct_residues(
-    skeleton: CosetSkeleton, chi_h: np.ndarray, n: int, omegas: np.ndarray | None = None
-) -> np.ndarray:
+def _direct_residues(skeleton: CosetSkeleton, rows: np.ndarray, n: int) -> np.ndarray:
     """The direct route's kernel: for every g, the sign of its coset
     permutation plus chi_H summed over its monomial entries, mod n.
 
-    ``chi_h`` holds chi_H's residues by parent id. With ``omegas`` (one
-    row of residues per character omega of G) the result has one row per
-    omega, the direct route on chi_H * omega|_H: every entry lies in H,
-    so it reads omega only there.
+    ``rows`` holds chi_H's residues by parent id, or a stack of such rows
+    with one table each; only their values on H are read. The sum adds d
+    whole rows of n (the factors transposed), not n short runs of d.
     """
-    total = skeleton.odd * (n // 2) + chi_h[skeleton.factors].sum(axis=1)
-    if omegas is not None:
-        total = total + omegas[:, skeleton.factors].sum(axis=2)
-    return total % n
+    return (skeleton.odd * (n // 2) + np.take(rows, skeleton.factors.T, axis=-1).sum(axis=-2)) % n
 
 
-def direct_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> np.ndarray:
+def direct_table(pair: HeisenbergPair, sub: Subgroup, rows: np.ndarray) -> np.ndarray:
     """The direct route: the determinant of every induced monomial matrix,
-    the permutation sign plus the sum of its entries, as residues mod N."""
-    _require_extension(pair, sub, chi_h)
-    return _direct_residues(
-        pair.group.coset_skeleton(sub), chi_h.residues, residue_modulus(pair.group)
-    )
-
-
-def gallagher_table(pair: HeisenbergPair, sub: Subgroup, chi_h: LinearCharacter) -> np.ndarray:
-    """Gallagher's route: Delta_H(g) + chi_H(T_{G/H}(g)) for every g, as
-    residues mod N, with Delta_H the sign of g's coset permutation.
-
-    The raw transfer product is a well-defined argument because chi_H
-    kills [H,H].
+    the permutation sign plus the sum of its entries, as residues mod N:
+    one table per row of ``rows``, one extension chi_H's residues by parent
+    id or a stack of them such as ``extend_character_all`` returns.
     """
-    _require_extension(pair, sub, chi_h)
+    _require_extension(pair, sub, rows)
+    return _direct_residues(pair.group.coset_skeleton(sub), rows, residue_modulus(pair.group))
+
+
+def gallagher_table(pair: HeisenbergPair, sub: Subgroup, rows: np.ndarray) -> np.ndarray:
+    """Gallagher's route: Delta_H(g) + chi_H(T_{G/H}(g)) for every g, as
+    residues mod N, with Delta_H the sign of g's coset permutation, for
+    ``rows`` as in ``direct_table``. The raw transfer product is a
+    well-defined argument because chi_H kills [H,H].
+    """
+    _require_extension(pair, sub, rows)
     group = pair.group
     n = residue_modulus(group)
     transfers = group.transfer_products(sub)
-    return (group.coset_skeleton(sub).odd * (n // 2) + chi_h.residues[transfers]) % n
+    return (group.coset_skeleton(sub).odd * (n // 2) + np.take(rows, transfers, axis=-1)) % n
 
 
 # -- the closed form -------------------------------------------------------------
@@ -225,16 +219,15 @@ def isotropic_independence(pair: HeisenbergPair) -> CheckReport:
         stats={"group": group.label, "dim": pair.dim, "n_isotropics": len(pair.maximal_isotropics)},
     )
     for sub in pair.maximal_isotropics:
-        for chi_h in extend_character_all(group, pair.chi, sub):
-            n_tables += 1
-            table = direct_table(pair, sub, chi_h)
-            if reference is None:
-                reference = table
-                continue
-            off = np.flatnonzero(table != reference)
-            if off.size:
-                g = int(off[0])
-                report.fail(g=g, lhs=_text(table[g], n), rhs=_text(reference[g], n))
+        family = extend_character_all(group, pair.chi, sub)
+        n_tables += len(family)
+        tables = direct_table(pair, sub, family)
+        if reference is None:
+            reference = tables[0]
+        off = tables != reference
+        for i in np.flatnonzero(off.any(axis=1)).tolist():
+            g = int(off[i].argmax())
+            report.fail(g=g, lhs=_text(tables[i, g], n), rhs=_text(reference[g], n))
 
         # placement reformulation through the Miller product of G/H
         alpha_lift = miller_lift(group, sub)
@@ -309,13 +302,13 @@ def twist_identity(pair: HeisenbergPair, omegas: list[LinearCharacter]) -> Check
     sub = pair.maximal_isotropics[0]
     chi_h = pair.default_extension
     d = pair.dim
-    det = direct_table(pair, sub, chi_h)
+    det = direct_table(pair, sub, chi_h.residues)
     skeleton = group.coset_skeleton(sub)
     for _, chunk in _omega_blocks(omegas, skeleton.factors.nbytes):
         for omega in chunk:
             twist(pair, omega)
         block = np.stack([omega.residues for omega in chunk])
-        twisted = _direct_residues(skeleton, chi_h.residues, n, block)
+        twisted = _direct_residues(skeleton, chi_h.residues + block, n)
         bad = np.argwhere(twisted != (det + d * block) % n)
         if bad.size:
             raise IdentityFailed(f"twisted determinant identity fails at {bad[0, 1]}")
@@ -427,8 +420,8 @@ def build_det_report(pair: HeisenbergPair) -> DetReport:
     chi_h = reduced.default_extension
     eps = epsilon_table(reduced, sub)
     rk2 = reduced.two_rank
-    direct = direct_table(reduced, sub, chi_h)
-    gallagher = gallagher_table(reduced, sub, chi_h)
+    direct = direct_table(reduced, sub, chi_h.residues)
+    gallagher = gallagher_table(reduced, sub, chi_h.residues)
     formula, formula_eps = _formula_residues(reduced, n)
     return DetReport(
         reduced, sub, n, direct, gallagher, formula, eps, formula_eps, rk2, _case_label(rk2)
@@ -467,22 +460,24 @@ def oracle_equivalence_report(pair: HeisenbergPair) -> CheckReport:
         # z acts by the scalar chi(z): it fixes every coset, and every
         # factor of its matrix has the value chi(z)
         fixes_cosets = (skeleton.perm[z] == np.arange(skeleton.perm.shape[1])).all(axis=1)
-        for chi_h in extend_character_all(group, pair.chi, sub):
-            report.stats["n_extensions"] += 1
-            direct = direct_table(pair, sub, chi_h)
-            gallagher = gallagher_table(pair, sub, chi_h)
-            for g in np.flatnonzero((direct != gallagher) | (direct != formula)).tolist():
+        family = extend_character_all(group, pair.chi, sub)
+        report.stats["n_extensions"] += len(family)
+        direct = direct_table(pair, sub, family)
+        gallagher = gallagher_table(pair, sub, family)
+        if common is None:
+            common = direct[0]
+        off = (direct != gallagher) | (direct != formula)
+        scalar = fixes_cosets & (family[:, skeleton.factors[z]] == chi[z][:, None]).all(axis=2)
+        for i in np.flatnonzero(off.any(axis=1) | ~scalar.all(axis=1)).tolist():
+            for g in np.flatnonzero(off[i]).tolist():
                 report.fail(
                     g=g,
-                    lhs=_text(direct[g], n),
+                    lhs=_text(direct[i, g], n),
                     rhs=_text(formula[g], n),
-                    gallagher=_text(gallagher[g], n),
+                    gallagher=_text(gallagher[i, g], n),
                     H=list(sub.members),
                 )
-            if common is None:
-                common = direct
-            scalar = fixes_cosets & (chi_h.residues[skeleton.factors[z]] == chi[z][:, None]).all(axis=1)
-            for g in z[~scalar].tolist():
+            for g in z[~scalar[i]].tolist():
                 report.fail(g=g, lhs="non-scalar", rhs=_text(chi[g], n), identity="scalar")
 
     _math_check(common is not None, "a pair has at least one maximal isotropic")

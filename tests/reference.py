@@ -133,8 +133,21 @@ def image(hom: GroupHom) -> Subgroup:
     return _subgroup_of_mask(hom.target, np.bincount(hom.map, minlength=hom.target.order))
 
 
+def kernel(hom: GroupHom) -> Subgroup:
+    return _subgroup_of_mask(hom.source, hom.map == hom.target.identity_id)
+
+
 def trivial_character(domain: Subgroup) -> LinearCharacter:
     return LinearCharacter(domain, np.where(domain.mask, 0, -1))
+
+
+def multiply(chi: LinearCharacter, other: LinearCharacter) -> LinearCharacter:
+    """Pointwise product of two characters on the same domain."""
+    if other.domain.members != chi.domain.members:
+        raise NotACharacter("can only multiply characters on the same domain")
+    modulus = residue_modulus(chi.domain.parent)
+    on_parent = np.where(chi.domain.mask, (chi.residues + other.residues) % modulus, -1)
+    return LinearCharacter(chi.domain, on_parent)
 
 
 def restrict(chi: LinearCharacter, sub: Subgroup) -> LinearCharacter:
@@ -221,7 +234,7 @@ def induced_matrices(
     Columns are indexed by the canonical left transversal; the column of
     t carries chi_H(s^-1 g t) in the row of s, where g t lands in s H.
     """
-    _require_extension(pair, sub, chi_h)
+    _require_extension(pair, sub, chi_h.residues)
     skeleton = pair.group.coset_skeleton(sub)
     dim = len(skeleton.transversal)
     return [

@@ -115,8 +115,8 @@ def test_acceptance_01_dihedral8_example():
     # det(g) = chi(g^2) on Z and -chi(g^2) off Z, on every route
     sub = pair.maximal_isotropics[0]
     chi_h = ct.extend_character(d8, pair.chi, sub)
-    direct = exps(idet.direct_table(pair, sub, chi_h), d8)
-    gallagher = exps(idet.gallagher_table(pair, sub, chi_h), d8)
+    direct = exps(idet.direct_table(pair, sub, chi_h.residues), d8)
+    gallagher = exps(idet.gallagher_table(pair, sub, chi_h.residues), d8)
     for g in d8.elements():
         expected = pair.chi(d8.pow(g, 2))
         if g not in pair.Z:
@@ -203,7 +203,7 @@ def test_acceptance_04_correcting_function_formulas():
 
 def assert_matches_gallagher(pair, sub, chi_h, table):
     """eps(g) = det(g) - chi(g^d), with det from Gallagher's route."""
-    gallagher = exps(idet.gallagher_table(pair, sub, chi_h), pair.group)
+    gallagher = exps(idet.gallagher_table(pair, sub, chi_h.residues), pair.group)
     eps = exps(table, pair.group)
     for g in pair.group.elements():
         assert eps[g] == gallagher[g] - pair.chi(pair.group.pow(g, pair.dim))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hrep import char_theory as ct, heisenberg as hb, transfer as tr
 from hrep.char_theory import LinearCharacter, QmodZ
-from hrep.errors import EnumerationBoundExceeded, NoExtension, NotACharacter
+from hrep.errors import EnumerationBoundExceeded, NoExtension, NotACharacter, PreconditionFailed
 from hrep.group_core import (
     FiniteGroup,
     Subgroup,
@@ -27,6 +27,7 @@ from reference import (
     ZERO,
     as_group,
     is_zero,
+    multiply,
     parse,
     restrict,
     scale,
@@ -197,7 +198,7 @@ def reference_characters_of_subgroup(sub):
     member, one QmodZ value at a time."""
     grp, (quot, proj) = reference_abelianization(sub)
     return [
-        character(sub, tuple(chi(proj(x)) for x in grp.elements()))
+        character(sub, tuple(chi(proj.map.item(x)) for x in grp.elements()))
         for chi in ct.linear_characters(quot)
     ]
 
@@ -298,7 +299,7 @@ def test_residues_are_indexed_by_parent_id_and_read_only():
     on_center = restrict(chi, d8.center())
     assert (on_center(E), on_center(A2)) == (ZERO, HALF)
     assert on_center.residues.tolist() == [0, -1, -1, -1, 2, -1, -1, -1]
-    assert [(chi * chi)(x) for x in rot] == [ZERO, HALF, ZERO, HALF]
+    assert [multiply(chi, chi)(x) for x in rot] == [ZERO, HALF, ZERO, HALF]
     with pytest.raises(NotACharacter):
         restrict(on_center, rot)
 
@@ -388,9 +389,11 @@ def test_extension_count_is_the_index():
     for members in ([E, A, A2, A3], [E, B, A2, A2B], [E, AB, A2, A3B]):
         sub = subgroup(d8, members)
         exts = ct.extend_character_all(d8, chi, sub)
-        assert len(exts) == len(sub) // 2
-        assert exts[0] == ct.extend_character(d8, chi, sub)
-        for ext in exts:
+        assert exts.shape == (len(sub) // 2, d8.order) and exts.dtype == np.int64
+        assert not exts.flags.writeable
+        assert np.array_equal(exts[0], ct.extend_character(d8, chi, sub).residues)
+        for row in exts:
+            ext = LinearCharacter(sub, row)
             ext.validate()
             assert all(ext(z) == chi(z) for z in d8.center().members)
     h3 = heisenberg_mod(3)
@@ -398,6 +401,51 @@ def test_extension_count_is_the_index():
     chi3 = [c for c in ct.characters_of_subgroup(h3.center()) if c != trivial][0]
     big = h3.subgroup_generated(set(h3.center().members) | {1})
     assert len(ct.extend_character_all(h3, chi3, big)) == len(big) // 3
+
+
+@pytest.mark.parametrize(
+    "name, z, chi_at, h, message",
+    [
+        # the trivial character of Z(d8) has four extensions to d8, but d8 is
+        # no maximal isotropic: [G:H] = 1
+        ("d8", (E, A2), {}, tuple(range(8)), r"^\[G:H\] = 1 is not \[H:Z\] = 4$"),
+        # X is trivial, so the rotations are isotropic but not maximal: their
+        # two extensions are invariant under conjugation
+        ("d8", (E, A2), {}, (E, A, A2, A3), "^two conjugates coincide: H is not maximal isotropic$"),
+        # a noncentral Z: conjugation by a moves chi off Z
+        ("d8", (E, A2B), {A2B: 2}, (E, B, A2, A2B), "^chi is not G-invariant$"),
+        # Z = <b> and H = <b> x C3 in S3 x C3, which a 3-cycle moves
+        ("prod:d6,c3", (0, 3), {}, tuple(range(6)), "^H is not normal$"),
+    ],
+)
+def test_the_family_is_refused_outside_a_maximal_isotropic(name, z, chi_at, h, message):
+    group = from_name(name)
+    residues = np.full(group.order, -1)
+    residues[list(z)] = 0
+    for x, r in chi_at.items():
+        residues[x] = r
+    chi, over = LinearCharacter(subgroup(group, z), residues), subgroup(group, h)
+    ct.extend_character(group, chi, over).validate()
+    with pytest.raises(PreconditionFailed, match=message):
+        ct.extend_character_all(group, chi, over)
+
+
+def test_no_family_on_a_subgroup_of_index_d_that_is_not_isotropic():
+    """An H containing Z with [G:H] = [H:Z] = d on which X does not vanish:
+    chi is alive on [H,H], so it has no extension to H at all."""
+    group = from_name("cp:d8,q8")
+    pair = next(p for p in hb.enumerate_pairs(group) if p.dim == 4)
+    isotropic = {sub.members for sub in pair.maximal_isotropics}
+    others = [
+        sub
+        for sub in group.all_subgroups()
+        if len(sub) == 4 * len(pair.Z) and sub.contains_subgroup(pair.Z)
+        and sub.members not in isotropic
+    ]
+    assert others
+    for sub in others:
+        with pytest.raises(NoExtension, match=r"^character is not trivial on \[H,H\]"):
+            ct.extend_character_all(group, pair.chi, sub)
 
 
 def test_extension_refuses_non_invariant_character():
@@ -464,22 +512,30 @@ def reference_extend_all(group, chi, over):
 @pytest.mark.parametrize("name", ("d8", "q8", "heis3", "heis5", "cp:d8,q8", "prod:d8,c3"))
 @pytest.mark.parametrize("relabelled", (False, True))
 def test_extension_matches_the_qmodz_reference(relabel, name, relabelled):
-    """Every pair's character extended to every maximal isotropic, and the
-    trivial character of the center extended to the whole group: the same
-    characters in the same order as the per-element QmodZ recursion, on
-    the group and on one relabelled copy."""
+    """Every pair and reduced pair, its character extended to every
+    maximal isotropic: the same set of residue rows as the per-element
+    QmodZ recursion, with the recursion's first extension, which
+    extend_character gives, as row 0 (the rest follow the cosets, not the
+    recursion's branches). And the trivial character of the center
+    extended to the whole group by extend_character: the recursion's
+    first extension. On the group and on one relabelled copy."""
     group = from_name(name)
     if relabelled:
         sigma = list(range(group.order))
         random.Random(group.order).shuffle(sigma)
         group = relabel(group, sigma)
-    cases = [(trivial_character(group.center()), group.full_subgroup())]
-    cases += [(p.chi, sub) for p in hb.enumerate_pairs(group) for sub in p.maximal_isotropics]
+    trivial, whole = trivial_character(group.center()), group.full_subgroup()
+    assert ct.extend_character(group, trivial, whole) == reference_extend_all(group, trivial, whole)[0]
+    pairs = hb.enumerate_pairs(group)
+    cases = [(p, sub) for q in pairs for p in (q, q.reduction[0]) for sub in p.maximal_isotropics]
     extensions = 0
-    for chi, over in cases:
-        got = ct.extend_character_all(group, chi, over)
-        assert got == reference_extend_all(group, chi, over)
-        assert ct.extend_character(group, chi, over) == got[0]
+    for pair, over in cases:
+        got = ct.extend_character_all(pair.group, pair.chi, over)
+        want = reference_extend_all(pair.group, pair.chi, over)
+        assert len(got) == len(want)
+        assert {row.tobytes() for row in got} == {chi.residues.tobytes() for chi in want}
+        assert np.array_equal(got[0], want[0].residues)
+        assert np.array_equal(got[0], ct.extend_character(pair.group, pair.chi, over).residues)
         extensions += len(got)
     assert extensions > len(cases)
 

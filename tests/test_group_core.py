@@ -42,6 +42,7 @@ from reference import (
     central_involutions,
     image,
     involution_set,
+    kernel,
     subgroup,
     validate_hom,
     validate_subgroup,
@@ -430,7 +431,7 @@ def test_quotient_records_coset_representatives():
     for normal in [s for s in d8.all_subgroups() if d8.is_normal(s)]:
         q, proj = d8.quotient(normal)
         assert list(q.coset_reps) == list(d8.coset_positions(normal)[0])
-        assert [proj(r) for r in q.coset_reps] == list(q.elements())
+        assert proj.map[q.coset_reps].tolist() == list(q.elements())
         validate_hom(proj)
     assert d8.coset_reps is None
 
@@ -1049,7 +1050,7 @@ def test_d8_mod_center_is_klein_four():
     assert q.order == 4
     assert sorted(q.element_order(x) for x in q.elements()) == [1, 2, 2, 2]
     validate_hom(proj)
-    assert proj.kernel().members == (E, A2)
+    assert kernel(proj).members == (E, A2)
     assert len(image(proj)) == 4
 
 
@@ -1119,7 +1120,7 @@ def test_hom_kernel_and_surjectivity():
     h3 = heisenberg_mod(3)
     q, proj = h3.quotient(h3.center())
     validate_hom(proj)
-    assert proj.kernel().members == h3.center().members
+    assert kernel(proj).members == h3.center().members
     assert len(image(proj)) == q.order
     # preimage of the trivial subgroup is the kernel
     assert proj.preimage({q.identity_id}).members == h3.center().members
@@ -1151,24 +1152,23 @@ def assert_read_only_int64(array, length):
 
 
 def reference_kernel(hom):
-    return tuple(x for x in hom.source.elements() if hom(x) == hom.target.identity_id)
+    return tuple(x for x in hom.source.elements() if hom.map[x] == hom.target.identity_id)
 
 
 def reference_image(hom):
-    return tuple(sorted({hom(x) for x in hom.source.elements()}))
+    return tuple(sorted({int(hom.map[x]) for x in hom.source.elements()}))
 
 
 def reference_preimage(hom, members):
     wanted = set(members)
-    return tuple(x for x in hom.source.elements() if hom(x) in wanted)
+    return tuple(x for x in hom.source.elements() if hom.map[x] in wanted)
 
 
 def assert_homomorphism_matches_the_loops(hom):
     """kernel, image and the preimage of every subgroup of the target
     against the per-element loops they replaced."""
     assert_read_only_int64(hom.map, hom.source.order)
-    assert all(type(hom(x)) is int for x in hom.source.elements())
-    assert hom.kernel().members == reference_kernel(hom)
+    assert kernel(hom).members == reference_kernel(hom)
     assert image(hom).members == reference_image(hom)
     for sub in hom.target.all_subgroups():
         assert hom.preimage(sub.members).members == reference_preimage(hom, sub.members)

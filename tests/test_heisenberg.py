@@ -242,10 +242,10 @@ def test_pairing_table_is_total():
     table = pair.x_on_quotient
     n = ct.residue_modulus(pair.group)
     assert table.size == quot.order**2 == 16 and not table.flags.writeable
-    assert QmodZ(int(table[proj(A), proj(B)]), n) == HALF
+    assert QmodZ(int(table[proj.map[A], proj.map[B]]), n) == HALF
     for a in pair.group.elements():
         for b in pair.group.elements():
-            assert QmodZ(int(table[proj(a), proj(b)]), n) == x_value(pair, a, b)
+            assert QmodZ(int(table[proj.map[a], proj.map[b]]), n) == x_value(pair, a, b)
 
 
 def test_pairing_coset_check_rejects_non_invariant_character():

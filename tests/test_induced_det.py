@@ -46,6 +46,7 @@ from reference import (
     is_zero,
     monomial_det,
     monomial_mul,
+    multiply,
     restrict,
     subgroup,
     trivial_character,
@@ -205,10 +206,13 @@ def assert_residue_routes_match_references(group):
     tables = 0
     for pair in hb.enumerate_pairs(group):
         for sub in pair.maximal_isotropics:
-            for chi_h in extend_character_all(group, pair.chi, sub):
-                direct, gallagher = reference_routes(pair, sub, chi_h)
-                assert exps(idet.direct_table(pair, sub, chi_h), group) == direct
-                assert exps(idet.gallagher_table(pair, sub, chi_h), group) == gallagher
+            family = extend_character_all(group, pair.chi, sub)
+            direct_rows = idet.direct_table(pair, sub, family)
+            gallagher_rows = idet.gallagher_table(pair, sub, family)
+            for row, got_direct, got_gallagher in zip(family, direct_rows, gallagher_rows):
+                direct, gallagher = reference_routes(pair, sub, ct.LinearCharacter(sub, row))
+                assert exps(got_direct, group) == direct
+                assert exps(got_gallagher, group) == gallagher
                 tables += 1
     assert tables
 
@@ -241,7 +245,17 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     extension check, no validate_pair, and each omega's multiplicativity
     checked once in the whole run), one skeleton per (G, H), no quotient
     group in isotropic independence, one subgroup lattice of G^ab, and one
-    homomorphism-checked transfer table per (G, H)."""
+    homomorphism-checked transfer table per (G, H). The oracle and the
+    independence check each take every extension to a maximal isotropic
+    H from one extend_character_all call, and the oracle's routes take
+    that family in one table call per H."""
+    families = [0]
+    real_extend_all = idet.extend_character_all
+
+    def counting_extend_all(*args):
+        families[0] += 1
+        return real_extend_all(*args)
+
     extension_checks = [0]
     real_require = idet._require_extension
 
@@ -348,6 +362,7 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
         return real_checked_tables(group, subs, *arrays)
 
     monkeypatch.setattr(idet, "_require_extension", counting_require)
+    monkeypatch.setattr(idet, "extend_character_all", counting_extend_all)
     monkeypatch.setattr(hb, "quotient_by_kernel", counting_reduce)
     monkeypatch.setattr(idet, "epsilon_table", counting_epsilon)
     monkeypatch.setattr(idet, "twist", counting_twist)
@@ -386,12 +401,12 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     for name, log in checks_per_table.items():
         assert log and set(log) == {1}, name
     assert matrix_builds == []
-    n_extensions = sum(
-        c["stats"]["n_extensions"]
-        for c in report["checks"]
-        if c["check"] == "determinant_oracle_equivalence"
-    )
-    assert len(checks_per_table["gallagher_table"]) == report["n_pairs"] + n_extensions
+    oracles = [c["stats"] for c in report["checks"] if c["check"] == "determinant_oracle_equivalence"]
+    n_isotropics = sum(stats["n_isotropics"] for stats in oracles)
+    assert sum(stats["n_extensions"] for stats in oracles) > n_isotropics
+    assert len(checks_per_table["gallagher_table"]) == report["n_pairs"] + n_isotropics
+    independence = [c["stats"] for c in report["checks"] if c["check"] == "isotropic_independence"]
+    assert families[0] == n_isotropics + sum(stats["n_isotropics"] for stats in independence)
     assert len(reductions) == report["n_pairs"]
     assert skeleton_builds and set(skeleton_builds.values()) == {1}
     assert len(quotients_per_independence) == report["n_pairs"]
@@ -445,11 +460,15 @@ def test_verify_transfer_checks_build_no_quotient_per_instance(monkeypatch, caps
 
 
 def test_rejects_non_extension():
-    pair, sub, _ = default_setup(dihedral(8), 2)
+    pair, sub, chi_h = default_setup(dihedral(8), 2)
     trivial = trivial_character(sub)
-    for route in (induced_matrices, idet.direct_table, idet.gallagher_table):
-        with pytest.raises(NotAnExtension):
-            route(pair, sub, trivial)
+    with pytest.raises(NotAnExtension):
+        induced_matrices(pair, sub, trivial)
+    # one bad row fails a stack too
+    for rows in (trivial.residues, np.stack([chi_h.residues, trivial.residues])):
+        for route in (idet.direct_table, idet.gallagher_table):
+            with pytest.raises(NotAnExtension):
+                route(pair, sub, rows)
 
 
 def test_homomorphism_certificate():
@@ -487,7 +506,7 @@ def test_linear_pair_reduces_to_character_multiplicativity():
     chi_h = extend_character(g, pair.chi, sub)
     report = check_homomorphism(pair, sub, chi_h)
     assert report.passed
-    assert exps(idet.direct_table(pair, sub, chi_h), g) == [pair.chi(x) for x in g.elements()]
+    assert exps(idet.direct_table(pair, sub, chi_h.residues), g) == [pair.chi(x) for x in g.elements()]
 
 
 # -- coset signs ----------------------------------------------------------------------
@@ -519,8 +538,8 @@ def test_delta_on_d8_reflection():
 
 def test_d8_reflection_determinant_is_minus_one():
     pair, sub, chi_h = default_setup(dihedral(8), 2)
-    assert exps(idet.direct_table(pair, sub, chi_h), pair.group)[B] == HALF
-    assert exps(idet.gallagher_table(pair, sub, chi_h), pair.group)[B] == HALF
+    assert exps(idet.direct_table(pair, sub, chi_h.residues), pair.group)[B] == HALF
+    assert exps(idet.gallagher_table(pair, sub, chi_h.residues), pair.group)[B] == HALF
     value, eps = det_formula(pair, B)
     assert value == HALF and eps == HALF
 
@@ -528,9 +547,9 @@ def test_d8_reflection_determinant_is_minus_one():
 def test_gallagher_equals_direct_everywhere_on_d8():
     pair = pair_of(dihedral(8), 2)
     for sub in pair.maximal_isotropics:
-        for chi_h in extend_character_all(pair.group, pair.chi, sub):
-            gallagher = idet.gallagher_table(pair, sub, chi_h)
-            assert np.array_equal(gallagher, idet.direct_table(pair, sub, chi_h))
+        family = extend_character_all(pair.group, pair.chi, sub)
+        gallagher = idet.gallagher_table(pair, sub, family)
+        assert np.array_equal(gallagher, idet.direct_table(pair, sub, family))
 
 
 def test_formula_requires_reduced_pair():
@@ -613,9 +632,9 @@ def plant_determinant(monkeypatch, group, g0):
     original = idet.direct_table
     n = ct.residue_modulus(group)
 
-    def planted(pair, sub, chi_h):
-        table = original(pair, sub, chi_h)
-        table[g0] = (table[g0] + n // 2) % n
+    def planted(pair, sub, rows):
+        table = original(pair, sub, rows)
+        table[..., g0] = (table[..., g0] + n // 2) % n
         return table
 
     monkeypatch.setattr(idet, "direct_table", planted)
@@ -679,7 +698,7 @@ def test_oracle_names_the_first_dim_one_determinant_off_chi(monkeypatch):
 def eps_from_gallagher(pair, sub, chi_h):
     """eps(g) = det(g) - chi(g^d), with det from Gallagher's route."""
     group = pair.group
-    gallagher = exps(idet.gallagher_table(pair, sub, chi_h), group)
+    gallagher = exps(idet.gallagher_table(pair, sub, chi_h.residues), group)
     return [gallagher[g] - pair.chi(group.pow(g, pair.dim)) for g in group.elements()]
 
 
@@ -727,7 +746,7 @@ def test_epsilon_trivial_for_two_rank_four():
         assert all(v == ZERO for v in table)
         assert table == eps_from_gallagher(pair, sub, chi_h)
         # cross-check against the direct determinant: det == chi(g^4)
-        direct = exps(idet.direct_table(pair, sub, chi_h), cp)
+        direct = exps(idet.direct_table(pair, sub, chi_h.residues), cp)
         for g in cp.elements():
             assert direct[g] == pair.chi(cp.pow(g, 4))
 
@@ -919,9 +938,9 @@ def test_twist_identity_catches_a_wrong_twisted_table(monkeypatch):
     pair = pair_of(dihedral(8), 2)
     real_kernel = idet._direct_residues
 
-    def shifted_kernel(skeleton, chi_h, n, omegas=None):
-        table = real_kernel(skeleton, chi_h, n, omegas)
-        if omegas is not None:
+    def shifted_kernel(skeleton, rows, n):
+        table = real_kernel(skeleton, rows, n)
+        if rows.ndim == 2:
             table[:, 0] = (table[:, 0] + n // 2) % n
         return table
 
@@ -995,9 +1014,9 @@ def reference_twisted_tables(pair, omegas):
     group, sub, chi_h = pair.group, pair.maximal_isotropics[0], pair.default_extension
     pairs, tables = [], []
     for omega in omegas:
-        twisted = hb.validate_pair(group, pair.Z, pair.chi * restrict(omega, pair.Z))
+        twisted = hb.validate_pair(group, pair.Z, multiply(pair.chi, restrict(omega, pair.Z)))
         pairs.append(twisted)
-        tables.append(idet.direct_table(twisted, sub, chi_h * restrict(omega, sub)))
+        tables.append(idet.direct_table(twisted, sub, multiply(chi_h, restrict(omega, sub)).residues))
     return pairs, np.array(tables)
 
 
@@ -1014,7 +1033,7 @@ def assert_batched_twists_match_the_loop(group):
             assert got.chi == want.chi
             assert np.array_equal(got.chi.residues, want.chi.residues)
         skeleton = group.coset_skeleton(pair.maximal_isotropics[0])
-        batched = idet._direct_residues(skeleton, pair.default_extension.residues, n, stacked)
+        batched = idet._direct_residues(skeleton, pair.default_extension.residues + stacked, n)
         assert np.array_equal(batched, want_tables)
         assert idet.twist_identity(pair, omegas).passed
         twists += len(omegas)
@@ -1047,15 +1066,16 @@ def test_twist_identity_fails_at_the_first_omega_then_element(monkeypatch, block
     pair = pair_of(dihedral(8), 2)
     omegas = ct.linear_characters(pair.group)
     n = ct.residue_modulus(pair.group)
+    chi_h = pair.default_extension.residues
     real_kernel = idet._direct_residues
     real_twist = idet.twist
     twisted = []
 
-    def planted(skeleton, chi_h, m, rows=None):
-        table = real_kernel(skeleton, chi_h, m, rows)
-        if rows is not None:
+    def planted(skeleton, rows, m):
+        table = real_kernel(skeleton, rows, m)
+        if rows.ndim == 2:
             for k, g in ((1, 5), (1, 6), (3, 2)):
-                match = np.flatnonzero((rows == omegas[k].residues).all(axis=1))
+                match = np.flatnonzero((rows == chi_h + omegas[k].residues).all(axis=1))
                 table[match, g] = (table[match, g] + n // 2) % n
         return table
 
@@ -1276,7 +1296,7 @@ def _pair_signature(group):
     for pair in hb.enumerate_pairs(group):
         reduced, proj = pair.reduction
         dets = Counter(
-            tuple(str(v) for v in det_formula(reduced, proj(g)))
+            tuple(str(v) for v in det_formula(reduced, proj.map.item(g)))
             for g in group.elements()
         )
         rk2 = pair.two_rank
@@ -1335,7 +1355,7 @@ def test_galois_conjugation_permutes_the_pairs_and_scales_the_direct_table(name)
             images.append(key(conjugate.Z, conjugate.chi))
             sub = pair.maximal_isotropics[0]
             chi_h = extend_character(group, pair.chi, sub)
-            table = idet.direct_table(pair, sub, chi_h)
-            scaled = idet.direct_table(conjugate, sub, galois_conjugate(chi_h, k))
+            table = idet.direct_table(pair, sub, chi_h.residues)
+            scaled = idet.direct_table(conjugate, sub, galois_conjugate(chi_h, k).residues)
             assert scaled.tolist() == (table * k % n).tolist()
         assert sorted(images) == sorted(by_key)

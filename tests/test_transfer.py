@@ -163,7 +163,7 @@ def _quotient_group_values(group, sub):
     hgrp, to_parent = as_group(sub)
     local = {m: i for i, m in enumerate(to_parent)}
     quot, proj = hgrp.quotient(hgrp.commutator_subgroup())
-    to_codomain = {m: proj(local[m]) for m in sub.members}
+    to_codomain = {m: proj.map.item(local[m]) for m in sub.members}
     return quot, to_codomain, [to_codomain[v] for v in group.transfer_products(sub)]
 
 
