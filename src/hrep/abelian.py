@@ -126,11 +126,6 @@ def _least_complement(group: FiniteGroup, current: np.ndarray, t: int, want: int
     return np.sort(span)
 
 
-def two_rank(group: FiniteGroup) -> int:
-    """Number of even invariant factors."""
-    return sum(1 for m in decompose(group).factors if m % 2 == 0)
-
-
 # -- quotients of G^ab in coordinates ------------------------------------------
 
 

@@ -25,6 +25,7 @@ from itertools import product
 
 import numpy as np
 
+from . import abelian
 from .errors import EnumerationBoundExceeded, NoExtension, NotACharacter, PreconditionFailed
 from .group_core import FiniteGroup, Subgroup
 
@@ -209,33 +210,36 @@ class LinearCharacter:
 def characters_of_subgroup(sub: Subgroup) -> list[LinearCharacter]:
     """All linear characters of a subgroup H, ordered by index tuple.
 
-    They are the characters of A = H/[H,H] (``FiniteGroup.abelianize``;
-    G's own ``abelianization`` when H = G): the one indexed by (c_1, ...,
+    They are the characters of A = H/[H,H]: the one indexed by (c_1, ...,
     c_s) sends the i-th invariant generator t_i of A to c_i/m_i. Row x of
     the coordinates of x's image in A, each scaled by N/m_i for the
     parent's N (exp(A) divides exp(G)), gives chi_c(x) as the residue
-    (scaled @ c) mod N, one expression per character.
+    (scaled @ c) mod N, one expression per character. For H = G the
+    coordinates are G's own (``abelian.coordinates``, one decomposition
+    of G^ab per group); a proper H is abelianized and decomposed here.
     """
-    from .abelian import decompose
-
     group = sub.parent
-    if len(sub) == group.order:
-        quot, proj = group.abelianization
-        image = proj.map
+    whole = len(sub) == group.order
+    if whole:
+        size = group.order // len(group.commutator_subgroup())
     else:
         quot, image = group.abelianize(sub)
-    if quot.order > CHARACTER_ENUM_BOUND:
+        size = quot.order
+    if size > CHARACTER_ENUM_BOUND:
         raise EnumerationBoundExceeded(
-            f"|A|={quot.order} exceeds character enumeration bound {CHARACTER_ENUM_BOUND}"
+            f"|A|={size} exceeds character enumeration bound {CHARACTER_ENUM_BOUND}"
         )
-    dec = decompose(quot)
+    if whole:
+        ab = abelian.coordinates(group)
+        factors, coords = ab.factors, ab.coords
+    else:
+        dec = abelian.decompose(quot)
+        factors, coords = dec.factors, dec.exponent_coordinates[image]
     modulus = residue_modulus(group)
-    scaled = dec.exponent_coordinates[image] * np.array(
-        [modulus // m for m in dec.factors], dtype=np.int64
-    )
+    scaled = coords * np.array([modulus // m for m in factors], dtype=np.int64)
     members = list(sub.members)
     characters = []
-    for idx in product(*[range(m) for m in dec.factors]):
+    for idx in product(*[range(m) for m in factors]):
         on_parent = np.full(group.order, -1, dtype=np.int64)
         on_parent[members] = scaled @ np.array(idx, dtype=np.int64) % modulus
         characters.append(LinearCharacter(sub, on_parent))

@@ -81,7 +81,6 @@ def load_group(config: RunConfig) -> FiniteGroup:
 def cmd_group_info(config: RunConfig) -> tuple[dict, int]:
     group = load_group(config)
     series = group.lower_central_series()
-    ab_quot, _ = group.abelianization
     squares = group.power_subgroup(2)
     info = {
         "label": group.label,
@@ -91,7 +90,7 @@ def cmd_group_info(config: RunConfig) -> tuple[dict, int]:
         "lower_central_series_sizes": [len(s) for s in series],
         "nilpotency_class": group.nilpotency_class(),
         "squares_subgroup": list(squares.members),
-        "abelianization_factors": list(abelian.decompose(ab_quot).factors),
+        "abelianization_factors": list(abelian.coordinates(group).factors),
     }
     return info, EXIT_OK
 

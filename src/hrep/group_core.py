@@ -27,12 +27,12 @@ Conventions used throughout the package:
   ``commutator_table`` gather, and power subgroups from one vectorised
   power of every element;
 * the quotient by the trivial subgroup, which ``quotient_by_kernel``
-  takes for every faithful pair, shares the parent's validated arrays
-  (table, inverse and generators) and the parent's table-only memos
-  (element orders, exponent, conjugacy class names, commutativity)
-  under a new label; the caches that hold a ``Subgroup`` are its own,
-  as a subgroup names its parent. Every other table is validated when
-  it is built;
+  takes once per group, for all its faithful pairs, shares the parent's
+  validated arrays (table, inverse and generators) and the parent's
+  table-only memos (element orders, exponent, conjugacy class names,
+  commutativity) under a new label; the caches that hold a
+  ``Subgroup`` are its own, as a subgroup names its parent. Every other
+  table is validated when it is built;
 * validation proves associativity at every order by Light's test, n^2
   lookups for each of at most floor(log2 n) generators; a table that
   fails it is scanned row by row, so the error names the
@@ -227,9 +227,12 @@ class FiniteGroup:
         # filled by abelian.coordinates: G^ab read on the elements of G
         self._abelian_coordinates = None
         self._skeleton_cache: dict[tuple[int, ...], CosetSkeleton] = {}
-        # filled by heisenberg.scalar_quotient: G/Z and what is read from
-        # it, per scalar subgroup Z
+        # filled by heisenberg.scalar_quotient: what every pair on the
+        # scalar subgroup Z reads, per Z
         self._scalar_cache: dict[tuple[int, ...], object] = {}
+        # filled by heisenberg.quotient_by_kernel: G/K and its projection,
+        # per kernel K
+        self._reduction_cache: dict[tuple[int, ...], tuple[FiniteGroup, GroupHom]] = {}
         # filled by transfer's transversal independence check: the positions
         # of the random shifts, per (seed, |H|)
         self._shift_cache: dict[tuple[int, int], np.ndarray] = {}

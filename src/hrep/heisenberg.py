@@ -7,16 +7,16 @@ nondegenerate on G/Z. Linear characters of G appear as the degenerate
 dim-1 case Z = G and flow through the same pipeline.
 
 The pairing has one implementation: ``HeisenbergPair.x_on_quotient``, its
-residue matrix on G/Z. ``validate_pair`` screens the invariance of chi
-and the nondegeneracy of X.
+residue matrix on the Z-cosets. ``validate_pair`` screens the invariance
+of chi and the nondegeneracy of X.
 
-What a pair reads that chi does not enter (G/Z with its projection, the
-subgroups of G/Z of order dim, rk2(G/Z) and G^2 Z) is computed once per
-scalar subgroup (``scalar_quotient``) and shared by every pair on the
-same Z, twisted ones included. Only the isotropy test on X and the
-preimages in G are per pair: the maximal isotropic subgroups are listed
-once per pair (``maximal_isotropics``), and every caller that needs an
-isotropic, or one containing a given element, reads that list.
+G/Z is read inside G, never built. What a pair reads that chi does not
+enter (the subgroups of G over Z of index dim, from G's one coabelian
+list, rk2(G/Z) from G^ab's coordinates, and G^2 Z) is computed once per
+scalar subgroup (``scalar_quotient``) and shared by every pair on Z,
+twisted ones included. The isotropy test on X is per pair; every caller
+that needs a maximal isotropic reads the pair's one list of them
+(``maximal_isotropics``). G/Ker(chi) is built once per kernel.
 """
 
 from __future__ import annotations
@@ -47,42 +47,36 @@ from .group_core import FiniteGroup, GroupHom, Subgroup
 from .transfer import coabelian_subgroups, is_two_step_nilpotent, squares_times
 
 PAIR_ENUM_BOUND = 256
-ISOTROPIC_ENUM_BOUND = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class ScalarQuotient:
     """What every pair on the scalar subgroup Z of G reads and chi does
-    not enter, each part computed on first use. ``scalar_quotient`` keeps
-    one per (G, Z)."""
+    not enter, each part read inside G and computed on first use.
+    ``scalar_quotient`` keeps one per (G, Z)."""
 
     group: FiniteGroup
     Z: Subgroup
 
     @cached_property
-    def ambient(self) -> tuple[FiniteGroup, GroupHom]:
-        """The abelian quotient A = G/Z with its projection."""
-        return self.group.quotient(self.Z)
-
-    @cached_property
-    def isotropic_layer(self) -> tuple[tuple[int, ...], ...]:
-        """The members of each subgroup of A of order dim = sqrt|A|, the
-        one layer of A's lattice that holds the images of the maximal
-        isotropics."""
-        index = self.group.order // len(self.Z)
-        if index > ISOTROPIC_ENUM_BOUND:
-            raise EnumerationBoundExceeded(
-                f"[G:Z]={index} exceeds isotropic enumeration bound {ISOTROPIC_ENUM_BOUND}"
-            )
-        quot, _ = self.ambient
-        dim = math.isqrt(index)
-        subgroups = quot.all_subgroups(max_order=ISOTROPIC_ENUM_BOUND)
-        return tuple(sub.members for sub in subgroups if len(sub) == dim)
+    def isotropic_layer(self) -> tuple[Subgroup, ...]:
+        """The subgroups K of G with Z <= K and [K:Z] = dim = sqrt[G:Z],
+        by members: the preimages of the subgroups of G/Z of order dim,
+        which hold the maximal isotropics. Each contains Z, hence [G,G],
+        so G's one coabelian list holds them."""
+        size = len(self.Z) * math.isqrt(self.group.order // len(self.Z))
+        layer = [k for k in coabelian_subgroups(self.group) if len(k) == size]
+        layer = [k for k in layer if k.contains_subgroup(self.Z)]
+        return tuple(sorted(layer, key=lambda k: k.members))
 
     @cached_property
     def two_rank(self) -> int:
-        """rk_2(G/Z); always even because the quotient splits as B x B."""
-        rank = abelian.two_rank(self.ambient[0])
+        """rk_2(G/Z), the number of even invariant factors of G/Z, read
+        from G^ab's coordinates; always even because G/Z splits as B x B."""
+        index = self.group.order // len(self.Z)
+        factors = abelian.coordinates(self.group).quotient_basis(self.Z.members, index).factors
+        _math_check(math.prod(factors) == index, "invariant factors of G/Z must multiply to [G:Z]")
+        rank = sum(m % 2 == 0 for m in factors)
         _math_check(rank % 2 == 0, "two-rank of a symplectic quotient must be even")
         return rank
 
@@ -114,16 +108,12 @@ class HeisenbergPair:
         """The record of (G, Z), shared by every pair on Z."""
         return scalar_quotient(self.group, self.Z)
 
-    @property
-    def ambient(self) -> tuple[FiniteGroup, GroupHom]:
-        """The abelian quotient A = G/Z with its projection."""
-        return self.scalar.ambient
-
     @cached_property
     def x_on_quotient(self) -> np.ndarray:
-        """Read-only: X on A x A as residues mod N, ``x[a, b] = chi([r_a, r_b])``
-        for the minimal coset representatives r."""
-        reps = self.ambient[0].coset_reps
+        """Read-only: X on G/Z x G/Z as residues mod N, ``x[a, b] =
+        chi([r_a, r_b])`` for the minimal coset representatives r, the
+        Z-cosets in ``coset_positions`` order."""
+        reps, _ = self.group.coset_positions(self.Z)
         x = self.chi.residues[self.group.commutator_table(reps, reps)]
         x.flags.writeable = False
         return x
@@ -239,10 +229,15 @@ def enumerate_pairs(group: FiniteGroup, *, max_order: int = PAIR_ENUM_BOUND) -> 
 
 def quotient_by_kernel(pair: HeisenbergPair) -> tuple[HeisenbergPair, GroupHom]:
     """Push the pair to G/Ker(chi), where the group is two-step nilpotent
-    and chi becomes faithful; the dimension is unchanged."""
+    and chi becomes faithful; the dimension is unchanged. G/Ker(chi) is
+    built once per kernel and kept on G, so the pairs on one kernel share
+    it and all it caches."""
     group = pair.group
     kernel = pair.chi.kernel()
-    quot, proj = group.quotient(kernel, label=f"{group.label}~red")
+    cache = group._reduction_cache
+    if kernel.members not in cache:
+        cache[kernel.members] = group.quotient(kernel, label=f"{group.label}~red")
+    quot, proj = cache[kernel.members]
     # K lies in Z, so a coset of K lies in Z iff its representative does
     scalar = Subgroup(quot, tuple(np.flatnonzero(pair.Z.mask[quot.coset_reps]).tolist()))
     # chi_bar(zK) = chi(z) for K = Ker(chi), read at each coset's minimal
@@ -260,10 +255,9 @@ def quotient_by_kernel(pair: HeisenbergPair) -> tuple[HeisenbergPair, GroupHom]:
 
 def all_maximal_isotropics(pair: HeisenbergPair) -> list[Subgroup]:
     """All subgroups H between Z and G with X trivial on H and [G:H] = dim:
-    the preimages of the subgroups of G/Z of order dim on which X vanishes."""
-    layer = pair.scalar.isotropic_layer
-    _, proj = pair.ambient
+    those of the isotropic layer on whose Z-cosets X vanishes. A Z-coset
+    lies in K >= Z iff its least id does."""
+    reps, _ = pair.group.coset_positions(pair.Z)
     x = pair.x_on_quotient
-    found = [proj.preimage(m) for m in layer if not x[np.ix_(m, m)].any()]
-    found.sort(key=lambda s: s.members)
-    return found
+    cosets = [(k, k.mask[reps]) for k in pair.scalar.isotropic_layer]
+    return [k for k, inside in cosets if not x[np.ix_(inside, inside)].any()]

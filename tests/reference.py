@@ -6,8 +6,9 @@ whole-group array of residues. The definitions here compute the same
 objects one element at a time, in ``QmodZ`` exponents where a value is a
 root of unity: monomial matrices and their determinants, the closed form
 at one element, the pairing at one pair of elements, the correcting
-ratio, the symplectic basis and a few constructors. The tests compare the
-arrays against them. Nothing in ``src/`` imports this module.
+ratio, the symplectic basis, the 2-rank of an abelian group and a few
+constructors. The tests compare the arrays against them. Nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hrep import transfer as tr
+from hrep.abelian import decompose
 from hrep.char_theory import LinearCharacter, QmodZ, residue_modulus
 from hrep.errors import (
     Degenerate,
@@ -95,6 +97,11 @@ def subgroup_product(group: FiniteGroup, members) -> int:
 def involution_set(group: FiniteGroup) -> set[int]:
     """All x with x^2 = e, identity included (any group)."""
     return set(np.flatnonzero(group.powers(2) == group.identity_id).tolist())
+
+
+def two_rank(group: FiniteGroup) -> int:
+    """Number of even invariant factors of an abelian group."""
+    return sum(1 for m in decompose(group).factors if m % 2 == 0)
 
 
 def central_involutions(group: FiniteGroup) -> set[int]:
@@ -338,7 +345,7 @@ def symplectic_basis(pair: HeisenbergPair) -> SymplecticBasis:
     smallest partner where X has exact order m, and recurses on the
     orthogonal complement of the plane they span.
     """
-    quot, proj = pair.ambient
+    quot, proj = pair.group.quotient(pair.Z)
     x = pair.x_on_quotient
     n = residue_modulus(pair.group)
     # ascending ids, so the first of a kind is the smallest

@@ -2,6 +2,7 @@
 isotropic subgroups, and symplectic bases."""
 
 import math
+import random
 from functools import partial
 
 import pytest
@@ -31,7 +32,15 @@ from hrep.group_core import (
     quaternion8,
 )
 from hrep.induced_det import twist
-from reference import HALF, is_zero, subgroup, symplectic_basis, trivial_character, x_value
+from reference import (
+    HALF,
+    is_zero,
+    subgroup,
+    symplectic_basis,
+    trivial_character,
+    two_rank,
+    x_value,
+)
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
 
@@ -238,7 +247,7 @@ def test_pairing_is_alternating_and_bimultiplicative():
 
 def test_pairing_table_is_total():
     pair = d8_pair()
-    quot, proj = pair.ambient
+    quot, proj = pair.group.quotient(pair.Z)
     table = pair.x_on_quotient
     n = ct.residue_modulus(pair.group)
     assert table.size == quot.order**2 == 16 and not table.flags.writeable
@@ -503,7 +512,9 @@ def test_reduction_of_faithful_pair_is_isomorphic():
 @pytest.mark.parametrize("name", ("d8", "heis3", "cp:d8,q8"))
 def test_reduction_of_faithful_pair_validates_no_table(monkeypatch, name):
     """A faithful pair's reduction is the trivial quotient, which shares the
-    validated table; a pair with a kernel still validates its quotient."""
+    validated table; the first pair on a nontrivial kernel validates its
+    quotient, and every later pair on that kernel validates nothing and
+    gets the same reduced group."""
     calls = []
     real = group_core._validate_table
     monkeypatch.setattr(group_core, "_validate_table", lambda *a: calls.append(1) or real(*a))
@@ -517,10 +528,19 @@ def test_reduction_of_faithful_pair_validates_no_table(monkeypatch, name):
         assert calls == []
         assert reduced.group.identity_id == group.identity_id
         assert reduced.group.table is group.table
+        assert reduced.group is hb.quotient_by_kernel(faithful[0])[0].group
+    reduced_by_kernel = {}
     for pair in (p for p in pairs if not p.is_reduced):
         calls.clear()
-        hb.quotient_by_kernel(pair)
-        assert calls == [1]
+        reduced, _ = hb.quotient_by_kernel(pair)
+        kernel = pair.chi.kernel().members
+        if kernel in reduced_by_kernel:
+            assert calls == []
+            assert reduced.group is reduced_by_kernel[kernel]
+        else:
+            assert calls == [1]
+            reduced_by_kernel[kernel] = reduced.group
+    assert len(set(map(id, reduced_by_kernel.values()))) == len(reduced_by_kernel)
 
 
 def test_reduction_of_trivial_linear_pair():
@@ -593,9 +613,12 @@ def test_greedy_isotropic_covers_every_element():
 
 
 def test_one_quotient_and_one_lattice_per_scalar_subgroup(monkeypatch):
-    """heis7 has 55 pairs on 2 scalar subgroups: each Z's G/Z is built and
-    its lattice enumerated once, for every pair on Z, whether it comes
-    from enumerate_pairs, validate_pair or twist."""
+    """heis7 has 55 pairs on 2 scalar subgroups. Once the pairs are
+    enumerated, reading rk2(G/Z), the maximal isotropics and G^2 Z builds
+    no quotient group and enumerates no lattice: G/Z is read inside G,
+    from the one coabelian list that enumerate_pairs already made, for
+    every pair on Z, whether it comes from enumerate_pairs, validate_pair
+    or twist."""
     quotients, lattices = [], []
     quotient, all_subgroups = group_core.FiniteGroup.quotient, group_core.FiniteGroup.all_subgroups
 
@@ -615,8 +638,8 @@ def test_one_quotient_and_one_lattice_per_scalar_subgroup(monkeypatch):
         pair.two_rank, pair.maximal_isotropics, pair.squares_times_z
     scalars = sorted({pair.Z.members for pair in pairs})
     assert (len(pairs), len(scalars)) == (55, 2)
-    assert sorted(quotients) == scalars
-    assert len(lattices) == 2
+    assert (quotients, lattices) == ([], [])
+    assert all(pair.maximal_isotropics for pair in pairs)
 
     pair = next(p for p in pairs if p.dim == 7)
     omega = ct.linear_characters(group)[1]
@@ -624,17 +647,25 @@ def test_one_quotient_and_one_lattice_per_scalar_subgroup(monkeypatch):
         assert other.scalar is pair.scalar
         assert other.maximal_isotropics == pair.maximal_isotropics
         assert other.two_rank == pair.two_rank
-    assert (len(quotients), len(lattices)) == (2, 2)
+    assert (quotients, lattices) == ([], [])
 
 
 def test_isotropics_from_the_layer_match_a_scan_of_every_subgroup():
-    """The order-dim layer of G/Z, filtered per pair, gives exactly the
-    subgroups H of G over Z of index dim on which chi([h, h']) vanishes."""
-    for pair in (d8_pair(), heis3_pair(), hb.enumerate_pairs(heisenberg_mod(7), max_order=512)[-1]):
+    """The isotropic layer is the preimages of the subgroups of order dim
+    of G/Z, built here as a quotient group; filtered per pair, it gives
+    exactly the subgroups H of G over Z of index dim on which chi([h, h'])
+    vanishes. The pair on prod:d8,c4 has Z > [G,G], so some subgroups of
+    G of the layer's order miss Z."""
+    wide = next(p for p in hb.enumerate_pairs(from_name("prod:d8,c4")) if p.dim == 2)
+    assert len(wide.Z) > len(wide.group.commutator_subgroup())
+    pairs = (d8_pair(), heis3_pair(), hb.enumerate_pairs(heisenberg_mod(7), max_order=512)[-1], wide)
+    for pair in pairs:
         group, chi = pair.group, pair.chi.residues
-        quot, _ = pair.ambient
-        layer = tuple(s.members for s in quot.all_subgroups() if len(s) == pair.dim)
-        assert pair.scalar.isotropic_layer == layer
+        quot, proj = group.quotient(pair.Z)
+        layer = [proj.preimage(s.members) for s in quot.all_subgroups() if len(s) == pair.dim]
+        assert sorted(k.members for k in pair.scalar.isotropic_layer) == sorted(
+            k.members for k in layer
+        )
         scan = [
             h
             for h in group.all_subgroups(max_order=group.order)
@@ -643,6 +674,33 @@ def test_isotropics_from_the_layer_match_a_scan_of_every_subgroup():
             and not chi[group.commutator_table(h.members, h.members)].any()
         ]
         assert pair.maximal_isotropics == scan
+
+
+def test_two_rank_matches_the_quotient_group_on_the_zoo(relabel):
+    """rk2(G/Z), read from G^ab's coordinates, equals the reference 2-rank
+    of the quotient group G/Z on every pair and every reduced pair of the
+    zoo, on the zoo's tables and on relabelled ones."""
+    for name in ("d8", "q8", "heis3", "heis4", "d16", "cp:d8,q8", "prod:d8,c4", "prod:heis3,c4"):
+        group = from_name(name)
+        sigma = random.Random(name).sample(range(group.order), group.order)
+        for g in (group, relabel(group, sigma)):
+            for pair in hb.enumerate_pairs(g):
+                for p in (pair, pair.reduction[0]):
+                    assert p.two_rank == two_rank(p.group.quotient(p.Z)[0])
+
+
+def test_maximal_isotropics_refuse_a_large_abelianization():
+    """The isotropic layer comes from G's coabelian list, which refuses
+    |G^ab| > SUBGROUP_ENUM_BOUND before any work: a directly validated
+    pair on such a group raises, though enumerate_pairs would never
+    give it."""
+    group = abelian_group([2] * 9)
+    full = group.full_subgroup()
+    pair = hb.validate_pair(group, full, trivial_character(full))
+    with pytest.raises(EnumerationBoundExceeded, match="subgroup enumeration bound"):
+        pair.maximal_isotropics
+    with pytest.raises(EnumerationBoundExceeded):
+        hb.enumerate_pairs(group, max_order=group.order)
 
 
 # -- symplectic bases ---------------------------------------------------------------
@@ -744,7 +802,7 @@ def test_top_pair_isotropic_count_is_the_lagrangian_count(name, count):
     pairs = hb.enumerate_pairs(from_name(name))
     top = max(pair.dim for pair in pairs)
     for pair in (pair for pair in pairs if pair.dim == top):
-        factors = abelian.decompose(pair.ambient[0]).factors
+        factors = abelian.decompose(pair.group.quotient(pair.Z)[0]).factors
         p, n = factors[0], len(factors) // 2
         assert set(factors) == {p} and len(factors) == 2 * n
         assert len(pair.maximal_isotropics) == math.prod(p**i + 1 for i in range(1, n + 1))

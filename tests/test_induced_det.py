@@ -422,6 +422,33 @@ def test_verify_checks_each_object_once(monkeypatch, capsys):
     assert set(transfer_checks.values()) == {1}
 
 
+def test_verify_builds_one_quotient_per_kernel(monkeypatch, capsys):
+    """verify heis7 reduces its 55 pairs onto 10 distinct kernels and
+    builds exactly one quotient group per kernel, the reduced group every
+    pair on that kernel shares; G/Z is never built."""
+    quotients = []
+    real_quotient = FiniteGroup.quotient
+
+    def recording_quotient(group, normal, label=None):
+        quotients.append((group, normal.members))
+        return real_quotient(group, normal, label)
+
+    kernels = []
+    real_reduce = hb.quotient_by_kernel
+
+    def recording_reduce(pair):
+        kernels.append((pair.group, pair.chi.kernel().members))
+        return real_reduce(pair)
+
+    monkeypatch.setattr(FiniteGroup, "quotient", recording_quotient)
+    monkeypatch.setattr(hb, "quotient_by_kernel", recording_reduce)
+    assert cli.main(["verify", "--builtin", "heis7", "--max-order", "512"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(kernels) == report["n_pairs"] == 55
+    assert len(set(kernels)) == 10
+    assert len(quotients) == 10 and set(quotients) == set(kernels)
+
+
 @pytest.mark.parametrize("name", ("ab:2,2,2,2", "heis3"))
 def test_verify_transfer_checks_build_no_quotient_per_instance(monkeypatch, capsys, name):
     """While verify's transfer checks run, no quotient group is built, and
