@@ -303,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--builtin", help="builtin zoo name, e.g. d8 or cp:d8,q8")
         cmd.add_argument("--format", choices=("json", "tsv"), default="json")
         cmd.add_argument("--seed", type=int, default=0, help=seed_help)
-        cmd.add_argument("--max-order", type=int, default=PAIR_ENUM_BOUND)
+        if name != "group-info":
+            cmd.add_argument("--max-order", type=int, default=PAIR_ENUM_BOUND)
     p3_cmd = sub.add_parser("p3")
     p3_cmd.add_argument("p", type=int, help=f"an odd prime with p^3 <= {P3_ORDER_BOUND}")
     p3_cmd.add_argument("--format", choices=("json", "tsv"), default="json")

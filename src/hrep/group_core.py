@@ -10,14 +10,14 @@ Conventions used throughout the package:
 * all types are immutable after construction and safe to share across
   threads: a group copies the table it is given, and every map indexed
   by element id (``table``, ``inverse``, the coset representatives and
-  positions, a homomorphism's ``map``, the transfer products and the
-  coset skeleton) is a read-only int64 array, with no tuple copy;
+  positions, a homomorphism's ``map``, the checked transfer table and
+  the coset skeleton) is a read-only int64 array, with no tuple copy;
   element operations read them with ``.item`` and return Python ints.
   Structural data (center, commutator subgroup, lower central series,
   conjugacy classes, central involutions, the coabelian subgroups, and
   per subgroup the coset action, the least id of each [H,H]-coset (the
-  one encoding of H/[H,H]), the raw transfer products and the checked
-  transfer table, the coordinates of G^ab that
+  one encoding of H/[H,H]), the checked transfer table, which only
+  ``transfer`` folds from the coset factors, the coordinates of G^ab that
   ``abelian.coordinates`` keeps, and the positions of the random
   transversal shifts) is computed lazily and cached. The caches are
   memos of pure functions of the immutable table, so two threads that
@@ -219,10 +219,9 @@ class FiniteGroup:
         self.label: str = label
         self.coset_reps: np.ndarray | None = coset_reps
         self._coset_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self._transfer_cache: dict[tuple[int, ...], np.ndarray] = {}
         # filled by derived_classes, per nonabelian subgroup
         self._derived_cache: dict[tuple[int, ...], np.ndarray] = {}
-        # filled by transfer.transfer_table: the homomorphism-checked table
+        # filled by transfer._fold: the homomorphism-checked transfer table
         self._transfer_table_cache: dict[tuple[int, ...], np.ndarray] = {}
         # filled by abelian.coordinates: G^ab read on the elements of G
         self._abelian_coordinates = None
@@ -657,29 +656,6 @@ class FiniteGroup:
         del moved
         return flat.take(looked)
 
-    def transfer_fold(self, subs, transversals) -> np.ndarray:
-        """The raw transfer products of every g against each row of
-        ``transversals``, a k x d batch of left transversals (one
-        representative per coset, in any order), as a k x n array: the
-        product of u_j^-1 g t_j over j in the listed order, u_j the
-        representative of the coset of g t_j. ``subs`` is as for
-        ``_coset_factors``."""
-        factors = self._coset_factors(subs, transversals)
-        n, flat = self.order, self.table.ravel()
-        result = np.full((factors.shape[0], n), self.identity_id, dtype=np.int64)
-        for j in range(factors.shape[1]):
-            result = flat.take(result * n + factors[:, j])
-        return result
-
-    def transfer_products(self, sub: "Subgroup") -> np.ndarray:
-        """The raw transfer product of every g over the canonical transversal."""
-        cached = self._transfer_cache.get(sub.members)
-        if cached is None:
-            cached = self.transfer_fold(sub, [self.coset_positions(sub)[0]])[0]
-            cached.flags.writeable = False
-            self._transfer_cache[sub.members] = cached
-        return cached
-
     def coset_skeleton(self, sub: "Subgroup") -> "CosetSkeleton":
         """The monomial skeleton of G acting on the left cosets of H."""
         key = sub.members
@@ -972,13 +948,32 @@ def from_name(name: str) -> FiniteGroup:
     raise InvalidSpec(f"unknown builtin group name {name!r}")
 
 
+def _integer(params: dict, key: str) -> int:
+    """The construct parameter ``key``, which must be a JSON integer: an
+    int and not a bool, never a float or string that ``int`` would coerce.
+    ``construct`` reports the TypeError as InvalidSpec."""
+    value = params[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(params: dict, key: str) -> list[int]:
+    """The construct parameter ``key``, which must be a list of JSON
+    integers, each as ``_integer`` requires."""
+    values = params[key]
+    if type(values) is not list or any(type(value) is not int for value in values):
+        raise TypeError(f"{key!r} must be a list of integers, got {values!r}")
+    return values
+
+
 _FAMILIES = {
-    "cyclic": lambda params: cyclic(int(params["n"])),
-    "dihedral": lambda params: dihedral(int(params["order"])),
+    "cyclic": lambda params: cyclic(_integer(params, "n")),
+    "dihedral": lambda params: dihedral(_integer(params, "order")),
     "quaternion8": lambda params: quaternion8(),
-    "heisenberg_mod": lambda params: heisenberg_mod(int(params["n"])),
-    "extraspecial_p3_exp_p2": lambda params: extraspecial_p3_exp_p2(int(params["p"])),
-    "abelian": lambda params: abelian_group(params["factors"]),
+    "heisenberg_mod": lambda params: heisenberg_mod(_integer(params, "n")),
+    "extraspecial_p3_exp_p2": lambda params: extraspecial_p3_exp_p2(_integer(params, "p")),
+    "abelian": lambda params: abelian_group(_integers(params, "factors")),
     "direct_product": lambda params: direct_product(
         *[construct_spec(f) for f in params["factors"]]
     ),

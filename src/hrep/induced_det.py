@@ -15,10 +15,10 @@ Every determinant is an N-th root of unity for N = lcm(exp(G), 2), so
 each route's table is an int64 array of residues mod N over the group's
 elements, and the sign -1 is N/2. Each route has one implementation, a
 whole-group gather on residues: ``direct_table`` sums chi_H over the coset
-skeleton's factors, ``gallagher_table`` reads chi_H at the transfer
-products, and the closed form gathers chi's residues at the d-th powers
-of every element. The first two take one extension chi_H or the stack of
-all of them, one gather per call. Each call checks the extensions once,
+skeleton's factors, ``gallagher_table`` reads chi_H at the checked
+transfer table (``transfer.transfer_table``), and the closed form gathers
+chi's residues at the d-th powers of every element. The first two take
+one extension chi_H or the stack of all of them, one gather per call. Each call checks the extensions once,
 and no route reads another's table.
 
 Twists, the sign table, the sign defect, the determinant's
@@ -59,7 +59,7 @@ from .group_core import (
     heisenberg_mod,
 )
 from .heisenberg import HeisenbergPair, enumerate_pairs
-from .transfer import CheckReport, correcting_function, miller_lift
+from .transfer import CheckReport, correcting_function, miller_lift, transfer_table
 
 
 # -- induced representations ----------------------------------------------------
@@ -108,13 +108,15 @@ def direct_table(pair: HeisenbergPair, sub: Subgroup, rows: np.ndarray) -> np.nd
 def gallagher_table(pair: HeisenbergPair, sub: Subgroup, rows: np.ndarray) -> np.ndarray:
     """Gallagher's route: Delta_H(g) + chi_H(T_{G/H}(g)) for every g, as
     residues mod N, with Delta_H the sign of g's coset permutation, for
-    ``rows`` as in ``direct_table``. The raw transfer product is a
-    well-defined argument because chi_H kills [H,H].
+    ``rows`` as in ``direct_table``. T_{G/H} is ``transfer_table``'s
+    homomorphism-checked table, the one that the transfer checks verify;
+    each value is the least id of its [H,H]-coset, a well-defined
+    argument because chi_H kills [H,H].
     """
     _require_extension(pair, sub, rows)
     group = pair.group
     n = residue_modulus(group)
-    transfers = group.transfer_products(sub)
+    transfers = transfer_table(group, sub)
     return (group.coset_skeleton(sub).odd * (n // 2) + np.take(rows, transfers, axis=-1)) % n
 
 
@@ -552,7 +554,8 @@ def p3_classification(p: int) -> dict:
     trivial; the exponent-p^2 group has G^p = Z and every dim-p
     determinant nontrivial.
     """
-    if p == 2 or not _is_prime(p) or p**3 > P3_ORDER_BOUND:
+    # the bound first: trial division of a large p is the expensive test
+    if p < 3 or p**3 > P3_ORDER_BOUND or not _is_prime(p):
         raise InvalidPrime(f"need an odd prime with p^3 <= {P3_ORDER_BOUND}, got {p}")
     rows = []
     for kind, group in (

@@ -2,12 +2,15 @@
 satisfies on two-step nilpotent groups.
 
 ``transfer_table`` is the one way to read T: one homomorphism-checked,
-read-only int64 array per subgroup, folded from the coset factors.
-A value modulo [H,H] is encoded as the minimal element id of its
-[H,H]-coset, read from ``FiniteGroup.derived_classes``, the encoding of
-H/[H,H] that characters and G^ab share; for abelian H that coset is a
-single element, so values are elements of H itself and the power-map
-identities below are plain element equalities. The correcting function
+read-only int64 array per subgroup, which every check, the correcting
+function and Gallagher's determinant route read. ``_fold`` is the one
+producer of transfer values: it folds the coset factors of the
+canonical and the shifted transversals, and checks and caches each
+table it builds. A value modulo [H,H] is encoded as the minimal element
+id of its [H,H]-coset, read from ``FiniteGroup.derived_classes``, the
+encoding of H/[H,H] that characters and G^ab share; for abelian H that
+coset is a single element, so values are elements of H itself and the
+power-map identities below are plain element equalities. The correcting function
 phi records the central order-<=2 defect between T(g) and g^d.
 
 Each transfer table is checked to be a homomorphism on G x S, S the
@@ -119,42 +122,63 @@ def transfer_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
 
     Each value is an element id of H: the raw transfer product when H is
     abelian, otherwise the minimal id of the product's [H,H]-coset. The
-    table is built and checked once per (G, H), by a block pass
-    (``_fold``) or here from the group's cached raw products, and kept on
-    the group.
+    table is folded and checked once per (G, H) by ``_fold``, in a block
+    pass of ``transfer_checks`` or here on H alone with no trials, and
+    kept on the group; a table that fails its check raises IdentityFailed
+    and is not kept.
     """
     cached = group._transfer_table_cache.get(sub.members)
     if cached is None:
-        red = group.derived_classes(sub)[None]
-        (outcome,) = _checked_tables(group, [sub], red[:, group.transfer_products(sub)], red)
-        cached = group._transfer_table_cache[sub.members] = unwrap(outcome)
+        no_trials = np.empty((1, 0, sub.index()), dtype=np.int64)
+        _, (outcome,) = _fold(group, [sub], no_trials, group.derived_classes(sub)[None])
+        cached = unwrap(outcome)
     return cached
 
 
 def _fold(
     group: FiniteGroup, subs: Sequence[Subgroup], shifts: np.ndarray, red: np.ndarray
-) -> np.ndarray:
-    """The (k, t, n) transfer values of the transversals ``t_j shifts[i, r, j]``
-    of each subgroup, for ``shifts`` (k, t, d) members of H, all subgroups
-    of one index d, and ``red`` the (k, n) stack of their [H,H]-classes.
+) -> tuple[np.ndarray, list[np.ndarray | IdentityFailed]]:
+    """(trials, tables): the (k, t, n) transfer values of the transversals
+    ``t_j shifts[i, r, j]`` of each subgroup, for ``shifts`` (k, t, d)
+    members of H, all subgroups of one index d, and ``red`` the (k, n)
+    stack of their [H,H]-classes; and per subgroup its checked table, or
+    the IdentityFailed of a table that fails.
 
-    They are folded as one stack with the canonical transversal of every
-    subgroup, and each canonical table not cached yet is checked by
-    ``_checked_tables`` and cached if it passes; a table that fails is
-    left for ``transfer_table`` to raise on."""
+    They are folded as one stack with the canonical transversal t of
+    every subgroup. Each row is a transversal by construction, and the
+    caller keeps the stack under BLOCK_BYTES, so the rows are folded as
+    they are. Each canonical table not cached yet is checked by
+    ``_checked_tables`` and cached if it passes."""
     cache = group._transfer_table_cache
     base = np.array([group.coset_positions(sub)[0] for sub in subs])
     k, t, d = shifts.shape
     rows = np.concatenate([base[:, None, :], group.table[base[:, None, :], shifts]], axis=1)
-    values = transfer_values_with_transversal(group, subs, rows.reshape(k * (t + 1), d))
-    values = values.reshape(k, t + 1, group.order)
-    fresh = [i for i, sub in enumerate(subs) if sub.members not in cache]
+    raw = _transfer_fold(group, subs, rows.reshape(k * (t + 1), d))
+    values = red[np.arange(k)[:, None, None], raw.reshape(k, t + 1, group.order)]
+    tables = [cache.get(sub.members) for sub in subs]
+    fresh = [i for i, table in enumerate(tables) if table is None]
     if fresh:
         checked = _checked_tables(group, [subs[i] for i in fresh], values[fresh, 0], red[fresh])
         for i, outcome in zip(fresh, checked):
+            tables[i] = outcome
             if not isinstance(outcome, HrepError):
                 cache[subs[i].members] = outcome
-    return values[:, 1:]
+    return values[:, 1:], tables
+
+
+def _transfer_fold(group: FiniteGroup, subs, transversals) -> np.ndarray:
+    """The fold step of ``_fold``, its one caller in the package: the raw
+    transfer products of every g against each row of ``transversals``, a
+    k x d batch of left transversals (one representative per coset, in
+    any order), as a k x n array: the product of u_j^-1 g t_j over j in
+    the listed order, u_j the representative of the coset of g t_j.
+    ``subs`` is as for ``FiniteGroup._coset_factors``."""
+    factors = group._coset_factors(subs, transversals)
+    n, flat = group.order, group.table.ravel()
+    result = np.full((factors.shape[0], n), group.identity_id, dtype=np.int64)
+    for j in range(factors.shape[1]):
+        result = flat.take(result * n + factors[:, j])
+    return result
 
 
 def _checked_tables(
@@ -180,39 +204,6 @@ def _checked_tables(
         row if ok else IdentityFailed("transfer values do not form a homomorphism")
         for row, ok in zip(values, good.tolist())
     ]
-
-
-def transfer_values_with_transversal(
-    group: FiniteGroup, subs: Sequence[Subgroup], transversals
-) -> np.ndarray:
-    """Transfer values (canonicalized) against each row of a k x d batch of
-    explicit left transversals, as a k x n array. ``subs`` are subgroups
-    of index d that own consecutive runs of rows of one length.
-
-    Whole runs are folded together, as many as keep the (rows, n, d)
-    stacks of one fold under BLOCK_BYTES. Used to confirm independence of
-    the transversal choice.
-    """
-    rows = np.asarray(transversals, dtype=np.int64)
-    valid = rows.ndim == 2 and len(rows) % len(subs) == 0
-    if valid:
-        d, run = rows.shape[1], len(rows) // len(subs)
-        owner = np.arange(len(rows)) // max(1, run)
-        pos = np.stack([group.coset_positions(sub)[1] for sub in subs])
-        valid = all(sub.index() == d for sub in subs) and bool(
-            (np.sort(pos[owner[:, None], rows], axis=1) == np.arange(d)).all()
-        )
-    if not valid:
-        raise PreconditionFailed("not a left transversal: one representative per coset required")
-    chunks = _blocks(range(len(subs)), group.order * d * max(1, run))
-    raw = np.concatenate(
-        [
-            group.transfer_fold(subs[c.start : c.stop], rows[c.start * run : c.stop * run])
-            for c in chunks
-        ]
-    )
-    red = np.stack([group.derived_classes(sub) for sub in subs])
-    return red[owner[:, None], raw]
 
 
 def _blocks(items, row_size: int):
@@ -737,7 +728,7 @@ def transfer_checks(group: FiniteGroup, subs: Sequence[Subgroup], *, seed: int =
             red = np.stack([group.derived_classes(sub) for sub in block_subs])
             members = np.array([sub.members for sub in block_subs], dtype=np.int64)
             shifts = members[:, _shift_positions(group, n // d, seed)]
-            trials = _fold(group, block_subs, shifts, red)
+            trials, _ = _fold(group, block_subs, shifts, red)
             values, errors = _stacked_tables(group, block_subs)
             independence = _independence_reports(group, block_subs, trials, values, errors)
             odd = cfs = [None] * len(block)

@@ -6,7 +6,9 @@ whole-group array of residues. The definitions here compute the same
 objects one element at a time, in ``QmodZ`` exponents where a value is a
 root of unity: monomial matrices and their determinants, the closed form
 at one element, the pairing at one pair of elements, the correcting
-ratio, the symplectic basis, the 2-rank of an abelian group and a few
+ratio, the symplectic basis, the 2-rank of an abelian group, the raw
+transfer products over the canonical transversal, the transfer values
+of explicit transversals (which are validated first) and a few
 constructors. The tests compare the arrays against them. Nothing in
 ``src/`` imports this module.
 """
@@ -326,6 +328,56 @@ def check_correcting_cocycle(group: FiniteGroup, sub: Subgroup) -> CheckReport:
     rhs = group.powers(d * (d - 1) // 2)[group.commutator_table(everything, everything)]
     (report,) = tr._cocycle_reports(group, [cf], rhs)
     return report
+
+
+# -- transfer values against explicit transversals -----------------------------------
+
+
+def canonical_products(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
+    """The raw transfer product of every g over the canonical transversal
+    (the least id of each coset, in id order): the product over j of
+    u^-1 g t_j, u the least id of the coset of g t_j, multiplied up one
+    coset at a time with no coset factors."""
+    reps, pos = group.coset_positions(sub)
+    table, inv = group.table, group.inverse
+    everything = np.arange(group.order)
+    result = np.full(group.order, group.identity_id, dtype=np.int64)
+    for t in reps.tolist():
+        moved = table[everything, t]
+        result = table[result, table[inv[reps[pos[moved]]], moved]]
+    return result
+
+
+def transversal_owners(group: FiniteGroup, subs, transversals) -> np.ndarray:
+    """The index into ``subs`` of the subgroup that owns each row of a
+    k x d batch of left transversals, for ``subs`` subgroups of index d
+    that own consecutive runs of rows of one length. Each row must hold
+    one representative of every coset of its subgroup, in any order, else
+    PreconditionFailed."""
+    rows = np.asarray(transversals, dtype=np.int64)
+    valid = rows.ndim == 2 and len(rows) % len(subs) == 0
+    if valid:
+        d, run = rows.shape[1], len(rows) // len(subs)
+        owner = np.arange(len(rows)) // max(1, run)
+        pos = np.stack([group.coset_positions(sub)[1] for sub in subs])
+        valid = all(sub.index() == d for sub in subs) and bool(
+            (np.sort(pos[owner[:, None], rows], axis=1) == np.arange(d)).all()
+        )
+    if not valid:
+        raise PreconditionFailed("not a left transversal: one representative per coset required")
+    return owner
+
+
+def transfer_values_with_transversal(
+    group: FiniteGroup, subs, transversals
+) -> np.ndarray:
+    """Transfer values (canonicalized) against each row of a k x d batch of
+    explicit left transversals, validated by ``transversal_owners``, as a
+    k x n array."""
+    owner = transversal_owners(group, subs, transversals)
+    raw = tr._transfer_fold(group, list(subs), transversals)
+    red = np.stack([group.derived_classes(sub) for sub in subs])
+    return red[owner[:, None], raw]
 
 
 @dataclass(frozen=True)

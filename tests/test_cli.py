@@ -1,7 +1,9 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -58,6 +60,17 @@ def test_group_info_heis3(capsys):
     code, out, _ = run_cli(capsys, "group-info", "--builtin", "heis3")
     info = json.loads(out)
     assert info["order"] == 27 and info["nilpotency_class"] == 2
+
+
+def test_only_heisenberg_and_verify_take_max_order(capsys):
+    """group-info enumerates no pairs, so it refuses the pair bound."""
+    with pytest.raises(SystemExit) as exc:
+        main(["group-info", "--builtin", "d8", "--max-order", "5"])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "unrecognized arguments: --max-order 5" in capsys.readouterr().err
+    for verb in ("heisenberg", "verify"):
+        code, out, _ = run_cli(capsys, verb, "--builtin", "d8", "--max-order", "8")
+        assert code == EXIT_OK and json.loads(out)
 
 
 # -- heisenberg -------------------------------------------------------------------
@@ -398,6 +411,161 @@ def test_the_reference_scan_reports_an_injected_orphan(module):
     assert unreferenced_definitions(sources) == {"orphan"}
 
 
+# Every function and method defined in src/hrep that the traced sweep below
+# does not run, named module.qualname, with the reason it stays.
+TRACE_UNREACHED_ALLOWED = {
+    "char_theory.QmodZ.__add__": "QmodZ arithmetic for the reference layer; QmodZ leaves src/ "
+    "after ROADMAP item 5, as perfbench/tracer.py hooks QmodZ.__post_init__",
+    "char_theory.QmodZ.__neg__": "as QmodZ.__add__",
+    "char_theory.QmodZ.__sub__": "as QmodZ.__add__",
+    "char_theory.QmodZ.order": "as QmodZ.__add__",
+    "char_theory.LinearCharacter.__call__": "a value as a QmodZ, read by the reference layer; "
+    "goes with QmodZ",
+    "char_theory.LinearCharacter.__eq__": "value equality, which only the tests use",
+    "char_theory.LinearCharacter.__hash__": "pairs with LinearCharacter.__eq__",
+    "group_core.FiniteGroup.__len__": "protocol method of the library API; no command calls it",
+    "group_core.FiniteGroup.__repr__": "protocol method of the library API; no command calls it",
+    "group_core.FiniteGroup.commutator": "scalar element operation of the library API; the array "
+    "code reads the tables",
+    "group_core.FiniteGroup.inv": "scalar element operation of the library API; the array code "
+    "reads the tables",
+    "group_core.FiniteGroup.conjugate": "error path: names the conjugator of a failed image "
+    "statement",
+    "group_core.Subgroup.__contains__": "protocol method of the library API; the array code reads "
+    "mask",
+    "group_core.Subgroup.__iter__": "protocol method of the library API; the array code reads "
+    "members",
+    "group_core._table_only": "a decorator, which runs at import, before the trace starts",
+    "cli._key_text": "renders a non-string JSON key, which no report has, as json.dumps does",
+    "errors.NotACharacter.__init__": "error path: a value map that is not a character",
+    "transfer.CheckReport.fail": "error path: a failed identity",
+    "transfer.CheckReport.compare": "error path: a failed identity",
+    "transfer._compare_conjugates": "error path: a failed covariance certificate, or a "
+    "non-normal H",
+}
+
+
+def defined_functions() -> dict[tuple[str, int], str]:
+    """{(module, first line): module.qualname} of every function and method
+    defined in src/hrep, nested ones included. The first line is the one a
+    code object's ``co_firstlineno`` names: the first decorator's, if any."""
+    names = {}
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                names[module, first] = f"{module}.{prefix}{child.name}"
+                visit(child, module, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, module, prefix)
+
+    for module, source in src_sources().items():
+        visit(ast.parse(source), module, "")
+    return names
+
+
+def traced_sweep(tmp_path) -> set[tuple[str, int]]:
+    """(module, first line) of every code object of src/hrep that runs, under
+    sys.setprofile, while the CLI runs verify (JSON and TSV), group-info,
+    heisenberg and p3, a table file, a construct file and the malformed
+    inputs the tests plant. Each command's exit code is checked."""
+    from test_group_core import LOOP5
+
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    construct = {
+        "family": "direct_product",
+        "params": {
+            "factors": [
+                {"family": "abelian", "params": {"factors": [2]}},
+                {"family": "central_product", "params": {"factors": [
+                    {"family": "dihedral", "params": {"order": 8}},
+                    {"family": "quaternion8"},
+                ]}},
+            ]
+        },
+    }
+    malformed = [
+        [[0, 1], [1, 0]],
+        {"cayley_table": [[0, 1], [1]]},
+        {"cayley_table": [["e", "a"], ["a", "e"]]},
+        {"cayley_table": [[None]]},
+        {"cayley_table": [[0.5]]},
+        {"cayley_table": [[0, 1.7], [1.2, 0]]},
+        {"cayley_table": [[0, 1], [1, 1]]},
+        {"cayley_table": LOOP5},
+        {"label": "x"},
+        {"label": ["a"], "cayley_table": [[0]]},
+        {"construct": {"family": "abelian", "params": {"factors": "12"}}},
+        {"construct": {"family": "cyclic", "params": {"n": 7.9}}},
+    ]
+    runs = [(EXIT_OK, ["verify", "--builtin", name, *fmt])
+            for name in ("d8", "q8", "heis3", "cp:d8,q8", "ab:2,2,2")
+            for fmt in ((), ("--format", "tsv"))]
+    runs += [
+        (EXIT_OK, ["group-info", "--builtin", "heis3"]),
+        (EXIT_OK, ["heisenberg", "--builtin", "heis3"]),
+        (EXIT_OK, ["p3", "5"]),
+        (EXIT_OK, ["verify", "--input", write("z3.json", {
+            "label": "z3", "cayley_table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})]),
+        (EXIT_OK, ["group-info", "--input", write("cp.json", {"construct": construct})]),
+        (EXIT_INPUT_ERROR, ["group-info", "--input", str(tmp_path / "missing.json")]),
+        (EXIT_INPUT_ERROR, ["p3", "4"]),
+        (EXIT_BOUND_EXCEEDED, ["verify", "--builtin", "c300"]),
+    ]
+    runs += [(EXIT_INPUT_ERROR, ["verify", "--input", write(f"bad{i}.json", payload)])
+             for i, payload in enumerate(malformed)]
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    got = []
+    quiet = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        for _, argv in runs:
+            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+                got.append(main(argv))
+    finally:
+        sys.setprofile(None)
+    assert got == [code for code, _ in runs]
+    package = SRC / "hrep"
+    return {
+        (Path(code.co_filename).stem, code.co_firstlineno)
+        for code in codes
+        if Path(code.co_filename).parent == package
+    }
+
+
+def test_every_definition_in_src_runs_in_a_traced_sweep(tmp_path):
+    """Every function and method defined in src/hrep runs in the sweep,
+    but for the allowlist, each entry with its reason; an entry that runs
+    leaves the list. The sweep runs in a fresh interpreter, so that no
+    module-level memo filled by another test skips a call."""
+    assert all(TRACE_UNREACHED_ALLOWED.values())
+    defined = defined_functions()
+    assert set(TRACE_UNREACHED_ALLOWED) <= set(defined.values())
+    script = (
+        "import json, sys; from pathlib import Path; from test_cli import traced_sweep; "
+        "print(json.dumps(sorted(traced_sweep(Path(sys.argv[1])))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
+    sweep = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, env=env, timeout=600, check=True, text=True,
+    )
+    ran = {tuple(key) for key in json.loads(sweep.stdout)}
+    assert {name for key, name in defined.items() if key not in ran} == set(TRACE_UNREACHED_ALLOWED)
+
+
 # -- file input --------------------------------------------------------------------
 
 
@@ -470,6 +638,23 @@ def test_non_string_label_is_input_error(tmp_path, capsys, label, source):
     assert code == EXIT_INPUT_ERROR
     assert err.startswith("hrep: InvalidSpec:")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "params",
+    ({"family": "abelian", "params": {"factors": "12"}}, {"family": "cyclic", "params": {"n": 7.9}},
+     {"family": "cyclic", "params": {"n": True}}),
+)
+def test_construct_file_parameters_must_be_json_integers(tmp_path, capsys, params):
+    """A construct file whose integer parameters are a string, a float or a
+    bool is an input error, not the group int() would coerce them to."""
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps({"label": "x", "construct": params}))
+    for verb in ("group-info", "verify"):
+        code, out, err = run_cli(capsys, verb, "--input", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert err.startswith("hrep: InvalidSpec: bad parameters for family")
+        assert out == ""
 
 
 def test_group_file_unreadable(capsys):

@@ -12,6 +12,7 @@ from hrep import transfer as tr
 from hrep.char_theory import LinearCharacter, linear_characters, residue_modulus, whole_group_witness
 from hrep.errors import IdentityFailed, NotACharacter
 from hrep.group_core import FiniteGroup, Subgroup, from_cayley_table, from_name
+from reference import canonical_products
 from test_group_core import alternating5, reference_commutator_subgroup, relabel_table
 
 ZOO = (
@@ -127,7 +128,7 @@ def assert_certificates_match_full_scans(group, seed=0):
         values = tr.transfer_table(group, sub)
         assert full_scan_is_homomorphism(group, values, red)
         members = np.asarray(sub.members)
-        raw = group.transfer_products(sub)
+        raw = canonical_products(group, sub)
         plants = []
         for x in rng.permutation(group.order)[:4].tolist():
             plants.append(raw.copy())

@@ -454,6 +454,34 @@ def test_invalid_constructor_parameters():
         construct("cyclic", {})
 
 
+# (family, params) that int() would coerce into some group: a string of
+# factors read digit by digit, a float truncated, a bool read as 1
+UNCOERCED_PARAMS = (
+    ("abelian", {"factors": "12"}),
+    ("abelian", {"factors": [2, 2.0]}),
+    ("abelian", {"factors": [2, True]}),
+    ("abelian", {"factors": 4}),
+    ("cyclic", {"n": 7.9}),
+    ("cyclic", {"n": True}),
+    ("cyclic", {"n": "7"}),
+    ("dihedral", {"order": 8.0}),
+    ("heisenberg_mod", {"n": False}),
+    ("extraspecial_p3_exp_p2", {"p": "3"}),
+)
+
+
+@pytest.mark.parametrize("family,params", UNCOERCED_PARAMS)
+def test_construct_refuses_parameters_that_are_not_json_integers(family, params):
+    with pytest.raises(InvalidSpec, match=f"^bad parameters for family {family!r}: "):
+        construct(family, params)
+    with pytest.raises(InvalidSpec):
+        construct_spec({"family": "direct_product", "params": {"factors": [
+            {"family": "cyclic", "params": {"n": 2}}, {"family": family, "params": params}
+        ]}})
+    assert construct("abelian", {"factors": [1, 2]}).label == "ab:1,2"
+    assert construct("cyclic", {"n": 7}).order == 7
+
+
 def test_construct_spec_roundtrip():
     g = construct_spec(
         {
@@ -1185,8 +1213,8 @@ def map_zoo(relabel, name):
 @pytest.mark.parametrize("name", MAP_ZOO)
 def test_every_map_is_a_read_only_int64_array(relabel, name):
     """The coset representatives and positions, each quotient's coset_reps
-    and projection, the raw and checked transfer tables, the coset
-    skeleton's transversal, the correcting function and the exponent
+    and projection, the checked transfer table of every subgroup, the
+    coset skeleton's transversal, the correcting function and the exponent
     coordinates: one read-only int64 array each, indexed by element id."""
     for group in map_zoo(relabel, name):
         n = group.order
@@ -1195,7 +1223,7 @@ def test_every_map_is_a_read_only_int64_array(relabel, name):
             assert_read_only_int64(reps, sub.index())
             assert_read_only_int64(pos, n)
             assert group.coset_skeleton(sub).transversal is reps
-            assert_read_only_int64(group.transfer_products(sub), n)
+            assert_read_only_int64(transfer.transfer_table(group, sub), n)
             if group.is_normal(sub):
                 quot, proj = group.quotient(sub)
                 assert_read_only_int64(quot.coset_reps, quot.order)

@@ -191,9 +191,10 @@ def test_skeleton_matches_induced_matrix_from_definition(name):
 def reference_routes(pair, sub, chi_h):
     """The direct route as monomial_det of every induced matrix, and
     Gallagher's as the coset permutation's sign (by inversion count) plus
-    chi_H of the raw transfer product, both in QmodZ."""
+    chi_H of the raw transfer product over the canonical transversal, both
+    in QmodZ."""
     matrices = induced_matrices(pair, sub, chi_h)
-    transfers = pair.group.transfer_products(sub)
+    transfers = reference.canonical_products(pair.group, sub).tolist()
     direct = [monomial_det(m) for m in matrices]
     gallagher = []
     for m, t in zip(matrices, transfers):
@@ -1289,6 +1290,22 @@ def test_p3_classification_rejects_bad_primes():
     for p in (2, 4, 9, 13):
         with pytest.raises(InvalidPrime):
             idet.p3_classification(p)
+
+
+def test_p3_checks_the_order_bound_before_trial_division(monkeypatch, capsys):
+    """A prime far over the bound is refused at once, by the library and
+    by the CLI with exit 2, without testing it for primality."""
+    def no_trial_division(p):
+        raise AssertionError(f"_is_prime({p}) called before the order bound")
+
+    monkeypatch.setattr(idet, "_is_prime", no_trial_division)
+    big = 100000000000000003
+    for p in (big, -7, 1, 2):
+        with pytest.raises(InvalidPrime):
+            idet.p3_classification(p)
+    assert cli.main(["p3", str(big)]) == cli.EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("hrep: InvalidPrime:")
 
 
 # -- report shape ---------------------------------------------------------------------------

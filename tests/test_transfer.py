@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conftest import assert_plain_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrep import abelian, transfer as tr
+from hrep import abelian, cli, induced_det as idet, transfer as tr
 from hrep.errors import HrepError, IdentityFailed, PreconditionFailed, unwrap
 from hrep.group_core import (
     Subgroup,
@@ -26,11 +27,14 @@ from hrep.group_core import (
 )
 from reference import (
     as_group,
+    canonical_products,
     central_involutions,
     check_correcting_cocycle,
     check_correcting_ratio,
     subgroup,
     subgroup_product,
+    transfer_values_with_transversal,
+    transversal_owners,
 )
 
 E, B, A, AB, A2, A2B, A3, A3B = range(8)
@@ -88,16 +92,20 @@ def _product_loop(group, sub, transversal):
 def test_cached_transfer_table_matches_the_product_loop(name):
     """Every subgroup, so every maximal isotropic of every pair and every
     transfer instance: the cached table equals the factor product
-    recomputed here, also against a shuffled and H-shifted transversal."""
+    recomputed here, also against a shuffled and H-shifted transversal;
+    the reference fold over the canonical transversal gives the same
+    products."""
     group = from_name(name)
     rng = random.Random(0)
     for sub in group.all_subgroups():
         canonical = list(group.coset_positions(sub)[0])
-        assert group.transfer_products(sub).tolist() == _product_loop(group, sub, canonical)
-        assert group.transfer_products(sub) is group.transfer_products(sub)
+        loop = _product_loop(group, sub, canonical)
+        assert canonical_products(group, sub).tolist() == loop
+        assert tr.transfer_table(group, sub).tolist() == group.derived_classes(sub)[loop].tolist()
+        assert tr.transfer_table(group, sub) is tr.transfer_table(group, sub)
         other = [group.mul(t, rng.choice(sub.members)) for t in canonical]
         rng.shuffle(other)
-        batch = group.transfer_fold(sub, [canonical, other])
+        batch = tr._transfer_fold(group, sub, [canonical, other])
         assert batch.shape == (2, group.order)
         assert batch[0].tolist() == _product_loop(group, sub, canonical)
         assert batch[1].tolist() == _product_loop(group, sub, other)
@@ -164,7 +172,7 @@ def _quotient_group_values(group, sub):
     local = {m: i for i, m in enumerate(to_parent)}
     quot, proj = hgrp.quotient(hgrp.commutator_subgroup())
     to_codomain = {m: proj.map.item(local[m]) for m in sub.members}
-    return quot, to_codomain, [to_codomain[v] for v in group.transfer_products(sub)]
+    return quot, to_codomain, [to_codomain[v] for v in canonical_products(group, sub).tolist()]
 
 
 @pytest.mark.parametrize("name", ("d16", "d24", "q8", "heis3", "cp:d8,q8"))
@@ -176,7 +184,7 @@ def test_transfer_table_matches_the_quotient_group_encoding(name):
     for sub in group.all_subgroups():
         values = tr.transfer_table(group, sub)
         derived = _commutators_of(group, sub).members
-        raw = group.transfer_products(sub)
+        raw = canonical_products(group, sub).tolist()
         assert values.tolist() == [min(group.mul(r, c) for c in derived) for r in raw]
         quot, to_codomain, expected = _quotient_group_values(group, sub)
         image = [to_codomain[v] for v in values]
@@ -238,7 +246,7 @@ def test_transversal_independence_rotated_and_shifted():
     rotated = list(reversed(d8.coset_positions(sub)[0]))
     # shifted by subgroup elements
     shifted = [d8.mul(t, h) for t, h in zip(d8.coset_positions(sub)[0], [A2, A])]
-    values = tr.transfer_values_with_transversal(d8, [sub], [rotated, shifted])
+    values = transfer_values_with_transversal(d8, [sub], [rotated, shifted])
     assert values.tolist() == [base, base]
     report = single_check(d8, sub, "independence", seed=3)
     assert report.passed
@@ -283,7 +291,7 @@ def test_bad_transversal_rejected():
     d8 = dihedral(8)
     for transversals in ([E, A], [[E, A]], [[E, B], [E, A]], [[E]]):
         with pytest.raises(PreconditionFailed):
-            tr.transfer_values_with_transversal(d8, [rotations(d8)], transversals)
+            transfer_values_with_transversal(d8, [rotations(d8)], transversals)
 
 
 # -- odd-index power rule ----------------------------------------------------------
@@ -1263,17 +1271,17 @@ def test_transversal_independence_names_the_trial_of_a_wrong_fold(monkeypatch):
         for _ in range(tr.TRANSVERSAL_TRIALS)
     ]
     assert len(set(drawn)) == tr.TRANSVERSAL_TRIALS
-    real_fold = g.transfer_fold
+    real_fold = tr._transfer_fold
     z = next(x for x in sub.members if x != g.identity_id)
 
-    def wrong_for_trial_two(s, transversals):
-        out = real_fold(s, transversals)
+    def wrong_for_trial_two(group, s, transversals):
+        out = real_fold(group, s, transversals)
         for row, transversal in zip(out, np.asarray(transversals).tolist()):
-            if tuple(transversal) == drawn[2]:
+            if group is g and tuple(transversal) == drawn[2]:
                 row[7] = g.mul(row[7], z)
         return out
 
-    monkeypatch.setattr(g, "transfer_fold", wrong_for_trial_two)
+    monkeypatch.setattr(tr, "_transfer_fold", wrong_for_trial_two)
     report = single_check(g, sub, "independence", seed=11)
     assert not report.passed
     assert_plain_json(report.as_dict())
@@ -1548,16 +1556,17 @@ def test_a_table_planted_in_one_instance_of_the_pass_fails_only_that_instance(mo
 
 
 def wrong_in_trial(group, sub, trial, x, z):
-    """A transfer_fold for ``group`` that multiplies the value at x by z in
-    the given trial of ``sub``: the fold lists each subgroup's canonical
-    transversal and then its TRANSVERSAL_TRIALS shifted ones, in runs."""
-    real_fold = group.transfer_fold
+    """A ``tr._transfer_fold`` that multiplies the value at x by z in the
+    given trial of ``sub`` of ``group``: the fold lists each subgroup's
+    canonical transversal and then its TRANSVERSAL_TRIALS shifted ones, in
+    runs."""
+    real_fold = tr._transfer_fold
 
-    def fold(subs, transversals):
-        out = real_fold(subs, transversals)
+    def fold(grp, subs, transversals):
+        out = real_fold(grp, subs, transversals)
         owners = [subs] if isinstance(subs, Subgroup) else list(subs)
         run = len(out) // len(owners)
-        if run == tr.TRANSVERSAL_TRIALS + 1:
+        if grp is group and run == tr.TRANSVERSAL_TRIALS + 1:
             for k, owner in enumerate(owners):
                 if owner == sub:
                     row = k * run + 1 + trial
@@ -1580,11 +1589,133 @@ def test_a_value_planted_in_one_trial_fails_only_that_instance(monkeypatch, name
         z = next(h for h in block[i].members if h != group.identity_id)
         for trial in (0, tr.TRANSVERSAL_TRIALS - 1):
             with monkeypatch.context() as patch:
-                patch.setattr(group, "transfer_fold", wrong_in_trial(group, block[i], trial, x, z))
+                patch.setattr(tr, "_transfer_fold", wrong_in_trial(group, block[i], trial, x, z))
                 got = block_check_outcomes(group, block, 0)["independence"]
                 alone = rendered(single_check, group, block[i], "independence")
             assert [(c["trial"], c["g"]) for c in alone["counterexamples"]] == [(trial, x)]
             assert got == clean[:i] + [alone] + clean[i + 1 :]
+
+
+def fold_runs(subs, transversals):
+    """(owners, run) of one ``tr._transfer_fold`` call: its subgroups as a
+    list, and the number of consecutive rows each owns."""
+    owners = [subs] if isinstance(subs, Subgroup) else list(subs)
+    return owners, len(transversals) // len(owners)
+
+
+@pytest.mark.parametrize("name", ("d8", "heis4", "cp:d8,q8", "ab:2,2,2"))
+def test_verify_folds_each_canonical_transversal_once(monkeypatch, name):
+    """In-process verify: every fold opens each run with its subgroup's
+    canonical transversal, no group folds that of one subgroup twice, and
+    Gallagher's route folds none of the verified group's transfer
+    instances, whose checked tables the block pass has cached."""
+    canonical = Counter()
+    # every folded group stays alive, so that no two share an id()
+    groups = []
+    in_gallagher = []
+    from_gallagher = []
+    real_fold, real_checks = tr._transfer_fold, tr.transfer_checks
+    real_gallagher = idet.gallagher_table
+
+    def counting_fold(group, subs, transversals):
+        owners, run = fold_runs(subs, transversals)
+        for k, sub in enumerate(owners):
+            row = np.asarray(transversals)[k * run]
+            assert row.tolist() == group.coset_positions(sub)[0].tolist()
+            canonical[id(group), sub.members] += 1
+            groups.append(group)
+            if in_gallagher:
+                from_gallagher.append((group, sub))
+        return real_fold(group, subs, transversals)
+
+    def gallagher(*args):
+        in_gallagher.append(1)
+        try:
+            return real_gallagher(*args)
+        finally:
+            in_gallagher.pop()
+
+    verified = []
+
+    def checks(group, subs, **kwargs):
+        verified.append((group, list(subs)))
+        return real_checks(group, subs, **kwargs)
+
+    monkeypatch.setattr(tr, "_transfer_fold", counting_fold)
+    monkeypatch.setattr(idet, "gallagher_table", gallagher)
+    monkeypatch.setattr(tr, "transfer_checks", checks)
+    report, code = cli.cmd_verify(cli.RunConfig("verify", builtin=name))
+    assert code == cli.EXIT_OK and report["all_pass"]
+    ((group, instances),) = verified
+    assert instances and all(canonical[id(group), sub.members] == 1 for sub in instances)
+    assert max(canonical.values()) == 1
+    assert not [sub for grp, sub in from_gallagher if grp is group and sub in instances]
+
+
+@pytest.mark.parametrize("name", ("d16", "heis3", "ab:2,2,2"))
+@pytest.mark.parametrize("seed", (0, 5))
+def test_the_pass_folds_only_transversals(monkeypatch, name, seed):
+    """Every row that transfer_checks folds, the canonical transversal and
+    each shifted trial of every instance, holds one representative of each
+    coset of its subgroup, as the validation of the reference's
+    ``transfer_values_with_transversal`` requires."""
+    group = from_name(name)
+    instances = tr.transfer_instances(group)
+    validated = []
+    real_fold = tr._transfer_fold
+
+    def validating(grp, subs, transversals):
+        owners, _ = fold_runs(subs, transversals)
+        validated.extend(owners[i] for i in transversal_owners(grp, owners, transversals))
+        return real_fold(grp, subs, transversals)
+
+    monkeypatch.setattr(tr, "_transfer_fold", validating)
+    checks = tr.transfer_checks(group, instances, seed=seed)
+    assert all(unwrap(report).passed for report in checks.independence)
+    # the rest are canonical tables that Furtwangler's bound reads
+    counts = Counter(sub.members for sub in validated)
+    assert all(counts.pop(sub.members) == tr.TRANSVERSAL_TRIALS + 1 for sub in instances)
+    assert set(counts.values()) <= {1}
+
+
+@pytest.mark.parametrize("name", ("ab:2,2,2", "heis4"))
+def test_a_canonical_fold_that_is_no_homomorphism_is_refused_and_not_kept(monkeypatch, name):
+    """A fold made wrong at one element of one instance's canonical
+    transversal: the pass keeps no table for it, each of its outcomes is
+    the IdentityFailed of its table, and so is the first instance's
+    identities report, whose Furtwangler bound reads every coabelian
+    table; the other outcomes are those of a twin group. transfer_table
+    raises on it, and keeps nothing, until the fold is right again."""
+    twin = from_name(name)
+    want = block_check_outcomes(twin, equal_index_block(twin), 0)
+    group = from_name(name)
+    block = equal_index_block(group)
+    i = len(block) // 2
+    x = next(x for x in group.elements() if x != group.identity_id)
+    z = next(h for h in block[i].members if h != group.identity_id)
+    real_fold = tr._transfer_fold
+
+    def wrong_canonical(grp, subs, transversals):
+        out = real_fold(grp, subs, transversals)
+        owners, run = fold_runs(subs, transversals)
+        for k, owner in enumerate(owners):
+            if grp is group and owner == block[i]:
+                out[k * run, x] = group.mul(out[k * run, x], z)
+        return out
+
+    failed = "IdentityFailed: transfer values do not form a homomorphism"
+    for outcomes in want.values():
+        if outcomes[i] is not None:
+            outcomes[i] = failed
+    want["identities"][0] = failed
+    with monkeypatch.context() as patch:
+        patch.setattr(tr, "_transfer_fold", wrong_canonical)
+        assert block_check_outcomes(group, block, 0) == want
+        assert block[i].members not in group._transfer_table_cache
+        with pytest.raises(IdentityFailed, match="^transfer values do not form a homomorphism$"):
+            tr.transfer_table(group, block[i])
+        assert block[i].members not in group._transfer_table_cache
+    assert tr.transfer_table(group, block[i]).tolist() == tr.transfer_table(twin, block[i]).tolist()
 
 
 def test_the_covariance_certificate_reads_every_generator(monkeypatch):
